@@ -12,7 +12,16 @@ with piecewise-linear nodal densities and collocation at mesh vertices
 7-point Gauss rule (3D) or 8-point Gauss-Legendre (2D); panels close to the
 target are re-integrated by splitting at the point nearest the target and
 applying a Duffy-type polar transform per subtriangle, which also provides
-the weakly-singular self terms of the single layer.  The double-layer
+the weakly-singular self terms of the single layer.
+
+In 3D the close (target, panel) pairs are corrected together, in batches
+of 256 pairs: closest points, the split into exactly three subtriangles
+(a zero-area one gets weight zero), the 8x8 Duffy rule on arrays of
+3 x 256 x 3 x 64 values (about 1 MB each), minus the regular rule, and one
+scatter-add per batch in pair order.  Peak memory is therefore set by the
+far-field blocks, which hold at most 4e6 (target, quadrature point) pairs:
+about 100 MB of difference vectors plus the kernel values, whatever the
+mesh size, on top of the dense matrix itself.  The double-layer
 diagonal on its own surface is fixed by the interior solid-angle row-sum
 identity ``D 1 = -1/2``; combined with the ``1/2 I + D`` combination this
 reproduces the exact interior-limit operator at polyhedral vertices.
@@ -80,8 +89,15 @@ _GL01_W = 0.5 * _gl_w
 _DUF_U = np.repeat(_GL01_X, _GL_N)
 _DUF_V = np.tile(_GL01_X, _GL_N)
 _DUF_W = np.repeat(_GL01_W, _GL_N) * np.tile(_GL01_W, _GL_N)
+_DUF_UW = _DUF_U * _DUF_W  # weight x Jacobian factor u
+# moments of the barycentric coordinates along the Duffy map, see
+# _near_panel_integrals_3d
+_DUF_MOMENTS = np.column_stack([1.0 - _DUF_U, _DUF_U * (1.0 - _DUF_V), _DUF_U * _DUF_V])
 
 _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
+# close (target, panel) pairs per batch: the batch arrays of shape
+# (pairs, 3, 64, 3) stay near 1 MB, well below the far-field blocks
+_NEAR_BATCH = 256
 
 _memo_lock = threading.Lock()
 _operator_memo: dict = {}
@@ -119,16 +135,27 @@ class LayerOperators:
 
 
 class _KernelSet:
-    """Fast in-assembly kernels with precomputed inverse and determinant."""
+    """Fast in-assembly kernels with precomputed inverse and determinant.
+
+    Difference vectors ``diff`` and normals are stored components first,
+    shape (dim, ...), so every component is one contiguous array.
+    """
 
     def __init__(self, M, dim: int):
         self.M = as_tensor(M, dim)
         self.dim = dim
         self.Minv = np.linalg.inv(self.M)
         self.sqrt_det = float(np.sqrt(np.linalg.det(self.M)))
+        # nonzero terms of d^T M^-1 d: three for a diagonal tensor
+        self._r2_terms = [(i, j, self.Minv[i, j]) for i in range(dim)
+                          for j in range(dim) if self.Minv[i, j] != 0.0]
 
     def r2(self, diff: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,ij,...j->...", diff, self.Minv, diff)
+        (i, j, m), *rest = self._r2_terms
+        out = diff[i] * m * diff[j]
+        for i, j, m in rest:
+            out += diff[i] * m * diff[j]
+        return out
 
     def single(self, diff: np.ndarray) -> np.ndarray:
         r2 = self.r2(diff)
@@ -138,10 +165,22 @@ class _KernelSet:
 
     def double(self, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
         r2 = self.r2(diff)
-        proj = np.einsum("...i,...i->...", normal, diff)
+        proj = _dot(normal, diff)
         if self.dim == 3:
-            return proj / (4.0 * np.pi * self.sqrt_det * r2 ** 1.5)
+            return proj / (4.0 * np.pi * self.sqrt_det * r2 * np.sqrt(r2))
         return proj / (2.0 * np.pi * self.sqrt_det * r2)
+
+    def layer(self, kind: str, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
+        """The "single" or "double" kernel; ``normal`` serves the double."""
+        return self.single(diff) if kind == "single" else self.double(diff, normal)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the leading (component) axis, broadcasting."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,78 +222,73 @@ def _panel_quadrature(mesh) -> tuple:
     return pts, normals, scatter
 
 
-def _split_at(point: np.ndarray, corners: np.ndarray) -> list:
-    """Split a triangle at an interior/edge point into non-degenerate parts."""
-    area2 = np.linalg.norm(np.cross(corners[1] - corners[0], corners[2] - corners[0]))
-    parts = []
-    for a in range(3):
-        b = (a + 1) % 3
-        pa, pb = corners[a], corners[b]
-        sub = np.linalg.norm(np.cross(pa - point, pb - point))
-        if sub > 1e-12 * area2:
-            parts.append((point, pa, pb))
-    return parts
+def _closest_points(x: np.ndarray, corners: np.ndarray) -> tuple:
+    """Point of each triangle nearest its target, for (P, 3) / (P, 3, 3).
 
-
-def _closest_point_in_triangle(x: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    e1 = corners[1] - corners[0]
-    e2 = corners[2] - corners[0]
-    s = x - corners[0]
-    g11, g12, g22 = e1 @ e1, e1 @ e2, e2 @ e2
-    det = g11 * g22 - g12 * g12
-    u = (g22 * (s @ e1) - g12 * (s @ e2)) / det
-    v = (g11 * (s @ e2) - g12 * (s @ e1)) / det
-    if u >= 0 and v >= 0 and u + v <= 1:
-        return corners[0] + u * e1 + v * e2
-    best, bd = None, np.inf
-    for a in range(3):
-        b = (a + 1) % 3
-        pa, pb = corners[a], corners[b]
-        ab = pb - pa
-        t = np.clip((x - pa) @ ab / (ab @ ab), 0.0, 1.0)
-        c = pa + t * ab
-        d = np.linalg.norm(x - c)
-        if d < bd:
-            best, bd = c, d
-    return best
-
-
-def _integrate_panel_near_3d(ker: _KernelSet, kind: str, x: np.ndarray,
-                             corners: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Accurate integral of kernel x linear basis over one close panel.
-
-    Splits the panel at the point nearest the target and applies the Duffy
-    transform on each subtriangle, concentrating quadrature where the kernel
-    peaks.  Returns the 3 basis-weighted integrals (original corner order).
+    The projection when it falls inside the triangle, otherwise the nearest
+    edge point (the first edge wins a tie).  Returns the points (P, 3) and
+    their barycentric coordinates (P, 3).
     """
-    p = _closest_point_in_triangle(x, corners)
-    e1f = corners[1] - corners[0]
-    e2f = corners[2] - corners[0]
-    g11, g12, g22 = e1f @ e1f, e1f @ e2f, e2f @ e2f
-    gdet = g11 * g22 - g12 * g12
-    out = np.zeros(3)
-    for p0, p1, p2 in _split_at(p, corners):
-        e1 = p1 - p0
-        e2 = p2 - p0
-        # y(u, v) = p0 + u((1-v) e1 + v e2), |J| = 2 area u
-        duf_dir = (1 - _DUF_V)[:, None] * e1[None, :] + _DUF_V[:, None] * e2[None, :]
-        y = p0[None, :] + _DUF_U[:, None] * duf_dir
-        area2 = np.linalg.norm(np.cross(e1, e2))
-        jac = area2 * _DUF_U
-        diff = x[None, :] - y
-        if kind == "single":
-            kv = ker.single(diff)
-        else:
-            kv = ker.double(diff, normal[None, :])
-        # barycentric of y in the original triangle
-        s = y - corners[0]
-        b1 = s @ e1f
-        b2 = s @ e2f
-        u = (g22 * b1 - g12 * b2) / gdet
-        v = (g11 * b2 - g12 * b1) / gdet
-        lam = np.column_stack([1.0 - u - v, u, v])
-        out += (kv * jac * _DUF_W) @ lam
-    return out
+    c0 = corners[:, 0]
+    e1 = corners[:, 1] - c0
+    e2 = corners[:, 2] - c0
+    s = x - c0
+    g11, g12, g22 = (e1 * e1).sum(1), (e1 * e2).sum(1), (e2 * e2).sum(1)
+    det = g11 * g22 - g12 * g12
+    se1, se2 = (s * e1).sum(1), (s * e2).sum(1)
+    u = (g22 * se1 - g12 * se2) / det
+    v = (g11 * se2 - g12 * se1) / det
+    inside = (u >= 0) & (v >= 0) & (u + v <= 1)
+    # edge a runs from corner a to corner a + 1
+    ab = np.roll(corners, -1, axis=1) - corners
+    t = np.clip(((x[:, None, :] - corners) * ab).sum(2) / (ab * ab).sum(2), 0.0, 1.0)
+    on_edge = corners + t[..., None] * ab
+    pair = np.arange(len(x))
+    edge = np.argmin(np.linalg.norm(x[:, None, :] - on_edge, axis=2), axis=1)
+    t = t[pair, edge]
+    lam_edge = np.zeros((len(x), 3))
+    lam_edge[pair, edge] = 1.0 - t
+    lam_edge[pair, (edge + 1) % 3] = t
+    point = np.where(inside[:, None], c0 + u[:, None] * e1 + v[:, None] * e2,
+                     on_edge[pair, edge])
+    lam = np.where(inside[:, None], np.column_stack([1.0 - u - v, u, v]), lam_edge)
+    return point, lam
+
+
+def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
+                             corners: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Accurate integrals of kernel x linear basis over close panels.
+
+    For P (target, panel) pairs, ``x`` (P, 3), ``corners`` (P, 3, 3) and
+    ``normals`` (P, 3), returns the (P, 3) basis-weighted integrals in
+    corner order.  Each panel is split at the point p nearest its target
+    into the subtriangles (p, c_a, c_{a+1}), and the Duffy transform
+    ``y(u, v) = p + u((1-v) e1 + v e2)``, ``|J| = 2 area u``, with an 8x8
+    Gauss tensor rule concentrates the points where the kernel peaks.  A
+    subtriangle of zero area (p on an edge or at a corner) gets weight 0;
+    its kernel values may be inf or nan.
+    """
+    p, lam_p = _closest_points(x, corners)
+    area2 = np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
+                                    corners[:, 2] - corners[:, 0]), axis=1)
+    # subtriangle edges from p, shape (P, 3 parts, 3)
+    e1 = corners - p[:, None, :]
+    e2 = np.roll(e1, -1, axis=1)
+    sub2 = np.linalg.norm(np.cross(e1, e2), axis=2)
+    keep = sub2 > 1e-12 * area2[:, None]
+    # quadrature points, components first: shape (3, P, 3 parts, 64)
+    e1 = np.moveaxis(e1, 2, 0)[..., None]
+    e2 = np.moveaxis(e2, 2, 0)[..., None]
+    y = p.T[:, :, None, None] + _DUF_U * ((1.0 - _DUF_V) * e1 + _DUF_V * e2)
+    diff = x.T[:, :, None, None] - y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kv = ker.layer(kind, diff, normals.T[:, :, None, None])
+        w = np.where(keep[:, :, None], kv * (sub2[:, :, None] * _DUF_UW), 0.0)
+    # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
+    # so three moments per subtriangle carry the basis functions
+    mom = w @ _DUF_MOMENTS  # (P, 3 parts, 3 moments)
+    return (mom[:, :, 0].sum(axis=1)[:, None] * lam_p + mom[:, :, 1]
+            + np.roll(mom[:, :, 2], 1, axis=1))
 
 
 def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
@@ -290,8 +324,8 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
         if ln < 1e-15:
             continue
         y = p[None, :] + _GL01_X[:, None] * seg[None, :]
-        diff = x[None, :] - y
-        kv = ker.single(diff) if kind == "single" else ker.double(diff, normal[None, :])
+        diff = x[:, None] - y.T
+        kv = ker.layer(kind, diff, normal[:, None])
         s_full = ((y - a) @ ab) / (ab @ ab)
         lam = np.column_stack([1.0 - s_full, s_full])
         out += ((kv * _GL01_W * ln) @ lam)
@@ -300,71 +334,80 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
 
 def _plain_panel_contrib(ker: _KernelSet, kind: str, x: np.ndarray, mesh,
                          el: int) -> np.ndarray:
-    """Contribution of one panel under the regular rule (for subtraction)."""
-    verts = mesh.vertices
-    idx = mesh.elements[el]
-    if mesh.dim == 3:
-        corners = verts[idx]
-        y = _TRI_RULE_B @ corners
-        w = _TRI_RULE_W * mesh.areas[el]
-        lam = _TRI_RULE_B
-    else:
-        a, b = verts[idx[0]], verts[idx[1]]
-        y = a[None, :] * (1 - _GL01_X)[:, None] + b[None, :] * _GL01_X[:, None]
-        w = _GL01_W * mesh.areas[el]
-        lam = np.column_stack([1 - _GL01_X, _GL01_X])
-    diff = x[None, :] - y
-    if kind == "single":
-        kv = ker.single(diff)
-    else:
-        kv = ker.double(diff, mesh.normals[el][None, :])
+    """Contribution of one segment under the regular rule (for subtraction)."""
+    a, b = mesh.vertices[mesh.elements[el]]
+    y = a[None, :] * (1 - _GL01_X)[:, None] + b[None, :] * _GL01_X[:, None]
+    w = _GL01_W * mesh.areas[el]
+    lam = np.column_stack([1 - _GL01_X, _GL01_X])
+    diff = x[:, None] - y.T
+    kv = ker.layer(kind, diff, mesh.normals[el][:, None])
     return (kv * w) @ lam
+
+
+def _correct_near_3d(matrix: np.ndarray, kind: str, ker: _KernelSet, source,
+                     pts: np.ndarray, x: np.ndarray, rows: np.ndarray,
+                     panels: np.ndarray) -> None:
+    """Swap the regular rule for the Duffy rule on close (row, panel) pairs.
+
+    ``x`` holds the targets of ``rows``; ``pts`` the regular quadrature
+    points of ``source`` (3, n_quad_points).  The pairs go in batches of
+    ``_NEAR_BATCH``, and one ``np.add.at`` per batch adds them in pair
+    order, as a loop over the pairs would.
+    """
+    panel_pts = pts.reshape(3, len(source.elements), len(_TRI_RULE_W))
+    for lo in range(0, len(rows), _NEAR_BATCH):
+        r = rows[lo : lo + _NEAR_BATCH]
+        j = panels[lo : lo + _NEAR_BATCH]
+        xr = x[lo : lo + _NEAR_BATCH]
+        els = source.elements[j]
+        normals = source.normals[j]
+        fixed = _near_panel_integrals_3d(ker, kind, xr, source.vertices[els], normals)
+        diff = xr.T[:, :, None] - panel_pts[:, j]
+        kv = ker.layer(kind, diff, normals.T[:, :, None])
+        plain = (kv * (_TRI_RULE_W * source.areas[j][:, None])) @ _TRI_RULE_B
+        np.add.at(matrix, (r[:, None], els), fixed - plain)
 
 
 def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
                     same_surface: bool) -> np.ndarray:
     pts, nrm, scatter = _panel_quadrature(source)
+    # components first, see _KernelSet
+    pts, nrm = np.ascontiguousarray(pts.T), np.ascontiguousarray(nrm.T)
     centroids = source.vertices[source.elements].mean(axis=1)
     diam = source.element_diameters()
     scatter_t = scatter.T.tocsr()
     n_t = len(targets)
     matrix = np.empty((n_t, source.n_vertices))
-    chunk = max(1, int(4e6) // max(1, len(pts)))
+    chunk = max(1, int(4e6) // max(1, pts.shape[1]))
     for lo in range(0, n_t, chunk):
         x = targets[lo : lo + chunk]
-        diff = x[:, None, :] - pts[None, :, :]
+        diff = x.T[:, :, None] - pts[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            if kind == "single":
-                k = ker.single(diff)
-            else:
-                k = ker.double(diff, nrm[None, :, :])
-        k = np.nan_to_num(k, nan=0.0, posinf=0.0, neginf=0.0)
+            k = ker.layer(kind, diff, nrm[:, None, :])
+        del diff
+        np.copyto(k, 0.0, where=~np.isfinite(k))
         matrix[lo : lo + chunk] = (scatter_t @ k.T).T
+        del k
         # re-integrate panels close to each target
         d_c = np.linalg.norm(x[:, None, :] - centroids[None, :, :], axis=2)
-        near = d_c < _NEAR_FACTOR * diam[None, :]
-        for i_loc, j in zip(*np.nonzero(near)):
+        near_loc, near_el = np.nonzero(d_c < _NEAR_FACTOR * diam[None, :])
+        if source.dim == 3:
+            _correct_near_3d(matrix, kind, ker, source, pts, x[near_loc],
+                             lo + near_loc, near_el)
+            continue
+        for i_loc, j in zip(near_loc, near_el):
             row = lo + i_loc
             xi = x[i_loc]
             idx = source.elements[j]
             plain = _plain_panel_contrib(ker, kind, xi, source, j)
-            if source.dim == 3:
-                fixed = _integrate_panel_near_3d(
-                    ker, kind, xi, source.vertices[idx], source.normals[j]
-                )
-            else:
-                singular = same_surface and bool(np.any(idx == _vertex_index(source, xi, row)))
-                fixed = _integrate_panel_near_2d(
-                    ker, kind, xi, source.vertices[idx[0]], source.vertices[idx[1]],
-                    source.normals[j], singular,
-                )
+            # during same-surface assembly the target IS vertex `row`
+            singular = same_surface and bool(np.any(idx == row))
+            fixed = _integrate_panel_near_2d(
+                ker, kind, xi, source.vertices[idx[0]], source.vertices[idx[1]],
+                source.normals[j], singular,
+            )
             matrix[row, idx] += fixed - plain
     return matrix
-
-
-def _vertex_index(mesh, x: np.ndarray, row: int) -> int:
-    # during same-surface assembly the target IS vertex `row`
-    return row
 
 
 def assemble_layer(kind: str, M, source, target=None, *,
@@ -396,7 +439,7 @@ def assemble_layer(kind: str, M, source, target=None, *,
         raise ShapeMismatch(f"unknown layer kind {kind!r}")
     if diagonal not in ("row_sum", "raw"):
         raise ShapeMismatch(f"unknown diagonal policy {diagonal!r}")
-    ker = _KernelSet(M, source.dim)
+    tensor = as_tensor(M, source.dim)
     if target is None:
         target = source
     is_mesh_target = isinstance(target, (SurfaceMesh, CurveMesh))
@@ -405,7 +448,7 @@ def assemble_layer(kind: str, M, source, target=None, *,
     key = None
     if cache and is_mesh_target:
         key = (kind, source.cache_token, target.cache_token,
-               ker.M.tobytes(), diagonal)
+               tensor.tobytes(), diagonal)
         with _memo_lock:
             hit = _operator_memo.get(key)
         if hit is not None:
@@ -415,7 +458,7 @@ def assemble_layer(kind: str, M, source, target=None, *,
     if targets.shape[1] != source.dim:
         raise ShapeMismatch(f"targets must be (n, {source.dim})")
 
-    matrix = _assemble_dense(kind, ker, source, targets, same)
+    matrix = _assemble_dense(kind, _KernelSet(tensor, source.dim), source, targets, same)
     if kind == "double" and same and diagonal == "row_sum":
         np.fill_diagonal(matrix, 0.0)
         matrix[np.arange(len(matrix)), np.arange(len(matrix))] = (
@@ -426,7 +469,7 @@ def assemble_layer(kind: str, M, source, target=None, *,
         source_surface=source.surface_id,
         target=target.surface_id if is_mesh_target else targets,
         matrix=matrix,
-        tensor=ker.M,
+        tensor=tensor,
     )
     if key is not None:
         with _memo_lock:
@@ -473,9 +516,9 @@ def volume_potential(M, grid: InteriorGrid, g: np.ndarray,
     bound = 0.0
     chunk = max(1, int(4e6) // max(1, len(centers)))
     for lo in range(0, len(x), chunk):
-        diff = x[lo : lo + chunk, None, :] - centers[None, :, :]
+        diff = x[lo : lo + chunk].T[:, :, None] - centers.T[:, None, :]
         r2 = ker.r2(diff)
-        euclid2 = np.einsum("pcj,pcj->pc", diff, diff)
+        euclid2 = _dot(diff, diff)
         keep = euclid2 >= skip_r2
         with np.errstate(divide="ignore"):
             phi = 1.0 / (4.0 * np.pi * ker.sqrt_det * np.sqrt(r2))

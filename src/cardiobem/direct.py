@@ -88,6 +88,18 @@ def _factorize(key, matrix_builder):
     return lu, mat
 
 
+def _lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a memoized LU, safe for threads that share it.
+
+    scipy's LAPACK wrapper shifts the pivot array to 1-based indices in
+    place, with the GIL released, and shifts it back afterwards.  A second
+    thread using the same pivots meanwhile swaps the wrong rows: wrong
+    answers, or a heap corruption abort.  Each call gets its own copy.
+    """
+    lu, piv = lu_piv
+    return lu_solve((lu, piv.copy()), rhs)
+
+
 def _interior_limit_matrix(M, mesh) -> np.ndarray:
     """1/2 I + D with the row-sum diagonal (exact interior limit)."""
     d = assemble_layer("double", M, mesh, diagonal="row_sum").matrix
@@ -175,7 +187,7 @@ def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
         rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
     key = ("dirichlet", mesh.cache_token, tensor.tobytes())
     lu, _ = _factorize(key, lambda: assemble_layer("single", tensor, mesh).matrix)
-    q = lu_solve(lu, rhs)
+    q = _lu_solve(lu, rhs)
     s_mat = assemble_layer("single", tensor, mesh).matrix
     residual = float(np.linalg.norm(s_mat @ q - rhs))
     report = DirectSolveReport(
@@ -206,7 +218,7 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
     lu, _ = _factorize(key, lambda: b)
     u_full = np.concatenate([dh, dt])
     rhs = a @ u_full
-    q = lu_solve(lu, rhs)
+    q = _lu_solve(lu, rhs)
     residual = float(np.linalg.norm(b @ q - rhs))
     nh = heart.n_vertices
     q_h, q_t = q[:nh], q[nh:]
@@ -275,7 +287,7 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
 
     key = ("neumann", mesh.cache_token, tensor.tobytes())
     lu, _ = _factorize(key, bordered)
-    sol = lu_solve(lu, np.concatenate([rhs, [0.0]]))
+    sol = _lu_solve(lu, np.concatenate([rhs, [0.0]]))
     u0, mult = sol[:n], sol[n]
     residual = float(np.linalg.norm(a @ u0 - rhs))
     normalization = float(w @ u0)
@@ -317,7 +329,7 @@ def solve_zaremba(M, heart, torso, u_dirichlet_on_heart):
     key = ("zaremba", heart.cache_token, torso.cache_token, tensor.tobytes())
     lu, sysmat = _factorize(key, system)
     rhs = -(a[:, :nh] @ d)
-    sol = lu_solve(lu, rhs)
+    sol = _lu_solve(lu, rhs)
     residual = float(np.linalg.norm(sysmat @ sol - rhs))
     q_h, u_t = sol[:nh], sol[nh:]
     flux = -q_h  # heart-outward convention

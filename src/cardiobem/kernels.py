@@ -26,7 +26,9 @@ exponentially damped Gaussian
     Psi(x, y, t, tau) = exp(-a0 dt) K_A(x - y - a dt, dt),  dt = t - tau,
     K_A(d, s) = exp(-d^T A^-1 d / (4 s)) / ((4 pi s)^{n/2} sqrt(det A)),
 
-and exactly zero for t <= tau (causality).  Units: lengths cm, times ms,
+and exactly zero for t <= tau (causality).  This module evaluates phi_M;
+the double-layer kernel is evaluated in :mod:`cardiobem.assembly` and Psi
+by :func:`cardiobem.parabolic.heat_kernel`.  Units: lengths cm, times ms,
 conductivities mS/cm, membrane capacitance uF/cm^2, surface-to-volume ratio
 1/cm.
 """
@@ -43,8 +45,6 @@ __all__ = [
     "ConductivityModel",
     "HeatOperatorSpec",
     "elliptic_fundamental",
-    "elliptic_conormal_kernel",
-    "heat_kernel",
     "as_tensor",
 ]
 
@@ -203,53 +203,3 @@ def elliptic_fundamental(M, x, y) -> np.ndarray:
     if dim == 3:
         return 1.0 / (4.0 * np.pi * np.sqrt(det) * np.sqrt(r2))
     return -0.5 * np.log(r2) / (2.0 * np.pi * np.sqrt(det))
-
-
-def elliptic_conormal_kernel(M, x, y, n_y) -> np.ndarray:
-    """Conormal derivative d_{nu,M;y} phi_M(x, y) = n_y . M grad_y phi_M.
-
-    This is the double-layer kernel; the M factors cancel against M^-1 so the
-    value is ``n_y . (x - y) / (4 pi sqrt(det M) r_M^3)`` in 3D and
-    ``n_y . (x - y) / (2 pi sqrt(det M) r_M^2)`` in 2D.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(n_y, dtype=float)
-    dim = x.shape[-1]
-    m = as_tensor(M, dim)
-    minv, det = _inv_and_det(m)
-    diff = x - y
-    r2 = _mahalanobis_sq(minv, diff)
-    if np.any(r2 == 0.0):
-        raise SingularPoint("elliptic_conormal_kernel evaluated at x == y")
-    proj = np.einsum("...i,...i->...", n, diff)
-    if dim == 3:
-        return proj / (4.0 * np.pi * np.sqrt(det) * r2 ** 1.5)
-    return proj / (2.0 * np.pi * np.sqrt(det) * r2)
-
-
-def heat_kernel(spec: HeatOperatorSpec, x, y, t, tau) -> np.ndarray:
-    """Fundamental solution Psi(x, y, t, tau) of the parabolic operator.
-
-    Exactly zero (not merely small) wherever ``t <= tau``.  Arguments
-    broadcast: ``x``/``y`` over a trailing space axis, ``t``/``tau`` as
-    scalars or arrays of the broadcast batch shape.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    a = spec.A
-    ainv, det = _inv_and_det(a)
-    dt = t - tau
-    causal = dt > 0.0
-    dt_safe = np.where(causal, dt, 1.0)
-    diff = x - y - spec.drift * dt_safe[..., None]
-    r2 = _mahalanobis_sq(ainv, diff)
-    n = spec.dim
-    val = (
-        np.exp(-spec.reaction * dt_safe)
-        * np.exp(-r2 / (4.0 * dt_safe))
-        / ((4.0 * np.pi * dt_safe) ** (n / 2.0) * np.sqrt(det))
-    )
-    return np.where(causal, val, 0.0)

@@ -1,7 +1,14 @@
 """Direct boundary value solvers: Dirichlet, normalized Neumann, Zaremba."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cardiobem
 
 from cardiobem import (
     IncompatibleData,
@@ -111,3 +118,44 @@ def test_zaremba_constant_data(model, heart2, torso2):
     flux, rep = solve_zaremba(model.M_b, heart2, torso2, ones)
     assert np.abs(flux.values).max() < 1e-8
     assert rep.solution_trace_outer.values == pytest.approx(5.0, abs=1e-8)
+
+
+_SHARED_LU_SCRIPT = """
+import sys, threading
+import numpy as np
+from cardiobem import NodalField, icosphere, solve_zaremba
+
+heart = icosphere(2, 1.0, surface_id="heart")
+torso = icosphere(2, 2.0, surface_id="torso")
+data = NodalField("heart", heart.vertices[:, 2].copy())
+want = solve_zaremba(7.0, heart, torso, data)[0].values
+wrong = []
+
+def work():
+    for _ in range(600):
+        got = solve_zaremba(7.0, heart, torso, data)[0].values
+        if not np.array_equal(got, want):
+            wrong.append(1)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+sys.exit(1 if wrong else 0)
+"""
+
+
+def test_shared_factorization_is_thread_safe():
+    # two threads solving on one memoized LU: a race on the shared pivot
+    # array gives wrong answers or aborts the process, so run it apart.
+    # Level 2 and one BLAS thread per solver thread make the solves overlap
+    # often enough that the race shows on every run.
+    src = str(Path(cardiobem.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", _SHARED_LU_SCRIPT], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
