@@ -41,7 +41,6 @@ constant-density null vector.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,9 +97,6 @@ _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
 # close (target, panel) pairs per batch: the batch arrays of shape
 # (pairs, 3, 64, 3) stay near 1 MB, well below the far-field blocks
 _NEAR_BATCH = 256
-
-_memo_lock = threading.Lock()
-_operator_memo: dict = {}
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# panel quadrature caches
+# panel quadrature
 
 
 def _panel_quadrature(mesh) -> tuple:
@@ -410,8 +406,7 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
     return matrix
 
 
-def assemble_layer(kind: str, M, source, target=None, *,
-                   diagonal: str = "row_sum", cache: bool = True) -> LayerOperators:
+def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
     """Assemble a single- or double-layer collocation matrix.
 
     Parameters
@@ -423,58 +418,37 @@ def assemble_layer(kind: str, M, source, target=None, *,
         Surface carrying the density.
     target : mesh, (n, dim) array, or None
         Collocation targets; ``None`` (or the source itself) collocates at
-        the source vertices through the singular integration path.
-    diagonal : {"row_sum", "raw"}
-        Same-surface double layer only: "row_sum" enforces D 1 = -1/2 per
-        row (single closed surface); "raw" leaves the principal-value
-        diagonal for callers assembling multi-surface block systems, which
-        must apply the row identity across the full block row themselves.
+        the source vertices through the singular integration path, and the
+        double layer then gets the row-sum diagonal D 1 = -1/2.
 
-    Notes
-    -----
-    Matrices are memoized per (kind, source, target-surface, M) behind a
-    lock; pass ``cache=False`` to bypass.
+    Every call assembles anew; solvers keep what they reuse in the
+    operator cache of ``direct``.
     """
     if kind not in ("single", "double"):
         raise ShapeMismatch(f"unknown layer kind {kind!r}")
-    if diagonal not in ("row_sum", "raw"):
-        raise ShapeMismatch(f"unknown diagonal policy {diagonal!r}")
     tensor = as_tensor(M, source.dim)
     if target is None:
         target = source
     is_mesh_target = isinstance(target, (SurfaceMesh, CurveMesh))
     same = is_mesh_target and target.cache_token == source.cache_token
 
-    key = None
-    if cache and is_mesh_target:
-        key = (kind, source.cache_token, target.cache_token,
-               tensor.tobytes(), diagonal)
-        with _memo_lock:
-            hit = _operator_memo.get(key)
-        if hit is not None:
-            return hit
-
     targets = target.vertices if is_mesh_target else np.atleast_2d(np.asarray(target, float))
     if targets.shape[1] != source.dim:
         raise ShapeMismatch(f"targets must be (n, {source.dim})")
 
     matrix = _assemble_dense(kind, _KernelSet(tensor, source.dim), source, targets, same)
-    if kind == "double" and same and diagonal == "row_sum":
+    if kind == "double" and same:
         np.fill_diagonal(matrix, 0.0)
         matrix[np.arange(len(matrix)), np.arange(len(matrix))] = (
             -0.5 - matrix.sum(axis=1)
         )
-    op = LayerOperators(
+    return LayerOperators(
         kind=kind,
         source_surface=source.surface_id,
         target=target.surface_id if is_mesh_target else targets,
         matrix=matrix,
         tensor=tensor,
     )
-    if key is not None:
-        with _memo_lock:
-            _operator_memo[key] = op
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +529,8 @@ def green_representation(M, mesh, dirichlet: NodalField, conormal: NodalField,
     require_off_surface(mesh, pts, boundary_tolerance)
     u0 = dirichlet.check_on(mesh)
     u1 = conormal.check_on(mesh)
-    sl = assemble_layer("single", M, mesh, pts, cache=False)
-    dl = assemble_layer("double", M, mesh, pts, cache=False)
+    sl = assemble_layer("single", M, mesh, pts)
+    dl = assemble_layer("double", M, mesh, pts)
     vals = sl.apply(u1) - dl.apply(u0)
     if g_volume is not None:
         grid, g = g_volume

@@ -21,13 +21,14 @@ alpha picked by the configured rule (L-curve corner by default).
 Identity penalty solves reuse one singular value decomposition across the
 whole alpha grid; the surface-gradient penalty (graph Laplacian on the heart
 mesh, guarding against over-smoothing being the only option) refactorizes
-the normal equations per alpha.
+the normal equations per alpha.  The Cauchy matrix and its SVD are entries
+of the operator cache in direct.py, built once per (heart, torso, tensor)
+under its lock and kept, like the shell operators, for the process lifetime.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -35,8 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .assembly import assemble_layer
-from .direct import _shell_operators
+from .direct import cached, shell_operators
 from .errors import (AllAlphaFailed, DegenerateLCurve, ShapeMismatch,
                      SolveFailure)
 from .kernels import as_tensor
@@ -54,9 +54,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_svd_lock = threading.Lock()
-_svd_memo: dict = {}
 
 
 @dataclass(frozen=True)
@@ -164,18 +161,9 @@ def _graph_laplacian(mesh) -> np.ndarray:
     return lap
 
 
-def _sweep_identity(a: np.ndarray, b: np.ndarray, grid: np.ndarray,
-                    cache_key=None):
-    """Tikhonov sweep with L = I via one SVD: x(alpha), rho, eta per alpha."""
-    svd = None
-    if cache_key is not None:
-        with _svd_lock:
-            svd = _svd_memo.get(cache_key)
-    if svd is None:
-        svd = np.linalg.svd(a, full_matrices=False)
-        if cache_key is not None:
-            with _svd_lock:
-                _svd_memo[cache_key] = svd
+def _sweep_identity(svd, b: np.ndarray, grid: np.ndarray):
+    """Tikhonov sweep with L = I via the thin SVD (u, s, vt) of the matrix:
+    x(alpha), rho, eta per alpha."""
     u, s, vt = svd
     beta = u.T @ b
     perp2 = float(b @ b - beta @ beta)  # component outside the column space
@@ -251,8 +239,10 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
     fv = f.check_on(torso)
     qt = np.zeros(torso.n_vertices) if flux_on_torso is None else flux_on_torso.check_on(torso)
     nh = heart.n_vertices
-    a_full, b_full = _shell_operators(tensor, heart, torso)
-    a = np.hstack([a_full[:, :nh], -b_full[:, :nh]])
+    key = (heart.cache_token, torso.cache_token, tensor.tobytes())
+    a_full, b_full = shell_operators(tensor, heart, torso)
+    a = cached(("cauchy",) + key,
+               lambda: np.hstack([a_full[:, :nh], -b_full[:, :nh]]))
     b = b_full[:, nh:] @ qt - a_full[:, nh:] @ fv
 
     if not np.any(fv) and not np.any(qt):
@@ -271,9 +261,9 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
 
     grid = config.alpha_grid
     if config.penalty == "identity":
-        key = ("cauchy-svd", heart.cache_token, torso.cache_token,
-               tensor.tobytes())
-        xs, rho, eta = _sweep_identity(a, b, grid, cache_key=key)
+        svd = cached(("cauchy-svd",) + key,
+                     lambda: np.linalg.svd(a, full_matrices=False))
+        xs, rho, eta = _sweep_identity(svd, b, grid)
     else:
         lap = _graph_laplacian(heart)
         lmat = np.block([

@@ -378,11 +378,8 @@ def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
         return run_protocol_2(domain, model, frame_field(j), config,
                               c0=cfg["c0"])
 
-    # frame 0 alone builds the operators and factorizations; workers that
-    # start cold together would each build them again
-    outputs = [solve(0)]
     with ThreadPoolExecutor(max_workers=_threads(frames)) as pool:
-        outputs.extend(pool.map(solve, range(1, frames)))
+        outputs = list(pool.map(solve, range(frames)))
 
     nh = heart.n_vertices
     arrays = {name: np.empty((nh, frames)) for name in ("u_e", "u_i", "v")}

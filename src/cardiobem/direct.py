@@ -20,8 +20,12 @@ Conventions:
     weights at vertices) through one bordered Lagrange row, so the discrete
     constraint holds to solver precision.
 
-Dense LU factorizations are memoized per (meshes, tensor, problem) behind a
-lock; repeated per-frame solves reuse them.
+Operators and factorizations live in one cache, keyed by the meshes'
+cache tokens and the tensor: the single and double layer of each surface,
+the shell block operators A and B, the Dirichlet, Neumann and Zaremba LUs,
+and (for cauchy.py) the Cauchy matrix and its SVD.  Each entry is built
+under the cache's lock, so threads that miss together build it once; as
+before, entries live as long as the process.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .assembly import assemble_layer, volume_potential
+from .assembly import assemble_layer, green_representation, volume_potential
 from .errors import IncompatibleData, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
 from .mesh import DomainConfig, NodalField
@@ -48,8 +52,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_factor_lock = threading.Lock()
-_factor_memo: dict = {}
+_cache: dict = {}
+_cache_lock = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -71,25 +75,31 @@ class DirectSolveReport:
     flux_trace_outer: Optional[NodalField] = None
 
 
-def _factorize(key, matrix_builder):
-    with _factor_lock:
-        hit = _factor_memo.get(key)
-    if hit is not None:
-        return hit
-    mat = matrix_builder()
+def cached(key, build):
+    """The cache entry under ``key``, made by ``build()`` on a miss.
+
+    The build runs under the (re-entrant) lock: a build may read other
+    entries, and a key missed by several threads at once is built once.
+    """
+    with _cache_lock:
+        if key not in _cache:
+            _cache[key] = build()
+        return _cache[key]
+
+
+def _lu(matrix: np.ndarray):
+    """LU factors of ``matrix``; SolveFailure if singular or non-finite."""
     try:
-        lu = lu_factor(mat)
+        lu = lu_factor(matrix)
     except Exception as exc:  # singular or non-finite matrix
         raise SolveFailure(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(lu[0])):
         raise SolveFailure("factorization produced non-finite factors")
-    with _factor_lock:
-        _factor_memo[key] = (lu, mat)
-    return lu, mat
+    return lu
 
 
 def _lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a memoized LU, safe for threads that share it.
+    """Solve with a cached LU, safe for threads that share it.
 
     scipy's LAPACK wrapper shifts the pivot array to 1-based indices in
     place, with the GIL released, and shifts it back afterwards.  A second
@@ -100,65 +110,71 @@ def _lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
     return lu_solve((lu, piv.copy()), rhs)
 
 
+def _layers(M, mesh):
+    """(S, D) on one closed surface, D with the row-sum diagonal D 1 = -1/2."""
+    return cached(("layers", mesh.cache_token, M.tobytes()), lambda: (
+        assemble_layer("single", M, mesh).matrix,
+        assemble_layer("double", M, mesh).matrix))
+
+
 def _interior_limit_matrix(M, mesh) -> np.ndarray:
     """1/2 I + D with the row-sum diagonal (exact interior limit)."""
-    d = assemble_layer("double", M, mesh, diagonal="row_sum").matrix
+    d = _layers(M, mesh)[1]
     return 0.5 * np.eye(len(d)) + d
 
 
-def _shell_operators(M, heart, torso):
+def shell_operators(M, heart, torso):
     """Full-boundary operators of the shell domain, heart normals flipped.
 
     Returns (A, B) with A = 1/2 I + D_shell (diagonal from the full block
     row) and B = block single layer, both over the stacked (heart, torso)
     vertices, so that A u = B q holds for any M-harmonic u in the shell with
-    shell conormal q.
+    shell conormal q.  M is a tensor as returned by ``as_tensor``.
     """
-    d_hh = assemble_layer("double", M, heart, diagonal="raw").matrix
-    d_ht = assemble_layer("double", M, torso, heart).matrix
-    d_th = assemble_layer("double", M, heart, torso).matrix
-    d_tt = assemble_layer("double", M, torso, diagonal="raw").matrix
-    s_hh = assemble_layer("single", M, heart).matrix
-    s_ht = assemble_layer("single", M, torso, heart).matrix
-    s_th = assemble_layer("single", M, heart, torso).matrix
-    s_tt = assemble_layer("single", M, torso).matrix
-    # shell-outward normals: sources on the heart flip sign
-    dl = np.block([[-d_hh, d_ht], [-d_th, d_tt]])
-    n = len(dl)
-    idx = np.arange(n)
-    dl[idx, idx] = 0.0
-    dl[idx, idx] = -0.5 - dl.sum(axis=1)
-    a = 0.5 * np.eye(n) + dl
-    b = np.block([[s_hh, s_ht], [s_th, s_tt]])
-    return a, b
+    def build():
+        s_hh, d_hh = _layers(M, heart)
+        s_tt, d_tt = _layers(M, torso)
+        d_ht = assemble_layer("double", M, torso, heart).matrix
+        d_th = assemble_layer("double", M, heart, torso).matrix
+        s_ht = assemble_layer("single", M, torso, heart).matrix
+        s_th = assemble_layer("single", M, heart, torso).matrix
+        # shell-outward normals: sources on the heart flip sign; the
+        # per-surface diagonals are replaced by the full block row's
+        dl = np.block([[-d_hh, d_ht], [-d_th, d_tt]])
+        n = len(dl)
+        idx = np.arange(n)
+        dl[idx, idx] = 0.0
+        dl[idx, idx] = -0.5 - dl.sum(axis=1)
+        a = 0.5 * np.eye(n) + dl
+        b = np.block([[s_hh, s_ht], [s_th, s_tt]])
+        return a, b
+
+    return cached(("shell", heart.cache_token, torso.cache_token, M.tobytes()),
+                  build)
 
 
-def _interior_values(M, meshes, traces, fluxes_shell, targets,
+def _interior_values(M, meshes, traces, fluxes, targets,
                      g_volume=None) -> np.ndarray:
     """Green representation inside the domain bounded by the given meshes.
 
-    fluxes_shell are in the domain-outward convention per mesh (for the
-    shell that is the flipped normal on the heart); traces in natural nodal
-    values.  The double layer re-flips internally.
+    traces and fluxes are nodal values per mesh, fluxes in the stored
+    outward conormal (heart-outward on the shell).
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
-    vals = np.zeros(len(pts))
-    for mesh, trace, flux, flip in zip(*meshes_traces(meshes, traces, fluxes_shell)):
-        sl = assemble_layer("single", M, mesh, pts, cache=False)
-        dl = assemble_layer("double", M, mesh, pts, cache=False)
-        sign = -1.0 if flip else 1.0
-        vals += sl.apply(flux) - sign * dl.apply(trace)
+
+    def term(i):
+        mesh = meshes[i]
+        return green_representation(M, mesh, NodalField(mesh.surface_id, traces[i]),
+                                    NodalField(mesh.surface_id, fluxes[i]), pts)
+
+    vals = term(0)
+    if len(meshes) == 2:
+        # the shell is the inside of the torso minus the inside of the heart
+        vals = term(1) - vals
     if g_volume is not None:
         grid, g = g_volume
         vals = vals + volume_potential(M, grid, g, pts).values
     return vals
-
-
-def meshes_traces(meshes, traces, fluxes):
-    """Normalize (mesh, trace, flux, flipped) tuples for 1- or 2-surface runs."""
-    if len(meshes) == 1:
-        return (meshes, traces, fluxes, (False,))
-    return (meshes, traces, fluxes, (True, False))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +201,10 @@ def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
     if g_volume is not None:
         grid, g = g_volume
         rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
-    key = ("dirichlet", mesh.cache_token, tensor.tobytes())
-    lu, _ = _factorize(key, lambda: assemble_layer("single", tensor, mesh).matrix)
+    s_mat = _layers(tensor, mesh)[0]
+    lu = cached(("dirichlet", mesh.cache_token, tensor.tobytes()),
+                lambda: _lu(s_mat))
     q = _lu_solve(lu, rhs)
-    s_mat = assemble_layer("single", tensor, mesh).matrix
     residual = float(np.linalg.norm(s_mat @ q - rhs))
     report = DirectSolveReport(
         residual_norm=residual,
@@ -212,10 +228,9 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
         ) from exc
     dh = u0_h.check_on(heart)
     dt = u0_t.check_on(torso)
-    a, b = _shell_operators(tensor, heart, torso)
-    key = ("dirichlet-shell", heart.cache_token, torso.cache_token,
-           tensor.tobytes())
-    lu, _ = _factorize(key, lambda: b)
+    a, b = shell_operators(tensor, heart, torso)
+    lu = cached(("dirichlet-shell", heart.cache_token, torso.cache_token,
+                 tensor.tobytes()), lambda: _lu(b))
     u_full = np.concatenate([dh, dt])
     rhs = a @ u_full
     q = _lu_solve(lu, rhs)
@@ -233,7 +248,7 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
     values = None
     if targets is not None:
         values = _interior_values(tensor, (heart, torso), (dh, dt),
-                                  (q_h, q_t), targets)
+                                  (-q_h, q_t), targets)
     return values, report
 
 
@@ -272,21 +287,20 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
         u1v = u1v - defect / area
         logger.info("projected Neumann data onto the compatible subspace "
                     "(defect %.3e)", defect)
-    a = _interior_limit_matrix(tensor, mesh)
-    rhs = assemble_layer("single", tensor, mesh).matrix @ u1v
+    rhs = _layers(tensor, mesh)[0] @ u1v
     if g_volume is not None:
         rhs = rhs + volume_potential(tensor, grid, g, mesh.vertices).values
     n = mesh.n_vertices
 
     def bordered():
+        a = _interior_limit_matrix(tensor, mesh)
         big = np.zeros((n + 1, n + 1))
         big[:n, :n] = a
         big[:n, n] = w
         big[n, :n] = w
-        return big
+        return _lu(big), a
 
-    key = ("neumann", mesh.cache_token, tensor.tobytes())
-    lu, _ = _factorize(key, bordered)
+    lu, a = cached(("neumann", mesh.cache_token, tensor.tobytes()), bordered)
     sol = _lu_solve(lu, np.concatenate([rhs, [0.0]]))
     u0, mult = sol[:n], sol[n]
     residual = float(np.linalg.norm(a @ u0 - rhs))
@@ -319,15 +333,16 @@ def solve_zaremba(M, heart, torso, u_dirichlet_on_heart):
     tensor = as_tensor(M, heart.dim)
     d = u_dirichlet_on_heart.check_on(heart)
     nh, nt = heart.n_vertices, torso.n_vertices
-    a, b = _shell_operators(tensor, heart, torso)
+    a, b = shell_operators(tensor, heart, torso)
 
     def system():
         # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
         #   A [d; u_t] = B [q_h; 0]  =>  -B[:, :nh] q_h + A[:, nh:] u_t = -A[:, :nh] d
-        return np.hstack([-b[:, :nh], a[:, nh:]])
+        sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
+        return _lu(sysmat), sysmat
 
-    key = ("zaremba", heart.cache_token, torso.cache_token, tensor.tobytes())
-    lu, sysmat = _factorize(key, system)
+    lu, sysmat = cached(("zaremba", heart.cache_token, torso.cache_token,
+                         tensor.tobytes()), system)
     rhs = -(a[:, :nh] @ d)
     sol = _lu_solve(lu, rhs)
     residual = float(np.linalg.norm(sysmat @ sol - rhs))

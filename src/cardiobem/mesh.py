@@ -172,7 +172,8 @@ class SurfaceMesh:
 
     @property
     def cache_token(self) -> int:
-        """Stable identity used to memoize operators assembled on this mesh."""
+        """Per-instance counter that keys this mesh's operators in the cache
+        of ``direct``; two loads of the same file get different tokens."""
         return self._token
 
     @property

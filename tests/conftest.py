@@ -8,6 +8,7 @@ accidental mutation raises).
 
 import pytest
 
+from cardiobem import assembly
 from cardiobem import (
     ConductivityModel,
     DomainConfig,
@@ -77,3 +78,17 @@ def fields2(shell_oracle, heart2, torso2):
 def fields3(shell_oracle, heart3, torso3):
     """Oracle dataset sampled on the level-3 shell meshes."""
     return shell_oracle.fields_on(heart3, torso3)
+
+
+@pytest.fixture
+def assembly_builds(monkeypatch):
+    """Layer kinds passed to ``assembly._assemble_dense``, one per build."""
+    builds = []
+    assemble_dense = assembly._assemble_dense
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return assemble_dense(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_assemble_dense", counted)
+    return builds

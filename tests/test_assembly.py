@@ -13,6 +13,8 @@ from cardiobem import (
     icosphere,
     load_operator,
     save_operator,
+    solve_neumann_normalized,
+    solve_zaremba,
     volume_potential,
 )
 from cardiobem.assembly import (
@@ -46,13 +48,23 @@ def test_double_layer_row_sums(sphere):
     assert np.abs(double.matrix.sum(axis=1) + 0.5).max() < 1e-12
 
 
-def test_operator_cache(sphere):
-    a = assemble_layer("single", np.eye(3), sphere)
-    b = assemble_layer("single", np.eye(3), sphere)
-    assert a.matrix is b.matrix  # cached, not reassembled
-    c = assemble_layer("single", np.eye(3), sphere, cache=False)
-    assert c.matrix is not a.matrix
-    assert np.array_equal(c.matrix, a.matrix)
+def test_operator_cache(assembly_builds):
+    # the solvers assemble on the first call only; warm calls reuse the cache
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    z = NodalField("heart", heart.vertices[:, 2], units="mV*mS/cm^2")
+    solve_zaremba(np.eye(3), heart, torso, z)
+    solve_neumann_normalized(np.eye(3), heart, z)
+    assert len(assembly_builds) == 8  # the four shell blocks of each layer kind
+    del assembly_builds[:]
+    solve_zaremba(np.eye(3), heart, torso, z)
+    solve_neumann_normalized(np.eye(3), heart, z)
+    assert assembly_builds == []
+    # a pure function: each call assembles
+    a = assemble_layer("single", np.eye(3), heart)
+    b = assemble_layer("single", np.eye(3), heart)
+    assert a.matrix is not b.matrix
+    assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_operator_round_trip(tmp_path, sphere):
@@ -199,7 +211,7 @@ def test_double_layer_gauss_law_near_surface(sphere):
     dirs = np.vstack([sphere.vertices, sphere.vertices[sphere.elements].mean(axis=1)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for radius, want in ((0.97, -1.0), (1.03, 0.0)):
-        dl = assemble_layer("double", np.eye(3), sphere, radius * dirs, cache=False)
+        dl = assemble_layer("double", np.eye(3), sphere, radius * dirs)
         assert np.abs(dl.matrix.sum(axis=1) - want).max() < 3e-3
 
 
@@ -207,5 +219,5 @@ def test_double_layer_gauss_law_near_surface(sphere):
 def test_single_layer_constant_level4():
     # a uniform unit density on the unit sphere has potential 1 on it
     sphere4 = icosphere(4, 1.0, surface_id="s4")
-    single = assemble_layer("single", np.eye(3), sphere4, cache=False)
+    single = assemble_layer("single", np.eye(3), sphere4)
     assert np.abs(single.matrix.sum(axis=1) - 1.0).max() < 2e-3

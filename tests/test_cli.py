@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from cardiobem import assembly
 from cardiobem import (
     NodalField,
     SpaceTimeField,
@@ -134,7 +133,8 @@ def test_reconstruct_p2_time_record(tmp_path, synth_dir, monkeypatch):
     assert len(set(doc2["results"]["chosen_alpha"])) == 1
 
 
-def test_reconstruct_p2_builds_each_operator_once(tmp_path, monkeypatch):
+def test_reconstruct_p2_builds_each_operator_once(tmp_path, monkeypatch,
+                                                  assembly_builds):
     # workers that start cold together would each assemble the operators
     monkeypatch.setenv("BIDOMAIN_THREADS", "4")
     data = tmp_path / "data"
@@ -143,21 +143,11 @@ def test_reconstruct_p2_builds_each_operator_once(tmp_path, monkeypatch):
     record = SpaceTimeField("torso", np.outer(f.values, [1.0, 0.5, 0.25, 0.125]),
                             TimeGrid(t_end=0.3, steps=4))
     save_spacetime_field(record, tmp_path / "f.csv")
-    builds = []
-    assemble_dense = assembly._assemble_dense
-
-    def counted(*args, **kwargs):
-        builds.append(args[0])
-        return assemble_dense(*args, **kwargs)
-
-    monkeypatch.setattr(assembly, "_assemble_dense", counted)
-    held = set(assembly._operator_memo)
     assert main(["reconstruct-p2", "--heart", str(data / "heart.off"),
                  "--torso", str(data / "torso.off"), "--f", str(tmp_path / "f.csv"),
                  "--alpha-count", "8", "--out", str(tmp_path / "p2")]) == 0
-    new_operators = set(assembly._operator_memo) - held
-    assert new_operators
-    assert len(builds) == len(new_operators)
+    # the eight shell blocks (bath tensor) plus S and D on the heart (M_i)
+    assert len(assembly_builds) == 10
 
 
 def test_eval_report(tmp_path, synth_dir, capsys):

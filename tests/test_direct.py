@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,7 @@ sys.exit(1 if wrong else 0)
 
 
 def test_shared_factorization_is_thread_safe():
-    # two threads solving on one memoized LU: a race on the shared pivot
+    # two threads solving on one cached LU: a race on the shared pivot
     # array gives wrong answers or aborts the process, so run it apart.
     # Level 2 and one BLAS thread per solver thread make the solves overlap
     # often enough that the race shows on every run.
@@ -159,3 +160,32 @@ def test_shared_factorization_is_thread_safe():
     proc = subprocess.run([sys.executable, "-c", _SHARED_LU_SCRIPT], env=env,
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+
+
+def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
+    # four threads miss the cache together on fresh meshes; each operator
+    # is still assembled by exactly one of them
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    data = NodalField("heart", heart.vertices[:, 2].copy())
+    barrier = threading.Barrier(4, timeout=60)
+    fluxes = []
+
+    def work():
+        barrier.wait()
+        fluxes.append(solve_zaremba(7.0, heart, torso, data)[0].values)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(assembly_builds) == 8
+    assert len(fluxes) == 4
+    assert all(np.array_equal(f, fluxes[0]) for f in fluxes)
