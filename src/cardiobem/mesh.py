@@ -429,27 +429,33 @@ def signed_volume(vertices, triangles=None) -> float:
 
 
 def _ray_parity(mesh: SurfaceMesh, points: np.ndarray) -> np.ndarray:
-    """Crossing-parity containment test, robust to edge grazing by re-cast."""
+    """Crossing-parity containment test, robust to edge grazing by re-cast.
+
+    Per triangle, the Moller-Trumbore barycentrics u, v and the ray
+    parameter t along direction d are each (x - v0) . c / det for a vector
+    c of the triangle alone: d x e2, e1 x d and e1 x e2.  So each is one
+    matrix product of the points with the stacked vectors c / det, less a
+    per-triangle constant.
+    """
     verts, tris = mesh.vertices, mesh.triangles
     v0 = verts[tris[:, 0]]
     e1 = verts[tris[:, 1]] - v0
     e2 = verts[tris[:, 2]] - v0
+    n = np.cross(e1, e2)
     inside = np.zeros(len(points), dtype=bool)
     pending = np.arange(len(points))
     scale = float(np.linalg.norm(verts.max(0) - verts.min(0)))
     for d in _RAY_DIRECTIONS:
         if len(pending) == 0:
             break
-        pts = points[pending]
         p = np.cross(d, e2)  # (m, 3)
         det = np.einsum("mj,mj->m", e1, p)
         ok = np.abs(det) > 1e-14
         inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        s = pts[:, None, :] - v0[None, :, :]  # (p, m, 3)
-        u = np.einsum("pmj,mj->pm", s, p) * inv
-        q = np.cross(s, e1[None, :, :])
-        v = np.einsum("pmj,j->pm", q, d) * inv
-        t = np.einsum("pmj,mj->pm", q, e2) * inv
+        vecs = np.stack((p, np.cross(e1, d), n)) * inv[:, None]  # (3, m, 3)
+        offsets = np.einsum("kmj,mj->km", vecs, v0)
+        uvt = points[pending] @ vecs.reshape(-1, 3).T - offsets.reshape(-1)
+        u, v, t = np.split(uvt, 3, axis=1)  # each (p, m)
         eps = 1e-10
         hit = ok & (u > eps) & (v > eps) & (u + v < 1.0 - eps) & (t > eps * scale)
         # grazing: intersection parameter close to an edge of any triangle

@@ -25,6 +25,12 @@ linear smooth part; off the surface the smooth part vanishes at tau = t, and
 the rule collapses to (2/3) D times the integrand at t - D.  The volume
 potential's integrand instead tends to g(x, t) (the kernel is an approximate
 identity), so its last step is a trapezoid against that limit.
+
+Each potential evaluates all of its time lags in one pass: a block of Psi
+over (quadrature points or cells x lags), contracted with the density and
+the time weights.  Lags are blocked so that no block exceeds
+``_BLOCK_ENTRIES`` entries.  In the Green identity V and W share one Psi
+block, since they are taken over the same surface quadrature and lags.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Largest (points x lags) block of kernel values, the bound of the dense
+# assembly's far-field chunks.
+_BLOCK_ENTRIES = int(4e6)
 
 
 @dataclass(frozen=True)
@@ -138,37 +148,38 @@ class SpaceTimeField:
 def heat_kernel(spec: HeatOperatorSpec, diff: np.ndarray, s) -> np.ndarray:
     """Psi evaluated at x - y = diff, t - tau = s; exactly zero for s <= 0.
 
-    ``diff`` is (..., dim); ``s`` broadcasts against the leading shape.
+    ``diff`` is (..., dim); ``s`` broadcasts against the leading shape, so a
+    (n, 1, dim) ``diff`` against (k,) lags gives the (n, k) block.  The
+    quadratic form is taken in whitened components: with A^{-1} = L L^T,
+    z = diff L and w = L^T a,
+
+        (diff - a s)^T A^{-1} (diff - a s) = sum_i (z_i - w_i s)^2,
+
+    so ``diff`` is never broadcast against ``s`` in (..., dim), and the
+    factors of s alone (normalisation, 1/(4 s), reaction) are computed on
+    the shape of ``s``.
     """
     diff = np.asarray(diff, dtype=float)
     dim = diff.shape[-1]
     if dim != spec.dim:
         raise ShapeMismatch(f"diff has dimension {dim}, operator {spec.dim}")
     s = np.asarray(s, dtype=float)
-    a = spec.A
-    a_inv = np.linalg.inv(a)
-    det = float(np.linalg.det(a))
-    out_shape = np.broadcast_shapes(diff.shape[:-1], s.shape)
-    pos = np.broadcast_to(s, out_shape) > 0.0
-    s_safe = np.where(pos, np.broadcast_to(s, out_shape), 1.0)
-    d = np.broadcast_to(diff, out_shape + (dim,)) \
-        - spec.drift * s_safe[..., None]
-    q = np.einsum("...i,ij,...j->...", d, a_inv, d)
-    val = np.exp(-q / (4.0 * s_safe) - spec.reaction * s_safe)
-    val = val / ((4.0 * np.pi * s_safe) ** (dim / 2.0) * np.sqrt(det))
-    return np.where(pos, val, 0.0)
-
-
-def _double_layer_kernel(spec: HeatOperatorSpec, diff: np.ndarray,
-                         normals: np.ndarray, s: float) -> np.ndarray:
-    """-(d_{nu,A;y} Psi + (a . nu) Psi) on rows of diff/normals, fixed s."""
-    if s <= 0.0:
-        return np.zeros(len(np.atleast_2d(diff)))
-    psi = heat_kernel(spec, diff, s)
-    d = np.atleast_2d(diff) - spec.drift * s
-    nu_d = np.einsum("ij,ij->i", np.atleast_2d(normals), d)
-    a_nu = np.atleast_2d(normals) @ spec.drift
-    return -(nu_d / (2.0 * s) + a_nu) * psi
+    chol = np.linalg.cholesky(spec.A)          # A = C C^T, so L = C^{-T}
+    l_mat = np.linalg.inv(chol).T
+    z = diff @ l_mat
+    w = l_mat.T @ spec.drift
+    pos = s > 0.0
+    s_safe = np.where(pos, s, 1.0)
+    if np.any(w):
+        q = sum((z[..., i] - w[i] * s_safe) ** 2 for i in range(dim))
+    else:                                      # drift-free: q of diff alone
+        q = np.einsum("...i,...i->...", z, z)
+    norm = np.exp(-spec.reaction * s_safe) / (
+        (4.0 * np.pi * s_safe) ** (dim / 2.0) * np.prod(np.diag(chol)))
+    val = np.asarray(q * (-0.25 / s_safe))
+    np.exp(val, out=val)
+    val *= np.where(pos, norm, 0.0)
+    return val
 
 
 def heat_kernel_mass(spec: HeatOperatorSpec, t: float, half_width: float = None,
@@ -239,6 +250,56 @@ def _check_off_surface(mesh, x: np.ndarray) -> None:
         )
 
 
+def _check_density(mesh, density: SpaceTimeField, t: float) -> None:
+    if density.location != mesh.surface_id:
+        raise ShapeMismatch(
+            f"density on {density.location!r} vs mesh {mesh.surface_id!r}"
+        )
+    if density.values.shape[0] != mesh.n_vertices:
+        raise ShapeMismatch("density rows must match mesh vertices")
+    if t > density.grid.times[-1] + 1e-12 * max(1.0, abs(t)):
+        raise ShapeMismatch("evaluation time beyond the density's time grid")
+
+
+def _lag_blocks(n_lags: int, n_points: int):
+    """Slices over the lags, each with at most _BLOCK_ENTRIES kernel values."""
+    step = max(1, _BLOCK_ENTRIES // max(1, n_points))
+    return [slice(lo, min(lo + step, n_lags)) for lo in range(0, n_lags, step)]
+
+
+def _layer_pair(spec: HeatOperatorSpec, mesh, x: np.ndarray, t: float,
+                times: np.ndarray, single=None, double=None) -> tuple:
+    """(V(single), W(double)) at (x, t) for densities sampled at ``times``.
+
+    Either density may be None; its potential is then 0.  Both layers use
+    the same Psi block for each block of lags.  Since
+    nu . (diff - a s) = nu . diff - (nu . a) s, the double-layer kernel
+    -(nu . (diff - a s) / (2 s) + nu . a) Psi equals
+    -(nu . diff / (2 s) + (nu . a) / 2) Psi.  So the density-weighted block
+    is first summed against nu . diff and nu . a over the quadrature
+    points, and the lag factors are applied to those per-lag sums.
+    """
+    idx, wts = _time_weights(times, t)
+    if idx.size == 0:
+        return 0.0, 0.0
+    pts, nrm, scatter = _panel_quadrature(mesh)
+    diff = x[None, :] - pts
+    lags = t - times[idx]                      # idx is 0 .. k-1, all > 0
+    normal_rows = np.stack((np.einsum("ij,ij->i", nrm, diff), nrm @ spec.drift))
+    v = np.zeros(idx.size)
+    w = np.zeros(idx.size)
+    for blk in _lag_blocks(idx.size, len(pts)):
+        psi = heat_kernel(spec, diff[:, None, :], lags[blk])
+        if single is not None:
+            v[blk] = np.einsum("qj,qj->j", psi, scatter @ single[:, blk])
+        if double is not None:
+            weighted = scatter @ double[:, blk]
+            weighted *= psi
+            nu_d, nu_a = normal_rows @ weighted
+            w[blk] = -(nu_d / (2.0 * lags[blk]) + 0.5 * nu_a)
+    return float(v @ wts), float(w @ wts)
+
+
 def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
                                density: SpaceTimeField, kind: str,
                                x, t: float) -> float:
@@ -250,33 +311,13 @@ def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
     """
     if kind not in ("single", "double"):
         raise ShapeMismatch("kind must be 'single' or 'double'")
-    dens = density.values
-    if density.location != mesh.surface_id:
-        raise ShapeMismatch(
-            f"density on {density.location!r} vs mesh {mesh.surface_id!r}"
-        )
-    if dens.shape[0] != mesh.n_vertices:
-        raise ShapeMismatch("density rows must match mesh vertices")
-    times = density.grid.times
-    if t > times[-1] + 1e-12 * max(1.0, abs(t)):
-        raise ShapeMismatch("evaluation time beyond the density's time grid")
+    _check_density(mesh, density, t)
     x = np.asarray(x, dtype=float).reshape(-1)
     _check_off_surface(mesh, x)
-    idx, w = _time_weights(times, t)
-    if idx.size == 0:
-        return 0.0
-    pts, nrm, scatter = _panel_quadrature(mesh)
-    weighted = scatter @ dens[:, idx]          # (n_quad, k) density x measure
-    diff = x[None, :] - pts
-    total = 0.0
-    for j, (fi, wj) in enumerate(zip(idx, w)):
-        s = t - times[fi]
-        if kind == "single":
-            kern = heat_kernel(spec, diff, s)
-        else:
-            kern = _double_layer_kernel(spec, diff, nrm, s)
-        total += wj * float(kern @ weighted[:, j])
-    return float(total)
+    times = density.grid.times
+    if kind == "single":
+        return _layer_pair(spec, mesh, x, t, times, single=density.values)[0]
+    return _layer_pair(spec, mesh, x, t, times, double=density.values)[1]
 
 
 def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
@@ -298,19 +339,21 @@ def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
     k = below[-1] + 1
     centers = grid.interior_centers()
     diff = x[None, :] - centers
+    lags = t - times[:k]
     series = np.empty(k + 1)
-    for j in range(k):
-        vals = heat_kernel(spec, diff, t - times[j])
-        series[j] = (vals @ g[grid.inside, j]) * grid.cell_volume
+    for blk in _lag_blocks(k, len(centers)):
+        kern = heat_kernel(spec, diff[:, None, :], lags[blk])
+        series[blk] = np.einsum("cj,cj->j", kern,
+                                g[:, blk][grid.inside]) * grid.cell_volume
     # limit value: g at the cell nearest x, linearly interpolated in time
-    near = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    near = np.flatnonzero(grid.inside)[np.argmin(np.einsum("ij,ij->i", diff, diff))]
     tt = min(t, times[-1])
     j1 = int(np.searchsorted(times, tt, side="right") - 1)
     if j1 >= len(times) - 1:
-        gx = g[grid.inside][near, -1]
+        gx = g[near, -1]
     else:
         th = (tt - times[j1]) / (times[j1 + 1] - times[j1])
-        gx = (1 - th) * g[grid.inside][near, j1] + th * g[grid.inside][near, j1 + 1]
+        gx = (1 - th) * g[near, j1] + th * g[near, j1 + 1]
     series[k] = gx
     aug_times = np.append(times[:k], t)
     return float(np.trapezoid(series, aug_times))
@@ -337,11 +380,18 @@ def parabolic_green_reconstruct(spec: HeatOperatorSpec, mesh,
         total += poisson_integral(spec, grid, u_initial, x, t)
     if Lu is not None:
         total += volume_heat_potential(spec, grid, Lu, x, t)
-    scaled_flux = SpaceTimeField(flux_trace.location,
-                                 spec.scale * flux_trace.values,
-                                 flux_trace.grid, flux_trace.units)
-    total += parabolic_layer_potentials(spec, mesh, scaled_flux, "single", x, t)
-    total += parabolic_layer_potentials(spec, mesh, u_trace, "double", x, t)
+    _check_density(mesh, flux_trace, t)
+    _check_density(mesh, u_trace, t)
+    if flux_trace.grid == u_trace.grid:
+        v, w = _layer_pair(spec, mesh, x, t, u_trace.grid.times,
+                           flux_trace.values, u_trace.values)
+    else:
+        v = _layer_pair(spec, mesh, x, t, flux_trace.grid.times,
+                        single=flux_trace.values)[0]
+        w = _layer_pair(spec, mesh, x, t, u_trace.grid.times,
+                        double=u_trace.values)[1]
+    total += spec.scale * v
+    total += w
     return float(total)
 
 

@@ -20,6 +20,7 @@ from cardiobem import (
     save_nodal_field,
     surface_distance,
 )
+from cardiobem.primitives import octahedron, unit_cube
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -109,6 +110,32 @@ def test_point_queries():
     d = surface_distance(m, np.array([[0.0, 0.0, 0.0]]))
     # distance from the center to the faceted sphere is just under the radius
     assert 0.9 < d[0] <= 1.0
+
+
+
+@pytest.mark.parametrize("shape", ["cube", "octahedron"])
+def test_points_inside_known_answer(shape):
+    # the unit cube [0, 1]^3 holds |x - c|_inf < 1/2 about its center c, the
+    # octahedron |x|_1 < r; points within 1e-6 of the surface are dropped
+    rng = np.random.default_rng(7)
+    if shape == "cube":
+        mesh, center = unit_cube(), np.full(3, 0.5)
+
+        def depth(x):
+            return 0.5 - np.abs(x - center).max(axis=1)
+    else:
+        mesh, center = octahedron(radius=0.8), np.zeros(3)
+
+        def depth(x):
+            return 0.8 - np.abs(x).sum(axis=1)
+    box = center + rng.uniform(-1.0, 1.0, size=(2000, 3))
+    # points on the first ray direction through the center: on the cube
+    # that ray runs through a corner, which forces the re-cast along the
+    # next direction
+    ray = np.linspace(-1.0, 1.0, 41)[:, None] * np.full(3, 1.0 / np.sqrt(3.0))
+    pts = np.vstack([box, center + ray])
+    pts = pts[np.abs(depth(pts)) > 1e-6]
+    assert np.array_equal(points_inside(mesh, pts), depth(pts) > 0.0)
 
 
 def test_point_location(domain2):

@@ -24,6 +24,8 @@ from cardiobem import (
     save_spacetime_field,
     volume_heat_potential,
 )
+from cardiobem import parabolic
+from cardiobem.assembly import _panel_quadrature
 from cardiobem.direct import solve_neumann_normalized
 
 
@@ -32,6 +34,14 @@ def aniso_spec():
     # 2D operator with every coefficient active
     return HeatOperatorSpec(M=np.array([[2.0, 0.3], [0.3, 1.0]]), scale=0.5,
                             drift=np.array([0.4, -0.2]), reaction=0.7, dim=2)
+
+
+@pytest.fixture(scope="module")
+def aniso_spec3():
+    # 3D operator with a full M, drift, reaction and a non-unit scale
+    m = np.array([[1.2, 0.3, -0.2], [0.3, 0.9, 0.25], [-0.2, 0.25, 1.5]])
+    return HeatOperatorSpec(M=m, scale=0.6, drift=np.array([0.3, -0.4, 0.2]),
+                            reaction=0.5, dim=3)
 
 
 def test_time_grid():
@@ -73,6 +83,32 @@ def test_heat_kernel_closed_form(aniso_spec):
     assert np.allclose(heat_kernel(spec, diff, s), want, rtol=1e-14)
     with pytest.raises(ShapeMismatch):
         heat_kernel(spec, np.zeros((2, 3)), s)
+
+
+def test_heat_kernel_closed_form_3d(aniso_spec3):
+    spec = aniso_spec3
+    diff = np.array([[0.3, -0.1, 0.2], [0.0, 0.2, -0.4], [0.5, 0.25, 0.1]])
+    s = 0.35
+    d = diff - spec.drift * s
+    q = np.einsum("ij,jk,ik->i", d, np.linalg.inv(spec.A), d)
+    want = (np.exp(-q / (4 * s) - spec.reaction * s)
+            / ((4 * np.pi * s) ** 1.5 * np.sqrt(np.linalg.det(spec.A))))
+    np.testing.assert_allclose(heat_kernel(spec, diff, s), want, rtol=1e-14, atol=0)
+
+
+def test_heat_kernel_lag_broadcast(aniso_spec3):
+    # (n, 1, 3) points against (k,) lags give the (n, k) block of the
+    # scalar-lag calls, and the s <= 0 columns are exact zeros
+    diff = np.random.default_rng(5).uniform(-0.6, 0.6, size=(7, 1, 3))
+    s = np.array([0.05, 0.0, 0.2, -0.1, 0.6])
+    block = heat_kernel(aniso_spec3, diff, s)
+    assert block.shape == (7, 5)
+    for j, sj in enumerate(s):
+        col = heat_kernel(aniso_spec3, diff[:, 0], sj)
+        if sj <= 0.0:
+            assert np.array_equal(block[:, j], np.zeros(7))
+        else:
+            np.testing.assert_allclose(block[:, j], col, rtol=1e-14, atol=0)
 
 
 def test_heat_kernel_causality(aniso_spec):
@@ -152,6 +188,111 @@ def test_green_identity_source(heart2):
                                           np.array([1.6, 0.2, 0.0]), 0.3)
     assert inside == pytest.approx(0.3, rel=5e-3)
     assert abs(outside) < 2e-2
+
+
+def _layer_per_lag(spec, mesh, density, kind, x, t):
+    # one heat_kernel call per frame, summed with the time weights
+    times = density.grid.times
+    idx, w = parabolic._time_weights(times, t)
+    pts, nrm, scatter = _panel_quadrature(mesh)
+    weighted = scatter @ density.values[:, idx]
+    diff = x[None, :] - pts
+    total = 0.0
+    for j, (fi, wj) in enumerate(zip(idx, w)):
+        s = t - times[fi]
+        kern = heat_kernel(spec, diff, s)
+        if kind == "double":
+            nu_d = np.einsum("ij,ij->i", nrm, diff - spec.drift * s)
+            kern = -(nu_d / (2.0 * s) + nrm @ spec.drift) * kern
+        total += wj * float(kern @ weighted[:, j])
+    return total
+
+
+def _volume_per_lag(spec, grid, source, x, t):
+    times = source.grid.times
+    g = source.values[grid.inside]
+    k = int(np.sum(times < t))
+    diff = x[None, :] - grid.interior_centers()
+    series = [float(heat_kernel(spec, diff, t - times[j]) @ g[:, j]) * grid.cell_volume
+              for j in range(k)]
+    near = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    j1 = int(np.searchsorted(times, t, side="right") - 1)
+    th = (t - times[j1]) / (times[j1 + 1] - times[j1])
+    series.append((1 - th) * g[near, j1] + th * g[near, j1 + 1])
+    return float(np.trapezoid(series, np.append(times[:k], t)))
+
+
+@pytest.fixture(scope="module")
+def heat_data(heart2):
+    rng = np.random.default_rng(9)
+    tg = TimeGrid(t_end=0.5, steps=11)
+    grid = InteriorGrid.for_mesh(heart2, h=0.2)
+    nv = heart2.n_vertices
+    return dict(
+        tg=tg, grid=grid,
+        trace=SpaceTimeField("heart", rng.standard_normal((nv, tg.steps)), tg),
+        flux=SpaceTimeField("heart", rng.standard_normal((nv, tg.steps)), tg),
+        u0=rng.standard_normal(grid.n_cells),
+        source=SpaceTimeField("grid", rng.standard_normal((grid.n_cells, tg.steps)), tg),
+    )
+
+
+@pytest.mark.parametrize("x", [[0.2, -0.3, 0.1], [0.6, 0.5, -0.4], [1.3, 0.2, 0.1]])
+def test_potentials_match_per_lag_reference(aniso_spec3, heart2, heat_data, x):
+    spec, d = aniso_spec3, heat_data
+    x = np.array(x)
+    t = 0.37                                   # between frames 0.35 and 0.4
+    for kind, dens in (("single", d["flux"]), ("double", d["trace"])):
+        got = parabolic_layer_potentials(spec, heart2, dens, kind, x, t)
+        want = _layer_per_lag(spec, heart2, dens, kind, x, t)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    got = volume_heat_potential(spec, d["grid"], d["source"], x, t)
+    assert got == pytest.approx(_volume_per_lag(spec, d["grid"], d["source"], x, t),
+                                rel=1e-12, abs=0)
+    pieces = (poisson_integral(spec, d["grid"], d["u0"], x, t)
+              + volume_heat_potential(spec, d["grid"], d["source"], x, t)
+              + spec.scale * parabolic_layer_potentials(spec, heart2, d["flux"],
+                                                        "single", x, t)
+              + parabolic_layer_potentials(spec, heart2, d["trace"], "double", x, t))
+    got = parabolic_green_reconstruct(spec, heart2, d["grid"], d["trace"], d["flux"],
+                                      d["u0"], d["source"], x, t)
+    assert got == pytest.approx(pieces, rel=1e-12, abs=0)
+    # a flux on another time grid takes each layer's own frames
+    tg2 = TimeGrid(t_end=0.5, steps=8)
+    flux2 = SpaceTimeField("heart", d["flux"].values[:, :8], tg2)
+    pieces2 = (pieces
+               - spec.scale * parabolic_layer_potentials(spec, heart2, d["flux"],
+                                                         "single", x, t)
+               + spec.scale * parabolic_layer_potentials(spec, heart2, flux2,
+                                                         "single", x, t))
+    got = parabolic_green_reconstruct(spec, heart2, d["grid"], d["trace"], flux2,
+                                      d["u0"], d["source"], x, t)
+    assert got == pytest.approx(pieces2, rel=1e-12, abs=0)
+
+
+def test_lag_blocking(aniso_spec3, heart2, heat_data, monkeypatch):
+    # blocks of a few lags give the one-block value
+    spec, d = aniso_spec3, heat_data
+    x, t = np.array([0.2, -0.3, 0.1]), 0.5
+    args = (spec, heart2, d["grid"], d["trace"], d["flux"], d["u0"], d["source"], x, t)
+    whole = parabolic_green_reconstruct(*args)
+    calls = []
+
+    def counted(*a):
+        calls.append(1)
+        return heat_kernel(*a)
+
+    monkeypatch.setattr(parabolic, "heat_kernel", counted)
+    parabolic_green_reconstruct(*args)
+    assert len(calls) == 3                     # Poisson, volume, shared layers
+    calls.clear()
+    n_quad = len(_panel_quadrature(heart2)[0])
+    monkeypatch.setattr(parabolic, "_BLOCK_ENTRIES", 2 * n_quad)
+    blocked = parabolic_green_reconstruct(*args)
+    # 10 lags: the layers in blocks of 2, the volume's 480 cells in blocks of 9
+    assert d["grid"].inside.sum() == 480
+    assert len(calls) == 1 + 2 + 5
+    assert blocked == pytest.approx(whole, rel=1e-13, abs=0)
 
 
 def test_layer_potential_validation(model, heart2):
