@@ -51,7 +51,8 @@ from scipy import sparse
 from .errors import ParseError, QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import as_tensor
-from .mesh import CurveMesh, NodalField, SurfaceMesh, require_off_surface
+from .mesh import (CurveMesh, NodalField, SurfaceMesh, _write_text,
+                   require_off_surface)
 
 __all__ = [
     "LayerOperators",
@@ -556,7 +557,7 @@ def save_operator(op: LayerOperators, base_path) -> None:
         "dtype": "float64",
         "order": "C",
     }
-    base.with_suffix(".json").write_text(json.dumps(header, indent=1) + "\n")
+    _write_text(base.with_suffix(".json"), json.dumps(header, indent=1) + "\n")
 
 
 def load_operator(base_path) -> LayerOperators:

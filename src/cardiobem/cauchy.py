@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -40,7 +39,7 @@ from .direct import cached, shell_operators
 from .errors import (AllAlphaFailed, DegenerateLCurve, ShapeMismatch,
                      SolveFailure)
 from .kernels import as_tensor
-from .mesh import NodalField
+from .mesh import NodalField, _write_text
 
 __all__ = [
     "LCurveMaxCurvature",
@@ -310,4 +309,4 @@ def save_lcurve(report: CauchySolveReport, path) -> None:
     if grid is not None:
         for a, r, e in zip(grid, rho, eta):
             lines.append(f"{float(a)!r},{float(r)!r},{float(e)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")

@@ -37,8 +37,8 @@ from .cauchy import (DiscrepancyPrinciple, FixedAlpha, LCurveMaxCurvature,
 from .errors import CardiobemError
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
-from .mesh import (DomainConfig, NodalField, load_mesh, load_nodal_field,
-                   save_mesh, save_nodal_field)
+from .mesh import (DomainConfig, NodalField, _write_text, load_mesh,
+                   load_nodal_field, save_mesh, save_nodal_field)
 from .oracle import (HarmonicSpec, HarmonicTerm, Shell3D, rmse,
                      synth_bidomain_steady)
 from .parabolic import (SpaceTimeField, TimeGrid, heat_kernel,
@@ -203,9 +203,8 @@ def _write_manifest(out: Path, subcommand: str, cfg: RunConfig,
         "parameters": dict(sorted(cfg.items())),
         "results": results,
     }
-    (out / "run_manifest.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    )
+    _write_text(out / "run_manifest.json",
+                json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _threads(n_jobs: int) -> int:
@@ -410,7 +409,7 @@ def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
                                       proportional=True)
     save_nodal_field(elem.u_e_trace, out / "u_e_trace.csv")
     save_nodal_field(elem.u_i_trace, out / "u_i_trace.csv")
-    (out / "u_interior.csv").write_text("\n".join(
+    _write_text(out / "u_interior.csv", "\n".join(
         repr(float(v)) for v in elem.u_interior[grid.inside]) + "\n")
     results = {
         "trace_sup": float(np.abs(elem.u_e_trace.values).max()),
@@ -440,7 +439,7 @@ def _run_eval(cfg: RunConfig, out: Path) -> dict:
             row[slot] = delta
             values[key] = delta
     table = report_table([tuple(row)])
-    (out / "report.txt").write_text(table + "\n")
+    _write_text(out / "report.txt", table + "\n")
     print(table)
     return {"rmse_mV": values,
             "v_range_mV": float(truth.values.max() - truth.values.min())}

@@ -58,6 +58,11 @@ BATH_CONDUCTIVITY = 7.0
 MEMBRANE_CAPACITANCE = 1.0   # uF/cm^2
 SURFACE_TO_VOLUME = 400.0    # 1/cm
 
+# (dim, bytes) of tensors that passed the symmetry and definiteness checks;
+# solvers re-coerce the same few tensors on every call.
+_VALID_TENSORS = set()
+_VALID_TENSORS_MAX = 64
+
 
 def as_tensor(M, dim: int = 3) -> np.ndarray:
     """Coerce a scalar or matrix conductivity to a (dim, dim) SPD array."""
@@ -68,10 +73,16 @@ def as_tensor(M, dim: int = 3) -> np.ndarray:
         return np.eye(dim) * float(m)
     if m.shape != (dim, dim):
         raise ShapeMismatch(f"conductivity tensor must be ({dim}, {dim})")
+    key = (dim, m.tobytes())
+    if key in _VALID_TENSORS:
+        return m
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
         raise ShapeMismatch("conductivity tensor must be symmetric")
     if np.linalg.eigvalsh(m).min() <= 0.0:
         raise ShapeMismatch("conductivity tensor must be positive definite")
+    if len(_VALID_TENSORS) >= _VALID_TENSORS_MAX:
+        _VALID_TENSORS.clear()
+    _VALID_TENSORS.add(key)
     return m
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -586,6 +587,21 @@ def point_location(config: DomainConfig, x) -> PointLocation:
 # mesh file I/O
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` does, but in place.
+
+    The file is overwritten from its start and then cut at the end of the
+    new text, not truncated on open: on ext4, truncating a file to zero and
+    rewriting it makes ``close()`` start write-back (``auto_da_alloc``),
+    which costs far more than writing these small files.  Encoding, newline
+    translation and the mode of a new file are ``write_text``'s.  The write
+    is not atomic: a crash or a concurrent reader can see a partial file.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _detect_format(path: Path, fmt: str | None) -> str:
     if fmt is not None:
         f = fmt.lower().replace("-", "_")
@@ -754,13 +770,13 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
             "triangles": [[int(i) for i in row] for row in mesh.triangles],
             "surface_id": mesh.surface_id,
         }
-        p.write_text(json.dumps(doc, indent=1) + "\n")
+        _write_text(p, json.dumps(doc, indent=1) + "\n")
         return
     if kind == "off":
         lines = ["OFF", f"{mesh.n_vertices} {len(mesh.triangles)} 0"]
         lines += [" ".join(repr(float(c)) for c in row) for row in mesh.vertices]
         lines += ["3 " + " ".join(str(int(i)) for i in row) for row in mesh.triangles]
-        p.write_text("\n".join(lines) + "\n")
+        _write_text(p, "\n".join(lines) + "\n")
         return
     lines = [
         "# vtk DataFile Version 3.0",
@@ -781,7 +797,7 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines += [repr(float(v)) for v in vals]
-    p.write_text("\n".join(lines) + "\n")
+    _write_text(p, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -793,13 +809,14 @@ def save_nodal_field(fld: NodalField, path) -> None:
     p = Path(path)
     lines = ["node_index,value"]
     lines += [f"{i},{repr(float(v))}" for i, v in enumerate(fld.values)]
-    p.write_text("\n".join(lines) + "\n")
+    _write_text(p, "\n".join(lines) + "\n")
     manifest = {
         "surface_id": fld.surface_id,
         "units": fld.units,
         "length": len(fld.values),
     }
-    p.with_suffix(p.suffix + ".json").write_text(json.dumps(manifest, indent=1) + "\n")
+    _write_text(p.with_suffix(p.suffix + ".json"),
+                json.dumps(manifest, indent=1) + "\n")
 
 
 def load_nodal_field(path) -> NodalField:
@@ -815,15 +832,22 @@ def load_nodal_field(path) -> NodalField:
         raise ParseError(f"{p}: missing 'node_index,value' header")
     n = int(manifest["length"])
     values = np.full(n, np.nan)
+    seen = np.zeros(n, dtype=bool)
     for line in lines[1:]:
         if not line.strip():
             continue
         try:
             idx_s, val_s = line.split(",")
             idx = int(idx_s)
-            values[idx] = float(val_s)
-        except (ValueError, IndexError) as exc:
+            value = float(val_s)
+        except ValueError as exc:
             raise ParseError(f"{p}: malformed row {line!r}") from exc
+        if not 0 <= idx < n:
+            raise ParseError(f"{p}: node index {idx} outside 0..{n - 1}")
+        if seen[idx]:
+            raise ParseError(f"{p}: node index {idx} appears twice")
+        seen[idx] = True
+        values[idx] = value
     if np.isnan(values).any():
         raise ParseError(f"{p}: missing node indices")
     return NodalField(manifest["surface_id"], values, manifest.get("units", "mV"))

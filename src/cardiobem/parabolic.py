@@ -44,10 +44,10 @@ import numpy as np
 
 from .assembly import _panel_quadrature
 from .direct import solve_neumann_normalized
-from .errors import PointOnSurface, ShapeMismatch
+from .errors import ParseError, PointOnSurface, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
-from .mesh import NodalField, surface_distance
+from .mesh import NodalField, _write_text, surface_distance
 
 __all__ = [
     "TimeGrid",
@@ -539,7 +539,7 @@ def save_spacetime_field(fld: SpaceTimeField, path) -> None:
     """CSV matrix (rows = nodes, cols = frames) plus a JSON sidecar manifest."""
     p = Path(path)
     rows = [",".join(repr(float(x)) for x in row) for row in fld.values]
-    p.write_text("\n".join(rows) + "\n")
+    _write_text(p, "\n".join(rows) + "\n")
     manifest = {
         "location": fld.location,
         "units": fld.units,
@@ -547,16 +547,22 @@ def save_spacetime_field(fld: SpaceTimeField, path) -> None:
                       "steps": fld.grid.steps},
         "shape": list(fld.values.shape),
     }
-    p.with_suffix(p.suffix + ".json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    )
+    _write_text(p.with_suffix(p.suffix + ".json"),
+                json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def load_spacetime_field(path) -> SpaceTimeField:
     p = Path(path)
-    manifest = json.loads(p.with_suffix(p.suffix + ".json").read_text())
+    side = p.with_suffix(p.suffix + ".json")
+    try:
+        manifest = json.loads(side.read_text())
+        shape, tg = manifest["shape"], manifest["time_grid"]
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        raise ParseError(f"cannot read record manifest {side}: {exc}") from exc
     vals = np.loadtxt(p, delimiter=",", ndmin=2)
-    tg = manifest["time_grid"]
+    if list(vals.shape) != shape:
+        raise ParseError(f"{p}: CSV shape {vals.shape} differs from the "
+                         f"sidecar's {shape}")
     grid = TimeGrid(t_end=tg["t_end"], steps=int(tg["steps"]), t0=tg["t0"])
     return SpaceTimeField(manifest["location"], vals, grid,
                           units=manifest.get("units", "mV"))

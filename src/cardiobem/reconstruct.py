@@ -39,8 +39,8 @@ from .direct import solve_neumann_normalized, solve_zaremba
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, as_tensor
-from .mesh import (DomainConfig, NodalField, save_mesh, save_nodal_field,
-                   surface_distance)
+from .mesh import (DomainConfig, NodalField, _write_text, save_mesh,
+                   save_nodal_field, surface_distance)
 
 __all__ = [
     "ReconstructionOutput",
@@ -353,7 +353,6 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
             "u_e": out.u_e.values, "u_i": out.u_i.values, "v": out.v.values,
         })
         manifest["files"]["vtk"] = vtk_path.name
-    (directory / "reconstruction.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-    )
+    _write_text(directory / "reconstruction.json",
+                json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return manifest

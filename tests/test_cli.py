@@ -254,3 +254,23 @@ def test_rerun_reproduces_synth(tmp_path, synth_dir):
     assert code == 0
     for p in sorted(synth_dir.iterdir()):
         assert (out / p.name).read_bytes() == p.read_bytes()
+
+
+def test_reconstruct_p2_overwrites_a_longer_run(tmp_path, synth_dir):
+    args = ["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
+            "--torso", str(synth_dir / "torso.off"),
+            "--f", str(synth_dir / "f.csv"), "--alpha-count", "8",
+            "--noise", "0.01", "--seed", "3", "--out"]
+    clean = tmp_path / "clean"
+    assert main(args + [str(clean)]) == 0
+    # the same file names, each holding more bytes than the new run writes
+    dirty = tmp_path / "dirty"
+    dirty.mkdir()
+    for p in clean.iterdir():
+        (dirty / p.name).write_bytes(p.read_bytes() * 2 + b"stale tail\n")
+    assert main(args + [str(dirty)]) == 0
+    assert sorted(p.name for p in dirty.iterdir()) == sorted(
+        p.name for p in clean.iterdir())
+    for p in clean.iterdir():
+        assert (dirty / p.name).read_bytes() == p.read_bytes()
+

@@ -5,10 +5,15 @@ import pytest
 
 from cardiobem import (
     ConductivityModel,
+    DomainConfig,
     HeatOperatorSpec,
     ShapeMismatch,
+    TikhonovConfig,
     as_tensor,
     elliptic_fundamental,
+    icosphere,
+    run_protocol_1,
+    run_protocol_2,
 )
 from cardiobem.kernels import (
     BATH_CONDUCTIVITY,
@@ -44,6 +49,44 @@ def test_as_tensor():
     assert np.array_equal(as_tensor(t, 3), t)
     with pytest.raises(ShapeMismatch):
         as_tensor(np.eye(2), 3)
+
+
+def test_as_tensor_rejects_after_a_valid_tensor():
+    good = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    assert np.array_equal(as_tensor(good), good)
+    assert np.array_equal(as_tensor(good.copy()), good)
+    asymmetric = good.copy()
+    asymmetric[0, 1] = 0.6
+    indefinite = np.diag([1.0, -2.0, 3.0])
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match="symmetric"):
+            as_tensor(asymmetric)
+        with pytest.raises(ShapeMismatch, match="positive definite"):
+            as_tensor(indefinite)
+
+
+def test_warm_frame_skips_tensor_checks(model, shell_oracle, monkeypatch):
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    fields = shell_oracle.fields_on(heart, torso)
+    config = TikhonovConfig.log_grid(8, 1e-8, 1e1)
+
+    def frame():
+        run_protocol_1(domain, model, fields["u_e"])
+        run_protocol_2(domain, model, fields["f"], config)
+
+    frame()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    frame()
+    assert calls == []
 
 
 def test_fundamental_3d():

@@ -1,5 +1,7 @@
 """Mesh containers, primitives, nodal fields, and file round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cardiobem import (
     DomainConfig,
     GeometryError,
     NodalField,
+    ParseError,
     PointLocation,
     ShapeMismatch,
     circle_curve,
@@ -20,6 +23,7 @@ from cardiobem import (
     save_nodal_field,
     surface_distance,
 )
+from cardiobem.mesh import _write_text
 from cardiobem.primitives import octahedron, unit_cube
 
 
@@ -101,6 +105,41 @@ def test_nodal_field_round_trip(tmp_path):
     back = load_nodal_field(tmp_path / "f.csv")
     assert np.array_equal(back.values, f.values)
     assert back.surface_id == "heart" and back.units == "mV"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0,1.0", "1,2.0", "-1,9.0"], "outside"),
+    (["0,1.0", "1,2.0", "3,9.0"], "outside"),
+    (["0,1.0", "1,2.0", "1,5.0", "2,3.0"], "twice"),
+])
+def test_nodal_field_row_checks(tmp_path, rows, message):
+    path = tmp_path / "f.csv"
+    save_nodal_field(NodalField("heart", np.zeros(3)), path)
+    path.write_text("\n".join(["node_index,value"] + rows) + "\n")
+    with pytest.raises(ParseError, match=message):
+        load_nodal_field(path)
+
+
+def test_write_text_cuts_a_longer_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("x" * 4096 + "\n")
+    _write_text(path, "{}\n")
+    assert path.read_bytes() == b"{}\n"
+
+
+def test_write_text_creates_and_keeps_mode(tmp_path):
+    made = tmp_path / "made.csv"
+    _write_text(made, "a\n")
+    reference = tmp_path / "reference.csv"
+    reference.write_text("a\n")
+    assert made.read_bytes() == b"a\n"
+    assert made.stat().st_mode == reference.stat().st_mode
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old contents\n")
+    os.chmod(kept, 0o604)
+    _write_text(kept, "new\n")
+    assert kept.read_bytes() == b"new\n"
+    assert kept.stat().st_mode & 0o777 == 0o604
 
 
 def test_point_queries():

@@ -1,5 +1,7 @@
 """Parabolic potentials: heat kernel, Green identity, evolution right side."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cardiobem import (
     InteriorGrid,
     MissingInteriorData,
     NodalField,
+    ParseError,
     PointOnSurface,
     ShapeMismatch,
     SpaceTimeField,
@@ -430,3 +433,20 @@ def test_spacetime_round_trip(tmp_path):
     assert back.grid == fld.grid
     assert back.location == "heart"
     assert back.units == "uA/cm^2"
+
+
+def test_spacetime_load_checks_sidecar_shape(tmp_path):
+    tg = TimeGrid(t_end=0.5, steps=4)
+    fld = SpaceTimeField("heart", np.arange(12.0).reshape(3, 4), tg)
+    path = tmp_path / "field.csv"
+    save_spacetime_field(fld, path)
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(rows[:-1]) + "\n")
+    with pytest.raises(ParseError, match="sidecar"):
+        load_spacetime_field(path)
+    side = tmp_path / "field.csv.json"
+    manifest = json.loads(side.read_text())
+    del manifest["shape"]
+    side.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="shape"):
+        load_spacetime_field(path)
