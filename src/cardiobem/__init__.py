@@ -9,12 +9,12 @@ potential machinery.  An analytic harmonic oracle provides consistent
 synthetic datasets for all of it.
 """
 
-from .errors import (AllAlphaFailed, CardiobemError, DegenerateLCurve,
-                     EmptySupport, GeometryError, IncompatibleData,
-                     MissingInteriorData, OutOfGeometry, ParseError,
-                     PointOnBoundary, PointOnSurface, QuadratureFailure,
-                     ResolvabilityError, ShapeMismatch, SingularPoint,
-                     SolveFailure, SupportTouchesBoundary)
+from .errors import (CardiobemError, DegenerateLCurve, EmptySupport,
+                     GeometryError, IncompatibleData, MissingInteriorData,
+                     OutOfGeometry, ParseError, PointOnBoundary,
+                     PointOnSurface, QuadratureFailure, ResolvabilityError,
+                     ShapeMismatch, SingularPoint, SolveFailure,
+                     SupportTouchesBoundary)
 from .mesh import (CurveMesh, DomainConfig, NodalField, PointLocation,
                    SurfaceMesh, load_mesh, load_nodal_field, point_location,
                    points_inside, save_mesh, save_nodal_field,

@@ -50,7 +50,7 @@ from scipy import sparse
 
 from .errors import ParseError, QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
-from .kernels import as_tensor
+from .kernels import _dot, _KernelSet, as_tensor
 from .mesh import (CurveMesh, NodalField, SurfaceMesh, _write_text,
                    require_off_surface)
 
@@ -129,55 +129,6 @@ class LayerOperators:
                 f"density length {d.shape[0]} != {self.matrix.shape[1]} source nodes"
             )
         return self.matrix @ d
-
-
-class _KernelSet:
-    """Fast in-assembly kernels with precomputed inverse and determinant.
-
-    Difference vectors ``diff`` and normals are stored components first,
-    shape (dim, ...), so every component is one contiguous array.
-    """
-
-    def __init__(self, M, dim: int):
-        self.M = as_tensor(M, dim)
-        self.dim = dim
-        self.Minv = np.linalg.inv(self.M)
-        self.sqrt_det = float(np.sqrt(np.linalg.det(self.M)))
-        # nonzero terms of d^T M^-1 d: three for a diagonal tensor
-        self._r2_terms = [(i, j, self.Minv[i, j]) for i in range(dim)
-                          for j in range(dim) if self.Minv[i, j] != 0.0]
-
-    def r2(self, diff: np.ndarray) -> np.ndarray:
-        (i, j, m), *rest = self._r2_terms
-        out = diff[i] * m * diff[j]
-        for i, j, m in rest:
-            out += diff[i] * m * diff[j]
-        return out
-
-    def single(self, diff: np.ndarray) -> np.ndarray:
-        r2 = self.r2(diff)
-        if self.dim == 3:
-            return 1.0 / (4.0 * np.pi * self.sqrt_det * np.sqrt(r2))
-        return -0.5 * np.log(r2 / LOG_KERNEL_SCALE ** 2) / (2.0 * np.pi * self.sqrt_det)
-
-    def double(self, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        r2 = self.r2(diff)
-        proj = _dot(normal, diff)
-        if self.dim == 3:
-            return proj / (4.0 * np.pi * self.sqrt_det * r2 * np.sqrt(r2))
-        return proj / (2.0 * np.pi * self.sqrt_det * r2)
-
-    def layer(self, kind: str, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        """The "single" or "double" kernel; ``normal`` serves the double."""
-        return self.single(diff) if kind == "single" else self.double(diff, normal)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the leading (component) axis, broadcasting."""
-    out = a[0] * b[0]
-    for i in range(1, len(a)):
-        out += a[i] * b[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +257,7 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
         c = 1.0 / (2.0 * np.pi * ker.sqrt_det)
         i0 = length * (np.log(length) - 1.0)                    # int ln s ds
         i1 = length ** 2 * (2.0 * np.log(length) - 1.0) / 4.0   # int s ln s ds
-        shift = np.log(gamma / LOG_KERNEL_SCALE)
+        shift = np.log(gamma / ker.r0)
         near_val = -c * (i0 - i1 / length + shift * length / 2.0)
         far_val = -c * (i1 / length + shift * length / 2.0)
         return np.array([near_val, far_val] if at_a else [far_val, near_val])
@@ -437,7 +388,8 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
     if targets.shape[1] != source.dim:
         raise ShapeMismatch(f"targets must be (n, {source.dim})")
 
-    matrix = _assemble_dense(kind, _KernelSet(tensor, source.dim), source, targets, same)
+    ker = _KernelSet(tensor, source.dim, r0=LOG_KERNEL_SCALE)
+    matrix = _assemble_dense(kind, ker, source, targets, same)
     if kind == "double" and same:
         np.fill_diagonal(matrix, 0.0)
         matrix[np.arange(len(matrix)), np.arange(len(matrix))] = (
@@ -492,11 +444,9 @@ def volume_potential(M, grid: InteriorGrid, g: np.ndarray,
     chunk = max(1, int(4e6) // max(1, len(centers)))
     for lo in range(0, len(x), chunk):
         diff = x[lo : lo + chunk].T[:, :, None] - centers.T[:, None, :]
-        r2 = ker.r2(diff)
-        euclid2 = _dot(diff, diff)
-        keep = euclid2 >= skip_r2
+        keep = _dot(diff, diff) >= skip_r2
         with np.errstate(divide="ignore"):
-            phi = 1.0 / (4.0 * np.pi * ker.sqrt_det * np.sqrt(r2))
+            phi = ker.single(diff)
         phi = np.where(keep, phi, 0.0)
         out[lo : lo + chunk] = phi @ vals_in * grid.cell_volume
         skip_cols = np.nonzero(~keep)[1]
@@ -524,9 +474,6 @@ def green_representation(M, mesh, dirichlet: NodalField, conormal: NodalField,
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     scalar_in = np.asarray(x).ndim == 1
-    if boundary_tolerance is None:
-        box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-        boundary_tolerance = 1e-9 * float(np.linalg.norm(box))
     require_off_surface(mesh, pts, boundary_tolerance)
     u0 = dirichlet.check_on(mesh)
     u1 = conormal.check_on(mesh)

@@ -18,12 +18,19 @@ the computable distance-to-solvability; the problem is classically ill posed
 so the minimizer of || A x - b ||^2 + alpha || L x ||^2 is returned, with
 alpha picked by the configured rule (L-curve corner by default).
 
-Identity penalty solves reuse one singular value decomposition across the
-whole alpha grid; the surface-gradient penalty (graph Laplacian on the heart
-mesh, guarding against over-smoothing being the only option) refactorizes
-the normal equations per alpha.  The Cauchy matrix and its SVD are entries
-of the operator cache in direct.py, built once per (heart, torso, tensor)
-under its lock and kept, like the shell operators, for the process lifetime.
+Both penalties, the identity and the surface gradient (the graph Laplacian
+of the heart mesh in each half of x, so that over-smoothing is not the only
+option), share one sweep.  The general penalty is first brought to
+standard form (Elden's transformation with the A-weighted pseudo-inverse of
+L, see ``_StandardForm``), which turns it into an identity-penalty problem;
+the null space of L, one constant per connected component of the heart
+mesh, is carried by a separate least-squares term.  The thin SVD of the
+standard-form matrix makes the residual and seminorm norms of the whole
+alpha grid one (alphas x singular values) array, and only the chosen
+alpha's x is formed.  That SVD, with the lift back to x, is one entry of
+the operator cache in direct.py per (heart, torso, tensor, penalty), built
+once under its lock and kept, like the shell operators, for the process
+lifetime; the Cauchy matrix itself is needed only inside that build.
 """
 
 from __future__ import annotations
@@ -33,11 +40,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag
 
 from .direct import cached, shell_operators
-from .errors import (AllAlphaFailed, DegenerateLCurve, ShapeMismatch,
-                     SolveFailure)
+from .errors import DegenerateLCurve, ShapeMismatch
 from .kernels import as_tensor
 from .mesh import NodalField, _write_text
 
@@ -160,44 +166,85 @@ def _graph_laplacian(mesh) -> np.ndarray:
     return lap
 
 
-def _sweep_identity(svd, b: np.ndarray, grid: np.ndarray):
-    """Tikhonov sweep with L = I via the thin SVD (u, s, vt) of the matrix:
-    x(alpha), rho, eta per alpha."""
-    u, s, vt = svd
-    beta = u.T @ b
+@dataclass(frozen=True)
+class _StandardForm:
+    """min |A x - b|^2 + alpha |L x|^2 as an identity-penalty problem.
+
+    With N a basis of null(L) and the A-weighted pseudo-inverse
+    L_A+ = (I - N (AN)+ A) L+, the minimizer is x = L_A+ xbar + N (AN)+ b,
+    where xbar minimizes |Abar xbar - bbar|^2 + alpha |xbar|^2 for
+    Abar = A L_A+ and bbar = b - AN (AN)+ b, and |L x| = |xbar| (Elden,
+    BIT 22, 1982; Hansen, Rank-Deficient and Discrete Ill-Posed Problems,
+    1998, 2.3).  For L = I, N is empty and Abar is A itself.
+
+    u, s: the thin SVD of Abar without its dim null(L) null directions;
+    vt: its right singular vectors lifted by L_A+, one per row, so that
+    x = vt.T @ (filter * u.T b) + null @ ((AN)+ b).
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    null: np.ndarray     # N, (n, p)
+    an: np.ndarray       # A N, (m, p)
+    an_pinv: np.ndarray  # (A N)+, (p, m)
+
+
+def _standard_form(a: np.ndarray, lap: Optional[np.ndarray]) -> _StandardForm:
+    """Standard form for L = I (lap None) or L = blockdiag(lap, lap)."""
+    m, n = a.shape
+    if lap is None:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        return _StandardForm(u, s, vt, np.zeros((n, 0)), np.zeros((m, 0)),
+                             np.zeros((0, m)))
+    # imported here, as only this penalty needs it: csgraph adds about 3 MB
+    # to the resident size of any process that imports it
+    from scipy.sparse.csgraph import connected_components
+
+    # null(lap): one indicator per connected component of the mesh, which
+    # also makes lap + Z Z^T invertible, with inverse lap+ + Z Z^T
+    count, labels = connected_components(lap, directed=False)
+    z = (labels[:, None] == np.arange(count)).astype(float)
+    z /= np.sqrt(z.sum(axis=0))
+    zz = z @ z.T
+    lap_pinv = np.linalg.inv(lap + zz) - zz
+    l_pinv = block_diag(lap_pinv, lap_pinv)
+    null = block_diag(z, z)
+    an = a @ null
+    an_pinv = np.linalg.pinv(an)
+    a_lpinv = a @ l_pinv
+    la_pinv = l_pinv - null @ (an_pinv @ a_lpinv)
+    u, s, vt = np.linalg.svd(a_lpinv - an @ (an_pinv @ a_lpinv),
+                             full_matrices=False)
+    k = len(s) - null.shape[1]  # Abar vanishes on null(L)
+    return _StandardForm(u[:, :k], s[:k], vt[:k] @ la_pinv.T, null, an, an_pinv)
+
+
+def _sweep(form: _StandardForm, b: np.ndarray, grid: np.ndarray):
+    """Residual and seminorm norms over the grid, and the solution maker.
+
+    Returns rho, eta (one per alpha) and a function of the grid index that
+    forms that alpha's x; only the chosen alpha's x is ever formed.
+    """
+    c = form.an_pinv @ b
+    b = b - form.an @ c
+    beta = form.u.T @ b
     perp2 = float(b @ b - beta @ beta)  # component outside the column space
-    xs, rho, eta = [], [], []
-    for alpha in grid:
-        filt = s / (s * s + alpha)
-        x = vt.T @ (filt * beta)
-        xs.append(x)
-        r2 = float(np.sum((alpha / (s * s + alpha)) ** 2 * beta ** 2)) + max(perp2, 0.0)
-        rho.append(np.sqrt(max(r2, 0.0)))
-        eta.append(float(np.linalg.norm(x)))
-    return xs, np.array(rho), np.array(eta)
+    s = form.s
+    denom = s * s + grid[:, None]  # >= alpha > 0
+    filt = s / denom
+    r2 = np.sum((grid[:, None] / denom) ** 2 * beta ** 2, axis=1) + max(perp2, 0.0)
+    rho = np.sqrt(np.maximum(r2, 0.0))
+    eta = np.linalg.norm(filt * beta, axis=1)
 
+    def solution(idx: int) -> np.ndarray:
+        return form.vt.T @ (filt[idx] * beta) + form.null @ c
 
-def _sweep_general(a: np.ndarray, b: np.ndarray, lmat: np.ndarray,
-                   grid: np.ndarray):
-    """Per-alpha normal-equations sweep for a general penalty operator."""
-    ata = a.T @ a
-    atb = a.T @ b
-    ltl = lmat.T @ lmat
-    xs, rho, eta = [], [], []
-    for alpha in grid:
-        try:
-            fac = cho_factor(ata + alpha * ltl)
-            x = cho_solve(fac, atb)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"normal equations singular at alpha={alpha}") from exc
-        xs.append(x)
-        rho.append(float(np.linalg.norm(a @ x - b)))
-        eta.append(float(np.linalg.norm(lmat @ x)))
-    return xs, np.array(rho), np.array(eta)
+    return rho, eta, solution
 
 
 def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
-                  diagnostics: dict) -> int:
+                  eta: np.ndarray, diagnostics: dict) -> int:
     sel = config.selection
     if isinstance(sel, FixedAlpha):
         return int(np.argmin(np.abs(np.log(grid) - np.log(sel.alpha))))
@@ -210,7 +257,7 @@ def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
     # L-curve with degenerate fallback
     floor = 1e-300
     pts = np.column_stack([np.log(np.maximum(rho, floor)),
-                           np.log(np.maximum(diagnostics["eta"], floor))])
+                           np.log(np.maximum(eta, floor))])
     try:
         return lcurve_corner(pts)
     except DegenerateLCurve:
@@ -238,10 +285,7 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
     fv = f.check_on(torso)
     qt = np.zeros(torso.n_vertices) if flux_on_torso is None else flux_on_torso.check_on(torso)
     nh = heart.n_vertices
-    key = (heart.cache_token, torso.cache_token, tensor.tobytes())
     a_full, b_full = shell_operators(tensor, heart, torso)
-    a = cached(("cauchy",) + key,
-               lambda: np.hstack([a_full[:, :nh], -b_full[:, :nh]]))
     b = b_full[:, nh:] @ qt - a_full[:, nh:] @ fv
 
     if not np.any(fv) and not np.any(qt):
@@ -258,31 +302,18 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
             diagnostics={"zero_data": True},
         )
 
+    def standard_form():
+        a = np.hstack([a_full[:, :nh], -b_full[:, :nh]])
+        lap = None if config.penalty == "identity" else _graph_laplacian(heart)
+        return _standard_form(a, lap)
+
+    form = cached(("cauchy", heart.cache_token, torso.cache_token,
+                   tensor.tobytes(), config.penalty), standard_form)
     grid = config.alpha_grid
-    if config.penalty == "identity":
-        svd = cached(("cauchy-svd",) + key,
-                     lambda: np.linalg.svd(a, full_matrices=False))
-        xs, rho, eta = _sweep_identity(svd, b, grid)
-    else:
-        lap = _graph_laplacian(heart)
-        lmat = np.block([
-            [lap, np.zeros_like(lap)],
-            [np.zeros_like(lap), lap],
-        ])
-        xs, rho, eta = _sweep_general(a, b, lmat, grid)
-
-    finite = [i for i, x in enumerate(xs) if np.all(np.isfinite(x))]
-    if not finite:
-        raise AllAlphaFailed("no finite Tikhonov solution on the whole alpha grid")
-    if len(finite) != len(grid):
-        keep = np.array(finite)
-        grid, rho, eta = grid[keep], rho[keep], eta[keep]
-        xs = [xs[i] for i in finite]
-
-    diagnostics = {"eta": eta}
-    idx = _select_alpha(config, grid, rho, diagnostics)
-    diagnostics.pop("eta")
-    x = xs[idx]
+    rho, eta, solution = _sweep(form, b, grid)
+    diagnostics = {}
+    idx = _select_alpha(config, grid, rho, eta, diagnostics)
+    x = solution(idx)
     floor = 1e-300
     points = tuple(zip(np.log(np.maximum(rho, floor)),
                        np.log(np.maximum(eta, floor))))

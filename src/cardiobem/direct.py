@@ -23,7 +23,8 @@ Conventions:
 Operators and factorizations live in one cache, keyed by the meshes'
 cache tokens and the tensor: the single and double layer of each surface,
 the shell block operators A and B, the Dirichlet, Neumann and Zaremba LUs,
-and (for cauchy.py) the Cauchy matrix and its SVD.  Each entry is built
+(for cauchy.py) the SVD of the Cauchy problem in standard form, and (for
+parabolic.py) each mesh's panel quadrature.  Each entry is built
 under the cache's lock, so threads that miss together build it once; as
 before, entries live as long as the process.
 """

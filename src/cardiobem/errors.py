@@ -62,10 +62,6 @@ class ResolvabilityError(CardiobemError):
     """A mesh is too coarse to resolve the requested harmonic content."""
 
 
-class AllAlphaFailed(CardiobemError):
-    """Every regularization parameter in the sweep produced a failed solve."""
-
-
 class DegenerateLCurve(CardiobemError):
     """The L-curve has no corner (all signed curvatures non-positive)."""
 

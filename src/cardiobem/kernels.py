@@ -26,9 +26,10 @@ exponentially damped Gaussian
     Psi(x, y, t, tau) = exp(-a0 dt) K_A(x - y - a dt, dt),  dt = t - tau,
     K_A(d, s) = exp(-d^T A^-1 d / (4 s)) / ((4 pi s)^{n/2} sqrt(det A)),
 
-and exactly zero for t <= tau (causality).  This module evaluates phi_M;
-the double-layer kernel is evaluated in :mod:`cardiobem.assembly` and Psi
-by :func:`cardiobem.parabolic.heat_kernel`.  Units: lengths cm, times ms,
+and exactly zero for t <= tau (causality).  This module evaluates phi_M
+and the double-layer kernel (``_KernelSet``, which assembly uses with the
+shifted 2D logarithm described in :mod:`cardiobem.assembly`); Psi is
+evaluated by :func:`cardiobem.parabolic.heat_kernel`.  Units: lengths cm, times ms,
 conductivities mS/cm, membrane capacitance uF/cm^2, surface-to-volume ratio
 1/cm.
 """
@@ -84,14 +85,6 @@ def as_tensor(M, dim: int = 3) -> np.ndarray:
         _VALID_TENSORS.clear()
     _VALID_TENSORS.add(key)
     return m
-
-
-def _inv_and_det(M: np.ndarray):
-    return np.linalg.inv(M), float(np.linalg.det(M))
-
-
-def _mahalanobis_sq(Minv: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", diff, Minv, diff)
 
 
 @dataclass(frozen=True)
@@ -194,6 +187,57 @@ class HeatOperatorSpec:
                                 reaction=reaction, dim=3)
 
 
+class _KernelSet:
+    """phi_M and its double-layer kernel, with M^-1 and det M computed once.
+
+    Difference vectors ``diff`` and normals are stored components first,
+    shape (dim, ...), so every component is one contiguous array.  In 2D
+    the logarithm is shifted by ``r0``: -ln(r_M / r0) / (2 pi sqrt(det M)).
+    """
+
+    def __init__(self, M, dim: int, r0: float = 1.0):
+        self.M = as_tensor(M, dim)
+        self.dim = dim
+        self.r0 = r0
+        self.Minv = np.linalg.inv(self.M)
+        self.sqrt_det = float(np.sqrt(np.linalg.det(self.M)))
+        # nonzero terms of d^T M^-1 d: three for a diagonal tensor
+        self._r2_terms = [(i, j, self.Minv[i, j]) for i in range(dim)
+                          for j in range(dim) if self.Minv[i, j] != 0.0]
+
+    def r2(self, diff: np.ndarray) -> np.ndarray:
+        (i, j, m), *rest = self._r2_terms
+        out = diff[i] * m * diff[j]
+        for i, j, m in rest:
+            out += diff[i] * m * diff[j]
+        return out
+
+    def single(self, diff: np.ndarray) -> np.ndarray:
+        r2 = self.r2(diff)
+        if self.dim == 3:
+            return 1.0 / (4.0 * np.pi * self.sqrt_det * np.sqrt(r2))
+        return -0.5 * np.log(r2 / self.r0 ** 2) / (2.0 * np.pi * self.sqrt_det)
+
+    def double(self, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
+        r2 = self.r2(diff)
+        proj = _dot(normal, diff)
+        if self.dim == 3:
+            return proj / (4.0 * np.pi * self.sqrt_det * r2 * np.sqrt(r2))
+        return proj / (2.0 * np.pi * self.sqrt_det * r2)
+
+    def layer(self, kind: str, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
+        """The "single" or "double" kernel; ``normal`` serves the double."""
+        return self.single(diff) if kind == "single" else self.double(diff, normal)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the leading (component) axis, broadcasting."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
+    return out
+
+
 def elliptic_fundamental(M, x, y) -> np.ndarray:
     """Fundamental solution phi_M(x, y) of Delta_M = -div(M grad).
 
@@ -206,11 +250,7 @@ def elliptic_fundamental(M, x, y) -> np.ndarray:
     dim = x.shape[-1]
     if y.shape[-1] != dim:
         raise ShapeMismatch("x and y must share the trailing dimension")
-    m = as_tensor(M, dim)
-    minv, det = _inv_and_det(m)
-    r2 = _mahalanobis_sq(minv, x - y)
-    if np.any(r2 == 0.0):
+    diff = np.moveaxis(x - y, -1, 0)
+    if np.any(np.all(diff == 0.0, axis=0)):
         raise SingularPoint("elliptic_fundamental evaluated at x == y")
-    if dim == 3:
-        return 1.0 / (4.0 * np.pi * np.sqrt(det) * np.sqrt(r2))
-    return -0.5 * np.log(r2) / (2.0 * np.pi * np.sqrt(det))
+    return _KernelSet(M, dim).single(diff)

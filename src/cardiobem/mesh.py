@@ -853,8 +853,15 @@ def load_nodal_field(path) -> NodalField:
     return NodalField(manifest["surface_id"], values, manifest.get("units", "mV"))
 
 
-def require_off_surface(mesh, points: np.ndarray, tol: float) -> None:
-    """Raise :class:`PointOnBoundary` if any point sits on the surface."""
+def require_off_surface(mesh, points: np.ndarray, tol: float | None = None) -> None:
+    """Raise :class:`PointOnBoundary` if any point sits on the surface.
+
+    A point is on the surface within ``tol`` of it, by default 1e-9 x the
+    diagonal of the mesh's bounding box.
+    """
+    if tol is None:
+        box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
+        tol = 1e-9 * float(np.linalg.norm(box))
     d = surface_distance(mesh, points)
     if np.any(d <= tol):
         worst = float(d.min())

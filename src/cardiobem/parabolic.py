@@ -43,11 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import _panel_quadrature
-from .direct import solve_neumann_normalized
-from .errors import ParseError, PointOnSurface, ShapeMismatch
+from .direct import cached, solve_neumann_normalized
+from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
-from .mesh import NodalField, _write_text, surface_distance
+from .mesh import NodalField, _write_text, require_off_surface
 
 __all__ = [
     "TimeGrid",
@@ -240,14 +240,15 @@ def _time_weights(times: np.ndarray, t: float):
     return np.arange(k), w
 
 
-def _check_off_surface(mesh, x: np.ndarray) -> None:
-    span = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-    tol = 1e-9 * float(np.linalg.norm(span))
-    if float(surface_distance(mesh, x[None, :])[0]) <= tol:
-        raise PointOnSurface(
-            "lateral potentials are defined off the surface; the target "
-            "lies on it within tolerance"
-        )
+def _quadrature(mesh) -> tuple:
+    """``_panel_quadrature(mesh)``, built once per mesh and shared read-only."""
+    def build():
+        pts, nrm, scatter = _panel_quadrature(mesh)
+        for arr in (pts, nrm, scatter.data, scatter.indices, scatter.indptr):
+            arr.flags.writeable = False
+        return pts, nrm, scatter
+
+    return cached(("quadrature", mesh.cache_token), build)
 
 
 def _check_density(mesh, density: SpaceTimeField, t: float) -> None:
@@ -282,7 +283,7 @@ def _layer_pair(spec: HeatOperatorSpec, mesh, x: np.ndarray, t: float,
     idx, wts = _time_weights(times, t)
     if idx.size == 0:
         return 0.0, 0.0
-    pts, nrm, scatter = _panel_quadrature(mesh)
+    pts, nrm, scatter = _quadrature(mesh)
     diff = x[None, :] - pts
     lags = t - times[idx]                      # idx is 0 .. k-1, all > 0
     normal_rows = np.stack((np.einsum("ij,ij->i", nrm, diff), nrm @ spec.drift))
@@ -313,7 +314,7 @@ def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
         raise ShapeMismatch("kind must be 'single' or 'double'")
     _check_density(mesh, density, t)
     x = np.asarray(x, dtype=float).reshape(-1)
-    _check_off_surface(mesh, x)
+    require_off_surface(mesh, x[None, :])
     times = density.grid.times
     if kind == "single":
         return _layer_pair(spec, mesh, x, t, times, single=density.values)[0]
@@ -374,7 +375,7 @@ def parabolic_green_reconstruct(spec: HeatOperatorSpec, mesh,
     for a caloric u).  Points on the surface are rejected.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    _check_off_surface(mesh, x)  # raises PointOnSurface == PointOnBoundary
+    require_off_surface(mesh, x[None, :])  # PointOnSurface is PointOnBoundary
     total = 0.0
     if u_initial is not None:
         total += poisson_integral(spec, grid, u_initial, x, t)
@@ -559,7 +560,10 @@ def load_spacetime_field(path) -> SpaceTimeField:
         shape, tg = manifest["shape"], manifest["time_grid"]
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise ParseError(f"cannot read record manifest {side}: {exc}") from exc
-    vals = np.loadtxt(p, delimiter=",", ndmin=2)
+    try:
+        vals = np.loadtxt(p, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a malformed cell or a ragged row
+        raise ParseError(f"{p}: {exc}") from exc
     if list(vals.shape) != shape:
         raise ParseError(f"{p}: CSV shape {vals.shape} differs from the "
                          f"sidecar's {shape}")

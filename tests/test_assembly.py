@@ -20,9 +20,9 @@ from cardiobem import (
 from cardiobem.assembly import (
     _TRI_RULE_B,
     _TRI_RULE_W,
-    _KernelSet,
     _near_panel_integrals_3d,
 )
+from cardiobem.kernels import _KernelSet
 
 
 @pytest.fixture(scope="module")

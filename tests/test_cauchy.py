@@ -6,14 +6,19 @@ import pytest
 from cardiobem import (
     DegenerateLCurve,
     DiscrepancyPrinciple,
+    DomainConfig,
     FixedAlpha,
     NodalField,
     ShapeMismatch,
+    SurfaceMesh,
     TikhonovConfig,
+    icosphere,
     lcurve_corner,
     save_lcurve,
     solve_cauchy_elliptic,
 )
+from cardiobem.cauchy import _graph_laplacian
+from cardiobem.direct import shell_operators
 
 
 def test_log_grid():
@@ -116,3 +121,97 @@ def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
     assert rows.shape == (len(rho), 3)
     assert rows[:, 1] == pytest.approx(rho)
     assert rows[:, 2] == pytest.approx(eta)
+
+
+def _cauchy_system(M, heart, torso, f):
+    """The Cauchy matrix [A_h, -B_h] and the data vector for zero torso flux."""
+    nh = heart.n_vertices
+    a_full, b_full = shell_operators(M, heart, torso)
+    return np.hstack([a_full[:, :nh], -b_full[:, :nh]]), -(a_full[:, nh:] @ f)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_sweep_matches_per_alpha_loop(model, domain2, fields2, seed):
+    # noisy level-2 data: alpha, x and rho bit for bit those of a loop that
+    # forms every x(alpha) from the SVD, as the sweep once did
+    f = fields2["f"].values
+    rng = np.random.default_rng(seed)
+    f = f + 0.01 * np.abs(f).max() * rng.standard_normal(len(f))
+    heart, torso = domain2.heart, domain2.torso
+    a, b = _cauchy_system(model.M_b, heart, torso, f)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    beta = u.T @ b
+    perp2 = float(b @ b - beta @ beta)
+    grid = TikhonovConfig.log_grid().alpha_grid
+    xs, rho, eta = [], [], []
+    for alpha in grid:
+        x = vt.T @ (s / (s * s + alpha) * beta)
+        xs.append(x)
+        r2 = (float(np.sum((alpha / (s * s + alpha)) ** 2 * beta ** 2))
+              + max(perp2, 0.0))
+        rho.append(np.sqrt(max(r2, 0.0)))
+        eta.append(float(np.linalg.norm(x)))
+    idx = lcurve_corner(np.column_stack([np.log(rho), np.log(eta)]))
+
+    rep = solve_cauchy_elliptic(model.M_b, heart, torso, NodalField("torso", f))
+    nh = heart.n_vertices
+    assert rep.chosen_alpha == grid[idx]
+    assert np.array_equal(rep.diagnostics["residuals"], rho)
+    assert np.array_equal(rep.heart_dirichlet.values, xs[idx][:nh])
+    assert np.array_equal(rep.heart_flux.values, -xs[idx][nh:])
+    assert rep.diagnostics["seminorms"] == pytest.approx(eta, rel=1e-12)
+
+
+def _two_sphere_heart():
+    left = icosphere(1, 0.4, center=(-0.5, 0.0, 0.0))
+    right = icosphere(1, 0.3, center=(0.5, 0.1, 0.0))
+    return SurfaceMesh(np.vstack([left.vertices, right.vertices]),
+                       np.vstack([left.triangles,
+                                  right.triangles + left.n_vertices]),
+                       surface_id="heart")
+
+
+@pytest.mark.parametrize("heart_kind", ["icosphere", "two_spheres"])
+def test_surface_gradient_matches_normal_equations(model, heart_kind):
+    # rho = |A x - b| and eta = |L x| at every alpha, with x from the normal
+    # equations (A^T A + alpha L^T L) x = A^T b
+    if heart_kind == "icosphere":
+        heart = icosphere(2, 1.0, surface_id="heart")
+    else:
+        heart = _two_sphere_heart()
+    torso = icosphere(2, 2.0, surface_id="torso")
+    DomainConfig(heart=heart, torso=torso)
+    p = torso.vertices
+    f = 3.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 2]  # harmonic for M = m_b I
+    a, b = _cauchy_system(model.M_b, heart, torso, f)
+    lap = _graph_laplacian(heart)
+    lmat = np.block([[lap, np.zeros_like(lap)], [np.zeros_like(lap), lap]])
+    cfg = TikhonovConfig.log_grid(penalty="surface_gradient")
+    rep = solve_cauchy_elliptic(model.M_b, heart, torso, NodalField("torso", f),
+                                config=cfg)
+    for alpha, rho, eta in zip(cfg.alpha_grid, rep.diagnostics["residuals"],
+                               rep.diagnostics["seminorms"]):
+        x = np.linalg.solve(a.T @ a + alpha * lmat.T @ lmat, a.T @ b)
+        assert rho == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-8)
+        assert eta == pytest.approx(np.linalg.norm(lmat @ x), rel=1e-8)
+
+
+@pytest.mark.parametrize("penalty", ["identity", "surface_gradient"])
+def test_warm_solve_makes_no_svd(model, penalty, monkeypatch):
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    f = NodalField("torso", torso.vertices[:, 2])
+    cfg = TikhonovConfig.log_grid(penalty=penalty)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    cold = solve_cauchy_elliptic(model.M_b, heart, torso, f, config=cfg)
+    assert len(calls) == 1
+    warm = solve_cauchy_elliptic(model.M_b, heart, torso, f, config=cfg)
+    assert len(calls) == 1
+    assert np.array_equal(warm.heart_dirichlet.values, cold.heart_dirichlet.values)

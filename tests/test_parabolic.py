@@ -19,6 +19,7 @@ from cardiobem import (
     assemble_evolution_rhs,
     heat_kernel,
     heat_kernel_mass,
+    icosphere,
     ionic_current_linear,
     load_spacetime_field,
     parabolic_green_reconstruct,
@@ -298,6 +299,32 @@ def test_lag_blocking(aniso_spec3, heart2, heat_data, monkeypatch):
     assert blocked == pytest.approx(whole, rel=1e-13, abs=0)
 
 
+def test_quadrature_built_once_per_mesh(aniso_spec3, heat_data, monkeypatch):
+    # the panel quadrature is cached per mesh, read-only, across points
+    mesh = icosphere(1, 1.0, surface_id="heart")
+    d = heat_data
+    tg = d["tg"]
+    trace = SpaceTimeField("heart", d["trace"].values[:mesh.n_vertices], tg)
+    flux = SpaceTimeField("heart", d["flux"].values[:mesh.n_vertices], tg)
+    builds = []
+
+    def counted(m):
+        builds.append(m.cache_token)
+        return _panel_quadrature(m)
+
+    monkeypatch.setattr(parabolic, "_panel_quadrature", counted)
+    args = (aniso_spec3, mesh, d["grid"], trace, flux, None, None)
+    first = parabolic_green_reconstruct(*args, np.array([0.2, -0.3, 0.1]), 0.5)
+    assert builds == [mesh.cache_token]
+    again = parabolic_green_reconstruct(*args, np.array([0.2, -0.3, 0.1]), 0.5)
+    parabolic_green_reconstruct(*args, np.array([-0.1, 0.4, 0.2]), 0.45)
+    assert builds == [mesh.cache_token]
+    assert again == first
+    pts, nrm, scatter = parabolic._quadrature(mesh)
+    for arr in (pts, nrm, scatter.data, scatter.indices, scatter.indptr):
+        assert not arr.flags.writeable
+
+
 def test_layer_potential_validation(model, heart2):
     spec = HeatOperatorSpec.from_model(model)
     tg = TimeGrid(t_end=0.5, steps=8)
@@ -449,4 +476,18 @@ def test_spacetime_load_checks_sidecar_shape(tmp_path):
     del manifest["shape"]
     side.write_text(json.dumps(manifest))
     with pytest.raises(ParseError, match="shape"):
+        load_spacetime_field(path)
+
+
+def test_spacetime_load_rejects_malformed_cell(tmp_path):
+    tg = TimeGrid(t_end=0.5, steps=4)
+    fld = SpaceTimeField("heart", np.arange(12.0).reshape(3, 4), tg)
+    path = tmp_path / "field.csv"
+    save_spacetime_field(fld, path)
+    rows = path.read_text().splitlines()
+    cells = rows[1].split(",")
+    cells[2] = "x"
+    rows[1] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match="field.csv"):
         load_spacetime_field(path)
