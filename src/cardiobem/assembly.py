@@ -10,21 +10,32 @@ Single layer, double layer and Newtonian (volume) potential of the operator
 with piecewise-linear nodal densities and collocation at mesh vertices
 (rows = targets, cols = source vertices).  Regular panels use a degree-5
 7-point Gauss rule (3D) or 8-point Gauss-Legendre (2D); panels close to the
-target are re-integrated by splitting at the point nearest the target and
-applying a Duffy-type polar transform per subtriangle, which also provides
-the weakly-singular self terms of the single layer.
+target are integrated instead by splitting at the point nearest the target
+and applying a Duffy-type polar transform per subtriangle, which also
+provides the weakly-singular self terms of the single layer.
 
-In 3D the close (target, panel) pairs are corrected together, in batches
+The regular rule runs in whitened coordinates (see ``kernels._KernelSet``).
+With the source mesh centred on its centroid and the targets and
+quadrature points mapped by W = L^-1, M = L L^T, the r_M^2 of a whole block
+is one matrix product, |x'|^2 + |y'|^2 - 2 x'.y'.  The double layer's
+height nu . (x - y) is the same at every point of a flat panel, so it is
+one (panels x targets) product.  Close pairs are left out of the block,
+which is contracted with the weighted basis values and added to the
+vertex columns through one incidence matrix with an entry per panel corner.
+
+In 3D the close (target, panel) pairs are integrated together, in batches
 of 256 pairs: closest points, the split into exactly three subtriangles
-(a zero-area one gets weight zero), the 8x8 Duffy rule on arrays of
-3 x 256 x 3 x 64 values (about 1 MB each), minus the regular rule, and one
-scatter-add per batch in pair order.  Peak memory is therefore set by the
-far-field blocks, which hold at most 4e6 (target, quadrature point) pairs:
-about 100 MB of difference vectors plus the kernel values, whatever the
-mesh size, on top of the dense matrix itself.  The double-layer
-diagonal on its own surface is fixed by the interior solid-angle row-sum
-identity ``D 1 = -1/2``; combined with the ``1/2 I + D`` combination this
-reproduces the exact interior-limit operator at polyhedral vertices.
+(a zero-area one gets weight zero), and the 8x8 Duffy rule on arrays of
+256 x 3 x 3 x 64 values (about 1 MB each), whose whitened differences are
+one matrix product of per-pair coefficients with a fixed table; one
+scatter-add per batch adds them in pair order.  Peak memory is therefore
+set by the far-field blocks, which hold at most 4e6 (target, quadrature
+point) pairs: the r_M^2 block, the kernel values and one temporary, 32 MB
+each, whatever the mesh size, on top of the dense matrix itself.  The
+double-layer diagonal on its own surface is fixed by the interior
+solid-angle row-sum identity ``D 1 = -1/2``; combined with the ``1/2 I + D``
+combination this reproduces the exact interior-limit operator at polyhedral
+vertices.
 
 The interior Green representation evaluated here is
 
@@ -50,7 +61,7 @@ from scipy import sparse
 
 from .errors import ParseError, QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
-from .kernels import _dot, _KernelSet, as_tensor
+from .kernels import _KernelSet, as_tensor
 from .mesh import (CurveMesh, NodalField, SurfaceMesh, _write_text,
                    require_off_surface)
 
@@ -85,6 +96,7 @@ _GL_N = 8
 _gl_x, _gl_w = leggauss(_GL_N)
 _GL01_X = 0.5 * (_gl_x + 1.0)
 _GL01_W = 0.5 * _gl_w
+_SEG_RULE_B = np.column_stack([1.0 - _GL01_X, _GL01_X])
 # tensor rule on the unit square for the Duffy transform
 _DUF_U = np.repeat(_GL01_X, _GL_N)
 _DUF_V = np.tile(_GL01_X, _GL_N)
@@ -93,11 +105,15 @@ _DUF_UW = _DUF_U * _DUF_W  # weight x Jacobian factor u
 # moments of the barycentric coordinates along the Duffy map, see
 # _near_panel_integrals_3d
 _DUF_MOMENTS = np.column_stack([1.0 - _DUF_U, _DUF_U * (1.0 - _DUF_V), _DUF_U * _DUF_V])
+# y(u, v) - p = u(1-v) e1 + uv e2 is linear in the last two rows
+_DUF_TABLE = np.vstack([np.ones(_GL_N * _GL_N), _DUF_MOMENTS[:, 1:].T])
 
 _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
 # close (target, panel) pairs per batch: the batch arrays of shape
-# (pairs, 3, 64, 3) stay near 1 MB, well below the far-field blocks
+# (pairs, 3, 3, 64) stay near 1 MB, well below the far-field blocks
 _NEAR_BATCH = 256
+# (target, quadrature point) pairs per far-field block
+_FAR_BLOCK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -135,6 +151,11 @@ class LayerOperators:
 # panel quadrature
 
 
+def _panel_rule(dim: int) -> tuple:
+    """Barycentric points (q, corners) and weights (q,) of the regular rule."""
+    return (_TRI_RULE_B, _TRI_RULE_W) if dim == 3 else (_SEG_RULE_B, _GL01_W)
+
+
 def _panel_quadrature(mesh) -> tuple:
     """Quadrature points, per-point normals and the basis scatter matrix.
 
@@ -143,23 +164,11 @@ def _panel_quadrature(mesh) -> tuple:
     element measure, so a dense kernel block ``K[targets, quad_points]``
     turns into the collocation matrix as ``K @ scatter``.
     """
-    verts = mesh.vertices
     els = mesh.elements
-    if mesh.dim == 3:
-        corners = verts[els]  # (m, 3, 3)
-        pts = np.einsum("qk,mkj->mqj", _TRI_RULE_B, corners).reshape(-1, 3)
-        w = (_TRI_RULE_W[None, :] * mesh.areas[:, None])  # (m, q)
-        basis = _TRI_RULE_B  # (q, 3)
-        nq = len(_TRI_RULE_W)
-    else:
-        a = verts[els[:, 0]]
-        b = verts[els[:, 1]]
-        xi = _GL01_X
-        pts = (a[:, None, :] * (1 - xi)[None, :, None]
-               + b[:, None, :] * xi[None, :, None]).reshape(-1, 2)
-        w = _GL01_W[None, :] * mesh.areas[:, None]
-        basis = np.column_stack([1 - xi, xi])
-        nq = _GL_N
+    basis, weights = _panel_rule(mesh.dim)  # (q, k), (q,)
+    pts = np.einsum("qk,mkj->mqj", basis, mesh.vertices[els]).reshape(-1, mesh.dim)
+    w = weights[None, :] * mesh.areas[:, None]  # (m, q)
+    nq = len(weights)
     m = len(els)
     k = els.shape[1]
     rows = np.repeat(np.arange(m * nq), k)
@@ -168,6 +177,11 @@ def _panel_quadrature(mesh) -> tuple:
     scatter = sparse.csr_matrix((data, (rows, cols)), shape=(m * nq, mesh.n_vertices))
     normals = np.repeat(mesh.normals, nq, axis=0)
     return pts, normals, scatter
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances of (n, d) and (m, d) points, by component."""
+    return sum((a[:, None, i] - b[None, :, i]) ** 2 for i in range(a.shape[1]))
 
 
 def _closest_points(x: np.ndarray, corners: np.ndarray) -> tuple:
@@ -224,13 +238,19 @@ def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
     e2 = np.roll(e1, -1, axis=1)
     sub2 = np.linalg.norm(np.cross(e1, e2), axis=2)
     keep = sub2 > 1e-12 * area2[:, None]
-    # quadrature points, components first: shape (3, P, 3 parts, 64)
-    e1 = np.moveaxis(e1, 2, 0)[..., None]
-    e2 = np.moveaxis(e2, 2, 0)[..., None]
-    y = p.T[:, :, None, None] + _DUF_U * ((1.0 - _DUF_V) * e1 + _DUF_V * e2)
-    diff = x.T[:, :, None, None] - y
+    # whitened x - y = W(x - p) - u(1-v) W e1 - uv W e2: coefficients of
+    # shape (P, 3 parts, 3 components, 3) against _DUF_TABLE
+    xp = x - p
+    coef = np.empty(e1.shape + (3,))
+    coef[..., 0] = ker.whiten(xp)[:, None, :]
+    coef[..., 1] = -ker.whiten(e1)
+    coef[..., 2] = -ker.whiten(e2)
+    z = (coef.reshape(-1, 3) @ _DUF_TABLE).reshape(e1.shape + (-1,))
+    r2 = np.einsum("paiq,paiq->paq", z, z)
+    # p lies on the flat panel, so nu . (x - y) = nu . (x - p)
+    h = np.einsum("pi,pi->p", normals, xp)[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        kv = ker.layer(kind, diff, normals.T[:, :, None, None])
+        kv = ker.layer(kind, r2, h)
         w = np.where(keep[:, :, None], kv * (sub2[:, :, None] * _DUF_UW), 0.0)
     # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
     # so three moments per subtriangle carry the basis functions
@@ -272,89 +292,89 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
         if ln < 1e-15:
             continue
         y = p[None, :] + _GL01_X[:, None] * seg[None, :]
-        diff = x[:, None] - y.T
-        kv = ker.layer(kind, diff, normal[:, None])
+        diff = x - y
+        kv = ker.layer(kind, ker.r2(diff), diff @ normal)
         s_full = ((y - a) @ ab) / (ab @ ab)
         lam = np.column_stack([1.0 - s_full, s_full])
         out += ((kv * _GL01_W * ln) @ lam)
     return out
 
 
-def _plain_panel_contrib(ker: _KernelSet, kind: str, x: np.ndarray, mesh,
-                         el: int) -> np.ndarray:
-    """Contribution of one segment under the regular rule (for subtraction)."""
-    a, b = mesh.vertices[mesh.elements[el]]
-    y = a[None, :] * (1 - _GL01_X)[:, None] + b[None, :] * _GL01_X[:, None]
-    w = _GL01_W * mesh.areas[el]
-    lam = np.column_stack([1 - _GL01_X, _GL01_X])
-    diff = x[:, None] - y.T
-    kv = ker.layer(kind, diff, mesh.normals[el][:, None])
-    return (kv * w) @ lam
-
-
 def _correct_near_3d(matrix: np.ndarray, kind: str, ker: _KernelSet, source,
-                     pts: np.ndarray, x: np.ndarray, rows: np.ndarray,
-                     panels: np.ndarray) -> None:
-    """Swap the regular rule for the Duffy rule on close (row, panel) pairs.
+                     x: np.ndarray, rows: np.ndarray, panels: np.ndarray) -> None:
+    """Add the Duffy-rule integrals of close (row, panel) pairs.
 
-    ``x`` holds the targets of ``rows``; ``pts`` the regular quadrature
-    points of ``source`` (3, n_quad_points).  The pairs go in batches of
-    ``_NEAR_BATCH``, and one ``np.add.at`` per batch adds them in pair
-    order, as a loop over the pairs would.
+    ``x`` holds the targets of ``rows``.  The far-field pass left these
+    pairs out.  The pairs go in batches of ``_NEAR_BATCH``, and one
+    ``np.add.at`` per batch adds them in pair order, as a loop over the
+    pairs would.
     """
-    panel_pts = pts.reshape(3, len(source.elements), len(_TRI_RULE_W))
     for lo in range(0, len(rows), _NEAR_BATCH):
-        r = rows[lo : lo + _NEAR_BATCH]
         j = panels[lo : lo + _NEAR_BATCH]
-        xr = x[lo : lo + _NEAR_BATCH]
         els = source.elements[j]
-        normals = source.normals[j]
-        fixed = _near_panel_integrals_3d(ker, kind, xr, source.vertices[els], normals)
-        diff = xr.T[:, :, None] - panel_pts[:, j]
-        kv = ker.layer(kind, diff, normals.T[:, :, None])
-        plain = (kv * (_TRI_RULE_W * source.areas[j][:, None])) @ _TRI_RULE_B
-        np.add.at(matrix, (r[:, None], els), fixed - plain)
+        fixed = _near_panel_integrals_3d(ker, kind, x[lo : lo + _NEAR_BATCH],
+                                         source.vertices[els], source.normals[j])
+        np.add.at(matrix, (rows[lo : lo + _NEAR_BATCH, None], els), fixed)
 
 
 def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
                     same_surface: bool) -> np.ndarray:
-    pts, nrm, scatter = _panel_quadrature(source)
-    # components first, see _KernelSet
-    pts, nrm = np.ascontiguousarray(pts.T), np.ascontiguousarray(nrm.T)
-    centroids = source.vertices[source.elements].mean(axis=1)
+    basis, weights = _panel_rule(source.dim)  # (q, k), (q,)
+    nq, k = basis.shape
+    els = source.elements
+    m = len(els)
+    # whitened coordinates about the source centroid, see the module
+    # docstring: r_M^2 is one GEMM of the rows (x', 1, |x'|^2) and
+    # (-2 y', |y'|^2, 1).  Quadrature point q of panel j is row q * m + j.
+    centre = source.vertices.mean(axis=0)
+    corners = source.vertices[els] - centre  # (m, k, dim)
+    y = ker.whiten(np.einsum("qk,mkj->qmj", basis, corners).reshape(nq * m, -1))
+    y_aug = np.column_stack([-2.0 * y, (y * y).sum(axis=1), np.ones(nq * m)])
+    # a panel is flat, so nu_j . (x - y) = nu_j . x' - nu_j . (corner 0)'
+    offset = (source.normals * corners[:, 0]).sum(axis=1)
+    # column c * m + j of the incidence carries corner c of panel j to its vertex
+    incidence = sparse.csr_matrix(
+        (np.tile(source.areas, k), (els.T.reshape(-1), np.arange(k * m))),
+        shape=(source.n_vertices, k * m))
+    basis_w = (weights[:, None] * basis).T  # (k, q)
+    centroids = source.vertices[els].mean(axis=1)
     diam = source.element_diameters()
-    scatter_t = scatter.T.tocsr()
     n_t = len(targets)
     matrix = np.empty((n_t, source.n_vertices))
-    chunk = max(1, int(4e6) // max(1, pts.shape[1]))
+    chunk = max(1, _FAR_BLOCK // (nq * m))
     for lo in range(0, n_t, chunk):
         x = targets[lo : lo + chunk]
-        diff = x.T[:, :, None] - pts[:, None, :]
+        t = len(x)
+        xc = x - centre
+        xw = ker.whiten(xc)
+        x_aug = np.column_stack([xw, np.ones(t), (xw * xw).sum(axis=1)])
+        r2 = (y_aug @ x_aug.T).reshape(nq, m, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            k = ker.layer(kind, diff, nrm[:, None, :])
-        del diff
-        np.copyto(k, 0.0, where=~np.isfinite(k))
-        matrix[lo : lo + chunk] = (scatter_t @ k.T).T
-        del k
-        # re-integrate panels close to each target
-        d_c = np.linalg.norm(x[:, None, :] - centroids[None, :, :], axis=2)
+            if kind == "single":
+                kv = ker.single(r2)
+            else:
+                kv = ker.double(r2, source.normals @ xc.T - offset[:, None])
+        del r2
+        # panels close to a target get the split rule below instead
+        d_c = np.sqrt(_sq_dist(x, centroids))
         near_loc, near_el = np.nonzero(d_c < _NEAR_FACTOR * diam[None, :])
+        kv[:, near_el, near_loc] = 0.0
+        kb = basis_w @ kv.reshape(nq, m * t)  # (k, m * t)
+        del kv
+        matrix[lo : lo + chunk] = (incidence @ kb.reshape(k * m, t)).T
         if source.dim == 3:
-            _correct_near_3d(matrix, kind, ker, source, pts, x[near_loc],
+            _correct_near_3d(matrix, kind, ker, source, x[near_loc],
                              lo + near_loc, near_el)
             continue
         for i_loc, j in zip(near_loc, near_el):
             row = lo + i_loc
-            xi = x[i_loc]
             idx = source.elements[j]
-            plain = _plain_panel_contrib(ker, kind, xi, source, j)
             # during same-surface assembly the target IS vertex `row`
             singular = same_surface and bool(np.any(idx == row))
-            fixed = _integrate_panel_near_2d(
-                ker, kind, xi, source.vertices[idx[0]], source.vertices[idx[1]],
+            matrix[row, idx] += _integrate_panel_near_2d(
+                ker, kind, x[i_loc], source.vertices[idx[0]], source.vertices[idx[1]],
                 source.normals[j], singular,
             )
-            matrix[row, idx] += fixed - plain
     return matrix
 
 
@@ -441,12 +461,13 @@ def volume_potential(M, grid: InteriorGrid, g: np.ndarray,
     bound_per_cell = np.sqrt(lam_max) * r_eq ** 2 / (2.0 * ker.sqrt_det)
     n_skipped = 0
     bound = 0.0
+    centers_w = ker.whiten(centers)
     chunk = max(1, int(4e6) // max(1, len(centers)))
     for lo in range(0, len(x), chunk):
-        diff = x[lo : lo + chunk].T[:, :, None] - centers.T[:, None, :]
-        keep = _dot(diff, diff) >= skip_r2
+        xs = x[lo : lo + chunk]
+        keep = _sq_dist(xs, centers) >= skip_r2
         with np.errstate(divide="ignore"):
-            phi = ker.single(diff)
+            phi = ker.single(_sq_dist(ker.whiten(xs), centers_w))
         phi = np.where(keep, phi, 0.0)
         out[lo : lo + chunk] = phi @ vals_in * grid.cell_volume
         skip_cols = np.nonzero(~keep)[1]

@@ -96,6 +96,7 @@ _PARAM_TYPES = {
     "alpha_max": (float, 1e2),
     "alpha_count": (int, 16),
     "selection": (str, "lcurve"),
+    "penalty": (str, "identity"),
     "alpha_global": (bool, False),
     "center": (str, "0,0,0.2"),
     "radius": (float, 0.3),
@@ -321,10 +322,15 @@ def _tikhonov(cfg: RunConfig, selection=None) -> TikhonovConfig:
     _require_positive(cfg, "alpha_min", "alpha_max")
     if cfg["alpha_count"] < 8:
         raise ValidationFailure("alpha_count must be at least 8")
+    if cfg["penalty"] not in ("identity", "surface_gradient"):
+        raise ValidationFailure(
+            f"penalty must be 'identity' or 'surface_gradient', got {cfg['penalty']!r}"
+        )
     return TikhonovConfig.log_grid(count=cfg["alpha_count"],
                                    alpha_min=cfg["alpha_min"],
                                    alpha_max=cfg["alpha_max"],
-                                   selection=selection or _selection(cfg))
+                                   selection=selection or _selection(cfg),
+                                   penalty=cfg["penalty"])
 
 
 def _noisy(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
@@ -515,7 +521,8 @@ _SUBCOMMANDS = {
     "reconstruct-p2": (_run_reconstruct_p2,
                        ["heart", "torso", "f", "sigma_i", "sigma_e", "m_b",
                         "c0", "noise", "seed", "alpha_min", "alpha_max",
-                        "alpha_count", "selection", "alpha_global", "vtk"]),
+                        "alpha_count", "selection", "penalty", "alpha_global",
+                        "vtk"]),
     "nullspace": (_run_nullspace,
                   ["heart", "torso", "center", "radius", "amplitude",
                    "grid_h", "sigma_i", "sigma_e", "m_b"]),

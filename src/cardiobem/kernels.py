@@ -188,54 +188,53 @@ class HeatOperatorSpec:
 
 
 class _KernelSet:
-    """phi_M and its double-layer kernel, with M^-1 and det M computed once.
+    """phi_M and its double-layer kernel in whitened coordinates.
 
-    Difference vectors ``diff`` and normals are stored components first,
-    shape (dim, ...), so every component is one contiguous array.  In 2D
-    the logarithm is shifted by ``r0``: -ln(r_M / r0) / (2 pi sqrt(det M)).
+    M = L L^T is factored once.  With W = L^-1, a difference d maps to Wd
+    with |Wd|^2 = d^T M^-1 d = r_M^2, and sqrt(det M) = prod diag L.  The
+    kernels take r_M^2 and, for the double layer, the height
+    h = nu . (x - y) of the target over the source panel:
+
+        3D:  single 1 / (4 pi sqrt(det M) r_M)
+             double h / (4 pi sqrt(det M) r_M^3)
+        2D:  single -ln(r_M / r0) / (2 pi sqrt(det M))
+             double h / (2 pi sqrt(det M) r_M^2)
+
+    so the 2D logarithm is shifted by ``r0``.  Vectors run along the last
+    axis.
     """
 
     def __init__(self, M, dim: int, r0: float = 1.0):
         self.M = as_tensor(M, dim)
         self.dim = dim
         self.r0 = r0
-        self.Minv = np.linalg.inv(self.M)
-        self.sqrt_det = float(np.sqrt(np.linalg.det(self.M)))
-        # nonzero terms of d^T M^-1 d: three for a diagonal tensor
-        self._r2_terms = [(i, j, self.Minv[i, j]) for i in range(dim)
-                          for j in range(dim) if self.Minv[i, j] != 0.0]
+        chol = np.linalg.cholesky(self.M)
+        self.W = np.linalg.inv(chol)
+        self.sqrt_det = float(np.prod(np.diag(chol)))
+        self._c = 1.0 / ((4.0 if dim == 3 else 2.0) * np.pi * self.sqrt_det)
 
-    def r2(self, diff: np.ndarray) -> np.ndarray:
-        (i, j, m), *rest = self._r2_terms
-        out = diff[i] * m * diff[j]
-        for i, j, m in rest:
-            out += diff[i] * m * diff[j]
-        return out
+    def whiten(self, d: np.ndarray) -> np.ndarray:
+        """W d for vectors d along the last axis."""
+        return d @ self.W.T
 
-    def single(self, diff: np.ndarray) -> np.ndarray:
-        r2 = self.r2(diff)
+    def r2(self, d: np.ndarray) -> np.ndarray:
+        """r_M^2 of the differences d."""
+        z = self.whiten(d)
+        return np.einsum("...i,...i->...", z, z)
+
+    def single(self, r2: np.ndarray) -> np.ndarray:
         if self.dim == 3:
-            return 1.0 / (4.0 * np.pi * self.sqrt_det * np.sqrt(r2))
-        return -0.5 * np.log(r2 / self.r0 ** 2) / (2.0 * np.pi * self.sqrt_det)
+            return self._c / np.sqrt(r2)
+        return (-0.5 * self._c) * np.log(r2 / self.r0 ** 2)
 
-    def double(self, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        r2 = self.r2(diff)
-        proj = _dot(normal, diff)
+    def double(self, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
         if self.dim == 3:
-            return proj / (4.0 * np.pi * self.sqrt_det * r2 * np.sqrt(r2))
-        return proj / (2.0 * np.pi * self.sqrt_det * r2)
+            return h * (self._c / (r2 * np.sqrt(r2)))
+        return h * (self._c / r2)
 
-    def layer(self, kind: str, diff: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        """The "single" or "double" kernel; ``normal`` serves the double."""
-        return self.single(diff) if kind == "single" else self.double(diff, normal)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the leading (component) axis, broadcasting."""
-    out = a[0] * b[0]
-    for i in range(1, len(a)):
-        out += a[i] * b[i]
-    return out
+    def layer(self, kind: str, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The "single" or "double" kernel; ``h`` serves the double."""
+        return self.single(r2) if kind == "single" else self.double(r2, h)
 
 
 def elliptic_fundamental(M, x, y) -> np.ndarray:
@@ -250,7 +249,8 @@ def elliptic_fundamental(M, x, y) -> np.ndarray:
     dim = x.shape[-1]
     if y.shape[-1] != dim:
         raise ShapeMismatch("x and y must share the trailing dimension")
-    diff = np.moveaxis(x - y, -1, 0)
-    if np.any(np.all(diff == 0.0, axis=0)):
+    diff = x - y
+    if np.any(np.all(diff == 0.0, axis=-1)):
         raise SingularPoint("elliptic_fundamental evaluated at x == y")
-    return _KernelSet(M, dim).single(diff)
+    ker = _KernelSet(M, dim)
+    return ker.single(ker.r2(diff))

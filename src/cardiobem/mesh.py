@@ -49,6 +49,10 @@ logger = logging.getLogger(__name__)
 
 _MESH_TOKENS = itertools.count()
 
+# (point, triangle) pairs per points_inside block: each pair holds about 48
+# bytes of transients in _ray_parity, so a block stays near 13 MB
+_INSIDE_BLOCK = 1 << 18
+
 # Deterministic "random" ray directions for parity tests; re-cast along the
 # next one when a ray grazes an edge.
 _RAY_DIRECTIONS = np.array(
@@ -498,7 +502,7 @@ def points_inside(mesh, points: np.ndarray) -> np.ndarray:
         for lo in range(0, len(pts), 4096):
             out[lo : lo + 4096] = _curve_parity(mesh, pts[lo : lo + 4096])
         return out
-    chunk = max(1, int(2e6) // max(1, len(mesh.elements)))
+    chunk = max(1, _INSIDE_BLOCK // max(1, len(mesh.elements)))
     for lo in range(0, len(pts), chunk):
         out[lo : lo + chunk] = _ray_parity(mesh, pts[lo : lo + chunk])
     return out

@@ -7,6 +7,7 @@ from cardiobem import (
     InteriorGrid,
     NodalField,
     PointOnBoundary,
+    SurfaceMesh,
     assemble_layer,
     circle_curve,
     green_representation,
@@ -18,9 +19,11 @@ from cardiobem import (
     volume_potential,
 )
 from cardiobem.assembly import (
+    _NEAR_FACTOR,
     _TRI_RULE_B,
     _TRI_RULE_W,
     _near_panel_integrals_3d,
+    _panel_quadrature,
 )
 from cardiobem.kernels import _KernelSet
 
@@ -127,6 +130,69 @@ def test_volume_potential_ball(sphere):
     res = volume_potential(np.eye(3), grid, g, np.zeros((1, 3)))
     missing = (4 * np.pi / 3 - sphere.enclosed_volume) / (4 * np.pi)
     assert res.values[0] == pytest.approx(0.5 - missing, rel=1.5e-2)
+
+
+# ---------------------------------------------------------------------------
+# whitened kernels: tensor scaling, rotation and the far field written out
+
+def _full_tensor():
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    return q @ np.diag([3.0, 1.0, 0.4]) @ q.T
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_layer_tensor_scaling(sphere, kind):
+    # phi_{cM} = phi_M / c and the double-layer kernel is invariant
+    M, c = _full_tensor(), 3.7
+    base = assemble_layer(kind, M, sphere).matrix
+    scaled = assemble_layer(kind, c * M, sphere).matrix
+    want = base / c if kind == "single" else base
+    assert _rel_err(scaled, want) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_layer_rotation_covariance(kind):
+    # rotating the geometry by R and the tensor to R M R^T leaves every
+    # entry unchanged; a non-diagonal M tells W from its transpose
+    M = _full_tensor()
+    R, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(3, 3)))
+    heart = icosphere(2, 1.0, surface_id="heart")
+    torso = icosphere(2, 2.0, surface_id="torso")
+
+    def rotated(mesh):
+        return SurfaceMesh(mesh.vertices @ R.T, mesh.triangles, mesh.surface_id)
+
+    heart_r, torso_r = rotated(heart), rotated(torso)
+    for source, target, source_r, target_r in (
+            (heart, None, heart_r, None), (torso, heart, torso_r, heart_r),
+            (heart, torso, heart_r, torso_r)):
+        want = assemble_layer(kind, M, source, target).matrix
+        got = assemble_layer(kind, R @ M @ R.T, source_r, target_r).matrix
+        assert _rel_err(got, want) < 1e-12
+
+
+def test_far_field_matches_written_out_kernels():
+    # at level 1 no heart panel is close to a torso vertex, so the heart ->
+    # torso blocks are the regular rule alone: kernel values at the panel
+    # quadrature points times the basis scatter
+    M = _full_tensor()
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    centroids = heart.vertices[heart.elements].mean(axis=1)
+    dist = np.linalg.norm(torso.vertices[:, None] - centroids[None], axis=2)
+    assert dist.min() > _NEAR_FACTOR * heart.element_diameters().max()
+    pts, nrm, scatter = _panel_quadrature(heart)
+    d = torso.vertices[:, None, :] - pts[None, :, :]
+    r = np.sqrt(np.einsum("tqi,ij,tqj->tq", d, np.linalg.inv(M), d))
+    c = 1.0 / (4.0 * np.pi * np.sqrt(np.linalg.det(M)))
+    single = (c / r) @ scatter
+    double = (c * np.einsum("tqi,qi->tq", d, nrm) / r ** 3) @ scatter
+    assert _rel_err(assemble_layer("single", M, heart, torso).matrix, single) < 1e-13
+    assert _rel_err(assemble_layer("double", M, heart, torso).matrix, double) < 1e-13
 
 
 # ---------------------------------------------------------------------------

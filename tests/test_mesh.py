@@ -23,7 +23,7 @@ from cardiobem import (
     save_nodal_field,
     surface_distance,
 )
-from cardiobem.mesh import _write_text
+from cardiobem.mesh import _INSIDE_BLOCK, _write_text
 from cardiobem.primitives import octahedron, unit_cube
 
 
@@ -175,6 +175,23 @@ def test_points_inside_known_answer(shape):
     pts = np.vstack([box, center + ray])
     pts = pts[np.abs(depth(pts)) > 1e-6]
     assert np.array_equal(points_inside(mesh, pts), depth(pts) > 0.0)
+
+
+def test_points_inside_blocks():
+    # 3000 points span several blocks of _INSIDE_BLOCK (point, triangle)
+    # pairs; calls on pieces that straddle the block edges give the same
+    # mask, and away from the surface it is |x| < 1 on the unit icosphere
+    sphere = icosphere(2, 1.0, surface_id="s")
+    assert 3000 * len(sphere.triangles) > 3 * _INSIDE_BLOCK
+    pts = np.random.default_rng(11).uniform(-1.3, 1.3, size=(3000, 3))
+    mask = points_inside(sphere, pts)
+    pieces = np.concatenate([points_inside(sphere, part)
+                             for part in np.array_split(pts, 7)])
+    assert np.array_equal(mask, pieces)
+    radius = np.linalg.norm(pts, axis=1)
+    away = np.abs(radius - 1.0) > 0.05
+    assert away.sum() > 2500
+    assert np.array_equal(mask[away], radius[away] < 1.0)
 
 
 def test_point_location(domain2):
