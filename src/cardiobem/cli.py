@@ -96,7 +96,6 @@ _PARAM_TYPES = {
     "alpha_max": (float, 1e2),
     "alpha_count": (int, 16),
     "selection": (str, "lcurve"),
-    "penalty": (str, "identity"),
     "alpha_global": (bool, False),
     "center": (str, "0,0,0.2"),
     "radius": (float, 0.3),
@@ -322,15 +321,10 @@ def _tikhonov(cfg: RunConfig, selection=None) -> TikhonovConfig:
     _require_positive(cfg, "alpha_min", "alpha_max")
     if cfg["alpha_count"] < 8:
         raise ValidationFailure("alpha_count must be at least 8")
-    if cfg["penalty"] not in ("identity", "surface_gradient"):
-        raise ValidationFailure(
-            f"penalty must be 'identity' or 'surface_gradient', got {cfg['penalty']!r}"
-        )
     return TikhonovConfig.log_grid(count=cfg["alpha_count"],
                                    alpha_min=cfg["alpha_min"],
                                    alpha_max=cfg["alpha_max"],
-                                   selection=selection or _selection(cfg),
-                                   penalty=cfg["penalty"])
+                                   selection=selection or _selection(cfg))
 
 
 def _noisy(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
@@ -521,8 +515,7 @@ _SUBCOMMANDS = {
     "reconstruct-p2": (_run_reconstruct_p2,
                        ["heart", "torso", "f", "sigma_i", "sigma_e", "m_b",
                         "c0", "noise", "seed", "alpha_min", "alpha_max",
-                        "alpha_count", "selection", "penalty", "alpha_global",
-                        "vtk"]),
+                        "alpha_count", "selection", "alpha_global", "vtk"]),
     "nullspace": (_run_nullspace,
                   ["heart", "torso", "center", "radius", "amplitude",
                    "grid_h", "sigma_i", "sigma_e", "m_b"]),

@@ -195,22 +195,6 @@ def test_invariant_suites(tmp_path):
     assert doc2["results"]["causal_sup"] == 0.0
 
 
-def test_reconstruct_p2_surface_gradient_penalty(tmp_path, synth_dir):
-    out = tmp_path / "p2"
-    args = ["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
-            "--torso", str(synth_dir / "torso.off"),
-            "--f", str(synth_dir / "f.csv"), "--alpha-count", "8",
-            "--noise", "0.01", "--seed", "5"]
-    assert main(args + ["--penalty", "surface_gradient", "--out", str(out)]) == 0
-    doc = json.loads((out / "run_manifest.json").read_text())
-    assert doc["parameters"]["penalty"] == "surface_gradient"
-    again = tmp_path / "again"
-    assert main(["rerun", str(out / "run_manifest.json"), "--out", str(again)]) == 0
-    for p in sorted(out.iterdir()):
-        assert (again / p.name).read_bytes() == p.read_bytes()
-    assert main(args + ["--penalty", "laplacian", "--out", str(tmp_path / "x")]) == 2
-
-
 def test_validation_exit_codes(tmp_path, synth_dir):
     assert main(["synth", "--level", "0"]) == 2                    # no --out
     assert main(["synth", "--geometry", "annulus",
