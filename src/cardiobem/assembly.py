@@ -28,7 +28,7 @@ of 256 pairs: closest points, the split into exactly three subtriangles
 (a zero-area one gets weight zero), and the 8x8 Duffy rule on arrays of
 256 x 3 x 3 x 64 values (about 1 MB each), whose whitened differences are
 one matrix product of per-pair coefficients with a fixed table; one
-scatter-add per batch adds them in pair order.  Peak memory is therefore
+``np.add.at`` per batch adds them in pair order.  Peak memory is therefore
 set by the far-field blocks, which hold at most 4e6 (target, quadrature
 point) pairs: the r_M^2 block, the kernel values and one temporary, 32 MB
 each, whatever the mesh size, on top of the dense matrix itself.  The
@@ -157,26 +157,36 @@ def _panel_rule(dim: int) -> tuple:
 
 
 def _panel_quadrature(mesh) -> tuple:
-    """Quadrature points, per-point normals and the basis scatter matrix.
+    """The regular rule and its P1 reduction to the vertices.
 
-    Returns ``(points, normals, scatter)`` where ``scatter`` is sparse of
-    shape (n_quad_points, n_vertices) carrying basis value x quad weight x
-    element measure, so a dense kernel block ``K[targets, quad_points]``
-    turns into the collocation matrix as ``K @ scatter``.
+    Returns ``(centre, points, offset, basis_w, incidence)``:
+
+    - ``centre``, the mean of the mesh vertices, and ``points``, the
+      (q m, dim) quadrature points about it, q-major: point q of panel j is
+      row q * m + j;
+    - ``offset`` (m,), nu_j . (corner 0 of panel j - centre), so that on the
+      flat panel j, nu_j . (x - y) = nu_j . (x - centre) - offset_j;
+    - ``basis_w`` (k, q), the rule's weights times the basis values;
+    - ``incidence``, sparse (n_vertices, k m) with one entry, the panel
+      area, per panel corner: column c * m + j carries corner c of panel j.
+
+    So a kernel block K (q m, t) at the points reduces to the vertices as
+    ``incidence @ (basis_w @ K.reshape(q, m t)).reshape(k m, t)``: the basis
+    is contracted before any density or target is.
     """
     els = mesh.elements
     basis, weights = _panel_rule(mesh.dim)  # (q, k), (q,)
-    pts = np.einsum("qk,mkj->mqj", basis, mesh.vertices[els]).reshape(-1, mesh.dim)
-    w = weights[None, :] * mesh.areas[:, None]  # (m, q)
-    nq = len(weights)
+    nq, k = basis.shape
     m = len(els)
-    k = els.shape[1]
-    rows = np.repeat(np.arange(m * nq), k)
-    cols = np.repeat(els[:, None, :], nq, axis=1).reshape(-1)
-    data = (w[:, :, None] * basis[None, :, :]).reshape(-1)
-    scatter = sparse.csr_matrix((data, (rows, cols)), shape=(m * nq, mesh.n_vertices))
-    normals = np.repeat(mesh.normals, nq, axis=0)
-    return pts, normals, scatter
+    centre = mesh.vertices.mean(axis=0)
+    corners = mesh.vertices[els] - centre  # (m, k, dim)
+    points = np.einsum("qk,mkj->qmj", basis, corners).reshape(nq * m, -1)
+    offset = (mesh.normals * corners[:, 0]).sum(axis=1)
+    basis_w = (weights[:, None] * basis).T
+    incidence = sparse.csr_matrix(
+        (np.tile(mesh.areas, k), (els.T.reshape(-1), np.arange(k * m))),
+        shape=(mesh.n_vertices, k * m))
+    return centre, points, offset, basis_w, incidence
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,24 +329,16 @@ def _correct_near_3d(matrix: np.ndarray, kind: str, ker: _KernelSet, source,
 
 def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
                     same_surface: bool) -> np.ndarray:
-    basis, weights = _panel_rule(source.dim)  # (q, k), (q,)
-    nq, k = basis.shape
+    centre, points, offset, basis_w, incidence = _panel_quadrature(source)
+    k, nq = basis_w.shape
     els = source.elements
     m = len(els)
     # whitened coordinates about the source centroid, see the module
     # docstring: r_M^2 is one GEMM of the rows (x', 1, |x'|^2) and
-    # (-2 y', |y'|^2, 1).  Quadrature point q of panel j is row q * m + j.
-    centre = source.vertices.mean(axis=0)
-    corners = source.vertices[els] - centre  # (m, k, dim)
-    y = ker.whiten(np.einsum("qk,mkj->qmj", basis, corners).reshape(nq * m, -1))
+    # (-2 y', |y'|^2, 1), and a flat panel's height nu_j . (x - y) is
+    # nu_j . x' - offset_j
+    y = ker.whiten(points)
     y_aug = np.column_stack([-2.0 * y, (y * y).sum(axis=1), np.ones(nq * m)])
-    # a panel is flat, so nu_j . (x - y) = nu_j . x' - nu_j . (corner 0)'
-    offset = (source.normals * corners[:, 0]).sum(axis=1)
-    # column c * m + j of the incidence carries corner c of panel j to its vertex
-    incidence = sparse.csr_matrix(
-        (np.tile(source.areas, k), (els.T.reshape(-1), np.arange(k * m))),
-        shape=(source.n_vertices, k * m))
-    basis_w = (weights[:, None] * basis).T  # (k, q)
     centroids = source.vertices[els].mean(axis=1)
     diam = source.element_diameters()
     n_t = len(targets)

@@ -81,7 +81,13 @@ class InteriorGrid:
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
     def interior_centers(self) -> np.ndarray:
-        return self.centers()[self.inside]
+        """(n_inside, 3) centers of the interior cells, built once, read-only."""
+        found = self.__dict__.get("_interior_centers")
+        if found is None:
+            found = self.centers()[self.inside]
+            found.flags.writeable = False
+            object.__setattr__(self, "_interior_centers", found)
+        return found
 
     def sample(self, f) -> np.ndarray:
         """Evaluate a callable on all cell centers (flat, C order)."""

@@ -26,11 +26,15 @@ the rule collapses to (2/3) D times the integrand at t - D.  The volume
 potential's integrand instead tends to g(x, t) (the kernel is an approximate
 identity), so its last step is a trapezoid against that limit.
 
-Each potential evaluates all of its time lags in one pass: a block of Psi
-over (quadrature points or cells x lags), contracted with the density and
-the time weights.  Lags are blocked so that no block exceeds
-``_BLOCK_ENTRIES`` entries.  In the Green identity V and W share one Psi
-block, since they are taken over the same surface quadrature and lags.
+Each potential evaluates all of its time lags in one pass.  Psi splits
+into a Gaussian block over (quadrature points or cells x lags) and a factor
+of the lag alone (``_gaussian``): the block is summed against the density,
+and the factor scales the per-lag sums.  The lateral layers first contract
+the block with the P1 basis of ``assembly._panel_quadrature``, the weighted
+basis values and then the panel incidence, which takes it to (vertices x
+lags) before it meets a density.  V and W share the first product: a panel
+is flat, so the double layer only scales it by one height per (panel, lag).
+Lags are blocked so that no block exceeds ``_BLOCK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .assembly import _panel_quadrature
 from .direct import cached, solve_neumann_normalized
 from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
-from .kernels import ConductivityModel, HeatOperatorSpec
+from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet
 from .mesh import NodalField, _write_text, require_off_surface
 
 __all__ = [
@@ -145,29 +149,32 @@ class SpaceTimeField:
 # fundamental solution
 
 
-def heat_kernel(spec: HeatOperatorSpec, diff: np.ndarray, s) -> np.ndarray:
-    """Psi evaluated at x - y = diff, t - tau = s; exactly zero for s <= 0.
+def _gaussian(spec: HeatOperatorSpec, diff: np.ndarray, s) -> tuple:
+    """Psi split into its Gaussian block and a factor of the lag alone.
 
-    ``diff`` is (..., dim); ``s`` broadcasts against the leading shape, so a
-    (n, 1, dim) ``diff`` against (k,) lags gives the (n, k) block.  The
-    quadratic form is taken in whitened components: with A^{-1} = L L^T,
-    z = diff L and w = L^T a,
+    Returns ``(block, factor)`` with Psi = block * factor:
 
-        (diff - a s)^T A^{-1} (diff - a s) = sum_i (z_i - w_i s)^2,
+        block  = exp(-|W (diff - a s)|^2 / (4 s)),
+        factor = exp(-a0 s) / ((4 pi s)^{n/2} sqrt(det A)),
 
-    so ``diff`` is never broadcast against ``s`` in (..., dim), and the
-    factors of s alone (normalisation, 1/(4 s), reaction) are computed on
-    the shape of ``s``.
+    W the whitening of A (``kernels._KernelSet``), and ``factor`` exactly
+    zero for s <= 0 (causality), where ``block`` carries no meaning.
+    ``diff`` and ``s`` broadcast as in :func:`heat_kernel`.  A potential
+    sums ``block`` against its density first and scales the per-lag sums
+    by ``factor`` after.  With z = W diff and w = W a,
+
+        |W (diff - a s)|^2 = sum_i (z_i - w_i s)^2,
+
+    so ``diff`` is never broadcast against ``s`` in (..., dim).
     """
     diff = np.asarray(diff, dtype=float)
     dim = diff.shape[-1]
     if dim != spec.dim:
         raise ShapeMismatch(f"diff has dimension {dim}, operator {spec.dim}")
     s = np.asarray(s, dtype=float)
-    chol = np.linalg.cholesky(spec.A)          # A = C C^T, so L = C^{-T}
-    l_mat = np.linalg.inv(chol).T
-    z = diff @ l_mat
-    w = l_mat.T @ spec.drift
+    ker = _KernelSet(spec.A, dim)
+    z = ker.whiten(diff)
+    w = ker.W @ spec.drift
     pos = s > 0.0
     s_safe = np.where(pos, s, 1.0)
     if np.any(w):
@@ -175,11 +182,21 @@ def heat_kernel(spec: HeatOperatorSpec, diff: np.ndarray, s) -> np.ndarray:
     else:                                      # drift-free: q of diff alone
         q = np.einsum("...i,...i->...", z, z)
     norm = np.exp(-spec.reaction * s_safe) / (
-        (4.0 * np.pi * s_safe) ** (dim / 2.0) * np.prod(np.diag(chol)))
-    val = np.asarray(q * (-0.25 / s_safe))
-    np.exp(val, out=val)
-    val *= np.where(pos, norm, 0.0)
-    return val
+        (4.0 * np.pi * s_safe) ** (dim / 2.0) * ker.sqrt_det)
+    block = np.asarray(q * (-0.25 / s_safe))
+    np.exp(block, out=block)
+    return block, np.where(pos, norm, 0.0)
+
+
+def heat_kernel(spec: HeatOperatorSpec, diff: np.ndarray, s) -> np.ndarray:
+    """Psi evaluated at x - y = diff, t - tau = s; exactly zero for s <= 0.
+
+    ``diff`` is (..., dim); ``s`` broadcasts against the leading shape, so a
+    (n, 1, dim) ``diff`` against (k,) lags gives the (n, k) block.
+    """
+    block, factor = _gaussian(spec, diff, s)
+    block *= factor
+    return block
 
 
 def heat_kernel_mass(spec: HeatOperatorSpec, t: float, half_width: float = None,
@@ -243,10 +260,11 @@ def _time_weights(times: np.ndarray, t: float):
 def _quadrature(mesh) -> tuple:
     """``_panel_quadrature(mesh)``, built once per mesh and shared read-only."""
     def build():
-        pts, nrm, scatter = _panel_quadrature(mesh)
-        for arr in (pts, nrm, scatter.data, scatter.indices, scatter.indptr):
+        quad = _panel_quadrature(mesh)
+        incidence = quad[-1]
+        for arr in quad[:-1] + (incidence.data, incidence.indices, incidence.indptr):
             arr.flags.writeable = False
-        return pts, nrm, scatter
+        return quad
 
     return cached(("quadrature", mesh.cache_token), build)
 
@@ -258,8 +276,12 @@ def _check_density(mesh, density: SpaceTimeField, t: float) -> None:
         )
     if density.values.shape[0] != mesh.n_vertices:
         raise ShapeMismatch("density rows must match mesh vertices")
-    if t > density.grid.times[-1] + 1e-12 * max(1.0, abs(t)):
-        raise ShapeMismatch("evaluation time beyond the density's time grid")
+    _check_time(density, t)
+
+
+def _check_time(field: SpaceTimeField, t: float) -> None:
+    if t > field.grid.times[-1] + 1e-12 * max(1.0, abs(t)):
+        raise ShapeMismatch(f"evaluation time beyond the time grid of {field.location!r}")
 
 
 def _lag_blocks(n_lags: int, n_points: int):
@@ -272,32 +294,41 @@ def _layer_pair(spec: HeatOperatorSpec, mesh, x: np.ndarray, t: float,
                 times: np.ndarray, single=None, double=None) -> tuple:
     """(V(single), W(double)) at (x, t) for densities sampled at ``times``.
 
-    Either density may be None; its potential is then 0.  Both layers use
-    the same Psi block for each block of lags.  Since
+    Either density may be None; its potential is then 0.  For each block of
+    lags the Gaussian block E (quadrature points x lags) is contracted with
+    the weighted basis once, G = basis_w E, and both layers reduce G to the
+    vertices through the incidence before they meet their densities.  Since
     nu . (diff - a s) = nu . diff - (nu . a) s, the double-layer kernel
     -(nu . (diff - a s) / (2 s) + nu . a) Psi equals
-    -(nu . diff / (2 s) + (nu . a) / 2) Psi.  So the density-weighted block
-    is first summed against nu . diff and nu . a over the quadrature
-    points, and the lag factors are applied to those per-lag sums.
+    -(nu . diff / (2 s) + (nu . a) / 2) Psi, and on a flat panel nu . diff
+    is one height per panel, so the double layer scales G per (panel, lag).
+    The per-lag factor of Psi multiplies the per-lag sums.
     """
     idx, wts = _time_weights(times, t)
     if idx.size == 0:
         return 0.0, 0.0
-    pts, nrm, scatter = _quadrature(mesh)
-    diff = x[None, :] - pts
+    centre, pts, offset, basis_w, incidence = _quadrature(mesh)
+    n_corners, nq = basis_w.shape
+    xc = x - centre
+    diff = xc - pts
     lags = t - times[idx]                      # idx is 0 .. k-1, all > 0
-    normal_rows = np.stack((np.einsum("ij,ij->i", nrm, diff), nrm @ spec.drift))
+    height = mesh.normals @ xc - offset        # nu . (x - y) on each panel
+    nu_a = mesh.normals @ spec.drift
     v = np.zeros(idx.size)
     w = np.zeros(idx.size)
     for blk in _lag_blocks(idx.size, len(pts)):
-        psi = heat_kernel(spec, diff[:, None, :], lags[blk])
+        lag = lags[blk]
+        block, factor = _gaussian(spec, diff[:, None, :], lag)
+        # (corners, panels, lags): the basis-weighted sum over each panel
+        g = (basis_w @ block.reshape(nq, -1)).reshape(n_corners, -1, lag.size)
+        del block
         if single is not None:
-            v[blk] = np.einsum("qj,qj->j", psi, scatter @ single[:, blk])
+            sums = incidence @ g.reshape(-1, lag.size)
+            v[blk] = factor * np.einsum("nj,nj->j", sums, single[:, blk])
         if double is not None:
-            weighted = scatter @ double[:, blk]
-            weighted *= psi
-            nu_d, nu_a = normal_rows @ weighted
-            w[blk] = -(nu_d / (2.0 * lags[blk]) + 0.5 * nu_a)
+            g *= -(height[:, None] / (2.0 * lag) + 0.5 * nu_a[:, None])
+            sums = incidence @ g.reshape(-1, lag.size)
+            w[blk] = factor * np.einsum("nj,nj->j", sums, double[:, blk])
     return float(v @ wts), float(w @ wts)
 
 
@@ -327,35 +358,35 @@ def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
 
     The time integrand tends to g(x, t) as tau -> t (approximate identity),
     so the last step is a trapezoid against that limit, read off the nearest
-    interior cell.
+    interior cell.  A ``t`` beyond the source's time grid is rejected.
     """
     g = source.values
     if g.shape[0] != grid.n_cells:
         raise ShapeMismatch("volume source rows must match grid cells")
+    _check_time(source, t)
     times = source.grid.times
     x = np.asarray(x, dtype=float).reshape(-1)
     below = np.nonzero(times < t - 1e-14 * max(1.0, abs(t)))[0]
     if below.size == 0:
         return 0.0
     k = below[-1] + 1
-    centers = grid.interior_centers()
-    diff = x[None, :] - centers
+    g_in = g[grid.inside]
+    diff = x[None, :] - grid.interior_centers()
     lags = t - times[:k]
     series = np.empty(k + 1)
-    for blk in _lag_blocks(k, len(centers)):
-        kern = heat_kernel(spec, diff[:, None, :], lags[blk])
-        series[blk] = np.einsum("cj,cj->j", kern,
-                                g[:, blk][grid.inside]) * grid.cell_volume
+    for blk in _lag_blocks(k, len(diff)):
+        block, factor = _gaussian(spec, diff[:, None, :], lags[blk])
+        series[blk] = (factor * grid.cell_volume) * np.einsum(
+            "cj,cj->j", block, g_in[:, blk])
     # limit value: g at the cell nearest x, linearly interpolated in time
-    near = np.flatnonzero(grid.inside)[np.argmin(np.einsum("ij,ij->i", diff, diff))]
+    near = g_in[np.argmin(np.einsum("ij,ij->i", diff, diff))]
     tt = min(t, times[-1])
     j1 = int(np.searchsorted(times, tt, side="right") - 1)
     if j1 >= len(times) - 1:
-        gx = g[near, -1]
+        series[k] = near[-1]
     else:
         th = (tt - times[j1]) / (times[j1 + 1] - times[j1])
-        gx = (1 - th) * g[near, j1] + th * g[near, j1 + 1]
-    series[k] = gx
+        series[k] = (1 - th) * near[j1] + th * near[j1 + 1]
     aug_times = np.append(times[:k], t)
     return float(np.trapezoid(series, aug_times))
 

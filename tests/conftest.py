@@ -6,9 +6,11 @@ objects as read-only (SurfaceMesh and the field containers are frozen, so
 accidental mutation raises).
 """
 
+import numpy as np
 import pytest
 
 from cardiobem import assembly
+from cardiobem.assembly import _TRI_RULE_B, _TRI_RULE_W
 from cardiobem import (
     ConductivityModel,
     DomainConfig,
@@ -92,3 +94,24 @@ def assembly_builds(monkeypatch):
 
     monkeypatch.setattr(assembly, "_assemble_dense", counted)
     return builds
+
+
+@pytest.fixture(scope="session")
+def written_out_rule():
+    """Regular-rule reference for a surface mesh, kept apart from assembly.
+
+    Returns a function of the mesh giving the 7-point rule's points and
+    normals, one panel at a time, and the dense (points, vertices) weights
+    rule weight x basis value x panel area.
+    """
+    def rule(mesh):
+        points, normals = [], []
+        weights = np.zeros((len(_TRI_RULE_W) * len(mesh.triangles), mesh.n_vertices))
+        for tri, normal, area in zip(mesh.triangles, mesh.normals, mesh.areas):
+            for lam, w in zip(_TRI_RULE_B, _TRI_RULE_W):
+                weights[len(points), tri] += w * area * lam
+                points.append(lam @ mesh.vertices[tri])
+                normals.append(normal)
+        return np.array(points), np.array(normals), weights
+
+    return rule

@@ -24,6 +24,7 @@ from cardiobem.assembly import (
     _TRI_RULE_W,
     _near_panel_integrals_3d,
     _panel_quadrature,
+    _panel_rule,
 )
 from cardiobem.kernels import _KernelSet
 
@@ -175,24 +176,47 @@ def test_layer_rotation_covariance(kind):
         assert _rel_err(got, want) < 1e-12
 
 
-def test_far_field_matches_written_out_kernels():
+def test_far_field_matches_written_out_kernels(written_out_rule):
     # at level 1 no heart panel is close to a torso vertex, so the heart ->
     # torso blocks are the regular rule alone: kernel values at the panel
-    # quadrature points times the basis scatter
+    # quadrature points, reduced to the vertices panel by panel
     M = _full_tensor()
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
     centroids = heart.vertices[heart.elements].mean(axis=1)
     dist = np.linalg.norm(torso.vertices[:, None] - centroids[None], axis=2)
     assert dist.min() > _NEAR_FACTOR * heart.element_diameters().max()
-    pts, nrm, scatter = _panel_quadrature(heart)
+    pts, nrm, weights = written_out_rule(heart)
     d = torso.vertices[:, None, :] - pts[None, :, :]
     r = np.sqrt(np.einsum("tqi,ij,tqj->tq", d, np.linalg.inv(M), d))
     c = 1.0 / (4.0 * np.pi * np.sqrt(np.linalg.det(M)))
-    single = (c / r) @ scatter
-    double = (c * np.einsum("tqi,qi->tq", d, nrm) / r ** 3) @ scatter
+    single = (c / r) @ weights
+    double = (c * np.einsum("tqi,qi->tq", d, nrm) / r ** 3) @ weights
     assert _rel_err(assemble_layer("single", M, heart, torso).matrix, single) < 1e-13
     assert _rel_err(assemble_layer("double", M, heart, torso).matrix, double) < 1e-13
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2, 1.3, surface_id="s"),
+                                  circle_curve(0.7, 48, surface_id="c")],
+                         ids=["icosphere", "circle"])
+def test_panel_quadrature_reduces_p1(mesh):
+    # a constant reduced through the weighted basis and the incidence is
+    # the lumped vertex weight; the incidence has one entry per panel corner
+    centre, points, offset, basis_w, incidence = _panel_quadrature(mesh)
+    els = mesh.elements
+    m, k = els.shape
+    nq = basis_w.shape[1]
+    assert incidence.shape == (mesh.n_vertices, k * m)
+    assert incidence.nnz == k * m
+    ones = (basis_w @ np.ones((nq, m))).reshape(k * m)
+    np.testing.assert_allclose(incidence @ ones, mesh.vertex_weights, rtol=1e-14, atol=0)
+    # q-major points about the centre, and the per-panel height offsets
+    basis, weights = _panel_rule(mesh.dim)
+    assert np.array_equal(basis_w, (weights[:, None] * basis).T)
+    want = np.einsum("qk,mkj->qmj", basis, mesh.vertices[els]).reshape(nq * m, -1)
+    np.testing.assert_allclose(points + centre, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(offset, np.einsum(
+        "mj,mj->m", mesh.normals, mesh.vertices[els[:, 0]] - centre), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,14 @@ def test_mask_and_measure(ball_grid, ball_mesh):
     assert np.array_equal(ball_grid.centers()[ball_grid.inside.ravel()], centers)
 
 
+def test_interior_centers_built_once(ball_mesh):
+    grid = InteriorGrid.for_mesh(ball_mesh, h=0.2)
+    first = grid.interior_centers()
+    assert np.array_equal(first, grid.centers()[grid.inside])
+    assert not first.flags.writeable
+    assert grid.interior_centers() is first
+
+
 def test_integrate_shape_guard(ball_grid):
     with pytest.raises(ShapeMismatch):
         ball_grid.integrate(np.ones(7))

@@ -194,12 +194,12 @@ def test_green_identity_source(heart2):
     assert abs(outside) < 2e-2
 
 
-def _layer_per_lag(spec, mesh, density, kind, x, t):
+def _layer_per_lag(rule, spec, mesh, density, kind, x, t):
     # one heat_kernel call per frame, summed with the time weights
     times = density.grid.times
     idx, w = parabolic._time_weights(times, t)
-    pts, nrm, scatter = _panel_quadrature(mesh)
-    weighted = scatter @ density.values[:, idx]
+    pts, nrm, weights = rule(mesh)
+    weighted = weights @ density.values[:, idx]
     diff = x[None, :] - pts
     total = 0.0
     for j, (fi, wj) in enumerate(zip(idx, w)):
@@ -242,13 +242,14 @@ def heat_data(heart2):
 
 
 @pytest.mark.parametrize("x", [[0.2, -0.3, 0.1], [0.6, 0.5, -0.4], [1.3, 0.2, 0.1]])
-def test_potentials_match_per_lag_reference(aniso_spec3, heart2, heat_data, x):
+def test_potentials_match_per_lag_reference(aniso_spec3, heart2, heat_data,
+                                            written_out_rule, x):
     spec, d = aniso_spec3, heat_data
     x = np.array(x)
     t = 0.37                                   # between frames 0.35 and 0.4
     for kind, dens in (("single", d["flux"]), ("double", d["trace"])):
         got = parabolic_layer_potentials(spec, heart2, dens, kind, x, t)
-        want = _layer_per_lag(spec, heart2, dens, kind, x, t)
+        want = _layer_per_lag(written_out_rule, spec, heart2, dens, kind, x, t)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
     got = volume_heat_potential(spec, d["grid"], d["source"], x, t)
     assert got == pytest.approx(_volume_per_lag(spec, d["grid"], d["source"], x, t),
@@ -281,16 +282,17 @@ def test_lag_blocking(aniso_spec3, heart2, heat_data, monkeypatch):
     args = (spec, heart2, d["grid"], d["trace"], d["flux"], d["u0"], d["source"], x, t)
     whole = parabolic_green_reconstruct(*args)
     calls = []
+    gaussian = parabolic._gaussian
 
     def counted(*a):
         calls.append(1)
-        return heat_kernel(*a)
+        return gaussian(*a)
 
-    monkeypatch.setattr(parabolic, "heat_kernel", counted)
+    monkeypatch.setattr(parabolic, "_gaussian", counted)
     parabolic_green_reconstruct(*args)
     assert len(calls) == 3                     # Poisson, volume, shared layers
     calls.clear()
-    n_quad = len(_panel_quadrature(heart2)[0])
+    n_quad = len(_panel_quadrature(heart2)[1])
     monkeypatch.setattr(parabolic, "_BLOCK_ENTRIES", 2 * n_quad)
     blocked = parabolic_green_reconstruct(*args)
     # 10 lags: the layers in blocks of 2, the volume's 480 cells in blocks of 9
@@ -320,8 +322,9 @@ def test_quadrature_built_once_per_mesh(aniso_spec3, heat_data, monkeypatch):
     parabolic_green_reconstruct(*args, np.array([-0.1, 0.4, 0.2]), 0.45)
     assert builds == [mesh.cache_token]
     assert again == first
-    pts, nrm, scatter = parabolic._quadrature(mesh)
-    for arr in (pts, nrm, scatter.data, scatter.indices, scatter.indptr):
+    centre, points, offset, basis_w, incidence = parabolic._quadrature(mesh)
+    for arr in (centre, points, offset, basis_w,
+                incidence.data, incidence.indices, incidence.indptr):
         assert not arr.flags.writeable
 
 
@@ -353,6 +356,18 @@ def test_volume_potential_validation(model, heart2):
     bad = SpaceTimeField("grid", np.ones((grid.n_cells - 1, tg.steps)), tg)
     with pytest.raises(ShapeMismatch):
         volume_heat_potential(spec, grid, bad, np.array([0.1, 0.0, 0.0]), 0.3)
+
+
+def test_volume_potential_rejects_time_beyond_source(model, heart2):
+    # as the layers do for their densities: no silent read of the last frame
+    spec = HeatOperatorSpec.from_model(model)
+    tg = TimeGrid(t_end=0.5, steps=8)
+    grid = InteriorGrid.for_mesh(heart2, h=0.2)
+    src = SpaceTimeField("grid", np.ones((grid.n_cells, tg.steps)), tg)
+    x = np.array([0.1, 0.0, 0.0])
+    assert volume_heat_potential(spec, grid, src, x, 0.5) > 0.0
+    with pytest.raises(ShapeMismatch, match="time grid"):
+        volume_heat_potential(spec, grid, src, x, 0.51)
 
 
 @pytest.fixture(scope="module")
