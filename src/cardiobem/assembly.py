@@ -24,11 +24,13 @@ which is contracted with the weighted basis values and added to the
 vertex columns through one incidence matrix with an entry per panel corner.
 
 In 3D the close (target, panel) pairs are integrated together, in batches
-of 256 pairs: closest points, the split into exactly three subtriangles
-(a zero-area one gets weight zero), and the 8x8 Duffy rule on arrays of
-256 x 3 x 3 x 64 values (about 1 MB each), whose whitened differences are
-one matrix product of per-pair coefficients with a fixed table; one
-``np.add.at`` per batch adds them in pair order.  Peak memory is therefore
+of 256 pairs: closest points, the split into exactly three subtriangles,
+and the 8x8 Duffy rule on the subtriangles of nonzero area only (a target
+at a corner or on an edge of its panel leaves one or two of zero area,
+which contribute nothing), on arrays of at most 768 x 3 x 64 values
+(about 1 MB each), whose whitened differences are one matrix product of
+per-subtriangle coefficients with a fixed table; one ``np.add.at`` per
+batch adds them in pair order.  Peak memory is therefore
 set by the far-field blocks, which hold at most 4e6 (target, quadrature
 point) pairs: the r_M^2 block, the kernel values and one temporary, 32 MB
 each, whatever the mesh size, on top of the dense matrix itself.  The
@@ -109,8 +111,9 @@ _DUF_MOMENTS = np.column_stack([1.0 - _DUF_U, _DUF_U * (1.0 - _DUF_V), _DUF_U * 
 _DUF_TABLE = np.vstack([np.ones(_GL_N * _GL_N), _DUF_MOMENTS[:, 1:].T])
 
 _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
-# close (target, panel) pairs per batch: the batch arrays of shape
-# (pairs, 3, 3, 64) stay near 1 MB, well below the far-field blocks
+# close (target, panel) pairs per batch: with at most three subtriangles
+# each, the batch arrays of shape (subtriangles, 3, 64) stay near 1 MB,
+# well below the far-field blocks
 _NEAR_BATCH = 256
 # (target, quadrature point) pairs per far-field block
 _FAR_BLOCK = 4_000_000
@@ -237,8 +240,10 @@ def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
     into the subtriangles (p, c_a, c_{a+1}), and the Duffy transform
     ``y(u, v) = p + u((1-v) e1 + v e2)``, ``|J| = 2 area u``, with an 8x8
     Gauss tensor rule concentrates the points where the kernel peaks.  A
-    subtriangle of zero area (p on an edge or at a corner) gets weight 0;
-    its kernel values may be inf or nan.
+    subtriangle of zero area (p on an edge or at a corner) contributes
+    nothing and is not evaluated: only the kept (pair, part) subtriangles
+    are whitened and get the rule, and their moments are scattered into a
+    zeroed (P, 3 parts, 3) array.
     """
     p, lam_p = _closest_points(x, corners)
     area2 = np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
@@ -247,24 +252,23 @@ def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
     e1 = corners - p[:, None, :]
     e2 = np.roll(e1, -1, axis=1)
     sub2 = np.linalg.norm(np.cross(e1, e2), axis=2)
-    keep = sub2 > 1e-12 * area2[:, None]
+    pair, part = np.nonzero(sub2 > 1e-12 * area2[:, None])
     # whitened x - y = W(x - p) - u(1-v) W e1 - uv W e2: coefficients of
-    # shape (P, 3 parts, 3 components, 3) against _DUF_TABLE
+    # shape (kept, 3 components, 3) against _DUF_TABLE
     xp = x - p
-    coef = np.empty(e1.shape + (3,))
-    coef[..., 0] = ker.whiten(xp)[:, None, :]
-    coef[..., 1] = -ker.whiten(e1)
-    coef[..., 2] = -ker.whiten(e2)
-    z = (coef.reshape(-1, 3) @ _DUF_TABLE).reshape(e1.shape + (-1,))
-    r2 = np.einsum("paiq,paiq->paq", z, z)
+    coef = np.empty((len(pair), 3, 3))
+    coef[..., 0] = ker.whiten(xp)[pair]
+    coef[..., 1] = -ker.whiten(e1[pair, part])
+    coef[..., 2] = -ker.whiten(e2[pair, part])
+    z = (coef.reshape(-1, 3) @ _DUF_TABLE).reshape(len(pair), 3, -1)
+    r2 = np.einsum("kiq,kiq->kq", z, z)
     # p lies on the flat panel, so nu . (x - y) = nu . (x - p)
-    h = np.einsum("pi,pi->p", normals, xp)[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kv = ker.layer(kind, r2, h)
-        w = np.where(keep[:, :, None], kv * (sub2[:, :, None] * _DUF_UW), 0.0)
+    h = np.einsum("pi,pi->p", normals, xp)[pair, None]
+    w = ker.layer(kind, r2, h) * (sub2[pair, part, None] * _DUF_UW)
     # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
     # so three moments per subtriangle carry the basis functions
-    mom = w @ _DUF_MOMENTS  # (P, 3 parts, 3 moments)
+    mom = np.zeros((len(x), 3, 3))  # (P, 3 parts, 3 moments)
+    mom[pair, part] = w @ _DUF_MOMENTS
     return (mom[:, :, 0].sum(axis=1)[:, None] * lam_p + mom[:, :, 1]
             + np.roll(mom[:, :, 2], 1, axis=1))
 

@@ -18,7 +18,8 @@ Conventions:
     internal unknown is the shell conormal, which is its negative.
   - Neumann solutions are normalized by the lumped surface mean (area
     weights at vertices) through one bordered Lagrange row, so the discrete
-    constraint holds to solver precision.
+    constraint holds to solver precision.  A block of flux columns shares
+    one single-layer product and one solve with the bordered LU.
 
 Operators and factorizations live in one cache, keyed by the meshes'
 cache tokens and the tensor: the single and double layer of each surface,
@@ -257,6 +258,57 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
 # normalized Neumann (the transform N_i)
 
 
+def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0,
+                         volume: np.ndarray = None, *, tol: float = 1e-6,
+                         project: bool = False) -> tuple:
+    """Normalized Neumann solves for a flux vector (n,) or block (n, k).
+
+    Each column's compatibility defect is its total flux plus
+    ``source_total``; a column whose defect exceeds ``tol`` x area x scale
+    raises IncompatibleData, or with ``project`` is shifted by a constant
+    onto the compatible subspace, and one log line counts the shifted
+    columns.  ``volume`` (n,), the volume potential at the vertices, is
+    added to every column's right side.  All columns share one S product
+    and one solve with the cached bordered LU.  Returns (u0, u1, defect,
+    residual, normalization): solutions, the fluxes solved for, and per
+    column the signed defect, the residual norm and w . u0.
+    """
+    w = mesh.vertex_weights
+    area = float(w.sum())
+    defect = w @ u1 + source_total
+    scale = np.maximum(np.abs(u1).max(axis=0, initial=0.0),
+                       abs(source_total) / area)
+    bad = np.abs(defect) > tol * area * np.maximum(scale, 1e-300)
+    if bad.any():
+        worst = np.abs(defect).max(where=bad, initial=0.0)
+        if not project:
+            raise IncompatibleData(
+                f"flux/source compatibility defect {worst:.3e} exceeds "
+                f"{tol:.1e} x area x scale"
+            )
+        u1 = u1 - np.where(bad, defect / area, 0.0)
+        logger.info("projected %d of %d Neumann data columns onto the "
+                    "compatible subspace (largest defect %.3e)", bad.sum(),
+                    bad.size, worst)
+    rhs = _layers(tensor, mesh)[0] @ u1
+    if volume is not None:
+        np.add(rhs.T, volume, out=rhs.T)  # to every column
+    n = mesh.n_vertices
+
+    def bordered():
+        a = _interior_limit_matrix(tensor, mesh)
+        big = np.zeros((n + 1, n + 1))
+        big[:n, :n] = a
+        big[:n, n] = w
+        big[n, :n] = w
+        return _lu(big), a
+
+    lu, a = cached(("neumann", mesh.cache_token, tensor.tobytes()), bordered)
+    u0 = _lu_solve(lu, np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])]))[:n]
+    residual = np.linalg.norm(a @ u0 - rhs, axis=0)
+    return u0, u1, defect, residual, w @ u0
+
+
 def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
                              tol: float = 1e-6, project: bool = False):
     """Solve Delta_M u = g, nu . M grad u = u1, with lumped mean zero.
@@ -269,47 +321,18 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
     """
     tensor = as_tensor(M, mesh.dim)
     u1v = u1.check_on(mesh)
-    w = mesh.vertex_weights
-    area = float(w.sum())
-    flux_total = float(w @ u1v)
     source_total = 0.0
+    volume = None
     if g_volume is not None:
         grid, g = g_volume
         source_total = float(grid.integrate(np.asarray(g, float)))
-    defect = flux_total + source_total
-    scale = max(float(np.max(np.abs(u1v), initial=0.0)),
-                abs(source_total) / area)
-    if abs(defect) > tol * area * max(scale, 1e-300):
-        if not project:
-            raise IncompatibleData(
-                f"flux/source compatibility defect {defect:.3e} exceeds "
-                f"{tol:.1e} x area x scale"
-            )
-        u1v = u1v - defect / area
-        logger.info("projected Neumann data onto the compatible subspace "
-                    "(defect %.3e)", defect)
-    rhs = _layers(tensor, mesh)[0] @ u1v
-    if g_volume is not None:
-        rhs = rhs + volume_potential(tensor, grid, g, mesh.vertices).values
-    n = mesh.n_vertices
-
-    def bordered():
-        a = _interior_limit_matrix(tensor, mesh)
-        big = np.zeros((n + 1, n + 1))
-        big[:n, :n] = a
-        big[:n, n] = w
-        big[n, :n] = w
-        return _lu(big), a
-
-    lu, a = cached(("neumann", mesh.cache_token, tensor.tobytes()), bordered)
-    sol = _lu_solve(lu, np.concatenate([rhs, [0.0]]))
-    u0, mult = sol[:n], sol[n]
-    residual = float(np.linalg.norm(a @ u0 - rhs))
-    normalization = float(w @ u0)
+        volume = volume_potential(tensor, grid, g, mesh.vertices).values
+    u0, u1v, defect, residual, normalization = _solve_neumann_block(
+        tensor, mesh, u1v, source_total, volume, tol=tol, project=project)
     report = DirectSolveReport(
-        residual_norm=residual,
-        compatibility_defect=abs(defect),
-        normalization_value=normalization,
+        residual_norm=float(residual),
+        compatibility_defect=abs(float(defect)),
+        normalization_value=float(normalization),
         solution_trace=NodalField(mesh.surface_id, u0),
         flux_trace=NodalField(mesh.surface_id, u1v, units="mV*mS/cm^2"),
     )

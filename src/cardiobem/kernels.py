@@ -214,8 +214,13 @@ class _KernelSet:
         self._c = 1.0 / ((4.0 if dim == 3 else 2.0) * np.pi * self.sqrt_det)
 
     def whiten(self, d: np.ndarray) -> np.ndarray:
-        """W d for vectors d along the last axis."""
-        return d @ self.W.T
+        """W d for vectors d along the last axis, as one 2D product.
+
+        A stacked (..., 1, dim) matmul costs several times the same
+        product over the (points, dim) rows.
+        """
+        d = np.asarray(d)
+        return (d.reshape(-1, self.dim) @ self.W.T).reshape(d.shape)
 
     def r2(self, d: np.ndarray) -> np.ndarray:
         """r_M^2 of the differences d."""

@@ -493,18 +493,26 @@ def _curve_parity(mesh: CurveMesh, points: np.ndarray) -> np.ndarray:
 
 
 def points_inside(mesh, points: np.ndarray) -> np.ndarray:
-    """Boolean mask of which ``points`` lie strictly inside ``mesh``."""
+    """Boolean mask of which ``points`` lie strictly inside ``mesh``.
+
+    The surface lies in the closed bounding box of its vertices, so a point
+    outside the open box is not strictly inside and casts no ray.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.dim:
         raise ShapeMismatch(f"points must be (n, {mesh.dim})")
-    out = np.zeros(len(pts), dtype=bool)
+    verts = mesh.vertices
+    cand = np.flatnonzero(((pts > verts.min(axis=0))
+                           & (pts < verts.max(axis=0))).all(axis=1))
     if mesh.dim == 2:
-        for lo in range(0, len(pts), 4096):
-            out[lo : lo + 4096] = _curve_parity(mesh, pts[lo : lo + 4096])
-        return out
-    chunk = max(1, _INSIDE_BLOCK // max(1, len(mesh.elements)))
-    for lo in range(0, len(pts), chunk):
-        out[lo : lo + chunk] = _ray_parity(mesh, pts[lo : lo + chunk])
+        parity, chunk = _curve_parity, 4096
+    else:
+        parity = _ray_parity
+        chunk = max(1, _INSIDE_BLOCK // max(1, len(mesh.elements)))
+    out = np.zeros(len(pts), dtype=bool)
+    for lo in range(0, len(cand), chunk):
+        idx = cand[lo : lo + chunk]
+        out[idx] = parity(mesh, pts[idx])
     return out
 
 

@@ -47,11 +47,11 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import _panel_quadrature
-from .direct import cached, solve_neumann_normalized
+from .direct import _solve_neumann_block, cached
 from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
-from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet
-from .mesh import NodalField, _write_text, require_off_surface
+from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
+from .mesh import _write_text, require_off_surface
 
 __all__ = [
     "TimeGrid",
@@ -486,9 +486,12 @@ def assemble_evolution_rhs(model: ConductivityModel, heart,
     divided by C_m when they come from an ionic law); None means the
     drift-free, reaction-free operator of the model.  The elliptic part of
     the correction drops identically (the Neumann solution is harmonic for
-    Delta_e), which is why only first-order terms appear.  Frames with
-    identically zero flux skip the solve and contribute exact zeros, so zero
-    data returns F = h with a bitwise-zero correction.
+    Delta_e), which is why only first-order terms appear.  The frames with
+    nonzero flux go through one multi-column Neumann solve (projected onto
+    the compatible subspace, one log line for all of them); frames with
+    identically zero flux skip it and contribute exact zeros, so zero data
+    returns F = h with a bitwise-zero correction.  Only the drift term,
+    which needs each frame's surface gradient, loops over the frames.
     """
     if model.lam is None:
         raise ShapeMismatch("the evolution right side needs a proportional model")
@@ -509,22 +512,17 @@ def assemble_evolution_rhs(model: ConductivityModel, heart,
 
     lam = float(model.lam)
     n, k = hv.shape
-    corr = np.zeros((n, k))
+    tensor = as_tensor(model.M_i, heart.dim)
+    w = np.zeros((n, k))
+    frames = np.flatnonzero(psi.any(axis=0))
+    if frames.size:
+        w[:, frames] = _solve_neumann_block(tensor, heart, psi[:, frames],
+                                            project=True)[0]
+    corr = w + c
     drift_term = np.zeros((n, k))
-    has_drift = bool(np.any(spec.drift))
-    for j in range(k):
-        if not np.any(psi[:, j]) and c[j] == 0.0:
-            continue
-        if np.any(psi[:, j]):
-            fld = NodalField(heart.surface_id, psi[:, j], units="mV*mS/cm^2")
-            _, rep = solve_neumann_normalized(model.M_i, heart, fld,
-                                              project=True)
-            w = rep.solution_trace.values
-        else:
-            w = np.zeros(n)
-        corr[:, j] = w + c[j]
-        if has_drift and np.any(w):
-            grad = _full_gradient(heart, np.asarray(model.M_i), w, psi[:, j])
+    if np.any(spec.drift):
+        for j in np.flatnonzero(w.any(axis=0)):
+            grad = _full_gradient(heart, tensor, w[:, j], psi[:, j])
             drift_term[:, j] = grad @ spec.drift
 
     dt_corr = np.zeros((n, k))

@@ -19,9 +19,13 @@ from cardiobem import (
     volume_potential,
 )
 from cardiobem.assembly import (
+    _DUF_U,
+    _DUF_V,
+    _DUF_W,
     _NEAR_FACTOR,
     _TRI_RULE_B,
     _TRI_RULE_W,
+    _closest_points,
     _near_panel_integrals_3d,
     _panel_quadrature,
     _panel_rule,
@@ -292,6 +296,63 @@ def test_near_panel_integrals_on_the_panel(M):
         want = 2.0 * _subdivided_reference(M, "single", x, 8) \
             - _subdivided_reference(M, "single", x, 7)
         assert np.abs(row - want).max() < 1e-4 * np.abs(want).max()
+
+
+def _duffy_loop(M, kind, x):
+    """The split Duffy rule over _PANEL, one subtriangle and point at a time.
+
+    Kernels and barycentric coordinates are written out here; a subtriangle
+    of zero area is skipped.
+    """
+    minv = np.linalg.inv(M)
+    c = 1.0 / (4.0 * np.pi * np.sqrt(np.linalg.det(M)))
+    p = _closest_points(x[None], _PANEL[None])[0][0]
+    frame = np.column_stack([_PANEL[1] - _PANEL[0], _PANEL[2] - _PANEL[0]])
+    area2 = np.linalg.norm(np.cross(frame[:, 0], frame[:, 1]))
+    out = np.zeros(3)
+    for a in range(3):
+        e1, e2 = _PANEL[a] - p, _PANEL[(a + 1) % 3] - p
+        sub2 = np.linalg.norm(np.cross(e1, e2))
+        if sub2 <= 1e-12 * area2:
+            continue
+        for u, v, w in zip(_DUF_U, _DUF_V, _DUF_W):
+            y = p + u * ((1.0 - v) * e1 + v * e2)
+            d = x - y
+            r = np.sqrt(d @ minv @ d)
+            k = c / r if kind == "single" else c * (d @ _PANEL_NORMAL) / r ** 3
+            st = np.linalg.lstsq(frame, y - _PANEL[0], rcond=None)[0]
+            out += k * w * u * sub2 * np.array([1.0 - st.sum(), st[0], st[1]])
+    return out
+
+
+@pytest.mark.parametrize("M", _TENSORS)
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_near_panel_integrals_match_subtriangle_loop(M, kind):
+    # a corner, an edge midpoint and the centroid on the panel, and two
+    # targets off it; a zero-area subtriangle is never evaluated, so no
+    # division by zero or invalid value is raised
+    centroid = _PANEL.mean(axis=0)
+    targets = np.array([_PANEL[1], 0.5 * (_PANEL[0] + _PANEL[2]), centroid,
+                        centroid + 0.1 * _PANEL_DIAM * _PANEL_NORMAL,
+                        np.array([1.2, 1.0, 0.0]) + 0.2 * _PANEL_NORMAL])
+
+    class Recording(_KernelSet):
+        points = 0
+
+        def layer(self, kind, r2, h):
+            Recording.points += r2.size
+            return super().layer(kind, r2, h)
+
+    p = len(targets)
+    with np.errstate(all="raise"):
+        got = _near_panel_integrals_3d(
+            Recording(M, 3), kind, targets, np.broadcast_to(_PANEL, (p, 3, 3)),
+            np.broadcast_to(_PANEL_NORMAL, (p, 3)))
+    # 1 + 2 + 3 + 3 + 2 subtriangles of nonzero area, 64 points each
+    assert Recording.points == 11 * 64
+    for x, row in zip(targets, got):
+        want = _duffy_loop(M, kind, x)
+        assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_double_layer_gauss_law_near_surface(sphere):

@@ -20,6 +20,7 @@ from cardiobem import (
     solve_neumann_normalized,
     solve_zaremba,
 )
+from cardiobem.direct import _solve_neumann_block
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,36 @@ def test_neumann_compatibility(sphere):
         ref.solution_trace.values, abs=1e-10)
     area = sphere.vertex_weights.sum()
     assert rep.compatibility_defect == pytest.approx(3.0 * area, rel=1e-12)
+
+
+def test_neumann_block_matches_column_solves(sphere, caplog):
+    # compatible columns (zero-mean harmonics, zero) and incompatible ones
+    # (constant shifts) in one block: each column is the one-column solve
+    x, y, z = sphere.vertices.T
+    block = np.column_stack([z, x * y + 2.0, np.zeros_like(z), y - 0.5,
+                             x * z, np.ones_like(z)])
+    tensor = np.diag([1.0, 2.0, 0.5])
+    with caplog.at_level("INFO", logger="cardiobem.direct"):
+        u0, u1, defect, residual, normalization = _solve_neumann_block(
+            tensor, sphere, block, project=True)
+    # the incompatible columns are shifted, and one line says so
+    shifted = [r for r in caplog.records if "projected" in r.getMessage()]
+    assert len(shifted) == 1 and "3 of 6" in shifted[0].getMessage()
+    for j in range(block.shape[1]):
+        _, rep = solve_neumann_normalized(
+            tensor, sphere, NodalField("s", block[:, j], units="mV*mS/cm^2"),
+            project=True)
+        want = rep.solution_trace.values
+        assert np.abs(u0[:, j] - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+        assert np.abs(u1[:, j] - rep.flux_trace.values).max() <= 1e-13
+        assert abs(defect[j]) == pytest.approx(rep.compatibility_defect,
+                                               rel=1e-12, abs=1e-13)
+        assert residual[j] < 1e-12
+        assert abs(normalization[j]) < 1e-12
+    assert np.array_equal(u0[:, 2], np.zeros(sphere.n_vertices))
+    with pytest.raises(IncompatibleData):
+        _solve_neumann_block(tensor, sphere, block)
+    _solve_neumann_block(tensor, sphere, block[:, [0, 2, 4]])  # compatible
 
 
 def test_neumann_volume_source(sphere):

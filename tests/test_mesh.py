@@ -23,7 +23,8 @@ from cardiobem import (
     save_nodal_field,
     surface_distance,
 )
-from cardiobem.mesh import _INSIDE_BLOCK, _write_text
+from cardiobem.grid import InteriorGrid
+from cardiobem.mesh import _INSIDE_BLOCK, _curve_parity, _ray_parity, _write_text
 from cardiobem.primitives import octahedron, unit_cube
 
 
@@ -192,6 +193,45 @@ def test_points_inside_blocks():
     away = np.abs(radius - 1.0) > 0.05
     assert away.sum() > 2500
     assert np.array_equal(mask[away], radius[away] < 1.0)
+
+
+@pytest.mark.parametrize("mesh, h", [
+    (icosphere(2, 1.0, surface_id="s"), 0.14),
+    (unit_cube(), 0.15),
+    (octahedron(radius=0.8), 0.15),
+], ids=["heat-grid", "cube", "octahedron"])
+def test_points_inside_box_cut_matches_ray_parity(mesh, h):
+    # outside the open bounding box no ray is cast; every point of the grid
+    # gets the mask that parity over the whole grid gives
+    centers = InteriorGrid.for_mesh(mesh, h=h).centers()
+    assert np.array_equal(points_inside(mesh, centers),
+                          _ray_parity(mesh, centers))
+
+
+def test_points_inside_box_cut_matches_curve_parity():
+    curve = circle_curve(0.7, 48, surface_id="c")
+    axis = np.linspace(-0.95, 0.95, 77)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    # parity says nothing useful on the curve itself, here at (-0.7, 0)
+    pts = pts[surface_distance(curve, pts) > 1e-9]
+    mask = points_inside(curve, pts)
+    assert np.array_equal(mask, _curve_parity(curve, pts))
+    assert 0 < mask.sum() < len(pts)
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2, 1.0, surface_id="s"), unit_cube()],
+                         ids=["icosphere", "cube"])
+def test_points_on_the_bounding_box_are_not_inside(mesh):
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pts = np.random.default_rng(5).uniform(lo, hi, size=(60, 3))
+    for axis in range(3):
+        pts[20 * axis : 20 * axis + 10, axis] = lo[axis]
+        pts[20 * axis + 10 : 20 * axis + 20, axis] = hi[axis]
+    assert not points_inside(mesh, pts).any()
+
+
+def test_heat_grid_cell_count():
+    assert InteriorGrid.for_mesh(icosphere(2, 1.0), h=0.14).inside.sum() == 1469
 
 
 def test_point_location(domain2):
