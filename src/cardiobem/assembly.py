@@ -30,7 +30,11 @@ at a corner or on an edge of its panel leaves one or two of zero area,
 which contribute nothing), on arrays of at most 768 x 3 x 64 values
 (about 1 MB each), whose whitened differences are one matrix product of
 per-subtriangle coefficients with a fixed table; one ``np.add.at`` per
-batch adds them in pair order.  Peak memory is therefore
+batch adds them in pair order.  The close pairs and everything about
+them that does not depend on the tensor or the kind (closest points, kept
+subtriangles, their edges, areas and heights) are built once per mesh for
+its own vertices, about 160 bytes per pair, and shared by every self
+operator of that surface.  Peak memory is therefore
 set by the far-field blocks, which hold at most 4e6 (target, quadrature
 point) pairs: the r_M^2 block, the kernel values and one temporary, 32 MB
 each, whatever the mesh size, on top of the dense matrix itself.  The
@@ -64,8 +68,8 @@ from scipy import sparse
 from .errors import ParseError, QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import _KernelSet, as_tensor
-from .mesh import (CurveMesh, NodalField, SurfaceMesh, _write_text,
-                   require_off_surface)
+from .mesh import (CurveMesh, NodalField, SurfaceMesh, _freeze, _memo,
+                   _write_text, require_off_surface)
 
 __all__ = [
     "LayerOperators",
@@ -230,6 +234,52 @@ def _closest_points(x: np.ndarray, corners: np.ndarray) -> tuple:
     return point, lam
 
 
+def _near_geometry(x: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> tuple:
+    """The tensor-free part of ``_near_panel_integrals_3d``, read-only.
+
+    Returns ``(lam_p, xp, pair, part, e1, e2, sub2, h)``: per pair the
+    barycentric coordinates of the split point p and x - p; per kept
+    (pair, part) subtriangle its indices, its edges from p, twice its area
+    and the height nu . (x - p) (p lies on the flat panel, so this is
+    nu . (x - y) at every point of it).
+    """
+    p, lam_p = _closest_points(x, corners)
+    area2 = np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
+                                    corners[:, 2] - corners[:, 0]), axis=1)
+    # subtriangle edges from p, shape (P, 3 parts, 3)
+    e1 = corners - p[:, None, :]
+    e2 = np.roll(e1, -1, axis=1)
+    sub2 = np.linalg.norm(np.cross(e1, e2), axis=2)
+    pair, part = np.nonzero(sub2 > 1e-12 * area2[:, None])
+    xp = x - p
+    h = np.einsum("pi,pi->p", normals, xp)[pair]
+    geometry = (lam_p, xp, pair, part, e1[pair, part], e2[pair, part],
+                sub2[pair, part], h)
+    for a in geometry:
+        a.flags.writeable = False
+    return geometry
+
+
+def _near_integrals(ker: _KernelSet, kind: str, geometry: tuple) -> np.ndarray:
+    """The kernel part of ``_near_panel_integrals_3d`` on its geometry."""
+    lam_p, xp, pair, part, e1, e2, sub2, h = geometry
+    # whitened x - y = W(x - p) - u(1-v) W e1 - uv W e2: coefficients of
+    # shape (kept, 3 components, 3) against _DUF_TABLE
+    coef = np.empty((len(pair), 3, 3))
+    coef[..., 0] = ker.whiten(xp)[pair]
+    coef[..., 1] = -ker.whiten(e1)
+    coef[..., 2] = -ker.whiten(e2)
+    z = (coef.reshape(-1, 3) @ _DUF_TABLE).reshape(len(pair), 3, -1)
+    r2 = np.einsum("kiq,kiq->kq", z, z)
+    w = ker.layer(kind, r2, h[:, None]) * (sub2[:, None] * _DUF_UW)
+    # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
+    # so three moments per subtriangle carry the basis functions
+    mom = np.zeros((len(xp), 3, 3))  # (P, 3 parts, 3 moments)
+    mom[pair, part] = w @ _DUF_MOMENTS
+    return (mom[:, :, 0].sum(axis=1)[:, None] * lam_p + mom[:, :, 1]
+            + np.roll(mom[:, :, 2], 1, axis=1))
+
+
 def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
                              corners: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Accurate integrals of kernel x linear basis over close panels.
@@ -243,34 +293,11 @@ def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
     subtriangle of zero area (p on an edge or at a corner) contributes
     nothing and is not evaluated: only the kept (pair, part) subtriangles
     are whitened and get the rule, and their moments are scattered into a
-    zeroed (P, 3 parts, 3) array.
+    zeroed (P, 3 parts, 3) array.  The geometry does not depend on the
+    tensor or the kind (``_near_geometry``); the kernel part does
+    (``_near_integrals``).
     """
-    p, lam_p = _closest_points(x, corners)
-    area2 = np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
-                                    corners[:, 2] - corners[:, 0]), axis=1)
-    # subtriangle edges from p, shape (P, 3 parts, 3)
-    e1 = corners - p[:, None, :]
-    e2 = np.roll(e1, -1, axis=1)
-    sub2 = np.linalg.norm(np.cross(e1, e2), axis=2)
-    pair, part = np.nonzero(sub2 > 1e-12 * area2[:, None])
-    # whitened x - y = W(x - p) - u(1-v) W e1 - uv W e2: coefficients of
-    # shape (kept, 3 components, 3) against _DUF_TABLE
-    xp = x - p
-    coef = np.empty((len(pair), 3, 3))
-    coef[..., 0] = ker.whiten(xp)[pair]
-    coef[..., 1] = -ker.whiten(e1[pair, part])
-    coef[..., 2] = -ker.whiten(e2[pair, part])
-    z = (coef.reshape(-1, 3) @ _DUF_TABLE).reshape(len(pair), 3, -1)
-    r2 = np.einsum("kiq,kiq->kq", z, z)
-    # p lies on the flat panel, so nu . (x - y) = nu . (x - p)
-    h = np.einsum("pi,pi->p", normals, xp)[pair, None]
-    w = ker.layer(kind, r2, h) * (sub2[pair, part, None] * _DUF_UW)
-    # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
-    # so three moments per subtriangle carry the basis functions
-    mom = np.zeros((len(x), 3, 3))  # (P, 3 parts, 3 moments)
-    mom[pair, part] = w @ _DUF_MOMENTS
-    return (mom[:, :, 0].sum(axis=1)[:, None] * lam_p + mom[:, :, 1]
-            + np.roll(mom[:, :, 2], 1, axis=1))
+    return _near_integrals(ker, kind, _near_geometry(x, corners, normals))
 
 
 def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
@@ -314,21 +341,42 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
     return out
 
 
+def _close_field(source, x: np.ndarray, centroids: np.ndarray,
+                 diam: np.ndarray) -> tuple:
+    """The close (target, panel) pairs of the targets ``x``, and their
+    geometry.
+
+    Returns ``(near_loc, near_el)``, the target and panel indices of the
+    pairs whose panel centroid lies within ``_NEAR_FACTOR`` panel diameters,
+    and in 3D the ``_near_geometry`` of each batch of ``_NEAR_BATCH`` of
+    them, in pair order (empty in 2D).  None of it depends on the tensor or
+    the layer kind.
+    """
+    d_c = np.sqrt(_sq_dist(x, centroids))
+    near_loc, near_el = np.nonzero(d_c < _NEAR_FACTOR * diam[None, :])
+    geometry = []
+    if source.dim == 3:
+        for lo in range(0, len(near_loc), _NEAR_BATCH):
+            j = near_el[lo : lo + _NEAR_BATCH]
+            geometry.append(_near_geometry(x[near_loc[lo : lo + _NEAR_BATCH]],
+                                           source.vertices[source.elements[j]],
+                                           source.normals[j]))
+    return _freeze(near_loc), _freeze(near_el), geometry
+
+
 def _correct_near_3d(matrix: np.ndarray, kind: str, ker: _KernelSet, source,
-                     x: np.ndarray, rows: np.ndarray, panels: np.ndarray) -> None:
+                     rows: np.ndarray, panels: np.ndarray, geometry: list) -> None:
     """Add the Duffy-rule integrals of close (row, panel) pairs.
 
-    ``x`` holds the targets of ``rows``.  The far-field pass left these
-    pairs out.  The pairs go in batches of ``_NEAR_BATCH``, and one
+    The far-field pass left these pairs out.  ``geometry`` holds the
+    ``_near_geometry`` of each batch of ``_NEAR_BATCH`` pairs, and one
     ``np.add.at`` per batch adds them in pair order, as a loop over the
     pairs would.
     """
-    for lo in range(0, len(rows), _NEAR_BATCH):
-        j = panels[lo : lo + _NEAR_BATCH]
-        els = source.elements[j]
-        fixed = _near_panel_integrals_3d(ker, kind, x[lo : lo + _NEAR_BATCH],
-                                         source.vertices[els], source.normals[j])
-        np.add.at(matrix, (rows[lo : lo + _NEAR_BATCH, None], els), fixed)
+    for batch, lo in zip(geometry, range(0, len(rows), _NEAR_BATCH)):
+        els = source.elements[panels[lo : lo + _NEAR_BATCH]]
+        np.add.at(matrix, (rows[lo : lo + _NEAR_BATCH, None], els),
+                  _near_integrals(ker, kind, batch))
 
 
 def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
@@ -348,7 +396,14 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
     n_t = len(targets)
     matrix = np.empty((n_t, source.n_vertices))
     chunk = max(1, _FAR_BLOCK // (nq * m))
-    for lo in range(0, n_t, chunk):
+    starts = range(0, n_t, chunk)
+    if same_surface:
+        # a surface's close pairs with its own vertices are the same for
+        # every tensor and kind: built once per mesh
+        close = _memo(source, "_self_close", lambda: [
+            _close_field(source, targets[lo : lo + chunk], centroids, diam)
+            for lo in starts])
+    for block, lo in enumerate(starts):
         x = targets[lo : lo + chunk]
         t = len(x)
         xc = x - centre
@@ -362,15 +417,15 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
                 kv = ker.double(r2, source.normals @ xc.T - offset[:, None])
         del r2
         # panels close to a target get the split rule below instead
-        d_c = np.sqrt(_sq_dist(x, centroids))
-        near_loc, near_el = np.nonzero(d_c < _NEAR_FACTOR * diam[None, :])
+        near_loc, near_el, geometry = (close[block] if same_surface else
+                                       _close_field(source, x, centroids, diam))
         kv[:, near_el, near_loc] = 0.0
         kb = basis_w @ kv.reshape(nq, m * t)  # (k, m * t)
         del kv
         matrix[lo : lo + chunk] = (incidence @ kb.reshape(k * m, t)).T
         if source.dim == 3:
-            _correct_near_3d(matrix, kind, ker, source, x[near_loc],
-                             lo + near_loc, near_el)
+            _correct_near_3d(matrix, kind, ker, source, lo + near_loc, near_el,
+                             geometry)
             continue
         for i_loc, j in zip(near_loc, near_el):
             row = lo + i_loc

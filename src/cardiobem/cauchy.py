@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .direct import cached, shell_operators
 from .errors import DegenerateLCurve, ShapeMismatch
@@ -190,6 +189,15 @@ class _StandardForm:
     an_pinv: np.ndarray  # (A N)+, (p, m)
 
 
+def _twice(m: np.ndarray) -> np.ndarray:
+    """The block diagonal matrix blockdiag(m, m)."""
+    r, c = m.shape
+    out = np.zeros((2 * r, 2 * c))
+    out[:r, :c] = m
+    out[r:, c:] = m
+    return out
+
+
 def _standard_form(a: np.ndarray, lap: Optional[np.ndarray]) -> _StandardForm:
     """Standard form for L = I (lap None) or L = blockdiag(lap, lap)."""
     m, n = a.shape
@@ -208,8 +216,8 @@ def _standard_form(a: np.ndarray, lap: Optional[np.ndarray]) -> _StandardForm:
     z /= np.sqrt(z.sum(axis=0))
     zz = z @ z.T
     lap_pinv = np.linalg.inv(lap + zz) - zz
-    l_pinv = block_diag(lap_pinv, lap_pinv)
-    null = block_diag(z, z)
+    l_pinv = _twice(lap_pinv)
+    null = _twice(z)
     an = a @ null
     an_pinv = np.linalg.pinv(an)
     a_lpinv = a @ l_pinv

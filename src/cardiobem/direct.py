@@ -19,15 +19,21 @@ Conventions:
   - Neumann solutions are normalized by the lumped surface mean (area
     weights at vertices) through one bordered Lagrange row, so the discrete
     constraint holds to solver precision.  A block of flux columns shares
-    one single-layer product and one solve with the bordered LU.
+    one single-layer product and one product with the bordered inverse.
 
-Operators and factorizations live in one cache, keyed by the meshes'
+Operators and solution operators live in one cache, keyed by the meshes'
 cache tokens and the tensor: the single and double layer of each surface,
-the shell block operators A and B, the Dirichlet, Neumann and Zaremba LUs,
-(for cauchy.py) the SVD of the Cauchy problem in standard form, and (for
-parabolic.py) each mesh's panel quadrature.  Each entry is built
-under the cache's lock, so threads that miss together build it once; as
-before, entries live as long as the process.
+the shell block operators A and B, the inverses of the Dirichlet matrix
+(S, or B on the shell) and of the bordered Neumann matrix, the Zaremba
+transfer, (for cauchy.py) the SVD of the Cauchy problem in standard form,
+and (for parabolic.py) each mesh's panel quadrature.  No LU factors are
+kept: a solve is one matrix product with a cached solution operator, and
+its residual is formed from the cached layers.  The Zaremba transfer maps
+heart data d straight to the unknowns [q_h; u_t] (the Lambda and T of the
+reduced Cauchy problem).  Everything runs on numpy's BLAS, so the package
+never wakes a second BLAS thread pool.  Each entry is built under the
+cache's lock, so threads that miss together build it once; as before,
+entries live as long as the process.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .assembly import assemble_layer, green_representation, volume_potential
 from .errors import IncompatibleData, ShapeMismatch, SolveFailure
@@ -89,27 +94,17 @@ def cached(key, build):
         return _cache[key]
 
 
-def _lu(matrix: np.ndarray):
-    """LU factors of ``matrix``; SolveFailure if singular or non-finite."""
+def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> np.ndarray:
+    """``matrix`` ^-1 ``rhs``, or the inverse without ``rhs``, read-only;
+    SolveFailure if singular or non-finite."""
     try:
-        lu = lu_factor(matrix)
-    except Exception as exc:  # singular or non-finite matrix
+        out = np.linalg.inv(matrix) if rhs is None else np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])):
-        raise SolveFailure("factorization produced non-finite factors")
-    return lu
-
-
-def _lu_solve(lu_piv, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a cached LU, safe for threads that share it.
-
-    scipy's LAPACK wrapper shifts the pivot array to 1-based indices in
-    place, with the GIL released, and shifts it back afterwards.  A second
-    thread using the same pivots meanwhile swaps the wrong rows: wrong
-    answers, or a heap corruption abort.  Each call gets its own copy.
-    """
-    lu, piv = lu_piv
-    return lu_solve((lu, piv.copy()), rhs)
+    if not np.all(np.isfinite(out)):
+        raise SolveFailure("solution operator has non-finite entries")
+    out.flags.writeable = False
+    return out
 
 
 def _layers(M, mesh):
@@ -117,12 +112,6 @@ def _layers(M, mesh):
     return cached(("layers", mesh.cache_token, M.tobytes()), lambda: (
         assemble_layer("single", M, mesh).matrix,
         assemble_layer("double", M, mesh).matrix))
-
-
-def _interior_limit_matrix(M, mesh) -> np.ndarray:
-    """1/2 I + D with the row-sum diagonal (exact interior limit)."""
-    d = _layers(M, mesh)[1]
-    return 0.5 * np.eye(len(d)) + d
 
 
 def shell_operators(M, heart, torso):
@@ -198,15 +187,14 @@ def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
     tensor = as_tensor(M, domain.dim)
     mesh = domain
     u0v = u0.check_on(mesh)
-    a = _interior_limit_matrix(tensor, mesh)
-    rhs = a @ u0v
+    s_mat, d_mat = _layers(tensor, mesh)
+    rhs = 0.5 * u0v + d_mat @ u0v
     if g_volume is not None:
         grid, g = g_volume
         rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
-    s_mat = _layers(tensor, mesh)[0]
-    lu = cached(("dirichlet", mesh.cache_token, tensor.tobytes()),
-                lambda: _lu(s_mat))
-    q = _lu_solve(lu, rhs)
+    s_inv = cached(("dirichlet", mesh.cache_token, tensor.tobytes()),
+                   lambda: _solution_operator(s_mat))
+    q = s_inv @ rhs
     residual = float(np.linalg.norm(s_mat @ q - rhs))
     report = DirectSolveReport(
         residual_norm=residual,
@@ -231,11 +219,10 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
     dh = u0_h.check_on(heart)
     dt = u0_t.check_on(torso)
     a, b = shell_operators(tensor, heart, torso)
-    lu = cached(("dirichlet-shell", heart.cache_token, torso.cache_token,
-                 tensor.tobytes()), lambda: _lu(b))
-    u_full = np.concatenate([dh, dt])
-    rhs = a @ u_full
-    q = _lu_solve(lu, rhs)
+    b_inv = cached(("dirichlet-shell", heart.cache_token, torso.cache_token,
+                    tensor.tobytes()), lambda: _solution_operator(b))
+    rhs = a @ np.concatenate([dh, dt])
+    q = b_inv @ rhs
     residual = float(np.linalg.norm(b @ q - rhs))
     nh = heart.n_vertices
     q_h, q_t = q[:nh], q[nh:]
@@ -269,9 +256,9 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     onto the compatible subspace, and one log line counts the shifted
     columns.  ``volume`` (n,), the volume potential at the vertices, is
     added to every column's right side.  All columns share one S product
-    and one solve with the cached bordered LU.  Returns (u0, u1, defect,
-    residual, normalization): solutions, the fluxes solved for, and per
-    column the signed defect, the residual norm and w . u0.
+    and one product with the cached bordered inverse.  Returns (u0, u1,
+    defect, residual, normalization): solutions, the fluxes solved for,
+    and per column the signed defect, the residual norm and w . u0.
     """
     w = mesh.vertex_weights
     area = float(w.sum())
@@ -290,22 +277,28 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
         logger.info("projected %d of %d Neumann data columns onto the "
                     "compatible subspace (largest defect %.3e)", bad.sum(),
                     bad.size, worst)
-    rhs = _layers(tensor, mesh)[0] @ u1
+    s_mat, d_mat = _layers(tensor, mesh)
+    rhs = s_mat @ u1
     if volume is not None:
         np.add(rhs.T, volume, out=rhs.T)  # to every column
     n = mesh.n_vertices
 
     def bordered():
-        a = _interior_limit_matrix(tensor, mesh)
+        # [1/2 I + D, w; w^T, 0]: the right side's last entry is always 0,
+        # so only the leading n x n block of the inverse is kept
         big = np.zeros((n + 1, n + 1))
-        big[:n, :n] = a
+        big[:n, :n] = d_mat
+        idx = np.arange(n)
+        big[idx, idx] += 0.5
         big[:n, n] = w
         big[n, :n] = w
-        return _lu(big), a
+        inv = _solution_operator(big)[:n, :n].copy()
+        inv.flags.writeable = False
+        return inv
 
-    lu, a = cached(("neumann", mesh.cache_token, tensor.tobytes()), bordered)
-    u0 = _lu_solve(lu, np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])]))[:n]
-    residual = np.linalg.norm(a @ u0 - rhs, axis=0)
+    inv = cached(("neumann", mesh.cache_token, tensor.tobytes()), bordered)
+    u0 = inv @ rhs
+    residual = np.linalg.norm(0.5 * u0 + d_mat @ u0 - rhs, axis=0)
     return u0, u1, defect, residual, w @ u0
 
 
@@ -356,21 +349,22 @@ def solve_zaremba(M, heart, torso, u_dirichlet_on_heart):
     """
     tensor = as_tensor(M, heart.dim)
     d = u_dirichlet_on_heart.check_on(heart)
-    nh, nt = heart.n_vertices, torso.n_vertices
+    nh = heart.n_vertices
     a, b = shell_operators(tensor, heart, torso)
 
-    def system():
+    def transfer():
         # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
         #   A [d; u_t] = B [q_h; 0]  =>  -B[:, :nh] q_h + A[:, nh:] u_t = -A[:, :nh] d
+        # so [q_h; u_t] = X d with X = sysmat^-1 (-A[:, :nh])
         sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
-        return _lu(sysmat), sysmat
+        return _solution_operator(sysmat, -a[:, :nh])
 
-    lu, sysmat = cached(("zaremba", heart.cache_token, torso.cache_token,
-                         tensor.tobytes()), system)
-    rhs = -(a[:, :nh] @ d)
-    sol = _lu_solve(lu, rhs)
-    residual = float(np.linalg.norm(sysmat @ sol - rhs))
+    x = cached(("zaremba", heart.cache_token, torso.cache_token,
+                tensor.tobytes()), transfer)
+    sol = x @ d
     q_h, u_t = sol[:nh], sol[nh:]
+    residual = float(np.linalg.norm(a @ np.concatenate([d, u_t])
+                                    - b[:, :nh] @ q_h))
     flux = -q_h  # heart-outward convention
     conservation = float(heart.vertex_weights @ flux)
     report = DirectSolveReport(

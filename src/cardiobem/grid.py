@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptySupport, ShapeMismatch
 from .kernels import as_tensor
-from .mesh import SurfaceMesh, points_inside
+from .mesh import SurfaceMesh, _freeze, _memo, points_inside
 
 __all__ = ["InteriorGrid"]
 
@@ -82,12 +82,8 @@ class InteriorGrid:
 
     def interior_centers(self) -> np.ndarray:
         """(n_inside, 3) centers of the interior cells, built once, read-only."""
-        found = self.__dict__.get("_interior_centers")
-        if found is None:
-            found = self.centers()[self.inside]
-            found.flags.writeable = False
-            object.__setattr__(self, "_interior_centers", found)
-        return found
+        return _memo(self, "_interior_centers",
+                     lambda: _freeze(self.centers()[self.inside]))
 
     def sample(self, f) -> np.ndarray:
         """Evaluate a callable on all cell centers (flat, C order)."""

@@ -84,6 +84,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _memo(obj, name: str, build):
+    """``obj``'s attribute ``name``, set to ``build()`` on first use.
+
+    Derived data of a frozen mesh or grid is built once per instance; the
+    builder returns it read-only.  Threads that miss together build equal
+    values, and the last one stays.
+    """
+    found = obj.__dict__.get(name)
+    if found is None:
+        found = build()
+        object.__setattr__(obj, name, found)
+    return found
+
+
 @dataclass(frozen=True)
 class SurfaceMesh:
     """Closed triangle mesh with outward orientation.
@@ -188,11 +202,15 @@ class SurfaceMesh:
         These realize the boundary integral of a nodal field,
         ``integral(u dsigma) ~= w . u``, exact for densities constant on the
         one-ring average sense and consistent with piecewise-linear
-        integration of the constant on each triangle.
+        integration of the constant on each triangle.  Built once,
+        read-only.
         """
-        w = np.zeros(self.n_vertices)
-        np.add.at(w, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
-        return w
+        def build():
+            w = np.zeros(self.n_vertices)
+            np.add.at(w, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
+            return _freeze(w)
+
+        return _memo(self, "_vertex_weights", build)
 
     @property
     def edges(self) -> np.ndarray:
@@ -291,9 +309,12 @@ class CurveMesh:
 
     @property
     def vertex_weights(self) -> np.ndarray:
-        w = np.zeros(self.n_vertices)
-        np.add.at(w, self.segments.ravel(), np.repeat(self.areas / 2.0, 2))
-        return w
+        def build():
+            w = np.zeros(self.n_vertices)
+            np.add.at(w, self.segments.ravel(), np.repeat(self.areas / 2.0, 2))
+            return _freeze(w)
+
+        return _memo(self, "_vertex_weights", build)
 
     @property
     def edges(self) -> np.ndarray:
@@ -373,14 +394,13 @@ class DomainConfig:
             raise GeometryError("heart surface is not strictly inside the torso")
         if points_inside(self.heart, self.torso.vertices).any():
             raise GeometryError("torso surface dips inside the heart")
-        gap = min(
-            surface_distance(self.torso, self.heart.vertices).min(),
-            surface_distance(self.heart, self.torso.vertices).min(),
-        )
-        if gap <= self.containment_tolerance:
+        tol = self.containment_tolerance
+        gap = min(_distances_within(self.torso, self.heart.vertices, tol).min(),
+                  _distances_within(self.heart, self.torso.vertices, tol).min())
+        if gap <= tol:
             raise GeometryError(
                 f"surfaces come within {gap:.3e} cm of each other "
-                f"(tolerance {self.containment_tolerance:.1e})"
+                f"(tolerance {tol:.1e})"
             )
 
 
@@ -575,6 +595,44 @@ def surface_distance(mesh, points: np.ndarray) -> np.ndarray:
     return _point_triangle_distance(pts, mesh)
 
 
+def _panel_balls(mesh) -> tuple:
+    """Per panel, the centroid (m, dim) and a radius (m,) about it that
+    reaches every corner; built once per mesh, read-only."""
+    def build():
+        corners = mesh.vertices[mesh.elements]  # (m, k, dim)
+        centre = corners.mean(axis=1)
+        radius = np.linalg.norm(corners - centre[:, None], axis=2).max(axis=1)
+        # inflated past the rounding of the comparison in _distances_within
+        return _freeze(centre), _freeze(radius * (1.0 + 1e-12))
+
+    return _memo(mesh, "_panel_balls", build)
+
+
+def _distances_within(mesh, points: np.ndarray, tol: float) -> np.ndarray:
+    """Distance from each point to the surface where it may be <= ``tol``,
+    and inf where it is certainly larger.
+
+    Panel j lies at least |x - c_j| - R_j from x (see ``_panel_balls``), so
+    the exact point-panel distances are computed only for the points with
+    |x - c_j| <= R_j + tol for some panel j.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != mesh.dim:
+        raise ShapeMismatch(f"points must be (n, {mesh.dim})")
+    centre, radius = _panel_balls(mesh)
+    reach2 = (radius + tol) ** 2
+    near = np.empty(len(pts), dtype=bool)
+    chunk = max(1, int(1e6) // len(radius))
+    for lo in range(0, len(pts), chunk):
+        d2 = sum((pts[lo : lo + chunk, None, i] - centre[None, :, i]) ** 2
+                 for i in range(mesh.dim))
+        near[lo : lo + chunk] = (d2 <= reach2).any(axis=1)
+    out = np.full(len(pts), np.inf)
+    if near.any():
+        out[near] = surface_distance(mesh, pts[near])
+    return out
+
+
 def point_location(config: DomainConfig, x) -> PointLocation:
     """Classify a point against a heart/torso configuration.
 
@@ -584,9 +642,9 @@ def point_location(config: DomainConfig, x) -> PointLocation:
     """
     pt = np.asarray(x, dtype=float).reshape(1, -1)
     tol = config.containment_tolerance
-    if surface_distance(config.heart, pt)[0] <= tol:
+    if _distances_within(config.heart, pt, tol)[0] <= tol:
         return PointLocation.ON_BOUNDARY
-    if surface_distance(config.torso, pt)[0] <= tol:
+    if _distances_within(config.torso, pt, tol)[0] <= tol:
         return PointLocation.ON_BOUNDARY
     if points_inside(config.heart, pt)[0]:
         return PointLocation.IN_HEART
@@ -874,7 +932,7 @@ def require_off_surface(mesh, points: np.ndarray, tol: float | None = None) -> N
     if tol is None:
         box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
         tol = 1e-9 * float(np.linalg.norm(box))
-    d = surface_distance(mesh, points)
+    d = _distances_within(mesh, points, tol)
     if np.any(d <= tol):
         worst = float(d.min())
         raise PointOnBoundary(

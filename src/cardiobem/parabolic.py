@@ -486,9 +486,10 @@ def assemble_evolution_rhs(model: ConductivityModel, heart,
     divided by C_m when they come from an ionic law); None means the
     drift-free, reaction-free operator of the model.  The elliptic part of
     the correction drops identically (the Neumann solution is harmonic for
-    Delta_e), which is why only first-order terms appear.  The frames with
-    nonzero flux go through one multi-column Neumann solve (projected onto
-    the compatible subspace, one log line for all of them); frames with
+    Delta_e), which is why only first-order terms appear.  The distinct
+    frames with nonzero flux go through one multi-column Neumann solve
+    (projected onto the compatible subspace, one log line for all of them),
+    so equal frames get bitwise-equal solutions; frames with
     identically zero flux skip it and contribute exact zeros, so zero data
     returns F = h with a bitwise-zero correction.  Only the drift term,
     which needs each frame's surface gradient, loops over the frames.
@@ -516,8 +517,11 @@ def assemble_evolution_rhs(model: ConductivityModel, heart,
     w = np.zeros((n, k))
     frames = np.flatnonzero(psi.any(axis=0))
     if frames.size:
-        w[:, frames] = _solve_neumann_block(tensor, heart, psi[:, frames],
-                                            project=True)[0]
+        # each distinct flux frame is solved once: a product with the
+        # inverse may round equal columns differently by their position
+        distinct, which = np.unique(psi[:, frames], axis=1, return_inverse=True)
+        w[:, frames] = _solve_neumann_block(tensor, heart, distinct,
+                                            project=True)[0][:, which.reshape(-1)]
     corr = w + c
     drift_term = np.zeros((n, k))
     if np.any(spec.drift):

@@ -366,6 +366,35 @@ def test_double_layer_gauss_law_near_surface(sphere):
         assert np.abs(dl.matrix.sum(axis=1) - want).max() < 3e-3
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_self_geometry_is_kept_and_bit_identical(level):
+    # builds under M = 7 leave the surface's close-pair geometry on it; S and
+    # D under diag(3, 1, 0.5) reuse it and match, bit for bit, both a fresh
+    # mesh's and the same targets given as points, which never use it
+    mesh = icosphere(level, 1.0, surface_id="s")
+    assemble_layer("double", 7.0, mesh)
+    assemble_layer("single", 7.0, mesh)
+    kept = mesh.__dict__["_self_close"]
+    M = np.diag([3.0, 1.0, 0.5])
+    n = mesh.n_vertices
+    for kind in ("single", "double"):
+        got = assemble_layer(kind, M, mesh).matrix
+        fresh = icosphere(level, 1.0, surface_id="s")
+        assert np.array_equal(got, assemble_layer(kind, M, fresh).matrix)
+        points = assemble_layer(kind, M, mesh, mesh.vertices.copy()).matrix
+        if kind == "double":  # the self build's row-sum diagonal
+            np.fill_diagonal(points, 0.0)
+            points[np.arange(n), np.arange(n)] = -0.5 - points.sum(axis=1)
+        assert np.array_equal(got, points)
+    assert mesh.__dict__["_self_close"] is kept
+    arrays = [a for near_loc, near_el, geometry in kept
+              for a in (near_loc, near_el, *(b for batch in geometry for b in batch))]
+    assert not any(a.flags.writeable for a in arrays)
+    # per-pair and per-subtriangle data only: no (subtriangles x 64) arrays
+    assert max(a.shape[-1] for a in arrays if a.ndim == 2) == 3
+    assert sum(a.nbytes for a in arrays) < (0.2 if level == 1 else 0.8) * 2 ** 20
+
+
 @pytest.mark.slow
 def test_single_layer_constant_level4():
     # a uniform unit density on the unit sphere has potential 1 on it

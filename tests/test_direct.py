@@ -14,13 +14,14 @@ import cardiobem
 from cardiobem import (
     IncompatibleData,
     InteriorGrid,
+    SolveFailure,
     NodalField,
     icosphere,
     solve_dirichlet,
     solve_neumann_normalized,
     solve_zaremba,
 )
-from cardiobem.direct import _solve_neumann_block
+from cardiobem.direct import _solution_operator, _solve_neumann_block, shell_operators
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,61 @@ def test_zaremba_constant_data(model, heart2, torso2):
     assert rep.solution_trace_outer.values == pytest.approx(5.0, abs=1e-8)
 
 
-_SHARED_LU_SCRIPT = """
+def test_zaremba_transfer_matches_lu_solution(model, heart2, torso2, fields2):
+    # the cached transfer X = sysmat^-1 (-A[:, :nh]) against an LU solve of
+    # the mixed system with the same data
+    from scipy.linalg import lu_factor, lu_solve
+
+    d = fields2["u_e"].values
+    flux, rep = solve_zaremba(model.M_b, heart2, torso2, fields2["u_e"])
+    a, b = shell_operators(cardiobem.as_tensor(model.M_b, 3), heart2, torso2)
+    nh = heart2.n_vertices
+    sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
+    want = lu_solve(lu_factor(sysmat), -(a[:, :nh] @ d))
+    got = np.concatenate([-flux.values, rep.solution_trace_outer.values])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert rep.residual_norm < 1e-10
+
+
+def test_solution_operator_failures():
+    with pytest.raises(SolveFailure):
+        _solution_operator(np.zeros((3, 3)))
+    with pytest.raises(SolveFailure):
+        _solution_operator(np.diag([1.0, np.nan, 1.0]), np.ones((3, 2)))
+    inv = _solution_operator(np.diag([2.0, 4.0]))
+    assert np.array_equal(inv, np.diag([0.5, 0.25]))
+    assert not inv.flags.writeable
+
+
+_ONE_POOL_SCRIPT = """
+import sys
+import numpy as np
+import cardiobem as cb
+
+heart = cb.icosphere(1, 1.0, surface_id="heart")
+torso = cb.icosphere(1, 2.0, surface_id="torso")
+domain = cb.DomainConfig(heart=heart, torso=torso)
+model = cb.ConductivityModel()
+cb.run_protocol_1(domain, model, cb.NodalField("heart", heart.vertices[:, 2].copy()))
+cb.run_protocol_2(domain, model, cb.NodalField("torso", torso.vertices[:, 2].copy()),
+                  cb.TikhonovConfig.log_grid(8, 1e-8, 1e0))
+sys.exit("scipy.linalg" in sys.modules)
+"""
+
+
+def test_package_leaves_scipy_linalg_unloaded():
+    # scipy.linalg brings its own BLAS and thread pool; the package, its cold
+    # solves included, runs on numpy's alone
+    src = str(Path(cardiobem.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", _ONE_POOL_SCRIPT], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+
+
+_SHARED_SOLVE_SCRIPT = """
 import sys, threading
 import numpy as np
 from cardiobem import NodalField, icosphere, solve_zaremba
@@ -180,15 +235,16 @@ sys.exit(1 if wrong else 0)
 
 
 def test_shared_factorization_is_thread_safe():
-    # two threads solving on one cached LU: a race on the shared pivot
-    # array gives wrong answers or aborts the process, so run it apart.
-    # Level 2 and one BLAS thread per solver thread make the solves overlap
-    # often enough that the race shows on every run.
+    # two threads solving with one cached solution operator: a solve that
+    # writes to shared state (as an LU solve shifting its pivot array does)
+    # gives wrong answers or aborts the process, so run it apart.  Level 2
+    # and one BLAS thread per solver thread make the solves overlap often
+    # enough that such a race shows on every run.
     src = str(Path(cardiobem.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", _SHARED_LU_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SHARED_SOLVE_SCRIPT], env=env,
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
 

@@ -12,6 +12,7 @@ from cardiobem import (
     NodalField,
     ParseError,
     PointLocation,
+    PointOnBoundary,
     ShapeMismatch,
     circle_curve,
     icosphere,
@@ -24,7 +25,8 @@ from cardiobem import (
     surface_distance,
 )
 from cardiobem.grid import InteriorGrid
-from cardiobem.mesh import _INSIDE_BLOCK, _curve_parity, _ray_parity, _write_text
+from cardiobem.mesh import (_INSIDE_BLOCK, _curve_parity, _distances_within,
+                            _ray_parity, _write_text, require_off_surface)
 from cardiobem.primitives import octahedron, unit_cube
 
 
@@ -247,3 +249,57 @@ def test_domain_config_containment():
     small = icosphere(1, 1.0, surface_id="torso")
     with pytest.raises(GeometryError):
         DomainConfig(heart=big, torso=small)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_domain_config_gap_at_the_tolerance(level):
+    # a torso 2e-6 outside the heart: the check raises for a gap just below
+    # the tolerance and passes just above it
+    heart = icosphere(level, 1.0, surface_id="heart")
+    torso = icosphere(level, 1.0 + 2e-6, surface_id="torso")
+    gap = min(surface_distance(torso, heart.vertices).min(),
+              surface_distance(heart, torso.vertices).min())
+    assert 1e-6 < gap < 2e-6
+    with pytest.raises(GeometryError, match=f"{gap:.3e}"):
+        DomainConfig(heart=heart, torso=torso,
+                     containment_tolerance=gap * (1.0 + 1e-9))
+    DomainConfig(heart=heart, torso=torso, containment_tolerance=gap * (1.0 - 1e-9))
+    DomainConfig(heart=heart, torso=torso)
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2, 1.0), circle_curve(1.0, 64)],
+                         ids=["sphere", "circle"])
+def test_distances_within_are_exact_up_to_the_tolerance(mesh):
+    rng = np.random.default_rng(3)
+    dirs = rng.normal(size=(400, mesh.dim))
+    pts = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * rng.uniform(
+        0.85, 1.15, size=(400, 1))
+    pts = np.vstack([pts, mesh.vertices, mesh.vertices[mesh.elements].mean(axis=1)])
+    exact = surface_distance(mesh, pts)
+    for tol in (1e-9, 1e-3, 2e-2, 0.1):
+        got = _distances_within(mesh, pts, tol)
+        close = exact <= tol
+        assert np.array_equal(got[close], exact[close])
+        assert np.all(got[~close] > tol)
+
+
+def test_require_off_surface_at_the_tolerance():
+    # a point 1e-4 off a face centroid along the normal: that face is the
+    # nearest, so the distance is 1e-4, and the message gives it
+    m = icosphere(2, 1.0)
+    x = m.vertices[m.triangles[7]].mean(axis=0) + 1e-4 * m.normals[7]
+    d = surface_distance(m, x[None, :])[0]
+    assert d == pytest.approx(1e-4, rel=1e-9)
+    with pytest.raises(PointOnBoundary, match=f"{d:.3e}"):
+        require_off_surface(m, x[None, :], d * (1.0 + 1e-9))
+    require_off_surface(m, x[None, :], d * (1.0 - 1e-9))
+
+
+def test_vertex_weights_built_once():
+    for mesh, k in ((icosphere(2, 1.0), 3), (circle_curve(1.0, 64), 2)):
+        w = mesh.vertex_weights
+        want = np.zeros(mesh.n_vertices)
+        np.add.at(want, mesh.elements.ravel(), np.repeat(mesh.areas / k, k))
+        assert np.array_equal(w, want)
+        assert mesh.vertex_weights is w
+        assert not w.flags.writeable
