@@ -198,6 +198,25 @@ def _twice(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _component_labels(lap: np.ndarray) -> np.ndarray:
+    """Connected-component label of each vertex of the graph of ``lap``.
+
+    Labels count from 0 in the order of each component's lowest vertex.
+    Every vertex takes the least label among its neighbours until none
+    changes, and jumps to its label's label on the way.
+    """
+    rows, cols = np.nonzero(lap)
+    labels = np.arange(len(lap))
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, rows, labels[cols])
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    return np.unique(labels, return_inverse=True)[1]
+
+
 def _standard_form(a: np.ndarray, lap: Optional[np.ndarray]) -> _StandardForm:
     """Standard form for L = I (lap None) or L = blockdiag(lap, lap)."""
     m, n = a.shape
@@ -205,14 +224,10 @@ def _standard_form(a: np.ndarray, lap: Optional[np.ndarray]) -> _StandardForm:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         return _StandardForm(u, s, vt, np.zeros((n, 0)), np.zeros((m, 0)),
                              np.zeros((0, m)))
-    # imported here, as only this penalty needs it: csgraph adds about 3 MB
-    # to the resident size of any process that imports it
-    from scipy.sparse.csgraph import connected_components
-
     # null(lap): one indicator per connected component of the mesh, which
     # also makes lap + Z Z^T invertible, with inverse lap+ + Z Z^T
-    count, labels = connected_components(lap, directed=False)
-    z = (labels[:, None] == np.arange(count)).astype(float)
+    labels = _component_labels(lap)
+    z = (labels[:, None] == np.arange(labels.max() + 1)).astype(float)
     z /= np.sqrt(z.sum(axis=0))
     zz = z @ z.T
     lap_pinv = np.linalg.inv(lap + zz) - zz

@@ -87,8 +87,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _memo(obj, name: str, build):
     """``obj``'s attribute ``name``, set to ``build()`` on first use.
 
-    Derived data of a frozen mesh or grid is built once per instance; the
-    builder returns it read-only.  Threads that miss together build equal
+    Derived data of a frozen mesh, grid or operator spec is built once per
+    instance; the builder returns it read-only.  Threads that miss together build equal
     values, and the last one stays.
     """
     found = obj.__dict__.get(name)

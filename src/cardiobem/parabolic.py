@@ -29,12 +29,17 @@ identity), so its last step is a trapezoid against that limit.
 Each potential evaluates all of its time lags in one pass.  Psi splits
 into a Gaussian block over (quadrature points or cells x lags) and a factor
 of the lag alone (``_gaussian``): the block is summed against the density,
-and the factor scales the per-lag sums.  The lateral layers first contract
-the block with the P1 basis of ``assembly._panel_quadrature``, the weighted
-basis values and then the panel incidence, which takes it to (vertices x
-lags) before it meets a density.  V and W share the first product: a panel
-is flat, so the double layer only scales it by one height per (panel, lag).
-Lags are blocked so that no block exceeds ``_BLOCK_ENTRIES`` entries.
+and the factor scales the per-lag sums.  The block's exponents come from
+one matrix product of three terms per point with three terms per lag, and
+``exp`` runs in place on it.  The lateral layers first contract the block
+with the P1 basis of ``assembly._panel_quadrature``, the weighted basis
+values and then the panel incidence, which takes it to (vertices x lags)
+before it meets a density.  V and W share the first product: a panel is
+flat, so the double layer differs only by one height per panel, which its
+own copy of the incidence carries in each panel corner's entry.  The
+operator's factorisation is built once per spec, and a volume source's
+interior rows once per (source, grid mask).  Lags are blocked so that no
+block exceeds ``_BLOCK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -45,13 +50,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .assembly import _panel_quadrature
 from .direct import _solve_neumann_block, cached
 from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
-from .mesh import _write_text, require_off_surface
+from .mesh import _freeze, _memo, _write_text, require_off_surface
 
 __all__ = [
     "TimeGrid",
@@ -157,34 +163,42 @@ def _gaussian(spec: HeatOperatorSpec, diff: np.ndarray, s) -> tuple:
         block  = exp(-|W (diff - a s)|^2 / (4 s)),
         factor = exp(-a0 s) / ((4 pi s)^{n/2} sqrt(det A)),
 
-    W the whitening of A (``kernels._KernelSet``), and ``factor`` exactly
-    zero for s <= 0 (causality), where ``block`` carries no meaning.
-    ``diff`` and ``s`` broadcast as in :func:`heat_kernel`.  A potential
-    sums ``block`` against its density first and scales the per-lag sums
-    by ``factor`` after.  With z = W diff and w = W a,
+    W the whitening of A (``kernels._KernelSet``, built once per spec), and
+    ``factor`` exactly zero for s <= 0 (causality), where ``block`` carries
+    no meaning.  ``diff`` and ``s`` broadcast as in :func:`heat_kernel`.  A
+    potential sums ``block`` against its density first and scales the
+    per-lag sums by ``factor`` after.  With z = W diff and w = W a, the
+    exponent is the inner product of a triple of the point and a triple of
+    the lag,
 
-        |W (diff - a s)|^2 = sum_i (z_i - w_i s)^2,
+        -|z - w s|^2 / (4 s) = [|z|^2, z . w, 1] . [-1/(4 s), 1/2, -s |w|^2/4],
 
-    so ``diff`` is never broadcast against ``s`` in (..., dim).
+    so a (points, 1, dim) ``diff`` against 1-D lags, the shape of every
+    potential, takes its exponents from one (points x 3) @ (3 x lags)
+    product, and other shapes contract the triples by broadcasting.  Zero
+    drift only zeroes two of the terms.
     """
     diff = np.asarray(diff, dtype=float)
     dim = diff.shape[-1]
     if dim != spec.dim:
         raise ShapeMismatch(f"diff has dimension {dim}, operator {spec.dim}")
     s = np.asarray(s, dtype=float)
-    ker = _KernelSet(spec.A, dim)
+    ker = _memo(spec, "_kernel_set", lambda: _KernelSet(spec.A, dim))
     z = ker.whiten(diff)
     w = ker.W @ spec.drift
     pos = s > 0.0
     s_safe = np.where(pos, s, 1.0)
-    if np.any(w):
-        q = sum((z[..., i] - w[i] * s_safe) ** 2 for i in range(dim))
-    else:                                      # drift-free: q of diff alone
-        q = np.einsum("...i,...i->...", z, z)
+    point = np.stack([np.einsum("...i,...i->...", z, z), z @ w,
+                      np.ones(z.shape[:-1])], axis=-1)
+    lag = np.stack([-0.25 / s_safe, np.full(s.shape, 0.5),
+                    (-0.25 * (w @ w)) * s_safe], axis=-1)
+    if diff.ndim == 3 and diff.shape[1] == 1 and s.ndim == 1:
+        block = point.reshape(-1, 3) @ lag.T
+    else:
+        block = np.asarray(np.einsum("...i,...i->...", point, lag))
+    np.exp(block, out=block)
     norm = np.exp(-spec.reaction * s_safe) / (
         (4.0 * np.pi * s_safe) ** (dim / 2.0) * ker.sqrt_det)
-    block = np.asarray(q * (-0.25 / s_safe))
-    np.exp(block, out=block)
     return block, np.where(pos, norm, 0.0)
 
 
@@ -297,39 +311,53 @@ def _layer_pair(spec: HeatOperatorSpec, mesh, x: np.ndarray, t: float,
     Either density may be None; its potential is then 0.  For each block of
     lags the Gaussian block E (quadrature points x lags) is contracted with
     the weighted basis once, G = basis_w E, and both layers reduce G to the
-    vertices through the incidence before they meet their densities.  Since
+    vertices before they meet their densities.  Since
     nu . (diff - a s) = nu . diff - (nu . a) s, the double-layer kernel
     -(nu . (diff - a s) / (2 s) + nu . a) Psi equals
     -(nu . diff / (2 s) + (nu . a) / 2) Psi, and on a flat panel nu . diff
-    is one height per panel, so the double layer scales G per (panel, lag).
-    The per-lag factor of Psi multiplies the per-lag sums.
+    is one height per panel.  So the double layer reduces G through copies
+    of the incidence whose entries carry their panel's height (and nu . a,
+    when the drift is not tangent everywhere), and -1/(2 s) and -1/2 scale
+    the per-lag sums.  The per-lag factor of Psi multiplies them too.
     """
     idx, wts = _time_weights(times, t)
     if idx.size == 0:
         return 0.0, 0.0
     centre, pts, offset, basis_w, incidence = _quadrature(mesh)
-    n_corners, nq = basis_w.shape
+    nq = basis_w.shape[1]
     xc = x - centre
     diff = xc - pts
     lags = t - times[idx]                      # idx is 0 .. k-1, all > 0
-    height = mesh.normals @ xc - offset        # nu . (x - y) on each panel
-    nu_a = mesh.normals @ spec.drift
+    if double is not None:
+        # CSR data run in row order: entry e sits in column indices[e],
+        # corner c of panel indices[e] % m
+        panel = incidence.indices % len(offset)
+        height = (mesh.normals @ xc - offset)[panel]  # nu . (x - y)
+        nu_a = (mesh.normals @ spec.drift)[panel]
+        by_height = _with_data(incidence, incidence.data * height)
+        by_drift = _with_data(incidence, incidence.data * nu_a) if np.any(nu_a) else None
     v = np.zeros(idx.size)
     w = np.zeros(idx.size)
     for blk in _lag_blocks(idx.size, len(pts)):
         lag = lags[blk]
         block, factor = _gaussian(spec, diff[:, None, :], lag)
-        # (corners, panels, lags): the basis-weighted sum over each panel
-        g = (basis_w @ block.reshape(nq, -1)).reshape(n_corners, -1, lag.size)
+        # (corners x panels, lags): the basis-weighted sum over each panel
+        g = (basis_w @ block.reshape(nq, -1)).reshape(-1, lag.size)
         del block
         if single is not None:
-            sums = incidence @ g.reshape(-1, lag.size)
-            v[blk] = factor * np.einsum("nj,nj->j", sums, single[:, blk])
+            v[blk] = factor * np.einsum("nj,nj->j", incidence @ g, single[:, blk])
         if double is not None:
-            g *= -(height[:, None] / (2.0 * lag) + 0.5 * nu_a[:, None])
-            sums = incidence @ g.reshape(-1, lag.size)
-            w[blk] = factor * np.einsum("nj,nj->j", sums, double[:, blk])
+            dens = double[:, blk]
+            sums = (-0.5 / lag) * np.einsum("nj,nj->j", by_height @ g, dens)
+            if by_drift is not None:
+                sums -= 0.5 * np.einsum("nj,nj->j", by_drift @ g, dens)
+            w[blk] = factor * sums
     return float(v @ wts), float(w @ wts)
+
+
+def _with_data(csr, data: np.ndarray):
+    """``csr``'s sparsity pattern with other entries."""
+    return sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
 
 
 def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
@@ -352,6 +380,21 @@ def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
     return _layer_pair(spec, mesh, x, t, times, double=density.values)[1]
 
 
+def _interior_rows(source: SpaceTimeField, grid: InteriorGrid) -> np.ndarray:
+    """``source.values[grid.inside]``, gathered once per (source, mask).
+
+    The source holds the rows of the last mask it met, with a copy of that
+    mask, so a grid with another mask gathers afresh and is never served
+    the rows of the first.
+    """
+    held = source.__dict__.get("_interior_rows")
+    if held is None or not np.array_equal(held[0], grid.inside):
+        mask = np.array(grid.inside, dtype=bool)
+        held = (_freeze(mask), _freeze(source.values[mask]))
+        object.__setattr__(source, "_interior_rows", held)
+    return held[1]
+
+
 def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
                           source: SpaceTimeField, x, t: float) -> float:
     """G(g)(x, t) over the interior cells.
@@ -370,7 +413,7 @@ def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
     if below.size == 0:
         return 0.0
     k = below[-1] + 1
-    g_in = g[grid.inside]
+    g_in = _interior_rows(source, grid)
     diff = x[None, :] - grid.interior_centers()
     lags = t - times[:k]
     series = np.empty(k + 1)

@@ -8,16 +8,22 @@ from cardiobem import (
     DiscrepancyPrinciple,
     DomainConfig,
     FixedAlpha,
+    HarmonicSpec,
+    HarmonicTerm,
     NodalField,
     ShapeMismatch,
+    Shell3D,
     SurfaceMesh,
     TikhonovConfig,
     icosphere,
     lcurve_corner,
+    rmse,
+    run_protocol_2,
     save_lcurve,
     solve_cauchy_elliptic,
+    synth_bidomain_steady,
 )
-from cardiobem.cauchy import _graph_laplacian
+from cardiobem.cauchy import _component_labels, _graph_laplacian
 from cardiobem.direct import shell_operators
 
 
@@ -171,6 +177,18 @@ def _two_sphere_heart():
                        surface_id="heart")
 
 
+def test_component_labels_of_two_spheres():
+    # one label per sphere, numbered in the order of their lowest vertex
+    heart = _two_sphere_heart()
+    n_left = icosphere(1, 0.4).n_vertices
+    labels = _component_labels(_graph_laplacian(heart))
+    assert np.array_equal(labels, np.repeat([0, 1], [n_left, heart.n_vertices - n_left]))
+    # renumbered so that the spheres interleave, vertex 0 still on the left
+    order = np.argsort(np.arange(heart.n_vertices) % 2, kind="stable")
+    got = _component_labels(_graph_laplacian(heart)[np.ix_(order, order)])
+    assert np.array_equal(got, order >= n_left)
+
+
 @pytest.mark.parametrize("heart_kind", ["icosphere", "two_spheres"])
 def test_surface_gradient_matches_normal_equations(model, heart_kind):
     # rho = |A x - b| and eta = |L x| at every alpha, with x from the normal
@@ -215,3 +233,25 @@ def test_warm_solve_makes_no_svd(model, penalty, monkeypatch):
     warm = solve_cauchy_elliptic(model.M_b, heart, torso, f, config=cfg)
     assert len(calls) == 1
     assert np.array_equal(warm.heart_dirichlet.values, cold.heart_dirichlet.values)
+
+
+@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 1")
+def test_lcurve_pick_on_three_term_data(model, domain3):
+    # noise-free data with degrees 1-3 at level 3: the L-curve corner should
+    # land near the error-optimal alpha, but the identity penalty's knee sits
+    # where the flux block is regularised away (42.7 mV against 0.61 mV)
+    geometry = Shell3D(1.0, 2.0)
+    spec = HarmonicSpec(terms=(HarmonicTerm(1, 0, a=10.0), HarmonicTerm(2, 1, a=4.0),
+                               HarmonicTerm(3, -2, a=2.0)), geometry=geometry)
+    fields = synth_bidomain_steady(geometry, model, spec).fields_on(domain3.heart,
+                                                                    domain3.torso)
+    v_true = fields["v"].values
+    config = TikhonovConfig.log_grid()
+    picked = rmse(run_protocol_2(domain3, model, fields["f"], tikhonov=config).v.values,
+                  v_true)
+    best = min(rmse(run_protocol_2(domain3, model, fields["f"],
+                                   tikhonov=TikhonovConfig(config.alpha_grid,
+                                                           selection=FixedAlpha(a))
+                                   ).v.values, v_true)
+               for a in config.alpha_grid)
+    assert picked <= 5.0 * best, f"L-curve pick {picked:.3g} mV, best {best:.3g} mV"

@@ -195,16 +195,52 @@ sys.exit("scipy.linalg" in sys.modules)
 """
 
 
+def _run_apart(script: str, **env_vars) -> None:
+    """Run ``script`` in a fresh interpreter on this package; it must exit 0."""
+    src = str(Path(cardiobem.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+
+
 def test_package_leaves_scipy_linalg_unloaded():
     # scipy.linalg brings its own BLAS and thread pool; the package, its cold
     # solves included, runs on numpy's alone
-    src = str(Path(cardiobem.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", _ONE_POOL_SCRIPT], env=env,
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+    _run_apart(_ONE_POOL_SCRIPT)
+
+
+_OTHER_PATHS_SCRIPT = """
+import sys
+import numpy as np
+import cardiobem as cb
+
+heart = cb.icosphere(1, 1.0, surface_id="heart")
+torso = cb.icosphere(1, 2.0, surface_id="torso")
+cb.solve_cauchy_elliptic(7.0, heart, torso,
+                         cb.NodalField("torso", torso.vertices[:, 2].copy()),
+                         config=cb.TikhonovConfig.log_grid(penalty="surface_gradient"))
+tg = cb.TimeGrid(t_end=0.5, steps=6)
+grid = cb.InteriorGrid.for_mesh(heart, h=0.25)
+trace = cb.SpaceTimeField.constant_in_time("heart", np.ones(heart.n_vertices), tg)
+flux = cb.SpaceTimeField.constant_in_time("heart", np.zeros(heart.n_vertices), tg)
+source = cb.SpaceTimeField("grid", np.ones((grid.n_cells, tg.steps)), tg)
+cb.parabolic_green_reconstruct(cb.HeatOperatorSpec(), heart, grid, trace, flux,
+                               np.ones(grid.n_cells), source,
+                               np.array([0.1, 0.0, 0.2]), 0.4)
+loaded = [name for name in ("scipy.linalg", "scipy.sparse.csgraph")
+          if name in sys.modules]
+sys.exit(f"loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_surface_gradient_and_heat_paths_leave_scipy_linalg_unloaded():
+    # the surface-gradient penalty counts the heart's components and the
+    # heat potentials reduce through sparse incidences, both without
+    # scipy.sparse.csgraph, which would import scipy.linalg
+    _run_apart(_OTHER_PATHS_SCRIPT)
 
 
 _SHARED_SOLVE_SCRIPT = """
@@ -240,13 +276,7 @@ def test_shared_factorization_is_thread_safe():
     # gives wrong answers or aborts the process, so run it apart.  Level 2
     # and one BLAS thread per solver thread make the solves overlap often
     # enough that such a race shows on every run.
-    src = str(Path(cardiobem.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", _SHARED_SOLVE_SCRIPT], env=env,
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+    _run_apart(_SHARED_SOLVE_SCRIPT, OPENBLAS_NUM_THREADS="1")
 
 
 def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):

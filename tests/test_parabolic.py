@@ -1,5 +1,6 @@
 """Parabolic potentials: heat kernel, Green identity, evolution right side."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -326,6 +327,44 @@ def test_quadrature_built_once_per_mesh(aniso_spec3, heat_data, monkeypatch):
     for arr in (centre, points, offset, basis_w,
                 incidence.data, incidence.indices, incidence.indptr):
         assert not arr.flags.writeable
+
+
+def test_kernel_set_built_once_per_spec(heart2, heat_data, monkeypatch):
+    # Poisson, volume and layers share one factorisation of A per spec
+    d = heat_data
+    spec = HeatOperatorSpec(M=np.diag([1.1, 0.9, 1.3]), scale=0.7,
+                            drift=np.array([0.1, 0.0, -0.2]), dim=3)
+    builds = []
+    kernel_set = parabolic._KernelSet
+
+    def counted(*a):
+        builds.append(1)
+        return kernel_set(*a)
+
+    monkeypatch.setattr(parabolic, "_KernelSet", counted)
+    for x, t in (([0.2, -0.3, 0.1], 0.5), ([-0.1, 0.4, 0.2], 0.45),
+                 ([0.0, 0.1, -0.5], 0.37)):
+        parabolic_green_reconstruct(spec, heart2, d["grid"], d["trace"], d["flux"],
+                                    d["u0"], d["source"], np.array(x), t)
+    assert len(builds) == 1
+
+
+def test_volume_rows_follow_the_grid(aniso_spec3, heat_data):
+    # one source met by two grids of one shape but different masks: each
+    # grid sums over its own interior cells, whichever comes first
+    spec, d = aniso_spec3, heat_data
+    grid = d["grid"]
+    inside = grid.inside.copy()
+    inside[np.flatnonzero(inside)[::3]] = False
+    other = dataclasses.replace(grid, inside=inside)
+    x, t = np.array([0.2, -0.3, 0.1]), 0.37
+    want = {id(g): _volume_per_lag(spec, g, d["source"], x, t) for g in (grid, other)}
+    assert want[id(grid)] != pytest.approx(want[id(other)], rel=1e-3)
+    for order in ((grid, other), (other, grid)):
+        source = SpaceTimeField("grid", d["source"].values, d["tg"])
+        for g in order + order:
+            got = volume_heat_potential(spec, g, source, x, t)
+            assert got == pytest.approx(want[id(g)], rel=1e-12, abs=0)
 
 
 def test_layer_potential_validation(model, heart2):
