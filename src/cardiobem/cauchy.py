@@ -44,7 +44,7 @@ import numpy as np
 from .direct import cached, shell_operators
 from .errors import DegenerateLCurve, ShapeMismatch
 from .kernels import as_tensor
-from .mesh import NodalField, _write_text
+from .mesh import NodalField, _format_rows, _write_text
 
 __all__ = [
     "LCurveMaxCurvature",
@@ -306,12 +306,16 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
         config = TikhonovConfig.log_grid()
     tensor = as_tensor(M_b, heart.dim)
     fv = f.check_on(torso)
-    qt = np.zeros(torso.n_vertices) if flux_on_torso is None else flux_on_torso.check_on(torso)
+    qt = None if flux_on_torso is None else flux_on_torso.check_on(torso)
     nh = heart.n_vertices
     a_full, b_full = shell_operators(tensor, heart, torso)
-    b = b_full[:, nh:] @ qt - a_full[:, nh:] @ fv
+    # b = B q - A f; -(A f) + B q rounds the same, and an insulated torso
+    # (no flux given) skips the product with q = 0
+    b = -(a_full[:, nh:] @ fv)
+    if qt is not None:
+        b += b_full[:, nh:] @ qt
 
-    if not np.any(fv) and not np.any(qt):
+    if not np.any(fv) and (qt is None or not np.any(qt)):
         # exactly zero data: the regularized minimizer is exactly zero
         zero = np.zeros(nh)
         points = tuple((np.log(1e-300), np.log(1e-300)) for _ in config.alpha_grid)
@@ -359,8 +363,7 @@ def save_lcurve(report: CauchySolveReport, path) -> None:
     grid = report.diagnostics.get("alpha_grid")
     rho = report.diagnostics.get("residuals")
     eta = report.diagnostics.get("seminorms")
-    lines = ["alpha,residual_norm,solution_norm"]
+    text = "alpha,residual_norm,solution_norm\n"
     if grid is not None:
-        for a, r, e in zip(grid, rho, eta):
-            lines.append(f"{float(a)!r},{float(r)!r},{float(e)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+        text += _format_rows("%r,%r,%r\n", np.column_stack((grid, rho, eta)))
+    _write_text(path, text)

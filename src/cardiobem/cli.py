@@ -37,8 +37,8 @@ from .cauchy import (DiscrepancyPrinciple, FixedAlpha, LCurveMaxCurvature,
 from .errors import CardiobemError
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
-from .mesh import (DomainConfig, NodalField, _write_text, load_mesh,
-                   load_nodal_field, save_mesh, save_nodal_field)
+from .mesh import (DomainConfig, NodalField, _format_rows, _write_text,
+                   load_mesh, load_nodal_field, save_mesh, save_nodal_field)
 from .oracle import (HarmonicSpec, HarmonicTerm, Shell3D, rmse,
                      synth_bidomain_steady)
 from .parabolic import (SpaceTimeField, TimeGrid, heat_kernel,
@@ -409,8 +409,8 @@ def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
                                       proportional=True)
     save_nodal_field(elem.u_e_trace, out / "u_e_trace.csv")
     save_nodal_field(elem.u_i_trace, out / "u_i_trace.csv")
-    _write_text(out / "u_interior.csv", "\n".join(
-        repr(float(v)) for v in elem.u_interior[grid.inside]) + "\n")
+    _write_text(out / "u_interior.csv",
+                _format_rows("%r\n", elem.u_interior[grid.inside]))
     results = {
         "trace_sup": float(np.abs(elem.u_e_trace.values).max()),
         "grad_trace_sup": float(elem.grad_trace_norm),

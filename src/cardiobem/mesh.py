@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import locale
 import logging
 import os
 from dataclasses import dataclass, field
@@ -660,16 +661,43 @@ def point_location(config: DomainConfig, x) -> PointLocation:
 def _write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as ``Path.write_text`` does, but in place.
 
-    The file is overwritten from its start and then cut at the end of the
-    new text, not truncated on open: on ext4, truncating a file to zero and
-    rewriting it makes ``close()`` start write-back (``auto_da_alloc``),
-    which costs far more than writing these small files.  Encoding, newline
-    translation and the mode of a new file are ``write_text``'s.  The write
-    is not atomic: a crash or a concurrent reader can see a partial file.
+    The file is overwritten from its start through a raw descriptor and cut
+    only when it was longer than the new text, not truncated on open: on
+    ext4, truncating a file to zero and rewriting it makes ``close()`` start
+    write-back (``auto_da_alloc``), which costs far more than writing these
+    small files.  The encoding (the locale's preferred one) and the mode of
+    a new file are ``write_text``'s; newlines are written as ``"\\n"``, which
+    is what ``write_text`` does on POSIX.  The write is not atomic: a crash
+    or a concurrent reader can see a partial file.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
-        fh.truncate()
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
+
+
+def _format_rows(line: str, values, index: bool = False) -> str:
+    """Fill ``line`` once per row of ``values``, all rows in one ``%`` call.
+
+    ``values`` (1-D: one value a row) is read as float64 and goes through
+    ``tolist()``, so each ``%r`` prints ``repr(float(x))``, Python's shortest
+    round-trip form, and ``%d`` the digits of an integer-valued float.  With
+    ``index`` each value of a 1-D ``values`` follows its row number.
+    """
+    vals = np.asarray(values, dtype=float)
+    cells = vals.ravel().tolist()
+    if index:
+        numbered = [None] * (2 * len(cells))
+        numbered[::2] = range(len(cells))
+        numbered[1::2] = cells
+        cells = numbered
+    return (line * len(vals)) % tuple(cells)
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:
@@ -842,32 +870,28 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
         }
         _write_text(p, json.dumps(doc, indent=1) + "\n")
         return
+    points = _format_rows("%r %r %r\n", mesh.vertices)
+    polygons = _format_rows("3 %d %d %d\n", mesh.triangles)
     if kind == "off":
-        lines = ["OFF", f"{mesh.n_vertices} {len(mesh.triangles)} 0"]
-        lines += [" ".join(repr(float(c)) for c in row) for row in mesh.vertices]
-        lines += ["3 " + " ".join(str(int(i)) for i in row) for row in mesh.triangles]
-        _write_text(p, "\n".join(lines) + "\n")
+        _write_text(p, f"OFF\n{mesh.n_vertices} {len(mesh.triangles)} 0\n"
+                       f"{points}{polygons}")
         return
-    lines = [
-        "# vtk DataFile Version 3.0",
-        mesh.surface_id,
-        "ASCII",
-        "DATASET POLYDATA",
-        f"POINTS {mesh.n_vertices} double",
+    text = [
+        f"# vtk DataFile Version 3.0\n{mesh.surface_id}\nASCII\n"
+        f"DATASET POLYDATA\nPOINTS {mesh.n_vertices} double\n",
+        points,
+        f"POLYGONS {len(mesh.triangles)} {4 * len(mesh.triangles)}\n",
+        polygons,
     ]
-    lines += [" ".join(repr(float(c)) for c in row) for row in mesh.vertices]
-    lines.append(f"POLYGONS {len(mesh.triangles)} {4 * len(mesh.triangles)}")
-    lines += ["3 " + " ".join(str(int(i)) for i in row) for row in mesh.triangles]
     if point_data:
-        lines.append(f"POINT_DATA {mesh.n_vertices}")
+        text.append(f"POINT_DATA {mesh.n_vertices}\n")
         for name, values in point_data.items():
             vals = np.asarray(values, dtype=float)
             if vals.shape != (mesh.n_vertices,):
                 raise ShapeMismatch(f"point_data {name!r} has wrong length")
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines += [repr(float(v)) for v in vals]
-    _write_text(p, "\n".join(lines) + "\n")
+            text.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            text.append(_format_rows("%r\n", vals))
+    _write_text(p, "".join(text))
 
 
 # ---------------------------------------------------------------------------
@@ -875,18 +899,19 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
 
 
 def save_nodal_field(fld: NodalField, path) -> None:
-    """Write ``node_index,value`` CSV plus a ``.json`` sidecar manifest."""
+    """Write ``node_index,value`` CSV plus a ``.json`` sidecar manifest.
+
+    Values are ``repr``-exact.  The sidecar is ``json.dumps(manifest,
+    indent=1)`` of ``surface_id``, ``units`` and ``length``, plus a newline,
+    filled into a fixed template: only the two strings go through ``json``.
+    """
     p = Path(path)
-    lines = ["node_index,value"]
-    lines += [f"{i},{repr(float(v))}" for i, v in enumerate(fld.values)]
-    _write_text(p, "\n".join(lines) + "\n")
-    manifest = {
-        "surface_id": fld.surface_id,
-        "units": fld.units,
-        "length": len(fld.values),
-    }
+    _write_text(p, "node_index,value\n"
+                + _format_rows("%d,%r\n", fld.values, index=True))
     _write_text(p.with_suffix(p.suffix + ".json"),
-                json.dumps(manifest, indent=1) + "\n")
+                '{\n "surface_id": %s,\n "units": %s,\n "length": %d\n}\n'
+                % (json.dumps(fld.surface_id), json.dumps(fld.units),
+                   len(fld.values)))
 
 
 def load_nodal_field(path) -> NodalField:

@@ -57,7 +57,7 @@ from .direct import _solve_neumann_block, cached
 from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
-from .mesh import _freeze, _memo, _write_text, require_off_surface
+from .mesh import _format_rows, _freeze, _memo, _write_text, require_off_surface
 
 __all__ = [
     "TimeGrid",
@@ -615,8 +615,8 @@ def ionic_current_linear(v: SpaceTimeField, a, a0: float, b,
 def save_spacetime_field(fld: SpaceTimeField, path) -> None:
     """CSV matrix (rows = nodes, cols = frames) plus a JSON sidecar manifest."""
     p = Path(path)
-    rows = [",".join(repr(float(x)) for x in row) for row in fld.values]
-    _write_text(p, "\n".join(rows) + "\n")
+    line = ",".join(["%r"] * fld.values.shape[1]) + "\n"
+    _write_text(p, _format_rows(line, fld.values))
     manifest = {
         "location": fld.location,
         "units": fld.units,

@@ -325,10 +325,13 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
     """Write per-surface CSVs, a JSON run manifest, optionally VTK POLYDATA.
 
     Returns the manifest dict.  File contents are deterministic: repr-exact
-    floats, no timestamps.
+    floats, no timestamps.  Files are rewritten in place (see
+    ``mesh._write_text``).  ``directory`` and its parents are made when it is
+    not a directory yet; a path that is a file raises ``FileExistsError``.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    if not directory.is_dir():
+        directory.mkdir(parents=True, exist_ok=True)
     files = {}
     for name in ("u_e", "u_i", "v"):
         f = getattr(out, name)

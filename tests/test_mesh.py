@@ -1,5 +1,6 @@
 """Mesh containers, primitives, nodal fields, and file round trips."""
 
+import json
 import os
 
 import numpy as np
@@ -143,6 +144,34 @@ def test_write_text_creates_and_keeps_mode(tmp_path):
     _write_text(kept, "new\n")
     assert kept.read_bytes() == b"new\n"
     assert kept.stat().st_mode & 0o777 == 0o604
+
+
+@pytest.mark.parametrize("old", ["abc\n", "a\n"], ids=["equal", "shorter"])
+def test_write_text_over_an_existing_file(tmp_path, old):
+    path = tmp_path / "out.csv"
+    path.write_text(old)
+    _write_text(path, "xyz\n")
+    assert path.read_bytes() == b"xyz\n"
+
+
+def test_save_nodal_field_bytes(tmp_path):
+    # shortest round-trip reprs, exponents included, and a sidecar whose
+    # strings need JSON escapes
+    values = [-0.0, 5e-324, 1e-05, 1e+16, 1e+22, 0.1, 1 / 3,
+              123456789012345678.0]
+    surface_id, units = 'he"art\\1 \u00e9', 'm\u00b5V \\ "x"'
+    save_nodal_field(NodalField(surface_id, np.array(values), units=units),
+                     tmp_path / "f.csv")
+    rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
+    assert (tmp_path / "f.csv").read_bytes() == \
+        ("node_index,value\n" + rows).encode()
+    assert rows.startswith("0,-0.0\n1,5e-324\n2,1e-05\n3,1e+16\n4,1e+22\n")
+    manifest = {"surface_id": surface_id, "units": units, "length": 8}
+    assert (tmp_path / "f.csv.json").read_bytes() == \
+        (json.dumps(manifest, indent=1) + "\n").encode()
+    back = load_nodal_field(tmp_path / "f.csv")
+    assert back.values.tobytes() == np.array(values).tobytes()
+    assert (back.surface_id, back.units) == (surface_id, units)
 
 
 def test_point_queries():

@@ -7,6 +7,7 @@ import pytest
 
 from cardiobem import (
     CubicRadial,
+    DomainConfig,
     HarmonicSpec,
     HarmonicTerm,
     InteriorGrid,
@@ -17,6 +18,7 @@ from cardiobem import (
     calibration_constant,
     eval_harmonic,
     generate_nullspace_element,
+    icosphere,
     reconstruct_ui_general,
     reconstruct_ui_proportional,
     rmse,
@@ -174,3 +176,58 @@ def test_write_reconstruction(tmp_path, domain2, model, fields2):
     meta = json.loads((tmp_path / "reconstruction.json").read_text())
     assert "c" in meta
     assert (tmp_path / "reconstruction.vtk").exists()
+
+
+def _reference_write(out, directory, heart):
+    """``write_reconstruction`` without VTK, spelled with plain expressions."""
+    for name in ("u_e", "u_i", "v"):
+        f = getattr(out, name)
+        rows = [f"{i},{repr(float(v))}" for i, v in enumerate(f.values)]
+        (directory / f"{name}.csv").write_text(
+            "\n".join(["node_index,value"] + rows) + "\n")
+        manifest = {"surface_id": f.surface_id, "units": f.units,
+                    "length": len(f.values)}
+        (directory / f"{name}.csv.json").write_text(
+            json.dumps(manifest, indent=1) + "\n")
+    diag = out.diagnostics
+    manifest = {
+        "c": out.c,
+        "diagnostics": {k: (float(v) if np.isscalar(v) or isinstance(v, (int, float))
+                            else [float(x) for x in np.atleast_1d(v)])
+                        for k, v in diag.items() if not isinstance(v, (str, bool))},
+        "flags": {k: v for k, v in diag.items() if isinstance(v, (str, bool))},
+        "files": {name: f"{name}.csv" for name in ("u_e", "u_i", "v")},
+        "surface": heart.surface_id,
+    }
+    (directory / "reconstruction.json").write_text(
+        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+
+
+def test_write_reconstruction_bytes(tmp_path, model, shell_oracle):
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    fields = shell_oracle.fields_on(heart, torso)
+    # protocol 2 rewrites protocol 1's files in place, longer or shorter
+    written, reference = tmp_path / "written", tmp_path / "reference"
+    reference.mkdir()
+    for out in (run_protocol_1(domain, model, fields["u_e"]),
+                run_protocol_2(domain, model, fields["f"])):
+        write_reconstruction(out, written, heart)
+        _reference_write(out, reference, heart)
+        names = sorted(p.name for p in written.iterdir())
+        assert names == sorted(p.name for p in reference.iterdir())
+        assert len(names) == 7
+        for name in names:
+            assert (written / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def test_write_reconstruction_directory(tmp_path, domain2, model, fields2):
+    out = run_protocol_1(domain2, model, fields2["u_e"])
+    nested = tmp_path / "a" / "b"
+    write_reconstruction(out, nested, domain2.heart)
+    assert (nested / "v.csv").is_file()
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    with pytest.raises(FileExistsError):
+        write_reconstruction(out, a_file, domain2.heart)
