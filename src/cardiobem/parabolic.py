@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -629,6 +630,10 @@ def save_spacetime_field(fld: SpaceTimeField, path) -> None:
 
 
 def load_spacetime_field(path) -> SpaceTimeField:
+    """Read a record written by :func:`save_spacetime_field`.
+
+    An empty CSV reads as (0, steps), the steps taken from the sidecar.
+    """
     p = Path(path)
     side = p.with_suffix(p.suffix + ".json")
     try:
@@ -636,10 +641,13 @@ def load_spacetime_field(path) -> SpaceTimeField:
         shape, tg = manifest["shape"], manifest["time_grid"]
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise ParseError(f"cannot read record manifest {side}: {exc}") from exc
-    try:
-        vals = np.loadtxt(p, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a malformed cell or a ragged row
-        raise ParseError(f"{p}: {exc}") from exc
+    if os.path.getsize(p) == 0:  # a zero-node record: its columns are frames
+        vals = np.empty((0, int(tg["steps"])))
+    else:
+        try:
+            vals = np.loadtxt(p, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a malformed cell or a ragged row
+            raise ParseError(f"{p}: {exc}") from exc
     if list(vals.shape) != shape:
         raise ParseError(f"{p}: CSV shape {vals.shape} differs from the "
                          f"sidecar's {shape}")

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -325,19 +325,19 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
     """Write per-surface CSVs, a JSON run manifest, optionally VTK POLYDATA.
 
     Returns the manifest dict.  File contents are deterministic: repr-exact
-    floats, no timestamps.  Files are rewritten in place (see
-    ``mesh._write_text``).  ``directory`` and its parents are made when it is
-    not a directory yet; a path that is a file raises ``FileExistsError``.
+    floats (``mesh._format_rows``), no timestamps.  Files are rewritten in
+    place (see ``mesh._write_text``).  ``directory`` (a ``str`` or path-like)
+    and its parents are made when it is not a directory yet; a path that is
+    a file raises ``FileExistsError``.  Paths are joined as strings: building
+    ``Path`` objects costs a measurable share of a small write.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        directory.mkdir(parents=True, exist_ok=True)
+    directory = os.fspath(directory) or os.curdir
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
     files = {}
     for name in ("u_e", "u_i", "v"):
-        f = getattr(out, name)
-        p = directory / f"{name}.csv"
-        save_nodal_field(f, p)
-        files[name] = p.name
+        files[name] = name + ".csv"
+        save_nodal_field(getattr(out, name), os.path.join(directory, files[name]))
     manifest = {
         "c": out.c,
         "diagnostics": {k: (float(v) if np.isscalar(v) or isinstance(v, (int, float)) else
@@ -351,11 +351,11 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
     if manifest_extra:
         manifest.update(manifest_extra)
     if vtk:
-        vtk_path = directory / "reconstruction.vtk"
+        vtk_path = os.path.join(directory, "reconstruction.vtk")
         save_mesh(heart, vtk_path, fmt="vtk", point_data={
             "u_e": out.u_e.values, "u_i": out.u_i.values, "v": out.v.values,
         })
-        manifest["files"]["vtk"] = vtk_path.name
-    _write_text(directory / "reconstruction.json",
+        manifest["files"]["vtk"] = "reconstruction.vtk"
+    _write_text(os.path.join(directory, "reconstruction.json"),
                 json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     return manifest

@@ -25,6 +25,7 @@ from cardiobem import (
     save_nodal_field,
     surface_distance,
 )
+import cardiobem.mesh as mesh_module
 from cardiobem.grid import InteriorGrid
 from cardiobem.mesh import (_INSIDE_BLOCK, _curve_parity, _distances_within,
                             _ray_parity, _write_text, require_off_surface)
@@ -155,10 +156,13 @@ def test_write_text_over_an_existing_file(tmp_path, old):
 
 
 def test_save_nodal_field_bytes(tmp_path):
-    # shortest round-trip reprs, exponents included, and a sidecar whose
-    # strings need JSON escapes
+    # shortest round-trip reprs, exponents included, the values on either
+    # side of the two magnitudes where repr switches to exponent form, and a
+    # sidecar whose strings need JSON escapes
+    edges = [x for t in (1e-4, 1e16) for s in (1.0, -1.0)
+             for x in (np.nextafter(s * t, 0.0), s * t, np.nextafter(s * t, s * np.inf))]
     values = [-0.0, 5e-324, 1e-05, 1e+16, 1e+22, 0.1, 1 / 3,
-              123456789012345678.0]
+              123456789012345678.0, 9999999999999998.0] + [float(x) for x in edges]
     surface_id, units = 'he"art\\1 \u00e9', 'm\u00b5V \\ "x"'
     save_nodal_field(NodalField(surface_id, np.array(values), units=units),
                      tmp_path / "f.csv")
@@ -166,12 +170,76 @@ def test_save_nodal_field_bytes(tmp_path):
     assert (tmp_path / "f.csv").read_bytes() == \
         ("node_index,value\n" + rows).encode()
     assert rows.startswith("0,-0.0\n1,5e-324\n2,1e-05\n3,1e+16\n4,1e+22\n")
-    manifest = {"surface_id": surface_id, "units": units, "length": 8}
+    assert "9,9.999999999999999e-05\n10,0.0001\n11,0.00010000000000000002\n" in rows
+    assert "15,9999999999999998.0\n16,1e+16\n17,1.0000000000000002e+16\n" in rows
+    manifest = {"surface_id": surface_id, "units": units, "length": len(values)}
     assert (tmp_path / "f.csv.json").read_bytes() == \
         (json.dumps(manifest, indent=1) + "\n").encode()
     back = load_nodal_field(tmp_path / "f.csv")
     assert back.values.tobytes() == np.array(values).tobytes()
     assert (back.surface_id, back.units) == (surface_id, units)
+
+
+def _old_format_rows(line, values, index=False):
+    """The formatter as one ``%`` call over ``tolist()``: ``repr`` per float."""
+    vals = np.asarray(values, dtype=float)
+    cells = vals.ravel().tolist()
+    if index:
+        numbered = [None] * (2 * len(cells))
+        numbered[::2] = range(len(cells))
+        numbered[1::2] = cells
+        cells = numbered
+    return (line * len(vals)) % tuple(cells)
+
+
+def _assert_formats_as_old(line, values, index):
+    # compare row by row: a diff of two multi-megabyte strings takes minutes
+    new = mesh_module._format_rows(line, values, index=index).splitlines()
+    old = _old_format_rows(line, values, index=index).splitlines()
+    assert len(new) == len(old), line
+    for row, (a, b) in enumerate(zip(new, old)):
+        assert a == b, (line, row)
+
+
+def _format_cases(flat, ints):
+    return [
+        ("%d,%r\n", flat, True),
+        ("%r %r %r\n", flat[:3 * (len(flat) // 3)].reshape(-1, 3), False),
+        (",".join(["%r"] * 5) + "\n", flat[:5 * (len(flat) // 5)].reshape(-1, 5), False),
+        ("3 %d %d %d\n", ints, False),
+        ("%d,%r\n", np.empty(0), True),
+        ("%r %r %r\n", np.empty((0, 3)), False),
+    ]
+
+
+def test_format_rows_matches_repr():
+    # uniform bit patterns cover the whole double range (subnormals, nan
+    # payloads, both exponent forms of repr); scaled normals and rounded
+    # decimals fill the range where orjson's digits are kept.  The indexed
+    # table crosses a block boundary, so its row numbers must continue.
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-8, 20, 20_000)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+               1e-4, 1e16, 9999999999999998.0, np.nextafter(1e-4, 0.0)]
+    flat = np.concatenate([special, bits, scaled, np.round(scaled, 3)])
+    assert len(flat) > mesh_module._BLOCK_CELLS
+    ints = rng.integers(0, 2**53, size=(100, 3)).astype(float)
+    _assert_formats_as_old(*_format_cases(flat, ints)[0])
+    for case in _format_cases(flat[-6000:], ints)[1:]:
+        _assert_formats_as_old(*case)
+
+
+def test_format_rows_blocks(monkeypatch):
+    # seven cells a block: two rows of a three-column table, one of a
+    # five-column one, so blocks split tables at every width used here
+    monkeypatch.setattr(mesh_module, "_BLOCK_CELLS", 7)
+    rng = np.random.default_rng(15)
+    flat = np.concatenate([[np.nan, -np.inf, 1e-7, 2e16],
+                           rng.standard_normal(60) * 10.0 ** rng.integers(-8, 20, 60)])
+    ints = rng.integers(0, 1000, size=(9, 3)).astype(float)
+    for case in _format_cases(flat, ints):
+        _assert_formats_as_old(*case)
 
 
 def test_point_queries():

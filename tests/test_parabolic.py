@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -514,6 +515,15 @@ def test_spacetime_round_trip(tmp_path):
     assert back.grid == fld.grid
     assert back.location == "heart"
     assert back.units == "uA/cm^2"
+    # a zero-node record is an empty CSV; the sidecar gives its frames
+    empty = SpaceTimeField("heart", np.empty((0, 3)), tg)
+    save_spacetime_field(empty, tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == b""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_spacetime_field(tmp_path / "empty.csv")
+    assert back.values.shape == (0, 3)
+    assert back.grid == tg
 
 
 def test_spacetime_load_checks_sidecar_shape(tmp_path):

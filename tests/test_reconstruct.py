@@ -208,18 +208,23 @@ def test_write_reconstruction_bytes(tmp_path, model, shell_oracle):
     torso = icosphere(1, 2.0, surface_id="torso")
     domain = DomainConfig(heart=heart, torso=torso)
     fields = shell_oracle.fields_on(heart, torso)
-    # protocol 2 rewrites protocol 1's files in place, longer or shorter
-    written, reference = tmp_path / "written", tmp_path / "reference"
+    # protocol 2 rewrites protocol 1's files in place, longer or shorter;
+    # the directory is given as a Path and as a str
+    written, as_str = tmp_path / "written", tmp_path / "as_str"
+    reference = tmp_path / "reference"
     reference.mkdir()
     for out in (run_protocol_1(domain, model, fields["u_e"]),
                 run_protocol_2(domain, model, fields["f"])):
-        write_reconstruction(out, written, heart)
+        assert write_reconstruction(out, written, heart) == \
+            write_reconstruction(out, str(as_str), heart)
         _reference_write(out, reference, heart)
-        names = sorted(p.name for p in written.iterdir())
-        assert names == sorted(p.name for p in reference.iterdir())
+        names = sorted(p.name for p in reference.iterdir())
         assert len(names) == 7
-        for name in names:
-            assert (written / name).read_bytes() == (reference / name).read_bytes(), name
+        for directory in (written, as_str):
+            assert sorted(p.name for p in directory.iterdir()) == names
+            for name in names:
+                assert (directory / name).read_bytes() == \
+                    (reference / name).read_bytes(), name
 
 
 def test_write_reconstruction_directory(tmp_path, domain2, model, fields2):
