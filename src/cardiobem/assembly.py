@@ -179,21 +179,28 @@ def _panel_quadrature(mesh) -> tuple:
 
     So a kernel block K (q m, t) at the points reduces to the vertices as
     ``incidence @ (basis_w @ K.reshape(q, m t)).reshape(k m, t)``: the basis
-    is contracted before any density or target is.
+    is contracted before any density or target is.  Built once per mesh,
+    read-only.
     """
-    els = mesh.elements
-    basis, weights = _panel_rule(mesh.dim)  # (q, k), (q,)
-    nq, k = basis.shape
-    m = len(els)
-    centre = mesh.vertices.mean(axis=0)
-    corners = mesh.vertices[els] - centre  # (m, k, dim)
-    points = np.einsum("qk,mkj->qmj", basis, corners).reshape(nq * m, -1)
-    offset = (mesh.normals * corners[:, 0]).sum(axis=1)
-    basis_w = (weights[:, None] * basis).T
-    incidence = sparse.csr_matrix(
-        (np.tile(mesh.areas, k), (els.T.reshape(-1), np.arange(k * m))),
-        shape=(mesh.n_vertices, k * m))
-    return centre, points, offset, basis_w, incidence
+    def build():
+        els = mesh.elements
+        basis, weights = _panel_rule(mesh.dim)  # (q, k), (q,)
+        nq, k = basis.shape
+        m = len(els)
+        centre = mesh.vertices.mean(axis=0)
+        corners = mesh.vertices[els] - centre  # (m, k, dim)
+        points = np.einsum("qk,mkj->qmj", basis, corners).reshape(nq * m, -1)
+        offset = (mesh.normals * corners[:, 0]).sum(axis=1)
+        basis_w = (weights[:, None] * basis).T
+        incidence = sparse.csr_matrix(
+            (np.tile(mesh.areas, k), (els.T.reshape(-1), np.arange(k * m))),
+            shape=(mesh.n_vertices, k * m))
+        for a in (centre, points, offset, basis_w, incidence.data,
+                  incidence.indices, incidence.indptr):
+            a.flags.writeable = False
+        return centre, points, offset, basis_w, incidence
+
+    return _memo(mesh, "panel_quadrature", build)
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,7 +407,7 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
     if same_surface:
         # a surface's close pairs with its own vertices are the same for
         # every tensor and kind: built once per mesh
-        close = _memo(source, "_self_close", lambda: [
+        close = _memo(source, "self_close", lambda: [
             _close_field(source, targets[lo : lo + chunk], centroids, diam)
             for lo in starts])
     for block, lo in enumerate(starts):
@@ -454,8 +461,8 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
         the source vertices through the singular integration path, and the
         double layer then gets the row-sum diagonal D 1 = -1/2.
 
-    Every call assembles anew; solvers keep what they reuse in the
-    operator cache of ``direct``.
+    Every call assembles anew; the solvers of ``direct`` keep what they
+    reuse on the meshes.
     """
     if kind not in ("single", "double"):
         raise ShapeMismatch(f"unknown layer kind {kind!r}")

@@ -27,10 +27,10 @@ the null space of L, one constant per connected component of the heart
 mesh, is carried by a separate least-squares term.  The thin SVD of the
 standard-form matrix makes the residual and seminorm norms of the whole
 alpha grid one (alphas x singular values) array, and only the chosen
-alpha's x is formed.  That SVD, with the lift back to x, is one entry of
-the operator cache in direct.py per (heart, torso, tensor, penalty), built
-once under its lock and kept, like the shell operators, for the process
-lifetime; the Cauchy matrix itself is needed only inside that build.
+alpha's x is formed.  That SVD, with the lift back to x, lives on the
+heart mesh like the shell operators of direct.py, once per (torso, tensor,
+penalty), and goes with the mesh; the Cauchy matrix itself is needed only
+inside that build.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .direct import cached, shell_operators
+from .direct import shell_operators
 from .errors import DegenerateLCurve, ShapeMismatch
 from .kernels import as_tensor
-from .mesh import NodalField, _format_rows, _write_text
+from .mesh import NodalField, _format_rows, _memo, _write_text
 
 __all__ = [
     "LCurveMaxCurvature",
@@ -334,8 +334,8 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
         lap = None if config.penalty == "identity" else _graph_laplacian(heart)
         return _standard_form(a, lap)
 
-    form = cached(("cauchy", heart.cache_token, torso.cache_token,
-                   tensor.tobytes(), config.penalty), standard_form)
+    form = _memo(heart, ("cauchy", torso.cache_token, tensor.tobytes(),
+                         config.penalty), standard_form)
     grid = config.alpha_grid
     rho, eta, solution = _sweep(form, b, grid)
     diagnostics = {}

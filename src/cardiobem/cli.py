@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cauchy import (DiscrepancyPrinciple, FixedAlpha, LCurveMaxCurvature,
-                     TikhonovConfig, save_lcurve, solve_cauchy_elliptic)
+                     TikhonovConfig)
 from .errors import CardiobemError
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
@@ -162,7 +162,7 @@ def _cast(key: str, cast, text: str):
         raise ValidationFailure(f"{key}: expected a boolean, got {text!r}")
     try:
         return cast(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationFailure(f"{key}: {exc}") from exc
 
 
@@ -256,8 +256,9 @@ def _spec_terms(cfg: RunConfig) -> HarmonicSpec:
                 raise ValidationFailure(
                     f"terms: expected 'l,m,amp' triples separated by ';', got {part!r}"
                 )
-            terms.append(HarmonicTerm(int(bits[0]), int(bits[1]),
-                                      a=float(bits[2])))
+            terms.append(HarmonicTerm(_cast("terms", int, bits[0]),
+                                      _cast("terms", int, bits[1]),
+                                      a=_cast("terms", float, bits[2])))
     else:
         terms = [HarmonicTerm(cfg["l"], cfg["m"], a=cfg["amp"])]
     return HarmonicSpec(terms=tuple(terms), geometry=geometry)
@@ -585,17 +586,19 @@ def _dispatch_rerun(args) -> int:
         doc = json.loads(path.read_text())
         name = doc["subcommand"]
         params = doc["parameters"]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValidationFailure(f"malformed manifest {path}: {exc}") from exc
-    if name not in _SUBCOMMANDS:
+    if not isinstance(params, dict):
+        raise ValidationFailure(f"malformed manifest {path}: parameters "
+                                "must be an object")
+    if not isinstance(name, str) or name not in _SUBCOMMANDS:
         raise ValidationFailure(f"manifest names unknown subcommand {name!r}")
     handler, keys = _SUBCOMMANDS[name]
     cfg = RunConfig()
     for key in keys:
         cast, default = _PARAM_TYPES[key]
-        cfg[key] = params.get(key, default)
-        if cfg[key] is not None and cast in (int, float) and not isinstance(cfg[key], bool):
-            cfg[key] = cast(cfg[key])
+        value = params.get(key)
+        cfg[key] = default if value is None else _cast(key, cast, value)
     out = _out_dir(args)
     results = handler(cfg, out)
     _write_manifest(out, name, cfg, results)

@@ -21,25 +21,23 @@ Conventions:
     constraint holds to solver precision.  A block of flux columns shares
     one single-layer product and one product with the bordered inverse.
 
-Operators and solution operators live in one cache, keyed by the meshes'
-cache tokens and the tensor: the single and double layer of each surface,
-the shell block operators A and B, the inverses of the Dirichlet matrix
-(S, or B on the shell) and of the bordered Neumann matrix, the Zaremba
-transfer, (for cauchy.py) the SVD of the Cauchy problem in standard form,
-and (for parabolic.py) each mesh's panel quadrature.  No LU factors are
-kept: a solve is one matrix product with a cached solution operator, and
-its residual is formed from the cached layers.  The Zaremba transfer maps
-heart data d straight to the unknowns [q_h; u_t] (the Lambda and T of the
-reduced Cauchy problem).  Everything runs on numpy's BLAS, so the package
-never wakes a second BLAS thread pool.  Each entry is built under the
-cache's lock, so threads that miss together build it once; as before,
-entries live as long as the process.
+Operators and solution operators live on their meshes (``mesh._memo``),
+keyed by the tensor, and go when the mesh goes.  A surface holds its own
+single and double layer and the inverses of its Dirichlet matrix S and of
+its bordered Neumann matrix.  The heart holds the two-surface entries,
+keyed also by the torso's cache token: the shell block operators A and B,
+the inverse of B, the Zaremba transfer and (for cauchy.py) the SVD of the
+Cauchy problem in standard form.  No LU factors are kept: a solve is one
+matrix product with a kept solution operator, and its residual is formed
+from the kept layers.  The Zaremba transfer maps heart data d straight to
+the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy problem).
+Everything runs on numpy's BLAS, so the package never wakes a second BLAS
+thread pool.  Threads that miss an entry together build it once.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +46,7 @@ import numpy as np
 from .assembly import assemble_layer, green_representation, volume_potential
 from .errors import IncompatibleData, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
-from .mesh import DomainConfig, NodalField
+from .mesh import DomainConfig, NodalField, _memo
 
 __all__ = [
     "DirectSolveReport",
@@ -58,9 +56,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_cache: dict = {}
-_cache_lock = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -82,18 +77,6 @@ class DirectSolveReport:
     flux_trace_outer: Optional[NodalField] = None
 
 
-def cached(key, build):
-    """The cache entry under ``key``, made by ``build()`` on a miss.
-
-    The build runs under the (re-entrant) lock: a build may read other
-    entries, and a key missed by several threads at once is built once.
-    """
-    with _cache_lock:
-        if key not in _cache:
-            _cache[key] = build()
-        return _cache[key]
-
-
 def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> np.ndarray:
     """``matrix`` ^-1 ``rhs``, or the inverse without ``rhs``, read-only;
     SolveFailure if singular or non-finite."""
@@ -109,7 +92,7 @@ def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> np.ndarray
 
 def _layers(M, mesh):
     """(S, D) on one closed surface, D with the row-sum diagonal D 1 = -1/2."""
-    return cached(("layers", mesh.cache_token, M.tobytes()), lambda: (
+    return _memo(mesh, ("layers", M.tobytes()), lambda: (
         assemble_layer("single", M, mesh).matrix,
         assemble_layer("double", M, mesh).matrix))
 
@@ -140,8 +123,7 @@ def shell_operators(M, heart, torso):
         b = np.block([[s_hh, s_ht], [s_th, s_tt]])
         return a, b
 
-    return cached(("shell", heart.cache_token, torso.cache_token, M.tobytes()),
-                  build)
+    return _memo(heart, ("shell", torso.cache_token, M.tobytes()), build)
 
 
 def _interior_values(M, meshes, traces, fluxes, targets,
@@ -192,8 +174,8 @@ def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
     if g_volume is not None:
         grid, g = g_volume
         rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
-    s_inv = cached(("dirichlet", mesh.cache_token, tensor.tobytes()),
-                   lambda: _solution_operator(s_mat))
+    s_inv = _memo(mesh, ("dirichlet", tensor.tobytes()),
+                  lambda: _solution_operator(s_mat))
     q = s_inv @ rhs
     residual = float(np.linalg.norm(s_mat @ q - rhs))
     report = DirectSolveReport(
@@ -219,8 +201,8 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
     dh = u0_h.check_on(heart)
     dt = u0_t.check_on(torso)
     a, b = shell_operators(tensor, heart, torso)
-    b_inv = cached(("dirichlet-shell", heart.cache_token, torso.cache_token,
-                    tensor.tobytes()), lambda: _solution_operator(b))
+    b_inv = _memo(heart, ("dirichlet-shell", torso.cache_token, tensor.tobytes()),
+                  lambda: _solution_operator(b))
     rhs = a @ np.concatenate([dh, dt])
     q = b_inv @ rhs
     residual = float(np.linalg.norm(b @ q - rhs))
@@ -256,7 +238,7 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     onto the compatible subspace, and one log line counts the shifted
     columns.  ``volume`` (n,), the volume potential at the vertices, is
     added to every column's right side.  All columns share one S product
-    and one product with the cached bordered inverse.  Returns (u0, u1,
+    and one product with the kept bordered inverse.  Returns (u0, u1,
     defect, residual, normalization): solutions, the fluxes solved for,
     and per column the signed defect, the residual norm and w . u0.
     """
@@ -296,7 +278,7 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
         inv.flags.writeable = False
         return inv
 
-    inv = cached(("neumann", mesh.cache_token, tensor.tobytes()), bordered)
+    inv = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
     u0 = inv @ rhs
     residual = np.linalg.norm(0.5 * u0 + d_mat @ u0 - rhs, axis=0)
     return u0, u1, defect, residual, w @ u0
@@ -359,8 +341,7 @@ def solve_zaremba(M, heart, torso, u_dirichlet_on_heart):
         sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
         return _solution_operator(sysmat, -a[:, :nh])
 
-    x = cached(("zaremba", heart.cache_token, torso.cache_token,
-                tensor.tobytes()), transfer)
+    x = _memo(heart, ("zaremba", torso.cache_token, tensor.tobytes()), transfer)
     sol = x @ d
     q_h, u_t = sol[:nh], sol[nh:]
     residual = float(np.linalg.norm(a @ np.concatenate([d, u_t])

@@ -82,7 +82,7 @@ class InteriorGrid:
 
     def interior_centers(self) -> np.ndarray:
         """(n_inside, 3) centers of the interior cells, built once, read-only."""
-        return _memo(self, "_interior_centers",
+        return _memo(self, "interior_centers",
                      lambda: _freeze(self.centers()[self.inside]))
 
     def sample(self, f) -> np.ndarray:

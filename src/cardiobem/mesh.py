@@ -22,7 +22,8 @@ import json
 import locale
 import logging
 import os
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -50,6 +51,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MESH_TOKENS = itertools.count()
+_BUILD_LOCK = threading.RLock()
 
 # (point, triangle) pairs per points_inside block: each pair holds about 48
 # bytes of transients in _ray_parity, so a block stays near 13 MB
@@ -86,22 +88,142 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _memo(obj, name: str, build):
-    """``obj``'s attribute ``name``, set to ``build()`` on first use.
+def _memo(owner, key, build):
+    """``owner``'s derived value under ``key``, made by ``build()`` on a miss.
 
-    Derived data of a frozen mesh, grid or operator spec is built once per
-    instance; the builder returns it read-only.  Threads that miss together build equal
-    values, and the last one stays.
+    Data derived from a frozen mesh, grid, operator spec or field, operators
+    and solution operators included, lives in one dict on the object it
+    derives from and goes when that object goes.  A hit takes no lock.  A
+    miss builds under one re-entrant lock: a build may read other entries,
+    and threads that miss together build once.  No build returns None.
     """
-    found = obj.__dict__.get(name)
+    found = owner.__dict__.get("_derived", {}).get(key)
     if found is None:
-        found = build()
-        object.__setattr__(obj, name, found)
+        with _BUILD_LOCK:
+            derived = owner.__dict__.setdefault("_derived", {})
+            found = derived.get(key)
+            if found is None:
+                found = derived[key] = build()
     return found
 
 
+def _longest_edges(verts: np.ndarray, els: np.ndarray) -> np.ndarray:
+    """(m,) longest edge of each element; a segment's is its length."""
+    edges = verts[els] - verts[np.roll(els, 1, axis=1)]  # (m, k, dim)
+    return np.linalg.norm(edges, axis=2).max(axis=1)
+
+
+class _Mesh:
+    """What :class:`SurfaceMesh` and :class:`CurveMesh` share.
+
+    A closed mesh in dim = k dimensions of elements with k vertices each,
+    held in the field named by the class attribute ``_ELEMENTS``.  The
+    checks and derived data here are written once for any k; a subclass
+    adds its closedness check (``_check_closed``) and its element frames
+    (``_frames``: unit normals and measures, rejecting degenerate elements).
+    """
+
+    def __post_init__(self) -> None:
+        k, kind = self._WIDTH, self._ELEMENTS
+        verts = np.asarray(self.vertices, dtype=float)
+        els = np.asarray(getattr(self, kind), dtype=np.int64)
+        if verts.ndim != 2 or verts.shape[1] != k or len(verts) <= k:
+            raise GeometryError(f"vertices must be an (n>={k + 1}, {k}) array")
+        if els.ndim != 2 or els.shape[1] != k or len(els) <= k:
+            raise GeometryError(f"{kind} must be an (m>={k + 1}, {k}) array")
+        if not np.all(np.isfinite(verts)):
+            raise GeometryError("non-finite vertex coordinates")
+        if els.min() < 0 or els.max() >= len(verts):
+            raise GeometryError(f"{kind} index vertices out of range")
+        self._check_closed(len(verts), els)
+        if signed_volume(verts, els) < 0.0:
+            logger.info("%s %r stored with inward orientation; applying global "
+                        "flip", type(self).__name__, self.surface_id)
+            els = els[:, ::-1]
+        volume = signed_volume(verts, els)
+        if volume <= 0.0:
+            raise GeometryError("mesh encloses no positive volume (area in 2D)")
+        normals, areas = self._frames(verts, els)
+        object.__setattr__(self, "vertices", _freeze(verts))
+        object.__setattr__(self, kind, _freeze(els))
+        object.__setattr__(self, "_normals", _freeze(normals))
+        object.__setattr__(self, "_areas", _freeze(areas))
+        object.__setattr__(self, "_volume", volume)
+        object.__setattr__(self, "_token", next(_MESH_TOKENS))
+
+    @property
+    def dim(self) -> int:
+        """Ambient dimension, the element width k: 3 for a surface, 2 for a curve."""
+        return self._WIDTH
+
+    @property
+    def elements(self) -> np.ndarray:
+        """(m, k) vertex indices: the triangles or the segments."""
+        return getattr(self, self._ELEMENTS)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def normals(self) -> np.ndarray:
+        """(m, dim) outward unit normals, recomputed from coordinates."""
+        return self._normals
+
+    @property
+    def areas(self) -> np.ndarray:
+        """(m,) element measures: triangle areas in cm^2, segment lengths."""
+        return self._areas
+
+    @property
+    def enclosed_volume(self) -> float:
+        """Enclosed volume, or plane area in 2D (positive by construction)."""
+        return self._volume
+
+    @property
+    def cache_token(self) -> int:
+        """Per-instance counter that tells meshes apart in the keys of
+        operators held on another mesh (the shell operators live on the
+        heart, keyed by the torso's token); two loads of the same file get
+        different tokens."""
+        return self._token
+
+    @property
+    def vertex_weights(self) -> np.ndarray:
+        """Lumped quadrature weights: w_i = sum of adjacent measures / k.
+
+        These realize the boundary integral of a nodal field,
+        ``integral(u dsigma) ~= w . u``, exact for densities constant on the
+        one-ring average sense and consistent with piecewise-linear
+        integration of the constant on each element.  Built once,
+        read-only.
+        """
+        def build():
+            k = self._WIDTH
+            w = np.zeros(self.n_vertices)
+            np.add.at(w, self.elements.ravel(), np.repeat(self.areas / k, k))
+            return _freeze(w)
+
+        return _memo(self, "vertex_weights", build)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(e, 2) unique undirected edges (i < j), built once, read-only."""
+        def build():
+            els = self.elements
+            e = np.column_stack([els.ravel(), np.roll(els, -1, axis=1).ravel()])
+            e.sort(axis=1)
+            return _freeze(np.unique(e, axis=0))
+
+        return _memo(self, "edges", build)
+
+    def element_diameters(self) -> np.ndarray:
+        """(m,) longest edge per element, used for near-field switching."""
+        return _longest_edges(self.vertices, self.elements)
+
+
 @dataclass(frozen=True)
-class SurfaceMesh:
+class SurfaceMesh(_Mesh):
     """Closed triangle mesh with outward orientation.
 
     Parameters
@@ -124,113 +246,39 @@ class SurfaceMesh:
     triangles: np.ndarray
     surface_id: str = "surface"
 
-    def __post_init__(self) -> None:
-        verts = np.asarray(self.vertices, dtype=float)
-        tris = np.asarray(self.triangles, dtype=np.int64)
-        if verts.ndim != 2 or verts.shape[1] != 3 or verts.shape[0] < 4:
-            raise GeometryError("vertices must be an (n>=4, 3) array")
-        if tris.ndim != 2 or tris.shape[1] != 3 or tris.shape[0] < 4:
-            raise GeometryError("triangles must be an (m>=4, 3) array")
-        if not np.all(np.isfinite(verts)):
-            raise GeometryError("non-finite vertex coordinates")
-        if tris.min() < 0 or tris.max() >= len(verts):
-            raise GeometryError("triangle indices out of range")
+    _ELEMENTS, _WIDTH = "triangles", 3
 
-        _check_watertight(tris)
-        if signed_volume(verts, tris) < 0.0:
-            logger.info(
-                "mesh %r stored with inward orientation; applying global flip",
-                self.surface_id,
-            )
-            tris = tris[:, ::-1]
-        vol = signed_volume(verts, tris)
-        if vol <= 0.0:
-            raise GeometryError("mesh encloses no positive volume")
+    @staticmethod
+    def _check_closed(n: int, tris: np.ndarray) -> None:
+        directed = np.vstack(
+            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
+        )
+        keys = directed[:, 0].astype(np.int64) * (directed.max() + 1) + directed[:, 1]
+        uniq, counts = np.unique(keys, return_counts=True)
+        if np.any(counts > 1):
+            raise GeometryError("inconsistent winding: a directed edge repeats")
+        rev = directed[:, 1].astype(np.int64) * (directed.max() + 1) + directed[:, 0]
+        if not np.isin(rev, uniq).all():
+            raise GeometryError("open surface: an edge is used by only one triangle")
 
-        normals, areas = _triangle_frames(verts, tris)
+    @staticmethod
+    def _frames(verts: np.ndarray, tris: np.ndarray) -> tuple:
+        p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+        cross = np.cross(p1 - p0, p2 - p0)
+        norm = np.linalg.norm(cross, axis=1)
+        if np.any(norm == 0.0):
+            raise GeometryError("zero-area triangle")
+        areas = 0.5 * norm
         diag = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
         # smallest altitude of a triangle is 2*area / longest edge
-        edges = verts[tris] - verts[np.roll(tris, 1, axis=1)]  # (m, 3, 3)
-        longest = np.linalg.norm(edges, axis=2).max(axis=1)
-        altitudes = 2.0 * areas / longest
+        altitudes = 2.0 * areas / _longest_edges(verts, tris)
         if altitudes.min() <= 1e-9 * diag:
             raise GeometryError("degenerate triangle (altitude below 1e-9 of bbox)")
-
-        object.__setattr__(self, "vertices", _freeze(verts))
-        object.__setattr__(self, "triangles", _freeze(tris))
-        object.__setattr__(self, "_normals", _freeze(normals))
-        object.__setattr__(self, "_areas", _freeze(areas))
-        object.__setattr__(self, "_volume", vol)
-        object.__setattr__(self, "_token", next(_MESH_TOKENS))
-
-    # geometry is 3D; CurveMesh mirrors this with dim == 2
-    @property
-    def dim(self) -> int:
-        return 3
-
-    @property
-    def elements(self) -> np.ndarray:
-        return self.triangles
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def normals(self) -> np.ndarray:
-        """(m, 3) outward unit normals, recomputed from coordinates."""
-        return self._normals
-
-    @property
-    def areas(self) -> np.ndarray:
-        """(m,) triangle areas in cm^2."""
-        return self._areas
-
-    @property
-    def enclosed_volume(self) -> float:
-        """Volume enclosed by the surface (positive by construction)."""
-        return self._volume
-
-    @property
-    def cache_token(self) -> int:
-        """Per-instance counter that keys this mesh's operators in the cache
-        of ``direct``; two loads of the same file get different tokens."""
-        return self._token
-
-    @property
-    def vertex_weights(self) -> np.ndarray:
-        """Lumped quadrature weights: w_i = sum of adjacent areas / 3.
-
-        These realize the boundary integral of a nodal field,
-        ``integral(u dsigma) ~= w . u``, exact for densities constant on the
-        one-ring average sense and consistent with piecewise-linear
-        integration of the constant on each triangle.  Built once,
-        read-only.
-        """
-        def build():
-            w = np.zeros(self.n_vertices)
-            np.add.at(w, self.triangles.ravel(), np.repeat(self.areas / 3.0, 3))
-            return _freeze(w)
-
-        return _memo(self, "_vertex_weights", build)
-
-    @property
-    def edges(self) -> np.ndarray:
-        """(k, 2) unique undirected edges (i < j)."""
-        e = np.vstack(
-            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        )
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
-
-    def element_diameters(self) -> np.ndarray:
-        """(m,) longest edge per triangle, used for near-field switching."""
-        edges = self.vertices[self.triangles] - self.vertices[np.roll(self.triangles, 1, axis=1)]
-        return np.linalg.norm(edges, axis=2).max(axis=1)
+        return cross / norm[:, None], areas
 
 
 @dataclass(frozen=True)
-class CurveMesh:
+class CurveMesh(_Mesh):
     """Closed polygonal loop(s) in the plane, the 2D analogue of a surface.
 
     ``segments`` are directed index pairs tracing the loop counter-clockwise
@@ -242,90 +290,23 @@ class CurveMesh:
     segments: np.ndarray
     surface_id: str = "curve"
 
-    def __post_init__(self) -> None:
-        verts = np.asarray(self.vertices, dtype=float)
-        segs = np.asarray(self.segments, dtype=np.int64)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise GeometryError("vertices must be an (n>=3, 2) array")
-        if segs.ndim != 2 or segs.shape[1] != 2:
-            raise GeometryError("segments must be an (m, 2) array")
-        if not np.all(np.isfinite(verts)):
-            raise GeometryError("non-finite vertex coordinates")
-        if segs.min() < 0 or segs.max() >= len(verts):
-            raise GeometryError("segment indices out of range")
-        out_deg = np.bincount(segs[:, 0], minlength=len(verts))
-        in_deg = np.bincount(segs[:, 1], minlength=len(verts))
+    _ELEMENTS, _WIDTH = "segments", 2
+
+    @staticmethod
+    def _check_closed(n: int, segs: np.ndarray) -> None:
+        out_deg = np.bincount(segs[:, 0], minlength=n)
+        in_deg = np.bincount(segs[:, 1], minlength=n)
         if not (np.all(out_deg == 1) and np.all(in_deg == 1)):
             raise GeometryError("curve is not a disjoint union of closed loops")
 
-        if _signed_area(verts, segs) < 0.0:
-            logger.info("curve %r wound clockwise; applying global flip", self.surface_id)
-            segs = segs[:, ::-1]
-        area = _signed_area(verts, segs)
-        if area <= 0.0:
-            raise GeometryError("curve encloses no positive area")
-
+    @staticmethod
+    def _frames(verts: np.ndarray, segs: np.ndarray) -> tuple:
         d = verts[segs[:, 1]] - verts[segs[:, 0]]
         lengths = np.linalg.norm(d, axis=1)
         if lengths.min() <= 1e-12 * max(1.0, lengths.max()):
             raise GeometryError("degenerate segment")
         tangents = d / lengths[:, None]
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-
-        object.__setattr__(self, "vertices", _freeze(verts))
-        object.__setattr__(self, "segments", _freeze(segs))
-        object.__setattr__(self, "_normals", _freeze(normals))
-        object.__setattr__(self, "_areas", _freeze(lengths))
-        object.__setattr__(self, "_volume", area)
-        object.__setattr__(self, "_token", next(_MESH_TOKENS))
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    @property
-    def elements(self) -> np.ndarray:
-        return self.segments
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def normals(self) -> np.ndarray:
-        return self._normals
-
-    @property
-    def areas(self) -> np.ndarray:
-        """Segment lengths (the 2D surface measure)."""
-        return self._areas
-
-    @property
-    def enclosed_volume(self) -> float:
-        """Enclosed plane area (2D analogue of the volume)."""
-        return self._volume
-
-    @property
-    def cache_token(self) -> int:
-        return self._token
-
-    @property
-    def vertex_weights(self) -> np.ndarray:
-        def build():
-            w = np.zeros(self.n_vertices)
-            np.add.at(w, self.segments.ravel(), np.repeat(self.areas / 2.0, 2))
-            return _freeze(w)
-
-        return _memo(self, "_vertex_weights", build)
-
-    @property
-    def edges(self) -> np.ndarray:
-        e = self.segments.copy()
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
-
-    def element_diameters(self) -> np.ndarray:
-        return self.areas.copy()
+        return np.column_stack([tangents[:, 1], -tangents[:, 0]]), lengths
 
 
 @dataclass(frozen=True)
@@ -408,28 +389,6 @@ class DomainConfig:
 
 # ---------------------------------------------------------------------------
 # geometry predicates
-
-
-def _triangle_frames(verts: np.ndarray, tris: np.ndarray):
-    p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    cross = np.cross(p1 - p0, p2 - p0)
-    norm = np.linalg.norm(cross, axis=1)
-    if np.any(norm == 0.0):
-        raise GeometryError("zero-area triangle")
-    return cross / norm[:, None], 0.5 * norm
-
-
-def _check_watertight(tris: np.ndarray) -> None:
-    directed = np.vstack(
-        [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
-    )
-    keys = directed[:, 0].astype(np.int64) * (directed.max() + 1) + directed[:, 1]
-    uniq, counts = np.unique(keys, return_counts=True)
-    if np.any(counts > 1):
-        raise GeometryError("inconsistent winding: a directed edge repeats")
-    rev = directed[:, 1].astype(np.int64) * (directed.max() + 1) + directed[:, 0]
-    if not np.isin(rev, uniq).all():
-        raise GeometryError("open surface: an edge is used by only one triangle")
 
 
 def _signed_area(verts: np.ndarray, segs: np.ndarray) -> float:
@@ -607,7 +566,7 @@ def _panel_balls(mesh) -> tuple:
         # inflated past the rounding of the comparison in _distances_within
         return _freeze(centre), _freeze(radius * (1.0 + 1e-12))
 
-    return _memo(mesh, "_panel_balls", build)
+    return _memo(mesh, "panel_balls", build)
 
 
 def _distances_within(mesh, points: np.ndarray, tol: float) -> np.ndarray:
@@ -953,10 +912,14 @@ def load_nodal_field(path) -> NodalField:
         manifest = json.loads(side.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read field manifest {side}: {exc}") from exc
+    n = manifest.get("length") if isinstance(manifest, dict) else None
+    if (type(n) is not int or n < 0
+            or not isinstance(manifest.get("surface_id"), str)):
+        raise ParseError(f"{side}: a field manifest is an object with a "
+                         "'surface_id' string and a non-negative integer 'length'")
     lines = p.read_text().splitlines()
     if not lines or lines[0].strip() != "node_index,value":
         raise ParseError(f"{p}: missing 'node_index,value' header")
-    n = int(manifest["length"])
     values = np.full(n, np.nan)
     seen = np.zeros(n, dtype=bool)
     for line in lines[1:]:

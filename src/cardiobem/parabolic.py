@@ -54,7 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from .assembly import _panel_quadrature
-from .direct import _solve_neumann_block, cached
+from .direct import _solve_neumann_block
 from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
@@ -184,7 +184,7 @@ def _gaussian(spec: HeatOperatorSpec, diff: np.ndarray, s) -> tuple:
     if dim != spec.dim:
         raise ShapeMismatch(f"diff has dimension {dim}, operator {spec.dim}")
     s = np.asarray(s, dtype=float)
-    ker = _memo(spec, "_kernel_set", lambda: _KernelSet(spec.A, dim))
+    ker = _memo(spec, "kernel_set", lambda: _KernelSet(spec.A, dim))
     z = ker.whiten(diff)
     w = ker.W @ spec.drift
     pos = s > 0.0
@@ -272,18 +272,6 @@ def _time_weights(times: np.ndarray, t: float):
     return np.arange(k), w
 
 
-def _quadrature(mesh) -> tuple:
-    """``_panel_quadrature(mesh)``, built once per mesh and shared read-only."""
-    def build():
-        quad = _panel_quadrature(mesh)
-        incidence = quad[-1]
-        for arr in quad[:-1] + (incidence.data, incidence.indices, incidence.indptr):
-            arr.flags.writeable = False
-        return quad
-
-    return cached(("quadrature", mesh.cache_token), build)
-
-
 def _check_density(mesh, density: SpaceTimeField, t: float) -> None:
     if density.location != mesh.surface_id:
         raise ShapeMismatch(
@@ -324,7 +312,7 @@ def _layer_pair(spec: HeatOperatorSpec, mesh, x: np.ndarray, t: float,
     idx, wts = _time_weights(times, t)
     if idx.size == 0:
         return 0.0, 0.0
-    centre, pts, offset, basis_w, incidence = _quadrature(mesh)
+    centre, pts, offset, basis_w, incidence = _panel_quadrature(mesh)
     nq = basis_w.shape[1]
     xc = x - centre
     diff = xc - pts
@@ -381,21 +369,6 @@ def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
     return _layer_pair(spec, mesh, x, t, times, double=density.values)[1]
 
 
-def _interior_rows(source: SpaceTimeField, grid: InteriorGrid) -> np.ndarray:
-    """``source.values[grid.inside]``, gathered once per (source, mask).
-
-    The source holds the rows of the last mask it met, with a copy of that
-    mask, so a grid with another mask gathers afresh and is never served
-    the rows of the first.
-    """
-    held = source.__dict__.get("_interior_rows")
-    if held is None or not np.array_equal(held[0], grid.inside):
-        mask = np.array(grid.inside, dtype=bool)
-        held = (_freeze(mask), _freeze(source.values[mask]))
-        object.__setattr__(source, "_interior_rows", held)
-    return held[1]
-
-
 def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
                           source: SpaceTimeField, x, t: float) -> float:
     """G(g)(x, t) over the interior cells.
@@ -414,7 +387,9 @@ def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
     if below.size == 0:
         return 0.0
     k = below[-1] + 1
-    g_in = _interior_rows(source, grid)
+    # gathered once per (source, grid mask)
+    g_in = _memo(source, ("interior_rows", grid.inside.tobytes()),
+                 lambda: _freeze(g[grid.inside]))
     diff = x[None, :] - grid.interior_centers()
     lags = t - times[:k]
     series = np.empty(k + 1)

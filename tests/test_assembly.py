@@ -374,7 +374,7 @@ def test_self_geometry_is_kept_and_bit_identical(level):
     mesh = icosphere(level, 1.0, surface_id="s")
     assemble_layer("double", 7.0, mesh)
     assemble_layer("single", 7.0, mesh)
-    kept = mesh.__dict__["_self_close"]
+    kept = mesh._derived["self_close"]
     M = np.diag([3.0, 1.0, 0.5])
     n = mesh.n_vertices
     for kind in ("single", "double"):
@@ -386,7 +386,7 @@ def test_self_geometry_is_kept_and_bit_identical(level):
             np.fill_diagonal(points, 0.0)
             points[np.arange(n), np.arange(n)] = -0.5 - points.sum(axis=1)
         assert np.array_equal(got, points)
-    assert mesh.__dict__["_self_close"] is kept
+    assert mesh._derived["self_close"] is kept
     arrays = [a for near_loc, near_el, geometry in kept
               for a in (near_loc, near_el, *(b for batch in geometry for b in batch))]
     assert not any(a.flags.writeable for a in arrays)

@@ -202,6 +202,8 @@ def test_validation_exit_codes(tmp_path, synth_dir):
     assert main(["synth", "--level", "9", "--out", str(tmp_path / "b")]) == 2
     assert main(["synth", "--terms", "1,0", "--level", "0",
                  "--out", str(tmp_path / "c")]) == 2
+    assert main(["synth", "--terms", "a,0,1", "--level", "0",
+                 "--out", str(tmp_path / "c2")]) == 2
     assert main(["eval", "--truth", str(tmp_path / "absent.csv"),
                  "--out", str(tmp_path / "d")]) == 2
     assert main(["nullspace", "--heart", str(synth_dir / "heart.off"),
@@ -243,6 +245,13 @@ def test_rerun_error_paths(tmp_path, synth_dir):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"subcommand": "teleport", "parameters": {}}))
     assert main(["rerun", str(wrong), "--out", str(tmp_path / "o2")]) == 2
+    # a list, parameters that are not an object, a level that is no integer
+    for i, doc in enumerate([["synth", {}],
+                             {"subcommand": "synth", "parameters": [3]},
+                             {"subcommand": "synth", "parameters": {"level": "abc"}}]):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["rerun", str(path), "--out", str(tmp_path / f"m{i}")]) == 2
     # no --out for a real manifest
     assert main(["rerun", str(synth_dir / "run_manifest.json")]) == 2
 

@@ -1,9 +1,11 @@
 """Direct boundary value solvers: Dirichlet, normalized Neumann, Zaremba."""
 
+import gc
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,12 @@ from cardiobem import (
     SolveFailure,
     NodalField,
     icosphere,
+    solve_cauchy_elliptic,
     solve_dirichlet,
     solve_neumann_normalized,
     solve_zaremba,
 )
+from cardiobem.kernels import as_tensor
 from cardiobem.direct import _solution_operator, _solve_neumann_block, shell_operators
 
 
@@ -306,3 +310,19 @@ def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
     assert len(assembly_builds) == 8
     assert len(fluxes) == 4
     assert all(np.array_equal(f, fluxes[0]) for f in fluxes)
+
+
+def test_operators_go_with_their_meshes():
+    # operators live on the meshes they derive from: once the meshes are
+    # dropped, nothing else keeps the shell operators alive
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    data = NodalField("heart", heart.vertices[:, 2].copy())
+    solve_zaremba(7.0, heart, torso, data)
+    solve_neumann_normalized(7.0, heart, NodalField("heart", heart.vertices[:, 2]))
+    solve_cauchy_elliptic(7.0, heart, torso, NodalField("torso", torso.vertices[:, 2]))
+    a, b = shell_operators(as_tensor(7.0, 3), heart, torso)
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del heart, torso, data, a, b
+    gc.collect()
+    assert all(r() is None for r in refs)

@@ -125,6 +125,22 @@ def test_nodal_field_row_checks(tmp_path, rows, message):
         load_nodal_field(path)
 
 
+@pytest.mark.parametrize("sidecar", [
+    '["heart", 3]',
+    '{"surface_id": "heart", "units": "mV"}',
+    '{"length": 3, "units": "mV"}',
+    '{"surface_id": "heart", "length": -3}',
+    '{"surface_id": "heart", "length": "3"}',
+    '{"surface_id": "heart", "length": 2.5}',
+], ids=["list", "no-length", "no-surface-id", "negative", "string", "fraction"])
+def test_nodal_field_sidecar_checks(tmp_path, sidecar):
+    path = tmp_path / "f.csv"
+    save_nodal_field(NodalField("heart", np.zeros(3)), path)
+    (tmp_path / "f.csv.json").write_text(sidecar)
+    with pytest.raises(ParseError, match="field manifest"):
+        load_nodal_field(path)
+
+
 def test_write_text_cuts_a_longer_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("x" * 4096 + "\n")
@@ -393,10 +409,20 @@ def test_require_off_surface_at_the_tolerance():
 
 
 def test_vertex_weights_built_once():
-    for mesh, k in ((icosphere(2, 1.0), 3), (circle_curve(1.0, 64), 2)):
+    curve = circle_curve(1.0, 64)
+    for mesh, k in ((icosphere(2, 1.0), 3), (curve, 2)):
         w = mesh.vertex_weights
         want = np.zeros(mesh.n_vertices)
         np.add.at(want, mesh.elements.ravel(), np.repeat(mesh.areas / k, k))
         assert np.array_equal(w, want)
         assert mesh.vertex_weights is w
         assert not w.flags.writeable
+        # each element's k sides, as sorted index pairs, once each
+        edges = mesh.edges
+        sides = {tuple(sorted((int(el[c]), int(el[(c + 1) % k]))))
+                 for el in mesh.elements for c in range(k)}
+        assert [tuple(e) for e in edges.tolist()] == sorted(sides)
+        assert mesh.edges is edges
+        assert not edges.flags.writeable
+    # a segment's longest edge is the segment itself, bit for bit
+    assert curve.element_diameters().tobytes() == curve.areas.tobytes()

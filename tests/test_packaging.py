@@ -1,4 +1,5 @@
-"""The package's third-party imports are declared in pyproject.toml."""
+"""The package's imports: third-party ones are declared in pyproject.toml,
+and every module uses what it imports."""
 
 import ast
 import re
@@ -10,6 +11,10 @@ import pytest
 tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _modules():
+    return sorted((ROOT / "src" / "cardiobem").glob("*.py"))
 
 
 def _imported_top_levels(source: str) -> set[str]:
@@ -24,7 +29,7 @@ def _imported_top_levels(source: str) -> set[str]:
 
 def test_third_party_imports_are_dependencies():
     imported = set()
-    for path in sorted((ROOT / "src" / "cardiobem").glob("*.py")):
+    for path in _modules():
         imported |= _imported_top_levels(path.read_text())
     third_party = imported - set(sys.stdlib_module_names) - {"cardiobem"}
     assert {"numpy", "scipy", "orjson"} <= third_party
@@ -32,3 +37,26 @@ def test_third_party_imports_are_dependencies():
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
                 for req in project["dependencies"]}
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_module_level_imports_are_used():
+    # a name a module imports at module level is read in it or exported by
+    # its __all__; the package __init__ only re-exports
+    unused = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        unused += [f"{path.name}: {name}" for name in bound
+                   if name not in read | exported]
+    assert unused == []

@@ -303,28 +303,22 @@ def test_lag_blocking(aniso_spec3, heart2, heat_data, monkeypatch):
     assert blocked == pytest.approx(whole, rel=1e-13, abs=0)
 
 
-def test_quadrature_built_once_per_mesh(aniso_spec3, heat_data, monkeypatch):
-    # the panel quadrature is cached per mesh, read-only, across points
+def test_quadrature_built_once_per_mesh(aniso_spec3, heat_data):
+    # the panel quadrature is kept on its mesh, read-only, across points
     mesh = icosphere(1, 1.0, surface_id="heart")
     d = heat_data
     tg = d["tg"]
     trace = SpaceTimeField("heart", d["trace"].values[:mesh.n_vertices], tg)
     flux = SpaceTimeField("heart", d["flux"].values[:mesh.n_vertices], tg)
-    builds = []
-
-    def counted(m):
-        builds.append(m.cache_token)
-        return _panel_quadrature(m)
-
-    monkeypatch.setattr(parabolic, "_panel_quadrature", counted)
     args = (aniso_spec3, mesh, d["grid"], trace, flux, None, None)
     first = parabolic_green_reconstruct(*args, np.array([0.2, -0.3, 0.1]), 0.5)
-    assert builds == [mesh.cache_token]
+    quad = mesh._derived["panel_quadrature"]
     again = parabolic_green_reconstruct(*args, np.array([0.2, -0.3, 0.1]), 0.5)
     parabolic_green_reconstruct(*args, np.array([-0.1, 0.4, 0.2]), 0.45)
-    assert builds == [mesh.cache_token]
     assert again == first
-    centre, points, offset, basis_w, incidence = parabolic._quadrature(mesh)
+    assert _panel_quadrature(mesh) is quad
+    assert mesh._derived["panel_quadrature"] is quad
+    centre, points, offset, basis_w, incidence = quad
     for arr in (centre, points, offset, basis_w,
                 incidence.data, incidence.indices, incidence.indptr):
         assert not arr.flags.writeable
