@@ -365,5 +365,6 @@ def save_lcurve(report: CauchySolveReport, path) -> None:
     eta = report.diagnostics.get("seminorms")
     text = "alpha,residual_norm,solution_norm\n"
     if grid is not None:
-        text += _format_rows("%r,%r,%r\n", np.column_stack((grid, rho, eta)))
+        text += "".join(_format_rows("%r,%r,%r\n",
+                                     np.column_stack((grid, rho, eta))))
     _write_text(path, text)

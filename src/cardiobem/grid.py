@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptySupport, ShapeMismatch
 from .kernels import as_tensor
-from .mesh import SurfaceMesh, _freeze, _memo, points_inside
+from .mesh import SurfaceMesh, _freeze, _lattice_inside, _memo
 
 __all__ = ["InteriorGrid"]
 
@@ -43,7 +43,14 @@ class InteriorGrid:
 
     @staticmethod
     def for_mesh(mesh: SurfaceMesh, h: float, pad_cells: int = 2) -> "InteriorGrid":
-        """Clip a uniform grid of spacing ``h`` to the inside of ``mesh``."""
+        """Clip a uniform grid of spacing ``h`` to the inside of ``mesh``.
+
+        The mask is :func:`~cardiobem.mesh.points_inside` of the cell
+        centers, computed by one +z ray per (x, y) column of cells
+        (``mesh._lattice_inside``); a cell that pass cannot settle, in a
+        column that grazes a triangle edge or within eps * scale of a
+        crossing, is tested by ``points_inside`` itself.
+        """
         if h <= 0:
             raise ShapeMismatch("grid spacing must be positive")
         lo = mesh.vertices.min(axis=0) - pad_cells * h
@@ -53,8 +60,7 @@ class InteriorGrid:
         object.__setattr__(grid, "origin", lo)
         object.__setattr__(grid, "h", float(h))
         object.__setattr__(grid, "shape", shape)
-        centers = grid.centers()
-        mask = points_inside(mesh, centers)
+        mask = _lattice_inside(mesh, grid._axes()).ravel()
         if not mask.any():
             raise EmptySupport(
                 f"no grid cell center falls inside {mesh.surface_id!r} at h={h}"
@@ -71,13 +77,14 @@ class InteriorGrid:
     def cell_volume(self) -> float:
         return self.h ** 3
 
+    def _axes(self) -> list:
+        """Cell-center coordinates along each axis."""
+        return [self.origin[k] + self.h * (np.arange(self.shape[k]) + 0.5)
+                for k in range(3)]
+
     def centers(self) -> np.ndarray:
         """(n_cells, 3) cell centers in C order."""
-        axes = [
-            self.origin[k] + self.h * (np.arange(self.shape[k]) + 0.5)
-            for k in range(3)
-        ]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+        gx, gy, gz = np.meshgrid(*self._axes(), indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
     def interior_centers(self) -> np.ndarray:

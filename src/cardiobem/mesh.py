@@ -17,6 +17,7 @@ is the signed plane area.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import json
 import locale
@@ -26,6 +27,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import orjson
@@ -51,11 +53,18 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MESH_TOKENS = itertools.count()
-_BUILD_LOCK = threading.RLock()
+_CLAIM_LOCK = threading.Lock()
 
 # (point, triangle) pairs per points_inside block: each pair holds about 48
 # bytes of transients in _ray_parity, so a block stays near 13 MB
 _INSIDE_BLOCK = 1 << 18
+
+# the parity tests' bounds, shared by _ray_parity and _lattice_inside: a
+# triangle with |det| at most _PARALLEL is parallel to the ray; within
+# _GRAZE of an edge, in barycentrics, a ray grazes it; a crossing within
+# _GRAZE times the bounding-box diagonal of the origin is not counted
+_PARALLEL = 1e-14
+_GRAZE = 1e-10
 
 # Deterministic "random" ray directions for parity tests; re-cast along the
 # next one when a ray grazes an edge.
@@ -94,17 +103,30 @@ def _memo(owner, key, build):
     Data derived from a frozen mesh, grid, operator spec or field, operators
     and solution operators included, lives in one dict on the object it
     derives from and goes when that object goes.  A hit takes no lock.  A
-    miss builds under one re-entrant lock: a build may read other entries,
-    and threads that miss together build once.  No build returns None.
+    miss claims (owner, key) under a short lock and builds outside it, so
+    builds of other entries, on this owner or any other, go on meanwhile; a
+    build may read other entries.  Threads that miss one entry together wait
+    for its one build.  A build that raises frees its claim, and the next
+    caller builds again.  No build returns None.
     """
-    found = owner.__dict__.get("_derived", {}).get(key)
-    if found is None:
-        with _BUILD_LOCK:
-            derived = owner.__dict__.setdefault("_derived", {})
-            found = derived.get(key)
-            if found is None:
-                found = derived[key] = build()
-    return found
+    while True:
+        found = owner.__dict__.get("_derived", {}).get(key)
+        if found is not None:
+            return found
+        with _CLAIM_LOCK:
+            claims = owner.__dict__.setdefault("_claims", {})
+            claim = claims.get(key)
+            if claim is None and key not in owner.__dict__.get("_derived", {}):
+                claims[key] = threading.Event()
+                break
+        if claim is not None:
+            claim.wait()
+    try:
+        found = owner.__dict__.setdefault("_derived", {})[key] = build()
+        return found
+    finally:
+        with _CLAIM_LOCK:
+            claims.pop(key).set()
 
 
 def _longest_edges(verts: np.ndarray, els: np.ndarray) -> np.ndarray:
@@ -436,13 +458,13 @@ def _ray_parity(mesh: SurfaceMesh, points: np.ndarray) -> np.ndarray:
             break
         p = np.cross(d, e2)  # (m, 3)
         det = np.einsum("mj,mj->m", e1, p)
-        ok = np.abs(det) > 1e-14
+        ok = np.abs(det) > _PARALLEL
         inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
         vecs = np.stack((p, np.cross(e1, d), n)) * inv[:, None]  # (3, m, 3)
         offsets = np.einsum("kmj,mj->km", vecs, v0)
         uvt = points[pending] @ vecs.reshape(-1, 3).T - offsets.reshape(-1)
         u, v, t = np.split(uvt, 3, axis=1)  # each (p, m)
-        eps = 1e-10
+        eps = _GRAZE
         hit = ok & (u > eps) & (v > eps) & (u + v < 1.0 - eps) & (t > eps * scale)
         # grazing: intersection parameter close to an edge of any triangle
         margin = ok & (t > eps * scale) & (
@@ -456,6 +478,67 @@ def _ray_parity(mesh: SurfaceMesh, points: np.ndarray) -> np.ndarray:
     if len(pending):
         # all rays grazed an edge; fall back to the last parity computed
         inside[pending] = parity[ambiguous]
+    return inside
+
+
+def _lattice_inside(mesh: SurfaceMesh, axes) -> np.ndarray:
+    """:func:`points_inside` over the lattice ``axes[0] x axes[1] x axes[2]``.
+
+    Returns the (nx, ny, nz) mask.  All cells of an (x, y) column share one
+    +z ray.  For d = e_z the Moller-Trumbore u and v of :func:`_ray_parity`
+    depend on x and y alone, and t = 0 at a crossing height zc, so one pass
+    per column over the triangles settles all its cells: a cell is inside
+    when an odd number of crossings lie more than eps * scale above it.  The
+    tests are ``_ray_parity``'s (``_PARALLEL``, eps and eps * scale).  A
+    column within eps of a triangle edge, and a cell within eps * scale of
+    a crossing, are left to :func:`points_inside`.  As there, cells outside
+    the open bounding box are not inside.
+    """
+    x, y, z = axes
+    verts, tris = mesh.vertices, mesh.triangles
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    eps = _GRAZE
+    tol = eps * float(np.linalg.norm(hi - lo))
+    ix = np.flatnonzero((x > lo[0]) & (x < hi[0]))
+    iy = np.flatnonzero((y > lo[1]) & (y < hi[1]))
+    iz = np.flatnonzero((z > lo[2]) & (z < hi[2]))
+    inside = np.zeros((len(x), len(y), len(z)), dtype=bool)
+    defer = np.zeros_like(inside)
+    v0 = verts[tris[:, 0]]
+    e1 = verts[tris[:, 1]] - v0
+    e2 = verts[tris[:, 2]] - v0
+    d = np.array([0.0, 0.0, 1.0])
+    p = np.cross(d, e2)
+    det = np.einsum("mj,mj->m", e1, p)
+    ok = np.abs(det) > _PARALLEL
+    # u, v and zc - v0_z are each (x, y) . c[:2] / det, less a constant,
+    # for c = d x e2, e1 x d and e1 x e2
+    vecs = np.stack((p, np.cross(e1, d), np.cross(e1, e2)))[:, ok, :2] / det[ok, None]
+    offsets = np.einsum("kmj,mj->km", vecs, v0[ok, :2])
+    offsets[2] -= v0[ok, 2]
+    cols = np.stack(np.meshgrid(ix, iy, indexing="ij"), axis=-1).reshape(-1, 2)
+    chunk = max(1, _INSIDE_BLOCK // max(1, int(ok.sum())))
+    zs = z[iz]
+    for start in range(0, len(cols), chunk):
+        i, j = cols[start:start + chunk].T
+        xy = np.column_stack((x[i], y[j]))
+        uvz = xy @ vecs.reshape(-1, 2).T - offsets.reshape(-1)
+        u, v, zc = np.split(uvz, 3, axis=1)  # each (columns, triangles)
+        hit = (u > eps) & (v > eps) & (u + v < 1.0 - eps)
+        grazes = ((u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & ~hit).any(axis=1)
+        defer[i[grazes, None], j[grazes, None], iz] = True
+        col, tri = np.nonzero(hit)  # col ascending: each column's crossings are a run
+        if len(col) == 0:
+            continue
+        t = zc[col, tri][:, None] - zs  # (crossings, cells)
+        first = np.flatnonzero(np.diff(col, prepend=-1))
+        ci, cj = i[col[first], None], j[col[first], None]
+        inside[ci, cj, iz] = np.logical_xor.reduceat(t > tol, first, axis=0)
+        defer[ci, cj, iz] |= np.logical_or.reduceat(np.abs(t) <= tol, first, axis=0)
+    cells = np.nonzero(defer)
+    if len(cells[0]):
+        inside[cells] = points_inside(mesh, np.column_stack(
+            (x[cells[0]], y[cells[1]], z[cells[2]])))
     return inside
 
 
@@ -618,28 +701,40 @@ def point_location(config: DomainConfig, x) -> PointLocation:
 # mesh file I/O
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, text) -> None:
     """Write ``text`` to ``path`` as ``Path.write_text`` does, but in place.
 
-    The file is overwritten from its start through a raw descriptor and cut
-    only when it was longer than the new text, not truncated on open: on
-    ext4, truncating a file to zero and rewriting it makes ``close()`` start
-    write-back (``auto_da_alloc``), which costs far more than writing these
-    small files.  The encoding (the locale's preferred one) and the mode of
-    a new file are ``write_text``'s; newlines are written as ``"\\n"``, which
-    is what ``write_text`` does on POSIX.  The write is not atomic: a crash
-    or a concurrent reader can see a partial file.
+    ``text`` is a string or an iterable of strings, such as the blocks of
+    :func:`_format_rows`; each is encoded and written as it comes, so a
+    large table is never held whole as one string or as bytes.  The file is
+    overwritten from its start through a raw descriptor and cut only when it
+    was longer than the new text, not truncated on open: on ext4, truncating
+    a file to zero and rewriting it makes ``close()`` start write-back
+    (``auto_da_alloc``), which costs far more than writing these small
+    files.  The encoding (the locale's preferred one) and the mode of a new
+    file are ``write_text``'s; newlines are written as ``"\\n"``, which is
+    what ``write_text`` does on POSIX.  The write is not atomic: a crash, a
+    concurrent reader or a block that fails to format can leave a partial
+    file.
     """
-    data = memoryview(text.encode(locale.getpreferredencoding(False)))
-    size = len(data)
+    encode = codecs.getincrementalencoder(locale.getpreferredencoding(False))().encode
+    size = 0
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        while data:
-            data = data[os.write(fd, data):]
+        for piece in [text] if isinstance(text, str) else text:
+            size += _write_all(fd, encode(piece))
+        size += _write_all(fd, encode("", final=True))
         if os.fstat(fd).st_size > size:
             os.ftruncate(fd, size)
     finally:
         os.close(fd)
+
+
+def _write_all(fd: int, data: bytes) -> int:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+    return len(data)
 
 
 # cells per block of ``_format_rows``: a block's floats, strings and tuple
@@ -648,7 +743,7 @@ def _write_text(path, text: str) -> None:
 _BLOCK_CELLS = 1 << 12
 
 
-def _format_rows(line: str, values, index: bool = False) -> str:
+def _format_rows(line: str, values, index: bool = False) -> Iterator[str]:
     """Fill ``line`` once per row of ``values``, as ``(line * rows) % cells``.
 
     ``values`` (1-D: one value a row) is read as float64.  Each ``%r`` prints
@@ -661,15 +756,15 @@ def _format_rows(line: str, values, index: bool = False) -> str:
     prints the digits of an integer-valued float; in one with ``%r``, the
     only ``%d`` may be the row number.  With ``index`` each value of a 1-D
     ``values`` follows its row number.  Rows are formatted in blocks of at
-    most ``_BLOCK_CELLS`` cells (one row at least), so a table's Python
-    floats and strings are never all held at once; a block's row numbers
+    most ``_BLOCK_CELLS`` cells (one row at least), and each block's text is
+    yielded as it is made, so :func:`_write_text` writes a table without
+    ever holding all its Python floats and strings; a block's row numbers
     continue from its first row.
     """
     vals = np.asarray(values, dtype=float)
     step = max(1, _BLOCK_CELLS // max(1, vals[:1].size))
     shortest = "%r" in line
     line = line.replace("%r", "%s")
-    text = []
     for start in range(0, len(vals), step):
         block = vals[start:start + step]
         cells = floats = block.ravel().tolist()
@@ -683,8 +778,54 @@ def _format_rows(line: str, values, index: bool = False) -> str:
             numbered[::2] = range(start, start + len(cells))
             numbered[1::2] = cells
             cells = numbered
-        text.append((line * len(block)) % tuple(cells))
-    return "".join(text)
+        yield (line * len(block)) % tuple(cells)
+
+
+# the bytes a CSV body parsed as JSON may hold: numbers, commas, newlines
+_NUMBER_BYTES = b"0123456789+-.eE,\n"
+
+
+def _parse_rows(path, shape) -> np.ndarray | None:
+    """The comma-separated rows of ``path`` as a float64 ``shape`` array, or
+    None where only ``np.loadtxt`` can say what the file holds.
+
+    Blocks of about ``_BLOCK_CELLS`` cells (one row at least) are each read
+    by one ``orjson.loads`` of ``[[row],[row],...]`` and written into the
+    preallocated array, so the transient is about one block.  None, for the
+    caller's ``np.loadtxt`` to read the file or raise, when the file is not
+    ``shape`` rows of ``shape[1]`` cells each or a block is not JSON numbers.
+    That covers spellings only ``np.loadtxt`` takes (``+1.5``, ``1.``,
+    spaces, blank lines, ``nan``) and ``-0``, which JSON reads as the
+    integer 0 and ``np.loadtxt`` as -0.0.  ``shape`` comes from a sidecar,
+    so one that is not two positive integers, or has more cells than the
+    file has bytes, is declined before anything is allocated.
+    """
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and n > 0 for n in shape)
+            and shape[0] * shape[1] <= os.path.getsize(path)):
+        return None
+    out = np.empty(shape)
+    step = max(1, _BLOCK_CELLS // shape[1])
+    start = 0
+    # a buffer that holds whole rows: a row longer than the default 8 KB
+    # one is read piecewise, which costs a tenth of the parse
+    with open(path, "rb", buffering=1 << 16) as f:
+        while lines := list(itertools.islice(f, step)):
+            stop = start + len(lines)
+            body = b"".join(lines)
+            if stop > len(out) or body.translate(None, _NUMBER_BYTES):
+                return None
+            text = b"[[" + body.removesuffix(b"\n").replace(b"\n", b"],[") + b"]]"
+            try:
+                block = np.array(orjson.loads(text), dtype=float)
+            except ValueError:  # not JSON, or a ragged row
+                return None
+            if block.shape != (len(lines), shape[1]) or (
+                    (block == 0.0).any() and (b"-0," in text or b"-0]" in text)):
+                return None
+            out[start:stop] = block
+            start = stop
+    return out if start == len(out) else None
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:
@@ -857,8 +998,8 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
         }
         _write_text(p, json.dumps(doc, indent=1) + "\n")
         return
-    points = _format_rows("%r %r %r\n", mesh.vertices)
-    polygons = _format_rows("3 %d %d %d\n", mesh.triangles)
+    points = "".join(_format_rows("%r %r %r\n", mesh.vertices))
+    polygons = "".join(_format_rows("3 %d %d %d\n", mesh.triangles))
     if kind == "off":
         _write_text(p, f"OFF\n{mesh.n_vertices} {len(mesh.triangles)} 0\n"
                        f"{points}{polygons}")
@@ -877,8 +1018,8 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
             if vals.shape != (mesh.n_vertices,):
                 raise ShapeMismatch(f"point_data {name!r} has wrong length")
             text.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            text.append(_format_rows("%r\n", vals))
-    _write_text(p, "".join(text))
+            text += _format_rows("%r\n", vals)
+    _write_text(p, text)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +1038,7 @@ def save_nodal_field(fld: NodalField, path) -> None:
     """
     path = os.fspath(path)
     _write_text(path, "node_index,value\n"
-                + _format_rows("%d,%r\n", fld.values, index=True))
+                + "".join(_format_rows("%d,%r\n", fld.values, index=True)))
     _write_text(path + ".json",
                 '{\n "surface_id": %s,\n "units": %s,\n "length": %d\n}\n'
                 % (json.dumps(fld.surface_id), json.dumps(fld.units),

@@ -58,7 +58,8 @@ from .direct import _solve_neumann_block
 from .errors import ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
-from .mesh import _format_rows, _freeze, _memo, _write_text, require_off_surface
+from .mesh import (_format_rows, _freeze, _memo, _parse_rows, _write_text,
+                   require_off_surface)
 
 __all__ = [
     "TimeGrid",
@@ -607,7 +608,11 @@ def save_spacetime_field(fld: SpaceTimeField, path) -> None:
 def load_spacetime_field(path) -> SpaceTimeField:
     """Read a record written by :func:`save_spacetime_field`.
 
-    An empty CSV reads as (0, steps), the steps taken from the sidecar.
+    An empty CSV reads as (0, steps), the steps taken from the sidecar.  The
+    body is parsed natively in blocks of rows (``mesh._parse_rows``); a file
+    that parse declines, one that is not JSON numbers or not the sidecar's
+    shape, is read by ``np.loadtxt``, so it loads to the same array or fails
+    with the same error.
     """
     p = Path(path)
     side = p.with_suffix(p.suffix + ".json")
@@ -618,7 +623,7 @@ def load_spacetime_field(path) -> SpaceTimeField:
         raise ParseError(f"cannot read record manifest {side}: {exc}") from exc
     if os.path.getsize(p) == 0:  # a zero-node record: its columns are frames
         vals = np.empty((0, int(tg["steps"])))
-    else:
+    elif (vals := _parse_rows(p, shape)) is None:
         try:
             vals = np.loadtxt(p, delimiter=",", ndmin=2)
         except ValueError as exc:  # a malformed cell or a ragged row

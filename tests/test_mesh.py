@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cardiobem import (
     PointLocation,
     PointOnBoundary,
     ShapeMismatch,
+    SurfaceMesh,
     circle_curve,
     icosphere,
     load_mesh,
@@ -27,7 +30,7 @@ from cardiobem import (
 )
 import cardiobem.mesh as mesh_module
 from cardiobem.grid import InteriorGrid
-from cardiobem.mesh import (_INSIDE_BLOCK, _curve_parity, _distances_within,
+from cardiobem.mesh import (_INSIDE_BLOCK, _curve_parity, _distances_within, _memo,
                             _ray_parity, _write_text, require_off_surface)
 from cardiobem.primitives import octahedron, unit_cube
 
@@ -141,6 +144,45 @@ def test_nodal_field_sidecar_checks(tmp_path, sidecar):
         load_nodal_field(path)
 
 
+def test_memo_builds_on_other_owners_while_one_builds():
+    # a build held open on one owner blocks neither a first build on
+    # another owner nor a build of another entry on the same owner; a
+    # build that raises frees its claim, so the next caller builds again
+    busy, other = types.SimpleNamespace(), types.SimpleNamespace()
+    started, release = threading.Event(), threading.Event()
+
+    def held():
+        started.set()
+        assert release.wait(timeout=60)
+        return "held"
+
+    built = []
+    holder = threading.Thread(target=lambda: built.append(_memo(busy, "k", held)))
+    holder.start()
+    try:
+        assert started.wait(timeout=60)
+        done = threading.Event()
+        other_thread = threading.Thread(target=lambda: (
+            built.append(_memo(other, "k", lambda: "other")),
+            built.append(_memo(busy, "j", lambda: "same owner")), done.set()))
+        other_thread.start()
+        assert done.wait(timeout=60)
+        other_thread.join(timeout=60)
+        assert built == ["other", "same owner"]
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+    assert built[-1] == "held"
+
+    def fails():
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError):
+        _memo(other, "broken", fails)
+    assert _memo(other, "broken", lambda: "rebuilt") == "rebuilt"
+
+
 def test_write_text_cuts_a_longer_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("x" * 4096 + "\n")
@@ -210,7 +252,7 @@ def _old_format_rows(line, values, index=False):
 
 def _assert_formats_as_old(line, values, index):
     # compare row by row: a diff of two multi-megabyte strings takes minutes
-    new = mesh_module._format_rows(line, values, index=index).splitlines()
+    new = "".join(mesh_module._format_rows(line, values, index=index)).splitlines()
     old = _old_format_rows(line, values, index=index).splitlines()
     assert len(new) == len(old), line
     for row, (a, b) in enumerate(zip(new, old)):
@@ -246,7 +288,7 @@ def test_format_rows_matches_repr():
         _assert_formats_as_old(*case)
 
 
-def test_format_rows_blocks(monkeypatch):
+def test_format_rows_blocks(monkeypatch, tmp_path):
     # seven cells a block: two rows of a three-column table, one of a
     # five-column one, so blocks split tables at every width used here
     monkeypatch.setattr(mesh_module, "_BLOCK_CELLS", 7)
@@ -256,6 +298,14 @@ def test_format_rows_blocks(monkeypatch):
     ints = rng.integers(0, 1000, size=(9, 3)).astype(float)
     for case in _format_cases(flat, ints):
         _assert_formats_as_old(*case)
+    # _write_text writes a table of twelve blocks block by block, over a
+    # longer file, to the bytes of the whole table
+    line, table = _format_cases(flat, ints)[2][:2]
+    assert len(list(mesh_module._format_rows(line, table))) == 12
+    path = tmp_path / "table.csv"
+    path.write_text("x" * 4096 + "\n")
+    _write_text(path, mesh_module._format_rows(line, table))
+    assert path.read_bytes() == _old_format_rows(line, table).encode()
 
 
 def test_point_queries():
@@ -310,17 +360,42 @@ def test_points_inside_blocks():
     assert np.array_equal(mask[away], radius[away] < 1.0)
 
 
-@pytest.mark.parametrize("mesh, h", [
-    (icosphere(2, 1.0, surface_id="s"), 0.14),
-    (unit_cube(), 0.15),
-    (octahedron(radius=0.8), 0.15),
-], ids=["heat-grid", "cube", "octahedron"])
-def test_points_inside_box_cut_matches_ray_parity(mesh, h):
-    # outside the open bounding box no ray is cast; every point of the grid
-    # gets the mask that parity over the whole grid gives
-    centers = InteriorGrid.for_mesh(mesh, h=h).centers()
-    assert np.array_equal(points_inside(mesh, centers),
-                          _ray_parity(mesh, centers))
+def _eccentric_rotated_sphere():
+    sphere = icosphere(2, 0.7, center=(0.3, -0.2, 0.15), surface_id="s")
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    q *= np.sign(np.linalg.det(q))  # a rotation keeps the winding outward
+    return SurfaceMesh(sphere.vertices @ q.T, sphere.triangles, "s")
+
+
+@pytest.mark.parametrize("mesh, h, deferred", [
+    (icosphere(2, 1.0, surface_id="s"), 0.14, False),
+    (unit_cube(), 0.15, False),
+    (octahedron(radius=0.8), 0.15, False),
+    (icosphere(3, 1.0, surface_id="s"), 0.05, False),
+    (_eccentric_rotated_sphere(), 0.06, False),
+    (unit_cube(), 0.125, True),
+    (octahedron(radius=0.78125), 0.125, True),
+], ids=["heat-grid", "cube", "octahedron", "level-3", "eccentric-rotated",
+        "cube-edges", "octahedron-faces"])
+def test_points_inside_box_cut_matches_ray_parity(mesh, h, deferred, monkeypatch):
+    # outside the open bounding box no ray is cast, and the grid's mask
+    # comes from one ray per column of cells; both give every point of the
+    # grid the mask that parity over the whole grid gives.  At h = 1/8 the
+    # cube's columns with x = y run exactly along the diagonal edges of its
+    # top and bottom faces, and 78 cell centers lie exactly on the faces of
+    # the octahedron of radius 25/32; the column pass leaves both kinds of
+    # cell to points_inside.
+    left = []
+    monkeypatch.setattr(mesh_module, "points_inside",
+                        lambda m, pts: left.append(len(pts)) or points_inside(m, pts))
+    grid = InteriorGrid.for_mesh(mesh, h=h)
+    centers = grid.centers()
+    parity = np.concatenate([_ray_parity(mesh, part) for part in
+                             np.array_split(centers, -(-len(centers) // 1024))])
+    assert np.array_equal(points_inside(mesh, centers), parity)
+    assert np.array_equal(grid.inside, parity)
+    if deferred:
+        assert sum(left) > 0
 
 
 def test_points_inside_box_cut_matches_curve_parity():

@@ -33,6 +33,7 @@ from cardiobem import (
 from cardiobem import parabolic
 from cardiobem.assembly import _panel_quadrature
 from cardiobem.direct import solve_neumann_normalized
+from cardiobem.mesh import _BLOCK_CELLS
 
 
 @pytest.fixture(scope="module")
@@ -518,6 +519,33 @@ def test_spacetime_round_trip(tmp_path):
         back = load_spacetime_field(tmp_path / "empty.csv")
     assert back.values.shape == (0, 3)
     assert back.grid == tg
+    # a record of several parse blocks, of the floats hardest to spell and
+    # to read back, loads bit for bit as np.loadtxt reads the same file
+    edges = [5e-324, 2.2250738585072014e-308, 1e-5, 1e16, -0.0,
+             1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 9007199254740993.0]
+    values = rng.standard_normal((60, 300)) * 10.0 ** rng.integers(-300, 300, (60, 300))
+    values[:, :len(edges)] = edges
+    values[:, len(edges):2 * len(edges)] = -np.array(edges)
+    assert values.size > 3 * _BLOCK_CELLS
+    big = SpaceTimeField("heart", values, TimeGrid(t_end=1.0, steps=300))
+    save_spacetime_field(big, tmp_path / "big.csv")
+    back = load_spacetime_field(tmp_path / "big.csv").values
+    assert back.tobytes() == values.tobytes()
+    assert back.tobytes() == np.loadtxt(tmp_path / "big.csv", delimiter=",").tobytes()
+
+
+def test_spacetime_load_reads_loadtxt_spellings(tmp_path):
+    # spellings np.loadtxt takes and JSON does not, and "-0", which JSON
+    # reads as the integer 0, load to np.loadtxt's array, sign bits included
+    tg = TimeGrid(t_end=0.5, steps=3)
+    path = tmp_path / "field.csv"
+    save_spacetime_field(SpaceTimeField("heart", np.ones((3, 3)), tg), path)
+    for text in ["+1.5,1.,-0\n\n2,-0,.5\n3e2,4E-1,-0.0\n",
+                 "1.5,-0,0\n2,3,-0\n3e2,4E-1,-0.0"]:
+        path.write_text(text)
+        back = load_spacetime_field(path).values
+        assert back.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
+        assert np.signbit(back).sum() == 3
 
 
 def test_spacetime_load_checks_sidecar_shape(tmp_path):
@@ -543,9 +571,17 @@ def test_spacetime_load_rejects_malformed_cell(tmp_path):
     path = tmp_path / "field.csv"
     save_spacetime_field(fld, path)
     rows = path.read_text().splitlines()
-    cells = rows[1].split(",")
-    cells[2] = "x"
-    rows[1] = ",".join(cells)
+    # JSON reads the last three as 2.0, 1.0 and nan; np.loadtxt rejects them
+    for bad in ["x", '"2.0"', "true", "null"]:
+        cells = rows[1].split(",")
+        cells[2] = bad
+        path.write_text("\n".join(rows[:1] + [",".join(cells)] + rows[2:]) + "\n")
+        with pytest.raises(ParseError, match="field.csv"):
+            load_spacetime_field(path)
+    # a ragged row: one cell short, and the sidecar's cell count kept
+    rows = path.read_text().splitlines()
+    rows[1] = "1.0,2.0,3.0"
+    rows[2] += ",5.0"
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ParseError, match="field.csv"):
         load_spacetime_field(path)
