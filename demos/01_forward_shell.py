@@ -14,6 +14,7 @@ import numpy as np
 
 from cardiobem import (
     ConductivityModel,
+    DomainConfig,
     HarmonicSpec,
     HarmonicTerm,
     Shell3D,
@@ -42,9 +43,9 @@ def main():
         heart = icosphere(level, 1.0, surface_id="heart")
         torso = icosphere(level, 2.0, surface_id="torso")
         fields = oracle.fields_on(heart, torso)
+        domain = DomainConfig(heart=heart, torso=torso)
 
-        flux, report = solve_zaremba(model.M_b, heart, torso,
-                                     fields["heart_trace_ub"])
+        flux, report = solve_zaremba(model.M_b, domain, fields["heart_trace_ub"])
         flux_err = (np.abs(flux.values - fields["heart_flux"].values).max()
                     / np.abs(fields["heart_flux"].values).max())
         chest = report.solution_trace_outer.values

@@ -64,8 +64,7 @@ def main():
 
     # sweep the grid by hand on the noisy data: under-regularized solves
     # blow up, over-regularized ones flatten out
-    report = solve_cauchy_elliptic(model.M_b, heart, torso, noisy_f,
-                                   config=config)
+    report = solve_cauchy_elliptic(model.M_b, domain, noisy_f, config=config)
     print("\n  alpha     residual    seminorm    rmse(v) vs truth")
     for alpha in report.diagnostics["alpha_grid"][::2]:
         fixed = TikhonovConfig(alpha_grid=config.alpha_grid,

@@ -13,6 +13,7 @@ import numpy as np
 from cardiobem import (
     ConductivityModel,
     CubicRadial,
+    DomainConfig,
     InteriorGrid,
     generate_nullspace_element,
     icosphere,
@@ -24,6 +25,7 @@ def main():
     model = ConductivityModel()
     heart = icosphere(2, 1.0, surface_id="heart")
     torso = icosphere(2, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
     grid = InteriorGrid.for_mesh(heart, h=0.1)
 
     bump = CubicRadial(center=(0.1, 0.0, -0.1), radius=0.5, amplitude=25.0)
@@ -39,7 +41,7 @@ def main():
 
     # push the (numerically zero) trace through the torso shell anyway:
     # the chest potential it generates is zero to machine precision
-    _, report = solve_zaremba(model.M_b, heart, torso, elem.u_e_trace)
+    _, report = solve_zaremba(model.M_b, domain, elem.u_e_trace)
     chest = np.abs(report.solution_trace_outer.values).max()
     print(f"chest signal sup:         {chest:.1e}")
 

@@ -462,7 +462,7 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
         double layer then gets the row-sum diagonal D 1 = -1/2.
 
     Every call assembles anew; the solvers of ``direct`` keep what they
-    reuse on the meshes.
+    reuse on the meshes and heart-torso domains.
     """
     if kind not in ("single", "double"):
         raise ShapeMismatch(f"unknown layer kind {kind!r}")
@@ -470,7 +470,7 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
     if target is None:
         target = source
     is_mesh_target = isinstance(target, (SurfaceMesh, CurveMesh))
-    same = is_mesh_target and target.cache_token == source.cache_token
+    same = target is source
 
     targets = target.vertices if is_mesh_target else np.atleast_2d(np.asarray(target, float))
     if targets.shape[1] != source.dim:

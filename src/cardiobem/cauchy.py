@@ -28,9 +28,9 @@ mesh, is carried by a separate least-squares term.  The thin SVD of the
 standard-form matrix makes the residual and seminorm norms of the whole
 alpha grid one (alphas x singular values) array, and only the chosen
 alpha's x is formed.  That SVD, with the lift back to x, lives on the
-heart mesh like the shell operators of direct.py, once per (torso, tensor,
-penalty), and goes with the mesh; the Cauchy matrix itself is needed only
-inside that build.
+heart-torso DomainConfig like the shell operators of direct.py, once per
+(tensor, penalty), and goes with the domain; the Cauchy matrix itself is
+needed only inside that build.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
         return idx
 
 
-def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
+def solve_cauchy_elliptic(M_b, domain, f: NodalField,
                           flux_on_torso: Optional[NodalField] = None,
                           config: Optional[TikhonovConfig] = None) -> CauchySolveReport:
     """Propagate torso Cauchy data through the shell to the heart surface.
@@ -304,11 +304,12 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
     """
     if config is None:
         config = TikhonovConfig.log_grid()
+    heart, torso = domain.heart, domain.torso
     tensor = as_tensor(M_b, heart.dim)
     fv = f.check_on(torso)
     qt = None if flux_on_torso is None else flux_on_torso.check_on(torso)
     nh = heart.n_vertices
-    a_full, b_full = shell_operators(tensor, heart, torso)
+    a_full, b_full = shell_operators(tensor, domain)
     # b = B q - A f; -(A f) + B q rounds the same, and an insulated torso
     # (no flux given) skips the product with q = 0
     b = -(a_full[:, nh:] @ fv)
@@ -334,8 +335,8 @@ def solve_cauchy_elliptic(M_b, heart, torso, f: NodalField,
         lap = None if config.penalty == "identity" else _graph_laplacian(heart)
         return _standard_form(a, lap)
 
-    form = _memo(heart, ("cauchy", torso.cache_token, tensor.tobytes(),
-                         config.penalty), standard_form)
+    form = _memo(domain, ("cauchy", tensor.tobytes(), config.penalty),
+                 standard_form)
     grid = config.alpha_grid
     rho, eta, solution = _sweep(form, b, grid)
     diagnostics = {}

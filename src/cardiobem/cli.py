@@ -423,7 +423,8 @@ def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
     }
     if cfg.get("torso"):
         torso = load_mesh(_require_file(cfg, "torso"), surface_id="torso")
-        _, rep = solve_zaremba(model.M_b, heart, torso, elem.u_e_trace)
+        domain = DomainConfig(heart=heart, torso=torso)
+        _, rep = solve_zaremba(model.M_b, domain, elem.u_e_trace)
         results["torso_signal_sup"] = float(
             np.abs(rep.solution_trace_outer.values).max())
     return results

@@ -21,18 +21,19 @@ Conventions:
     constraint holds to solver precision.  A block of flux columns shares
     one single-layer product and one product with the bordered inverse.
 
-Operators and solution operators live on their meshes (``mesh._memo``),
-keyed by the tensor, and go when the mesh goes.  A surface holds its own
-single and double layer and the inverses of its Dirichlet matrix S and of
-its bordered Neumann matrix.  The heart holds the two-surface entries,
-keyed also by the torso's cache token: the shell block operators A and B,
-the inverse of B, the Zaremba transfer and (for cauchy.py) the SVD of the
-Cauchy problem in standard form.  No LU factors are kept: a solve is one
-matrix product with a kept solution operator, and its residual is formed
-from the kept layers.  The Zaremba transfer maps heart data d straight to
-the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy problem).
-Everything runs on numpy's BLAS, so the package never wakes a second BLAS
-thread pool.  Threads that miss an entry together build it once.
+Operators and solution operators live on what they derive from
+(``mesh._memo``), keyed by the tensor, and go when it goes.  A surface
+holds its own single and double layer and the inverses of its Dirichlet
+matrix S and of its bordered Neumann matrix.  The heart-torso pair, a
+DomainConfig, holds the two-surface entries: the shell block operators A
+and B (the only copies of their layer blocks), the inverse of B, the
+Zaremba transfer and (for cauchy.py) the SVD of the Cauchy problem in
+standard form.  No LU factors are kept: a solve is one matrix product
+with a kept solution operator, and its residual is formed from the kept
+layers.  The Zaremba transfer maps heart data d straight to the unknowns
+[q_h; u_t] (the Lambda and T of the reduced Cauchy problem).  Everything
+runs on numpy's BLAS, so the package never wakes a second BLAS thread
+pool.  Threads that miss an entry together build it once.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _layers(M, mesh):
         assemble_layer("double", M, mesh).matrix))
 
 
-def shell_operators(M, heart, torso):
+def shell_operators(M, domain):
     """Full-boundary operators of the shell domain, heart normals flipped.
 
     Returns (A, B) with A = 1/2 I + D_shell (diagonal from the full block
@@ -106,24 +107,22 @@ def shell_operators(M, heart, torso):
     shell conormal q.  M is a tensor as returned by ``as_tensor``.
     """
     def build():
-        s_hh, d_hh = _layers(M, heart)
-        s_tt, d_tt = _layers(M, torso)
-        d_ht = assemble_layer("double", M, torso, heart).matrix
-        d_th = assemble_layer("double", M, heart, torso).matrix
-        s_ht = assemble_layer("single", M, torso, heart).matrix
-        s_th = assemble_layer("single", M, heart, torso).matrix
-        # shell-outward normals: sources on the heart flip sign; the
-        # per-surface diagonals are replaced by the full block row's
-        dl = np.block([[-d_hh, d_ht], [-d_th, d_tt]])
-        n = len(dl)
-        idx = np.arange(n)
-        dl[idx, idx] = 0.0
-        dl[idx, idx] = -0.5 - dl.sum(axis=1)
-        a = 0.5 * np.eye(n) + dl
-        b = np.block([[s_hh, s_ht], [s_th, s_tt]])
+        nh = domain.heart.n_vertices
+        n = nh + domain.torso.n_vertices
+        a, b = np.empty((n, n)), np.empty((n, n))
+        parts = ((slice(None, nh), domain.heart), (slice(nh, None), domain.torso))
+        for rows, target in parts:
+            for cols, source in parts:
+                b[rows, cols] = assemble_layer("single", M, source, target).matrix
+                a[rows, cols] = assemble_layer("double", M, source, target).matrix
+        a[:, :nh] *= -1.0  # shell-outward normals flip on the heart sources
+        # the per-surface diagonals are replaced by the full block row's,
+        # D_shell 1 = -1/2, before the 1/2 I is added
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, 0.5 + (-0.5 - a.sum(axis=1)))
         return a, b
 
-    return _memo(heart, ("shell", torso.cache_token, M.tobytes()), build)
+    return _memo(domain, ("shell", M.tobytes()), build)
 
 
 def _interior_values(M, meshes, traces, fluxes, targets,
@@ -200,8 +199,8 @@ def _solve_dirichlet_shell(tensor, domain, u0, targets):
         ) from exc
     dh = u0_h.check_on(heart)
     dt = u0_t.check_on(torso)
-    a, b = shell_operators(tensor, heart, torso)
-    b_inv = _memo(heart, ("dirichlet-shell", torso.cache_token, tensor.tobytes()),
+    a, b = shell_operators(tensor, domain)
+    b_inv = _memo(domain, ("dirichlet-shell", tensor.tobytes()),
                   lambda: _solution_operator(b))
     rhs = a @ np.concatenate([dh, dt])
     q = b_inv @ rhs
@@ -322,17 +321,18 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
 # Zaremba (mixed) problem of the first protocol
 
 
-def solve_zaremba(M, heart, torso, u_dirichlet_on_heart):
+def solve_zaremba(M, domain, u_dirichlet_on_heart):
     """Dirichlet data on the heart, zero flux on the torso: heart flux out.
 
-    Solves the mixed problem in the shell and returns nu_i . M grad u on the
-    heart surface (heart-outward conormal) as a NodalField plus the report;
-    the recovered torso trace rides along as solution_trace_outer.
+    Solves the mixed problem in the shell of ``domain`` and returns
+    nu_i . M grad u on the heart (heart-outward conormal) as a NodalField
+    plus the report; the torso trace rides along as solution_trace_outer.
     """
+    heart, torso = domain.heart, domain.torso
     tensor = as_tensor(M, heart.dim)
     d = u_dirichlet_on_heart.check_on(heart)
     nh = heart.n_vertices
-    a, b = shell_operators(tensor, heart, torso)
+    a, b = shell_operators(tensor, domain)
 
     def transfer():
         # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
@@ -341,7 +341,7 @@ def solve_zaremba(M, heart, torso, u_dirichlet_on_heart):
         sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
         return _solution_operator(sysmat, -a[:, :nh])
 
-    x = _memo(heart, ("zaremba", torso.cache_token, tensor.tobytes()), transfer)
+    x = _memo(domain, ("zaremba", tensor.tobytes()), transfer)
     sol = x @ d
     q_h, u_t = sol[:nh], sol[nh:]
     residual = float(np.linalg.norm(a @ np.concatenate([d, u_t])

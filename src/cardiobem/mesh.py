@@ -100,14 +100,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _memo(owner, key, build):
     """``owner``'s derived value under ``key``, made by ``build()`` on a miss.
 
-    Data derived from a frozen mesh, grid, operator spec or field, operators
-    and solution operators included, lives in one dict on the object it
-    derives from and goes when that object goes.  A hit takes no lock.  A
-    miss claims (owner, key) under a short lock and builds outside it, so
-    builds of other entries, on this owner or any other, go on meanwhile; a
-    build may read other entries.  Threads that miss one entry together wait
-    for its one build.  A build that raises frees its claim, and the next
-    caller builds again.  No build returns None.
+    Data derived from a frozen mesh, heart-torso domain, grid, operator spec
+    or field, operators and solution operators included, lives in one dict
+    on the object it derives from and goes when that object goes.  A hit
+    takes no lock.  A miss claims (owner, key) under a short lock and builds
+    outside it, so builds of other entries, on this owner or any other, go
+    on meanwhile; a build may read other entries.  Threads that miss one
+    entry together wait for its one build.  A build that raises frees its
+    claim, and the next caller builds again.  No build returns None.
     """
     while True:
         found = owner.__dict__.get("_derived", {}).get(key)
@@ -204,10 +204,10 @@ class _Mesh:
 
     @property
     def cache_token(self) -> int:
-        """Per-instance counter that tells meshes apart in the keys of
-        operators held on another mesh (the shell operators live on the
-        heart, keyed by the torso's token); two loads of the same file get
-        different tokens."""
+        """Per-instance counter; two loads of the same file get different
+        tokens.  No library code reads it: perfbench's tracer tells meshes
+        apart by it, and it goes once the tracer uses the mesh's identity
+        instead (ROADMAP item 2)."""
         return self._token
 
     @property
@@ -380,7 +380,9 @@ class DomainConfig:
     """Heart surface strictly inside a torso surface.
 
     The closed region between the two surfaces is the passive conductor
-    shell; the inside of ``heart`` is the active tissue domain.
+    shell; the inside of ``heart`` is the active tissue domain.  The domain
+    owns the shell problems' operators, which go with it: build one per
+    heart-torso pair and reuse it for every solve on that pair.
     """
 
     heart: SurfaceMesh | CurveMesh

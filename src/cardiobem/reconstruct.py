@@ -157,7 +157,7 @@ def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
     """
     heart = domain.heart
     ue = u_e_measured.check_on(heart)
-    flux, zrep = solve_zaremba(model.M_b, heart, domain.torso, u_e_measured)
+    flux, zrep = solve_zaremba(model.M_b, domain, u_e_measured)
     ui_field, c, diag = reconstruct_ui_proportional(
         u_e_measured, flux, model, c0, heart
     )
@@ -186,9 +186,8 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
     the Zaremba step the Cauchy solve already subsumes.
     """
     heart = domain.heart
-    cauchy: CauchySolveReport = solve_cauchy_elliptic(
-        model.M_b, heart, domain.torso, f, config=tikhonov
-    )
+    cauchy: CauchySolveReport = solve_cauchy_elliptic(model.M_b, domain, f,
+                                                      config=tikhonov)
     ui_field, c, diag = reconstruct_ui_proportional(
         cauchy.heart_dirichlet, cauchy.heart_flux, model, c0, heart
     )

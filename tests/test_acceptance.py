@@ -105,13 +105,13 @@ def test_criterion_02_neumann_solver():
              f"normalization {abs(rep.normalization_value):.1e} (tol 1e-8)")
 
 
-def test_criterion_03_zaremba_degree_one(model, heart3, torso3):
+def test_criterion_03_zaremba_degree_one(model, heart3, domain3):
     # u = (A r + B r^-2) cos(theta) on the 1..2 shell with u(1) = d cos(theta)
     # and zero flux at r=2:  A = d/5, B = 4d/5
     d = 30.0
     z = heart3.vertices[:, 2]
     data = NodalField("heart", d * z)
-    flux, rep = solve_zaremba(model.M_b, heart3, torso3, data)
+    flux, rep = solve_zaremba(model.M_b, domain3, data)
 
     a_c, b_c = d / 5.0, 4.0 * d / 5.0
     oracle = model.m_b * (a_c - 2.0 * b_c) * z  # heart-outward conormal at r=1
@@ -126,7 +126,7 @@ def test_criterion_03_zaremba_degree_one(model, heart3, torso3):
              f"flux conservation {conservation:.1e} (tol 1e-3 relative)")
 
 
-def test_criterion_04_nullspace_certification(model, heart2, torso2):
+def test_criterion_04_nullspace_certification(model, heart2, domain2):
     grid = InteriorGrid.for_mesh(heart2, h=0.1)
     amp = 25.0
     worst_torso, worst_ident, worst_c = 0.0, 0.0, 0.0
@@ -135,7 +135,7 @@ def test_criterion_04_nullspace_certification(model, heart2, torso2):
                            ((-0.1, 0.15, 0.0), 0.6)]:
         bump = CubicRadial(center=center, radius=radius, amplitude=amp)
         elem = generate_nullspace_element(heart2, grid, model, bump)
-        _, rep = solve_zaremba(model.M_b, heart2, torso2, elem.u_e_trace)
+        _, rep = solve_zaremba(model.M_b, domain2, elem.u_e_trace)
         worst_torso = max(worst_torso,
                           np.abs(rep.solution_trace_outer.values).max())
         ident = np.abs(elem.u_i_trace.values + model.lam * elem.u_e_trace.values
@@ -198,7 +198,6 @@ def test_criterion_06_protocol2_round_trip(domain2, model, fields2,
 
 def test_criterion_07_tikhonov_monotonicity(domain2, model, fields2,
                                             noisy_torso_data):
-    heart, torso = domain2.heart, domain2.torso
     grid = TikhonovConfig.log_grid().alpha_grid
     configs = [
         TikhonovConfig(grid),
@@ -210,8 +209,7 @@ def test_criterion_07_tikhonov_monotonicity(domain2, model, fields2,
     worst_rho, worst_eta, n_solves = 0.0, 0.0, 0
     for f in data:
         for config in configs:
-            rep = solve_cauchy_elliptic(model.M_b, heart, torso, f,
-                                        config=config)
+            rep = solve_cauchy_elliptic(model.M_b, domain2, f, config=config)
             rho = rep.diagnostics["residuals"]
             eta = rep.diagnostics["seminorms"]
             assert len(rho) == len(grid), "sweep must cover the full grid"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cardiobem import (
+    DomainConfig,
     InteriorGrid,
     NodalField,
     PointOnBoundary,
@@ -60,12 +61,15 @@ def test_operator_cache(assembly_builds):
     # the solvers assemble on the first call only; warm calls reuse the cache
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
     z = NodalField("heart", heart.vertices[:, 2], units="mV*mS/cm^2")
-    solve_zaremba(np.eye(3), heart, torso, z)
+    solve_zaremba(np.eye(3), domain, z)
     solve_neumann_normalized(np.eye(3), heart, z)
-    assert len(assembly_builds) == 8  # the four shell blocks of each layer kind
+    # the four shell blocks of each layer kind, then the heart's own pair
+    # for the Neumann solve: the shell keeps no per-surface layers
+    assert len(assembly_builds) == 10
     del assembly_builds[:]
-    solve_zaremba(np.eye(3), heart, torso, z)
+    solve_zaremba(np.eye(3), domain, z)
     solve_neumann_normalized(np.eye(3), heart, z)
     assert assembly_builds == []
     # a pure function: each call assembles

@@ -66,8 +66,8 @@ def test_lcurve_corner_synthetic():
 def test_fixed_alpha_snaps_to_grid(model, domain2, fields2):
     grid = TikhonovConfig.log_grid().alpha_grid
     cfg = TikhonovConfig(grid, selection=FixedAlpha(3e-5))
-    rep = solve_cauchy_elliptic(model.M_b, domain2.heart, domain2.torso,
-                                fields2["f"], config=cfg)
+    rep = solve_cauchy_elliptic(model.M_b, domain2, fields2["f"],
+                                config=cfg)
     assert rep.chosen_alpha in grid
     assert rep.chosen_alpha == grid[np.argmin(np.abs(np.log(grid)
                                                      - np.log(3e-5)))]
@@ -76,20 +76,20 @@ def test_fixed_alpha_snaps_to_grid(model, domain2, fields2):
 def test_discrepancy_principle(model, domain2, fields2):
     grid = TikhonovConfig.log_grid().alpha_grid
     loose = TikhonovConfig(grid, selection=DiscrepancyPrinciple(1e9))
-    rep = solve_cauchy_elliptic(model.M_b, domain2.heart, domain2.torso,
-                                fields2["f"], config=loose)
+    rep = solve_cauchy_elliptic(model.M_b, domain2, fields2["f"],
+                                config=loose)
     assert rep.chosen_alpha == grid[-1]  # everything feasible: largest alpha
 
     tight = TikhonovConfig(grid, selection=DiscrepancyPrinciple(1e-300))
-    rep = solve_cauchy_elliptic(model.M_b, domain2.heart, domain2.torso,
-                                fields2["f"], config=tight)
+    rep = solve_cauchy_elliptic(model.M_b, domain2, fields2["f"],
+                                config=tight)
     assert rep.diagnostics.get("discrepancy_unreachable") is True
     assert rep.chosen_alpha == grid[np.argmin(rep.diagnostics["residuals"])]
 
 
 def test_zero_data_short_circuit(model, domain2):
     f = NodalField("torso", np.zeros(domain2.torso.n_vertices))
-    rep = solve_cauchy_elliptic(model.M_b, domain2.heart, domain2.torso, f)
+    rep = solve_cauchy_elliptic(model.M_b, domain2, f)
     assert rep.diagnostics.get("zero_data") is True
     assert np.all(rep.heart_dirichlet.values == 0.0)
     assert np.all(rep.heart_flux.values == 0.0)
@@ -106,8 +106,7 @@ def test_torso_flux_enters_linearly(model, domain2, fields2):
     zero = NodalField("torso", np.zeros(torso.n_vertices))
 
     def solve(f, flux):
-        return solve_cauchy_elliptic(model.M_b, domain2.heart, torso, f,
-                                     flux_on_torso=flux,
+        return solve_cauchy_elliptic(model.M_b, domain2, f, flux_on_torso=flux,
                                      config=cfg).heart_dirichlet.values
 
     insulated = solve(fields2["f"], None)
@@ -121,8 +120,8 @@ def test_torso_flux_enters_linearly(model, domain2, fields2):
 @pytest.mark.parametrize("penalty", ["identity", "surface_gradient"])
 def test_cauchy_recovers_oracle(model, domain2, fields2, penalty):
     cfg = TikhonovConfig.log_grid(penalty=penalty)
-    rep = solve_cauchy_elliptic(model.M_b, domain2.heart, domain2.torso,
-                                fields2["f"], config=cfg)
+    rep = solve_cauchy_elliptic(model.M_b, domain2, fields2["f"],
+                                config=cfg)
     true_trace = fields2["heart_trace_ub"].values
     true_flux = fields2["heart_flux"].values
     err_trace = (np.linalg.norm(rep.heart_dirichlet.values - true_trace)
@@ -135,8 +134,7 @@ def test_cauchy_recovers_oracle(model, domain2, fields2, penalty):
 
 
 def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
-    rep = solve_cauchy_elliptic(model.M_b, domain2.heart, domain2.torso,
-                                fields2["f"])
+    rep = solve_cauchy_elliptic(model.M_b, domain2, fields2["f"])
     rho = rep.diagnostics["residuals"]
     eta = rep.diagnostics["seminorms"]
     assert np.all(np.diff(rho) >= 0)
@@ -151,10 +149,10 @@ def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
         rows, np.column_stack((rep.diagnostics["alpha_grid"], rho, eta)))
 
 
-def _cauchy_system(M, heart, torso, f):
+def _cauchy_system(M, domain, f):
     """The Cauchy matrix [A_h, -B_h] and the data vector for zero torso flux."""
-    nh = heart.n_vertices
-    a_full, b_full = shell_operators(M, heart, torso)
+    nh = domain.heart.n_vertices
+    a_full, b_full = shell_operators(M, domain)
     return np.hstack([a_full[:, :nh], -b_full[:, :nh]]), -(a_full[:, nh:] @ f)
 
 
@@ -165,8 +163,7 @@ def test_identity_sweep_matches_per_alpha_loop(model, domain2, fields2, seed):
     f = fields2["f"].values
     rng = np.random.default_rng(seed)
     f = f + 0.01 * np.abs(f).max() * rng.standard_normal(len(f))
-    heart, torso = domain2.heart, domain2.torso
-    a, b = _cauchy_system(model.M_b, heart, torso, f)
+    a, b = _cauchy_system(model.M_b, domain2, f)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     beta = u.T @ b
     perp2 = float(b @ b - beta @ beta)
@@ -181,8 +178,8 @@ def test_identity_sweep_matches_per_alpha_loop(model, domain2, fields2, seed):
         eta.append(float(np.linalg.norm(x)))
     idx = lcurve_corner(np.column_stack([np.log(rho), np.log(eta)]))
 
-    rep = solve_cauchy_elliptic(model.M_b, heart, torso, NodalField("torso", f))
-    nh = heart.n_vertices
+    rep = solve_cauchy_elliptic(model.M_b, domain2, NodalField("torso", f))
+    nh = domain2.heart.n_vertices
     assert rep.chosen_alpha == grid[idx]
     assert np.array_equal(rep.diagnostics["residuals"], rho)
     assert np.array_equal(rep.heart_dirichlet.values, xs[idx][:nh])
@@ -220,14 +217,14 @@ def test_surface_gradient_matches_normal_equations(model, heart_kind):
     else:
         heart = _two_sphere_heart()
     torso = icosphere(2, 2.0, surface_id="torso")
-    DomainConfig(heart=heart, torso=torso)
+    domain = DomainConfig(heart=heart, torso=torso)
     p = torso.vertices
     f = 3.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 2]  # harmonic for M = m_b I
-    a, b = _cauchy_system(model.M_b, heart, torso, f)
+    a, b = _cauchy_system(model.M_b, domain, f)
     lap = _graph_laplacian(heart)
     lmat = np.block([[lap, np.zeros_like(lap)], [np.zeros_like(lap), lap]])
     cfg = TikhonovConfig.log_grid(penalty="surface_gradient")
-    rep = solve_cauchy_elliptic(model.M_b, heart, torso, NodalField("torso", f),
+    rep = solve_cauchy_elliptic(model.M_b, domain, NodalField("torso", f),
                                 config=cfg)
     for alpha, rho, eta in zip(cfg.alpha_grid, rep.diagnostics["residuals"],
                                rep.diagnostics["seminorms"]):
@@ -240,6 +237,7 @@ def test_surface_gradient_matches_normal_equations(model, heart_kind):
 def test_warm_solve_makes_no_svd(model, penalty, monkeypatch):
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
     f = NodalField("torso", torso.vertices[:, 2])
     cfg = TikhonovConfig.log_grid(penalty=penalty)
     calls = []
@@ -250,9 +248,9 @@ def test_warm_solve_makes_no_svd(model, penalty, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    cold = solve_cauchy_elliptic(model.M_b, heart, torso, f, config=cfg)
+    cold = solve_cauchy_elliptic(model.M_b, domain, f, config=cfg)
     assert len(calls) == 1
-    warm = solve_cauchy_elliptic(model.M_b, heart, torso, f, config=cfg)
+    warm = solve_cauchy_elliptic(model.M_b, domain, f, config=cfg)
     assert len(calls) == 1
     assert np.array_equal(warm.heart_dirichlet.values, cold.heart_dirichlet.values)
 

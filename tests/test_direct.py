@@ -14,6 +14,7 @@ import pytest
 import cardiobem
 
 from cardiobem import (
+    DomainConfig,
     IncompatibleData,
     InteriorGrid,
     SolveFailure,
@@ -128,12 +129,11 @@ def test_neumann_volume_source(sphere):
     assert np.abs(rep.solution_trace.values).max() < 0.05 * scale
 
 
-def test_zaremba_degree_one(model, heart2, torso2):
+def test_zaremba_degree_one(model, heart2, torso2, domain2):
     # zero-flux outer wall: u = (r/5 + 4/(5 r^2)) d cos(theta) for u(1) = d cos
     d = 30.0
     zh = heart2.vertices[:, 2]
-    flux, rep = solve_zaremba(model.M_b, heart2, torso2,
-                              NodalField("heart", d * zh))
+    flux, rep = solve_zaremba(model.M_b, domain2, NodalField("heart", d * zh))
     oracle_flux = model.m_b * (d / 5.0 - 2 * 4.0 * d / 5.0) * zh
     assert (np.linalg.norm(flux.values - oracle_flux)
             / np.linalg.norm(oracle_flux)) < 0.06
@@ -149,22 +149,22 @@ def test_zaremba_degree_one(model, heart2, torso2):
     assert abs(w @ flux.values) / (w @ np.abs(flux.values)) < 1e-3
 
 
-def test_zaremba_constant_data(model, heart2, torso2):
+def test_zaremba_constant_data(model, heart2, domain2):
     # constant Dirichlet data extends as a constant: zero flux everywhere
     ones = NodalField("heart", np.full(heart2.n_vertices, 5.0))
-    flux, rep = solve_zaremba(model.M_b, heart2, torso2, ones)
+    flux, rep = solve_zaremba(model.M_b, domain2, ones)
     assert np.abs(flux.values).max() < 1e-8
     assert rep.solution_trace_outer.values == pytest.approx(5.0, abs=1e-8)
 
 
-def test_zaremba_transfer_matches_lu_solution(model, heart2, torso2, fields2):
+def test_zaremba_transfer_matches_lu_solution(model, heart2, domain2, fields2):
     # the cached transfer X = sysmat^-1 (-A[:, :nh]) against an LU solve of
     # the mixed system with the same data
     from scipy.linalg import lu_factor, lu_solve
 
     d = fields2["u_e"].values
-    flux, rep = solve_zaremba(model.M_b, heart2, torso2, fields2["u_e"])
-    a, b = shell_operators(cardiobem.as_tensor(model.M_b, 3), heart2, torso2)
+    flux, rep = solve_zaremba(model.M_b, domain2, fields2["u_e"])
+    a, b = shell_operators(cardiobem.as_tensor(model.M_b, 3), domain2)
     nh = heart2.n_vertices
     sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
     want = lu_solve(lu_factor(sysmat), -(a[:, :nh] @ d))
@@ -223,7 +223,7 @@ import cardiobem as cb
 
 heart = cb.icosphere(1, 1.0, surface_id="heart")
 torso = cb.icosphere(1, 2.0, surface_id="torso")
-cb.solve_cauchy_elliptic(7.0, heart, torso,
+cb.solve_cauchy_elliptic(7.0, cb.DomainConfig(heart=heart, torso=torso),
                          cb.NodalField("torso", torso.vertices[:, 2].copy()),
                          config=cb.TikhonovConfig.log_grid(penalty="surface_gradient"))
 tg = cb.TimeGrid(t_end=0.5, steps=6)
@@ -250,17 +250,17 @@ def test_surface_gradient_and_heat_paths_leave_scipy_linalg_unloaded():
 _SHARED_SOLVE_SCRIPT = """
 import sys, threading
 import numpy as np
-from cardiobem import NodalField, icosphere, solve_zaremba
+from cardiobem import DomainConfig, NodalField, icosphere, solve_zaremba
 
 heart = icosphere(2, 1.0, surface_id="heart")
-torso = icosphere(2, 2.0, surface_id="torso")
+domain = DomainConfig(heart=heart, torso=icosphere(2, 2.0, surface_id="torso"))
 data = NodalField("heart", heart.vertices[:, 2].copy())
-want = solve_zaremba(7.0, heart, torso, data)[0].values
+want = solve_zaremba(7.0, domain, data)[0].values
 wrong = []
 
 def work():
     for _ in range(600):
-        got = solve_zaremba(7.0, heart, torso, data)[0].values
+        got = solve_zaremba(7.0, domain, data)[0].values
         if not np.array_equal(got, want):
             wrong.append(1)
 
@@ -287,14 +287,14 @@ def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
     # four threads miss the cache together on fresh meshes; each operator
     # is still assembled by exactly one of them
     heart = icosphere(1, 1.0, surface_id="heart")
-    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=icosphere(1, 2.0, surface_id="torso"))
     data = NodalField("heart", heart.vertices[:, 2].copy())
     barrier = threading.Barrier(4, timeout=60)
     fluxes = []
 
     def work():
         barrier.wait()
-        fluxes.append(solve_zaremba(7.0, heart, torso, data)[0].values)
+        fluxes.append(solve_zaremba(7.0, domain, data)[0].values)
 
     threads = [threading.Thread(target=work) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -312,17 +312,68 @@ def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
     assert all(np.array_equal(f, fluxes[0]) for f in fluxes)
 
 
-def test_operators_go_with_their_meshes():
-    # operators live on the meshes they derive from: once the meshes are
-    # dropped, nothing else keeps the shell operators alive
+def test_operators_go_with_their_owner():
+    # the two-surface operators live on the domain, the one-surface ones on
+    # their mesh: dropping the domain alone frees A, B, the Zaremba transfer
+    # and the Cauchy form, and leaves the heart's own layers and inverse
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
-    data = NodalField("heart", heart.vertices[:, 2].copy())
-    solve_zaremba(7.0, heart, torso, data)
+    domain = DomainConfig(heart=heart, torso=torso)
+    tensor = as_tensor(7.0, 3)
+    solve_zaremba(7.0, domain, NodalField("heart", heart.vertices[:, 2].copy()))
     solve_neumann_normalized(7.0, heart, NodalField("heart", heart.vertices[:, 2]))
-    solve_cauchy_elliptic(7.0, heart, torso, NodalField("torso", torso.vertices[:, 2]))
-    a, b = shell_operators(as_tensor(7.0, 3), heart, torso)
-    refs = [weakref.ref(a), weakref.ref(b)]
-    del heart, torso, data, a, b
+    solve_cauchy_elliptic(7.0, domain, NodalField("torso", torso.vertices[:, 2]))
+    derived = domain.__dict__["_derived"]
+    zaremba = derived[("zaremba", tensor.tobytes())]
+    cauchy = derived[("cauchy", tensor.tobytes(), "identity")]
+    a, b = shell_operators(tensor, domain)
+    refs = [weakref.ref(x) for x in (a, b, zaremba, cauchy)]
+    own = dict(heart.__dict__["_derived"])
+    del domain, derived, zaremba, cauchy, a, b
     gc.collect()
     assert all(r() is None for r in refs)
+    kept = heart.__dict__["_derived"]
+    assert kept.keys() == own.keys()
+    assert all(kept[key] is value for key, value in own.items())
+    layers = own[("layers", tensor.tobytes())]
+    assert [m.shape for m in layers] == [(heart.n_vertices,) * 2] * 2
+    assert ("neumann", tensor.tobytes()) in own
+
+
+def test_torso_sweep_keeps_no_dropped_torso(model, heart2):
+    # one heart solved against a sweep of torsos: each torso's operators go
+    # with its domain, and the heart keeps the same entries throughout
+    data = NodalField("heart", heart2.vertices[:, 2].copy())
+    keys = []
+    for radius in (2.0, 2.1, 2.2):
+        torso = icosphere(2, radius, surface_id="torso")
+        domain = DomainConfig(heart=heart2, torso=torso)
+        solve_zaremba(model.M_b, domain, data)
+        ref = weakref.ref(shell_operators(as_tensor(model.M_b, 3), domain)[0])
+        del domain, torso
+        gc.collect()
+        keys.append(set(heart2.__dict__.get("_derived", {})))
+        assert ref() is None
+    assert keys[0] == keys[1] == keys[2]
+
+
+def test_shell_operators_match_block_reference(domain2, model):
+    # A and B written in place, bit for bit the block construction: eight
+    # layer blocks, heart sources negated, the full-row diagonal, + 1/2 I
+    heart, torso = domain2.heart, domain2.torso
+    n = heart.n_vertices + torso.n_vertices
+    for tensor in (as_tensor(model.M_b, 3), np.diag([3.0, 1.0, 0.5])):
+        def layer(kind, source, target):
+            return cardiobem.assemble_layer(kind, tensor, source, target).matrix
+
+        dl = np.block([[-layer("double", heart, heart), layer("double", torso, heart)],
+                       [-layer("double", heart, torso), layer("double", torso, torso)]])
+        idx = np.arange(n)
+        dl[idx, idx] = 0.0
+        dl[idx, idx] = -0.5 - dl.sum(axis=1)
+        want_a = 0.5 * np.eye(n) + dl
+        want_b = np.block([[layer("single", heart, heart), layer("single", torso, heart)],
+                           [layer("single", heart, torso), layer("single", torso, torso)]])
+        a, b = shell_operators(tensor, domain2)
+        assert np.array_equal(a, want_a)
+        assert np.array_equal(b, want_b)

@@ -60,3 +60,13 @@ def test_module_level_imports_are_used():
         unused += [f"{path.name}: {name}" for name in bound
                    if name not in read | exported]
     assert unused == []
+
+
+def test_no_module_reads_the_cache_token():
+    # meshes are told apart by identity; the property stays defined only
+    # for the benchmark's tracer
+    readers = [f"{path.name}:{node.lineno}" for path in _modules()
+               for node in ast.walk(ast.parse(path.read_text()))
+               if (isinstance(node, ast.Attribute) and node.attr == "cache_token")
+               or (isinstance(node, ast.Constant) and node.value == "cache_token")]
+    assert readers == []
