@@ -7,8 +7,9 @@ identity of the shell,
 
     A_full [u_h; u_t] = B_full [q_h; q_t]
 
-(see direct.py); with (u_t, q_t) known this is an overdetermined linear
-system for the unknown heart pair x = [u_h; q_h],
+with the shell's operators from ``direct.boundary_operators``, which the
+heart-torso DomainConfig keeps; with (u_t, q_t) known this is an
+overdetermined linear system for the unknown heart pair x = [u_h; q_h],
 
     [A_full[:, h], -B_full[:, h]] x = B_full[:, t] q_t - A_full[:, t] f.
 
@@ -28,9 +29,9 @@ mesh, is carried by a separate least-squares term.  The thin SVD of the
 standard-form matrix makes the residual and seminorm norms of the whole
 alpha grid one (alphas x singular values) array, and only the chosen
 alpha's x is formed.  That SVD, with the lift back to x, lives on the
-heart-torso DomainConfig like the shell operators of direct.py, once per
-(tensor, penalty), and goes with the domain; the Cauchy matrix itself is
-needed only inside that build.
+same DomainConfig as A_full and B_full, once per (tensor, penalty), and
+goes with the domain; the Cauchy matrix itself is needed only inside that
+build.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .direct import shell_operators
+from .direct import boundary_operators
 from .errors import DegenerateLCurve, ShapeMismatch
 from .kernels import as_tensor
 from .mesh import NodalField, _format_rows, _memo, _write_text
@@ -309,7 +310,7 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     fv = f.check_on(torso)
     qt = None if flux_on_torso is None else flux_on_torso.check_on(torso)
     nh = heart.n_vertices
-    a_full, b_full = shell_operators(tensor, domain)
+    a_full, b_full = boundary_operators(tensor, domain)
     # b = B q - A f; -(A f) + B q rounds the same, and an insulated torso
     # (no flux given) skips the product with q = 0
     b = -(a_full[:, nh:] @ fv)

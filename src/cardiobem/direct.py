@@ -2,13 +2,14 @@
 
 All solvers collocate the interior-limit Green identity
 
-    (1/2 I + D_pv) u0 = S u1 + T(g) on the boundary
+    A u0 = B u1 + T(g) on the boundary,   A = 1/2 I + D_pv,  B = S,
 
-where the double-layer diagonal carries the row identity D 1 = -1/2, making
-1/2 I + D the exact interior limit at polyhedral vertices.  For the shell
-domain between two closed surfaces (heart inside torso) the same identity
-holds with shell-outward normals, which flip sign on the heart; diagonals of
-the block operator are fixed by the row identity across the full block row.
+over the whole boundary of their domain, built once by
+``boundary_operators``.  The domain is the interior of one closed surface,
+or the shell between two (heart inside torso), where the normals point out
+of the shell and so flip sign on the heart.  The double-layer diagonal
+carries the identity D 1 = -1/2 across the full row, making 1/2 I + D the
+exact interior limit at polyhedral vertices.
 
 Conventions:
   - Single closed surface: the domain is its interior, fluxes are reported
@@ -22,18 +23,18 @@ Conventions:
     one single-layer product and one product with the bordered inverse.
 
 Operators and solution operators live on what they derive from
-(``mesh._memo``), keyed by the tensor, and go when it goes.  A surface
-holds its own single and double layer and the inverses of its Dirichlet
-matrix S and of its bordered Neumann matrix.  The heart-torso pair, a
-DomainConfig, holds the two-surface entries: the shell block operators A
-and B (the only copies of their layer blocks), the inverse of B, the
-Zaremba transfer and (for cauchy.py) the SVD of the Cauchy problem in
-standard form.  No LU factors are kept: a solve is one matrix product
-with a kept solution operator, and its residual is formed from the kept
-layers.  The Zaremba transfer maps heart data d straight to the unknowns
-[q_h; u_t] (the Lambda and T of the reduced Cauchy problem).  Everything
-runs on numpy's BLAS, so the package never wakes a second BLAS thread
-pool.  Threads that miss an entry together build it once.
+(``mesh._memo``), keyed by the tensor, and go when it goes.  A closed
+surface keeps its own A and B, the inverse of its Dirichlet matrix B and
+that of its bordered Neumann matrix.  The heart-torso pair, a
+DomainConfig, keeps the shell's A and B (the only copies of their layer
+blocks), the inverse of B, the Zaremba transfer and (for cauchy.py) the SVD
+of the Cauchy problem in standard form.  No LU factors are kept: a solve is
+one matrix product with a kept solution operator, and its residual is
+formed from the kept operators.  The Zaremba transfer maps heart data d
+straight to the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy
+problem).  Everything runs on numpy's BLAS, so the package never wakes a
+second BLAS thread pool.  Threads that miss an entry together build it
+once.
 """
 
 from __future__ import annotations
@@ -91,38 +92,37 @@ def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> np.ndarray
     return out
 
 
-def _layers(M, mesh):
-    """(S, D) on one closed surface, D with the row-sum diagonal D 1 = -1/2."""
-    return _memo(mesh, ("layers", M.tobytes()), lambda: (
-        assemble_layer("single", M, mesh).matrix,
-        assemble_layer("double", M, mesh).matrix))
+def boundary_operators(M, owner):
+    """(A, B) of the Green identity A u = B q over the boundary of a domain.
 
-
-def shell_operators(M, domain):
-    """Full-boundary operators of the shell domain, heart normals flipped.
-
-    Returns (A, B) with A = 1/2 I + D_shell (diagonal from the full block
-    row) and B = block single layer, both over the stacked (heart, torso)
-    vertices, so that A u = B q holds for any M-harmonic u in the shell with
-    shell conormal q.  M is a tensor as returned by ``as_tensor``.
+    ``owner`` is a closed mesh (the domain is its interior) or a
+    DomainConfig (the shell between heart and torso, heart normals
+    flipped).  A = 1/2 I + D, with the diagonal from the full row,
+    D 1 = -1/2, and B = S, both over the stacked boundary vertices (heart
+    first), so that A u = B q holds for any M-harmonic u in the domain with
+    q its conormal on the domain-outward normals.  Kept on ``owner``.  M is
+    a tensor as returned by ``as_tensor``.
     """
     def build():
-        nh = domain.heart.n_vertices
-        n = nh + domain.torso.n_vertices
+        shell = isinstance(owner, DomainConfig)
+        surfaces = (owner.heart, owner.torso) if shell else (owner,)
+        ends = np.cumsum([0] + [s.n_vertices for s in surfaces])
+        n = ends[-1]
         a, b = np.empty((n, n)), np.empty((n, n))
-        parts = ((slice(None, nh), domain.heart), (slice(nh, None), domain.torso))
+        parts = [(slice(lo, hi), s) for lo, hi, s in zip(ends, ends[1:], surfaces)]
         for rows, target in parts:
             for cols, source in parts:
                 b[rows, cols] = assemble_layer("single", M, source, target).matrix
                 a[rows, cols] = assemble_layer("double", M, source, target).matrix
-        a[:, :nh] *= -1.0  # shell-outward normals flip on the heart sources
-        # the per-surface diagonals are replaced by the full block row's,
-        # D_shell 1 = -1/2, before the 1/2 I is added
+        if shell:
+            a[:, :ends[1]] *= -1.0  # shell-outward normals flip on the heart
+        # each surface's diagonal is replaced by the full row's,
+        # D 1 = -1/2, before the 1/2 I is added
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, 0.5 + (-0.5 - a.sum(axis=1)))
         return a, b
 
-    return _memo(domain, ("shell", M.tobytes()), build)
+    return _memo(owner, ("operators", M.tobytes()), build)
 
 
 def _interior_values(M, meshes, traces, fluxes, targets,
@@ -156,69 +156,57 @@ def _interior_values(M, meshes, traces, fluxes, targets,
 def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
     """Solve the Dirichlet problem, returning interior values and traces.
 
-    domain: a single closed mesh (problem posed in its interior) or a
+    domain: a single closed mesh (problem posed in its interior, with u0 a
+    NodalField and an optional volume source ``g_volume``) or a
     DomainConfig (problem posed in the shell between heart and torso, with
-    u0 a (heart_field, torso_field) pair).  The unknown conormal trace comes
-    from collocating the Green identity on the boundary; interior values are
-    then evaluated by the representation formula.
+    u0 a (heart_field, torso_field) pair and no volume source).  Either way
+    the unknown conormal trace solves B q = A u0 with the domain's operators
+    of ``boundary_operators``; interior values are then evaluated by the
+    representation formula.  Fluxes are reported in each surface's stored
+    outward convention.
     """
-    if isinstance(domain, DomainConfig):
-        tensor = as_tensor(M, domain.heart.dim)
-        return _solve_dirichlet_shell(tensor, domain, u0, targets)
-    tensor = as_tensor(M, domain.dim)
-    mesh = domain
-    u0v = u0.check_on(mesh)
-    s_mat, d_mat = _layers(tensor, mesh)
-    rhs = 0.5 * u0v + d_mat @ u0v
+    shell = isinstance(domain, DomainConfig)
+    surfaces = (domain.heart, domain.torso) if shell else (domain,)
+    tensor = as_tensor(M, surfaces[0].dim)
+    if not shell:
+        fields = (u0,)
+    elif g_volume is not None:
+        raise ShapeMismatch("shell Dirichlet takes no volume source")
+    else:
+        try:
+            u0_h, u0_t = u0
+        except (TypeError, ValueError) as exc:
+            raise ShapeMismatch(
+                "shell Dirichlet needs (heart_field, torso_field) data"
+            ) from exc
+        fields = (u0_h, u0_t)
+    traces = [f.check_on(s) for f, s in zip(fields, surfaces)]
+    a, b = boundary_operators(tensor, domain)
+    rhs = a @ np.concatenate(traces)
     if g_volume is not None:
         grid, g = g_volume
-        rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
-    s_inv = _memo(mesh, ("dirichlet", tensor.tobytes()),
-                  lambda: _solution_operator(s_mat))
-    q = s_inv @ rhs
-    residual = float(np.linalg.norm(s_mat @ q - rhs))
-    report = DirectSolveReport(
-        residual_norm=residual,
-        solution_trace=NodalField(mesh.surface_id, u0v),
-        flux_trace=NodalField(mesh.surface_id, q, units="mV*mS/cm^2"),
-    )
-    values = None
-    if targets is not None:
-        values = _interior_values(tensor, (mesh,), (u0v,), (q,), targets,
-                                  g_volume=g_volume)
-    return values, report
-
-
-def _solve_dirichlet_shell(tensor, domain, u0, targets):
-    heart, torso = domain.heart, domain.torso
-    try:
-        u0_h, u0_t = u0
-    except (TypeError, ValueError) as exc:
-        raise ShapeMismatch(
-            "shell Dirichlet needs (heart_field, torso_field) data"
-        ) from exc
-    dh = u0_h.check_on(heart)
-    dt = u0_t.check_on(torso)
-    a, b = shell_operators(tensor, domain)
-    b_inv = _memo(domain, ("dirichlet-shell", tensor.tobytes()),
+        rhs = rhs - volume_potential(tensor, grid, g, domain.vertices).values
+    b_inv = _memo(domain, ("dirichlet", tensor.tobytes()),
                   lambda: _solution_operator(b))
-    rhs = a @ np.concatenate([dh, dt])
     q = b_inv @ rhs
     residual = float(np.linalg.norm(b @ q - rhs))
-    nh = heart.n_vertices
-    q_h, q_t = q[:nh], q[nh:]
+    nh = surfaces[0].n_vertices
+    # heart-outward convention: negate the shell conormal on the heart
+    fluxes = [-q[:nh], q[nh:]] if shell else [q]
+    u = [NodalField(s.surface_id, t) for s, t in zip(surfaces, traces)] + [None]
+    flux = [NodalField(s.surface_id, f, units="mV*mS/cm^2")
+            for s, f in zip(surfaces, fluxes)] + [None]
     report = DirectSolveReport(
         residual_norm=residual,
-        solution_trace=NodalField(heart.surface_id, dh),
-        solution_trace_outer=NodalField(torso.surface_id, dt),
-        # heart-outward convention: negate the shell conormal
-        flux_trace=NodalField(heart.surface_id, -q_h, units="mV*mS/cm^2"),
-        flux_trace_outer=NodalField(torso.surface_id, q_t, units="mV*mS/cm^2"),
+        solution_trace=u[0],
+        flux_trace=flux[0],
+        solution_trace_outer=u[1],
+        flux_trace_outer=flux[1],
     )
     values = None
     if targets is not None:
-        values = _interior_values(tensor, (heart, torso), (dh, dt),
-                                  (-q_h, q_t), targets)
+        values = _interior_values(tensor, surfaces, traces, fluxes, targets,
+                                  g_volume=g_volume)
     return values, report
 
 
@@ -258,19 +246,17 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
         logger.info("projected %d of %d Neumann data columns onto the "
                     "compatible subspace (largest defect %.3e)", bad.sum(),
                     bad.size, worst)
-    s_mat, d_mat = _layers(tensor, mesh)
-    rhs = s_mat @ u1
+    a, b = boundary_operators(tensor, mesh)
+    rhs = b @ u1
     if volume is not None:
         np.add(rhs.T, volume, out=rhs.T)  # to every column
     n = mesh.n_vertices
 
     def bordered():
-        # [1/2 I + D, w; w^T, 0]: the right side's last entry is always 0,
-        # so only the leading n x n block of the inverse is kept
+        # [A, w; w^T, 0]: the right side's last entry is always 0, so only
+        # the leading n x n block of the inverse is kept
         big = np.zeros((n + 1, n + 1))
-        big[:n, :n] = d_mat
-        idx = np.arange(n)
-        big[idx, idx] += 0.5
+        big[:n, :n] = a
         big[:n, n] = w
         big[n, :n] = w
         inv = _solution_operator(big)[:n, :n].copy()
@@ -279,7 +265,7 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
 
     inv = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
     u0 = inv @ rhs
-    residual = np.linalg.norm(0.5 * u0 + d_mat @ u0 - rhs, axis=0)
+    residual = np.linalg.norm(a @ u0 - rhs, axis=0)
     return u0, u1, defect, residual, w @ u0
 
 
@@ -332,7 +318,7 @@ def solve_zaremba(M, domain, u_dirichlet_on_heart):
     tensor = as_tensor(M, heart.dim)
     d = u_dirichlet_on_heart.check_on(heart)
     nh = heart.n_vertices
-    a, b = shell_operators(tensor, domain)
+    a, b = boundary_operators(tensor, domain)
 
     def transfer():
         # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:

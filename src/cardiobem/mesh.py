@@ -244,7 +244,7 @@ class _Mesh:
         return _longest_edges(self.vertices, self.elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh(_Mesh):
     """Closed triangle mesh with outward orientation.
 
@@ -299,7 +299,7 @@ class SurfaceMesh(_Mesh):
         return cross / norm[:, None], areas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveMesh(_Mesh):
     """Closed polygonal loop(s) in the plane, the 2D analogue of a surface.
 
@@ -375,7 +375,7 @@ class NodalField:
         return self.values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainConfig:
     """Heart surface strictly inside a torso surface.
 

@@ -55,7 +55,7 @@ from scipy import sparse
 
 from .assembly import _panel_quadrature
 from .direct import _solve_neumann_block
-from .errors import ParseError, ShapeMismatch
+from .errors import MissingInteriorData, ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
 from .mesh import (_format_rows, _freeze, _memo, _parse_rows, _write_text,
@@ -571,7 +571,6 @@ def ionic_current_linear(v: SpaceTimeField, a, a0: float, b,
     vals = a0 * v.values
     if np.any(a):
         if grad_v is None:
-            from .errors import MissingInteriorData
             raise MissingInteriorData(
                 "a nonzero advection coefficient needs grad_v samples"
             )

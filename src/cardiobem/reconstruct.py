@@ -39,8 +39,8 @@ from .direct import solve_neumann_normalized, solve_zaremba
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, as_tensor
-from .mesh import (DomainConfig, NodalField, _write_text, save_mesh,
-                   save_nodal_field, surface_distance)
+from .mesh import (DomainConfig, NodalField, _write_text, points_inside,
+                   save_mesh, save_nodal_field, surface_distance)
 
 __all__ = [
     "ReconstructionOutput",
@@ -270,7 +270,6 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
     """
     center = np.asarray(bump.center, dtype=float)
     gap = float(surface_distance(heart, center[None, :])[0])
-    from .mesh import points_inside
     if not points_inside(heart, center[None, :])[0]:
         raise SupportTouchesBoundary("bump center is outside the heart surface")
     if gap <= bump.radius:

@@ -24,7 +24,7 @@ from cardiobem import (
     synth_bidomain_steady,
 )
 from cardiobem.cauchy import _component_labels, _graph_laplacian
-from cardiobem.direct import shell_operators
+from cardiobem.direct import boundary_operators
 
 
 def test_log_grid():
@@ -152,7 +152,7 @@ def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
 def _cauchy_system(M, domain, f):
     """The Cauchy matrix [A_h, -B_h] and the data vector for zero torso flux."""
     nh = domain.heart.n_vertices
-    a_full, b_full = shell_operators(M, domain)
+    a_full, b_full = boundary_operators(M, domain)
     return np.hstack([a_full[:, :nh], -b_full[:, :nh]]), -(a_full[:, nh:] @ f)
 
 

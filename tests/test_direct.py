@@ -17,6 +17,7 @@ from cardiobem import (
     DomainConfig,
     IncompatibleData,
     InteriorGrid,
+    ShapeMismatch,
     SolveFailure,
     NodalField,
     icosphere,
@@ -26,7 +27,8 @@ from cardiobem import (
     solve_zaremba,
 )
 from cardiobem.kernels import as_tensor
-from cardiobem.direct import _solution_operator, _solve_neumann_block, shell_operators
+from cardiobem.direct import (_solution_operator, _solve_neumann_block,
+                              boundary_operators)
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +52,15 @@ def test_dirichlet_shell(domain2):
     zh = domain2.heart.vertices[:, 2]
     zt = domain2.torso.vertices[:, 2]
     targets = np.array([[0.0, 0.0, 1.5], [1.2, 0.4, -0.6]])
-    values, rep = solve_dirichlet(
-        1.0, domain2,
-        (NodalField("heart", zh), NodalField("torso", zt)),
-        targets)
+    data = (NodalField("heart", zh), NodalField("torso", zt))
+    values, rep = solve_dirichlet(1.0, domain2, data, targets)
     assert values == pytest.approx(targets[:, 2], rel=2e-2)
     assert rep.residual_norm < 1e-10
+    # the shell holds no source: a volume term is refused, not dropped
+    grid = InteriorGrid.for_mesh(domain2.heart, h=0.25)
+    with pytest.raises(ShapeMismatch, match="no volume source"):
+        solve_dirichlet(1.0, domain2, data, targets,
+                        g_volume=(grid, np.ones(grid.n_cells)))
 
 
 def test_neumann_degree_one(sphere):
@@ -164,7 +169,7 @@ def test_zaremba_transfer_matches_lu_solution(model, heart2, domain2, fields2):
 
     d = fields2["u_e"].values
     flux, rep = solve_zaremba(model.M_b, domain2, fields2["u_e"])
-    a, b = shell_operators(cardiobem.as_tensor(model.M_b, 3), domain2)
+    a, b = boundary_operators(cardiobem.as_tensor(model.M_b, 3), domain2)
     nh = heart2.n_vertices
     sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
     want = lu_solve(lu_factor(sysmat), -(a[:, :nh] @ d))
@@ -326,7 +331,7 @@ def test_operators_go_with_their_owner():
     derived = domain.__dict__["_derived"]
     zaremba = derived[("zaremba", tensor.tobytes())]
     cauchy = derived[("cauchy", tensor.tobytes(), "identity")]
-    a, b = shell_operators(tensor, domain)
+    a, b = boundary_operators(tensor, domain)
     refs = [weakref.ref(x) for x in (a, b, zaremba, cauchy)]
     own = dict(heart.__dict__["_derived"])
     del domain, derived, zaremba, cauchy, a, b
@@ -335,8 +340,8 @@ def test_operators_go_with_their_owner():
     kept = heart.__dict__["_derived"]
     assert kept.keys() == own.keys()
     assert all(kept[key] is value for key, value in own.items())
-    layers = own[("layers", tensor.tobytes())]
-    assert [m.shape for m in layers] == [(heart.n_vertices,) * 2] * 2
+    operators = own[("operators", tensor.tobytes())]
+    assert [m.shape for m in operators] == [(heart.n_vertices,) * 2] * 2
     assert ("neumann", tensor.tobytes()) in own
 
 
@@ -349,7 +354,7 @@ def test_torso_sweep_keeps_no_dropped_torso(model, heart2):
         torso = icosphere(2, radius, surface_id="torso")
         domain = DomainConfig(heart=heart2, torso=torso)
         solve_zaremba(model.M_b, domain, data)
-        ref = weakref.ref(shell_operators(as_tensor(model.M_b, 3), domain)[0])
+        ref = weakref.ref(boundary_operators(as_tensor(model.M_b, 3), domain)[0])
         del domain, torso
         gc.collect()
         keys.append(set(heart2.__dict__.get("_derived", {})))
@@ -357,11 +362,15 @@ def test_torso_sweep_keeps_no_dropped_torso(model, heart2):
     assert keys[0] == keys[1] == keys[2]
 
 
-def test_shell_operators_match_block_reference(domain2, model):
-    # A and B written in place, bit for bit the block construction: eight
-    # layer blocks, heart sources negated, the full-row diagonal, + 1/2 I
+def test_boundary_operators_match_block_reference(domain2, model):
+    # A and B written in place, bit for bit the block construction.  On the
+    # shell: eight layer blocks, heart sources negated, the full-row
+    # diagonal, + 1/2 I.  On one surface: its double layer + 1/2 I and its
+    # single layer, and the kept Neumann inverse is that of the bordered
+    # matrix built from the double layer with 1/2 added on its diagonal
     heart, torso = domain2.heart, domain2.torso
     n = heart.n_vertices + torso.n_vertices
+    nh = heart.n_vertices
     for tensor in (as_tensor(model.M_b, 3), np.diag([3.0, 1.0, 0.5])):
         def layer(kind, source, target):
             return cardiobem.assemble_layer(kind, tensor, source, target).matrix
@@ -374,6 +383,20 @@ def test_shell_operators_match_block_reference(domain2, model):
         want_a = 0.5 * np.eye(n) + dl
         want_b = np.block([[layer("single", heart, heart), layer("single", torso, heart)],
                            [layer("single", heart, torso), layer("single", torso, torso)]])
-        a, b = shell_operators(tensor, domain2)
+        a, b = boundary_operators(tensor, domain2)
         assert np.array_equal(a, want_a)
         assert np.array_equal(b, want_b)
+
+        d = layer("double", heart, heart)
+        a, b = boundary_operators(tensor, heart)
+        assert np.array_equal(a, 0.5 * np.eye(nh) + d)
+        assert np.array_equal(b, layer("single", heart, heart))
+        w = heart.vertex_weights
+        big = np.zeros((nh + 1, nh + 1))
+        big[:nh, :nh] = d
+        big[np.arange(nh), np.arange(nh)] += 0.5
+        big[:nh, nh] = w
+        big[nh, :nh] = w
+        _solve_neumann_block(tensor, heart, np.zeros(nh))
+        kept = heart.__dict__["_derived"][("neumann", tensor.tobytes())]
+        assert np.array_equal(kept, np.linalg.inv(big)[:nh, :nh])

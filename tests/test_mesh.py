@@ -432,6 +432,18 @@ def test_point_location(domain2):
     assert point_location(domain2, vertex) is PointLocation.ON_BOUNDARY
 
 
+def test_meshes_and_domains_compare_by_identity():
+    # like the operators kept on them: equal content is not the same owner
+    heart, twin = (icosphere(1, 1.0, surface_id="heart") for _ in range(2))
+    loop, loop_twin = (circle_curve(1.0, 16, surface_id="c") for _ in range(2))
+    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    for a, b in ((heart, twin), (loop, loop_twin),
+                 (domain, DomainConfig(heart=heart, torso=torso))):
+        assert a == a and not a == b and a != b
+        assert {a: 1, b: 2}[a] == 1
+
+
 def test_domain_config_containment():
     big = icosphere(1, 2.0, surface_id="heart")
     small = icosphere(1, 1.0, surface_id="torso")

@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports."""
+and every module uses what it imports; and two structural guards."""
 
 import ast
 import re
@@ -70,3 +70,15 @@ def test_no_module_reads_the_cache_token():
                if (isinstance(node, ast.Attribute) and node.attr == "cache_token")
                or (isinstance(node, ast.Constant) and node.value == "cache_token")]
     assert readers == []
+
+
+def test_direct_has_one_operator_builder():
+    # every solver reads its owner's (A, B) from boundary_operators, so no
+    # second builder of layer operators grows back in direct.py
+    tree = ast.parse((ROOT / "src" / "cardiobem" / "direct.py").read_text())
+    callers = sorted({getattr(top, "name", f"line {top.lineno}")
+                      for top in tree.body for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and "assemble_layer" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))})
+    assert callers == ["boundary_operators"]
