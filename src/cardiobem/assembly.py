@@ -23,25 +23,27 @@ one (panels x targets) product.  Close pairs are left out of the block,
 which is contracted with the weighted basis values and added to the
 vertex columns through one incidence matrix with an entry per panel corner.
 
-In 3D the close (target, panel) pairs are integrated together, in batches
-of 256 pairs: closest points, the split into exactly three subtriangles,
-and the 8x8 Duffy rule on the subtriangles of nonzero area only (a target
-at a corner or on an edge of its panel leaves one or two of zero area,
-which contribute nothing), on arrays of at most 768 x 3 x 64 values
-(about 1 MB each), whose whitened differences are one matrix product of
-per-subtriangle coefficients with a fixed table; one ``np.add.at`` per
-batch adds them in pair order.  The close pairs and everything about
-them that does not depend on the tensor or the kind (closest points, kept
-subtriangles, their edges, areas and heights) are built once per mesh for
-its own vertices, about 160 bytes per pair, and shared by every self
-operator of that surface.  Peak memory is therefore
-set by the far-field blocks, which hold at most 4e6 (target, quadrature
-point) pairs: the r_M^2 block, the kernel values and one temporary, 32 MB
-each, whatever the mesh size, on top of the dense matrix itself.  The
-double-layer diagonal on its own surface is fixed by the interior
-solid-angle row-sum identity ``D 1 = -1/2``; combined with the ``1/2 I + D``
-combination this reproduces the exact interior-limit operator at polyhedral
-vertices.
+In 3D the close (target, panel) pairs are found from one product of
+squared distances and confirmed component by component, and integrated
+together in batches of 256 pairs: closest points, the split into exactly
+three subtriangles, and the 8x8 Duffy rule on the subtriangles of nonzero
+area only (a target at a corner or on an edge of its panel leaves one or
+two of zero area, which contribute nothing).  The r_M^2 at the 64 points
+of the kept subtriangles of a batch is one (kept x 6) @ (6 x 64) product:
+the six whitened Gram entries of x - p and the two edges from p against a
+fixed table, with no per-point difference vectors; one ``np.add.at`` per
+batch adds the integrals in pair order.  The close pairs and everything
+about them that does not depend on the tensor or the kind (closest points,
+kept subtriangles, their edges, areas and heights) are built in one pass
+per block of targets, once per mesh for its own vertices, about 160 bytes
+per pair, and shared by every self operator of that surface.  Peak memory
+is therefore set by the far-field blocks, which hold at most 4e6 (target,
+quadrature point) pairs: the r_M^2 block, 32 MB whatever the mesh size,
+which the kernel values overwrite, plus one (panels x targets) slice, on
+top of the dense matrix itself.  The double-layer diagonal on its own
+surface is fixed by the interior solid-angle row-sum identity
+``D 1 = -1/2``; combined with the ``1/2 I + D`` combination this
+reproduces the exact interior-limit operator at polyhedral vertices.
 
 The interior Green representation evaluated here is
 
@@ -111,12 +113,19 @@ _DUF_UW = _DUF_U * _DUF_W  # weight x Jacobian factor u
 # moments of the barycentric coordinates along the Duffy map, see
 # _near_panel_integrals_3d
 _DUF_MOMENTS = np.column_stack([1.0 - _DUF_U, _DUF_U * (1.0 - _DUF_V), _DUF_U * _DUF_V])
-# y(u, v) - p = u(1-v) e1 + uv e2 is linear in the last two rows
-_DUF_TABLE = np.vstack([np.ones(_GL_N * _GL_N), _DUF_MOMENTS[:, 1:].T])
+# with s1 = u(1-v), s2 = uv, the whitened x - y is a - s1 b1 - s2 b2, so
+# r_M^2 is the Gram entries (|a|^2, a.b1, a.b2, |b1|^2, b1.b2, |b2|^2)
+# against these rows
+_S1, _S2 = _DUF_MOMENTS[:, 1], _DUF_MOMENTS[:, 2]
+_DUF_GRAM = np.vstack([np.ones(_GL_N * _GL_N), -2.0 * _S1, -2.0 * _S2,
+                       _S1 * _S1, 2.0 * _S1 * _S2, _S2 * _S2])
+_GRAM_ROWS, _GRAM_COLS = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 
 _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
+# relative slack of the close-pair candidate test, see _close_field
+_NEAR_SLACK = 1e-8
 # close (target, panel) pairs per batch: with at most three subtriangles
-# each, the batch arrays of shape (subtriangles, 3, 64) stay near 1 MB,
+# each, the batch arrays of shape (subtriangles, 64) stay near 0.4 MB,
 # well below the far-field blocks
 _NEAR_BATCH = 256
 # (target, quadrature point) pairs per far-field block
@@ -270,21 +279,21 @@ def _near_geometry(x: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> t
 def _near_integrals(ker: _KernelSet, kind: str, geometry: tuple) -> np.ndarray:
     """The kernel part of ``_near_panel_integrals_3d`` on its geometry."""
     lam_p, xp, pair, part, e1, e2, sub2, h = geometry
-    # whitened x - y = W(x - p) - u(1-v) W e1 - uv W e2: coefficients of
-    # shape (kept, 3 components, 3) against _DUF_TABLE
-    coef = np.empty((len(pair), 3, 3))
-    coef[..., 0] = ker.whiten(xp)[pair]
-    coef[..., 1] = -ker.whiten(e1)
-    coef[..., 2] = -ker.whiten(e2)
-    z = (coef.reshape(-1, 3) @ _DUF_TABLE).reshape(len(pair), 3, -1)
-    r2 = np.einsum("kiq,kiq->kq", z, z)
-    w = ker.layer(kind, r2, h[:, None]) * (sub2[:, None] * _DUF_UW)
+    # a = W(x - p), b1 = W e1, b2 = W e2 per kept subtriangle, components
+    # first: (3 components, 3 vectors, kept).  p is the panel point nearest
+    # x, so |x - y|^2 >= |x - p|^2 + |p - y|^2 and the Gram expansion of
+    # r_M^2 loses at most a few eps cond(M)
+    z = (ker.W @ np.concatenate([xp[pair], e1, e2]).T).reshape(3, 3, -1)
+    gram = (z[:, _GRAM_ROWS] * z[:, _GRAM_COLS]).sum(axis=0)  # (6, kept)
+    w = ker.layer(kind, gram.T @ _DUF_GRAM, h[:, None])
+    w *= sub2[:, None] * _DUF_UW
     # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
     # so three moments per subtriangle carry the basis functions
-    mom = np.zeros((len(xp), 3, 3))  # (P, 3 parts, 3 moments)
-    mom[pair, part] = w @ _DUF_MOMENTS
-    return (mom[:, :, 0].sum(axis=1)[:, None] * lam_p + mom[:, :, 1]
-            + np.roll(mom[:, :, 2], 1, axis=1))
+    mom = w @ _DUF_MOMENTS  # (kept, 3)
+    out = np.bincount(pair, mom[:, 0], len(xp))[:, None] * lam_p
+    out[pair, part] += mom[:, 1]
+    out[pair, (part + 1) % 3] += mom[:, 2]
+    return out
 
 
 def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
@@ -299,8 +308,8 @@ def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
     Gauss tensor rule concentrates the points where the kernel peaks.  A
     subtriangle of zero area (p on an edge or at a corner) contributes
     nothing and is not evaluated: only the kept (pair, part) subtriangles
-    are whitened and get the rule, and their moments are scattered into a
-    zeroed (P, 3 parts, 3) array.  The geometry does not depend on the
+    are whitened and get the rule, and their three moments are added to
+    their pair's corners.  The geometry does not depend on the
     tensor or the kind (``_near_geometry``); the kernel part does
     (``_near_integrals``).
     """
@@ -356,19 +365,38 @@ def _close_field(source, x: np.ndarray, centroids: np.ndarray,
     Returns ``(near_loc, near_el)``, the target and panel indices of the
     pairs whose panel centroid lies within ``_NEAR_FACTOR`` panel diameters,
     and in 3D the ``_near_geometry`` of each batch of ``_NEAR_BATCH`` of
-    them, in pair order (empty in 2D).  None of it depends on the tensor or
-    the layer kind.
+    them, in pair order (empty in 2D): one geometry over all the pairs,
+    sliced.  None of it depends on the tensor or the layer kind.
+
+    Candidates come from one product of squared distances about the source
+    centre, |x'|^2 + |c'|^2 - 2 x'.c', less a slack of ``_NEAR_SLACK``
+    (|x'|^2 + |c'|^2 + reach^2), far above its rounding; the distance of
+    each candidate is then taken component by component, as a loop over
+    all pairs would, so the pairs are exactly those within reach.
     """
-    d_c = np.sqrt(_sq_dist(x, centroids))
-    near_loc, near_el = np.nonzero(d_c < _NEAR_FACTOR * diam[None, :])
+    centre = _panel_quadrature(source)[0]
+    xc, cc = x - centre, centroids - centre
+    x2, c2 = (xc * xc).sum(axis=1), (cc * cc).sum(axis=1)
+    reach = _NEAR_FACTOR * diam
+    shrink = 1.0 - _NEAR_SLACK
+    x_aug = np.column_stack([xc, np.ones(len(x)), x2])
+    c_aug = np.column_stack([-2.0 * cc, shrink * c2, np.full(len(cc), shrink)])
+    loc, el = np.nonzero(x_aug @ c_aug.T < (1.0 + _NEAR_SLACK) * reach ** 2)
+    d = np.sqrt(sum((x[loc, i] - centroids[el, i]) ** 2 for i in range(x.shape[1])))
+    close = d < reach[el]
+    near_loc, near_el = _freeze(loc[close]), _freeze(el[close])
+    if source.dim == 2:
+        return near_loc, near_el, []
+    lam_p, xp, pair, part, e1, e2, sub2, h = _near_geometry(
+        x[near_loc], source.vertices[source.elements[near_el]],
+        source.normals[near_el])
     geometry = []
-    if source.dim == 3:
-        for lo in range(0, len(near_loc), _NEAR_BATCH):
-            j = near_el[lo : lo + _NEAR_BATCH]
-            geometry.append(_near_geometry(x[near_loc[lo : lo + _NEAR_BATCH]],
-                                           source.vertices[source.elements[j]],
-                                           source.normals[j]))
-    return _freeze(near_loc), _freeze(near_el), geometry
+    for lo in range(0, len(near_loc), _NEAR_BATCH):
+        hi = lo + _NEAR_BATCH
+        k = slice(*np.searchsorted(pair, [lo, hi]))
+        geometry.append((lam_p[lo:hi], xp[lo:hi], _freeze(pair[k] - lo), part[k],
+                         e1[k], e2[k], sub2[k], h[k]))
+    return near_loc, near_el, geometry
 
 
 def _correct_near_3d(matrix: np.ndarray, kind: str, ker: _KernelSet, source,

@@ -92,6 +92,14 @@ def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> np.ndarray
     return out
 
 
+def _values_on(field, mesh) -> np.ndarray:
+    """The values of ``field`` after checking it is a NodalField on ``mesh``."""
+    if not isinstance(field, NodalField):
+        raise ShapeMismatch(f"expected a NodalField on {mesh.surface_id!r}, "
+                            f"got {type(field).__name__}")
+    return field.check_on(mesh)
+
+
 def boundary_operators(M, owner):
     """(A, B) of the Green identity A u = B q over the boundary of a domain.
 
@@ -180,7 +188,7 @@ def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
                 "shell Dirichlet needs (heart_field, torso_field) data"
             ) from exc
         fields = (u0_h, u0_t)
-    traces = [f.check_on(s) for f, s in zip(fields, surfaces)]
+    traces = [_values_on(f, s) for f, s in zip(fields, surfaces)]
     a, b = boundary_operators(tensor, domain)
     rhs = a @ np.concatenate(traces)
     if g_volume is not None:
@@ -280,7 +288,7 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
     |oint u dsigma| = 0 is enforced as a bordered linear constraint.
     """
     tensor = as_tensor(M, mesh.dim)
-    u1v = u1.check_on(mesh)
+    u1v = _values_on(u1, mesh)
     source_total = 0.0
     volume = None
     if g_volume is not None:
@@ -316,7 +324,7 @@ def solve_zaremba(M, domain, u_dirichlet_on_heart):
     """
     heart, torso = domain.heart, domain.torso
     tensor = as_tensor(M, heart.dim)
-    d = u_dirichlet_on_heart.check_on(heart)
+    d = _values_on(u_dirichlet_on_heart, heart)
     nh = heart.n_vertices
     a, b = boundary_operators(tensor, domain)
 

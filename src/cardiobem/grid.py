@@ -20,7 +20,7 @@ from .mesh import SurfaceMesh, _freeze, _lattice_inside, _memo
 __all__ = ["InteriorGrid"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteriorGrid:
     """Uniform cell grid over a box, with an inside-the-surface mask.
 

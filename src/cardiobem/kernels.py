@@ -146,7 +146,7 @@ class ConductivityModel:
         return np.eye(3) * self.m_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatOperatorSpec:
     """Coefficients of ``d_t - div(A grad) + a . grad + a0`` with A = scale*M."""
 
@@ -202,6 +202,16 @@ class _KernelSet:
 
     so the 2D logarithm is shifted by ``r0``.  Vectors run along the last
     axis.
+
+    ``single``, ``double`` and ``layer`` write the kernel over the float
+    r_M^2 array they are given and return that array, so a caller passes
+    an r_M^2 it no longer needs.  The operations and their order are those
+    of the written-out formulas (``c / sqrt(r2)``,
+    ``h * (c / (r2 * sqrt(r2)))``, ``(-0.5 c) * log(r2 / r0^2)``,
+    ``h * (c / r2)``), so the values are the same bits.  ``h`` broadcasts
+    against r_M^2 without enlarging it; the 3D double layer of a 3-D block
+    runs one leading slice at a time, ``h`` against each slice, and its
+    only temporary is one slice.
     """
 
     def __init__(self, M, dim: int, r0: float = 1.0):
@@ -229,13 +239,22 @@ class _KernelSet:
 
     def single(self, r2: np.ndarray) -> np.ndarray:
         if self.dim == 3:
-            return self._c / np.sqrt(r2)
-        return (-0.5 * self._c) * np.log(r2 / self.r0 ** 2)
+            np.sqrt(r2, out=r2)
+            return np.divide(self._c, r2, out=r2)
+        np.divide(r2, self.r0 ** 2, out=r2)
+        np.log(r2, out=r2)
+        return np.multiply(-0.5 * self._c, r2, out=r2)
 
     def double(self, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
-        if self.dim == 3:
-            return h * (self._c / (r2 * np.sqrt(r2)))
-        return h * (self._c / r2)
+        if self.dim == 2:
+            np.divide(self._c, r2, out=r2)
+            return np.multiply(h, r2, out=r2)
+        for s in (r2 if r2.ndim == 3 else (r2,)):
+            root = np.sqrt(s)
+            np.multiply(s, root, out=root)
+            np.divide(self._c, root, out=root)
+            np.multiply(h, root, out=s)
+        return r2
 
     def layer(self, kind: str, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The "single" or "double" kernel; ``h`` serves the double."""
@@ -258,4 +277,5 @@ def elliptic_fundamental(M, x, y) -> np.ndarray:
     if np.any(np.all(diff == 0.0, axis=-1)):
         raise SingularPoint("elliptic_fundamental evaluated at x == y")
     ker = _KernelSet(M, dim)
-    return ker.single(ker.r2(diff))
+    # a single pair's r_M^2 is a scalar: overwrite a 0-d copy, unwrap it
+    return ker.single(np.asarray(ker.r2(diff)))[()]

@@ -331,7 +331,7 @@ class CurveMesh(_Mesh):
         return np.column_stack([tangents[:, 1], -tangents[:, 0]]), lengths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodalField:
     """Values attached to the vertices of one surface.
 

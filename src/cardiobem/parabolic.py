@@ -111,7 +111,7 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeField:
     """Dense (nodes x frames) samples of a field over a TimeGrid.
 

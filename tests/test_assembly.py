@@ -23,10 +23,13 @@ from cardiobem.assembly import (
     _DUF_U,
     _DUF_V,
     _DUF_W,
+    _NEAR_BATCH,
     _NEAR_FACTOR,
     _TRI_RULE_B,
     _TRI_RULE_W,
+    _close_field,
     _closest_points,
+    _near_geometry,
     _near_panel_integrals_3d,
     _panel_quadrature,
     _panel_rule,
@@ -397,6 +400,44 @@ def test_self_geometry_is_kept_and_bit_identical(level):
     # per-pair and per-subtriangle data only: no (subtriangles x 64) arrays
     assert max(a.shape[-1] for a in arrays if a.ndim == 2) == 3
     assert sum(a.nbytes for a in arrays) < (0.2 if level == 1 else 0.8) * 2 ** 20
+
+
+def _translated(mesh, shift=0.0, scale=1.0):
+    return SurfaceMesh(mesh.vertices * scale + shift, mesh.elements.copy(),
+                       mesh.surface_id)
+
+
+_SPHERE2 = icosphere(2, 1.0, surface_id="s")
+_ECCENTRIC = icosphere(2, 1.0, center=(0.85, 0.0, 0.0), surface_id="heart")
+_TORSO = icosphere(2, 2.0, surface_id="torso")
+_POINTS = np.random.default_rng(3).normal(size=(40, 3)) * [0.6, 0.6, 0.3] + [0.0, 0.0, 0.9]
+
+
+@pytest.mark.parametrize("source, targets", [
+    (_translated(_SPHERE2, [1e4, -3e3, 7e2]), None),
+    (_translated(_SPHERE2, scale=1e-3), None),
+    (_ECCENTRIC, _TORSO.vertices), (_TORSO, _ECCENTRIC.vertices),
+    (_SPHERE2, _POINTS),
+], ids=["translated", "scaled", "heart-torso", "torso-heart", "points"])
+def test_close_pairs_match_all_pairs_reference(source, targets):
+    # the candidates of one distance product, tested component by
+    # component, are exactly the pairs of the all-pairs test; the geometry
+    # of one pass, sliced, is each batch's own
+    x = source.vertices if targets is None else targets
+    centroids = source.vertices[source.elements].mean(axis=1)
+    diam = source.element_diameters()
+    d = np.sqrt(sum((x[:, None, i] - centroids[None, :, i]) ** 2 for i in range(3)))
+    want_loc, want_el = np.nonzero(d < _NEAR_FACTOR * diam[None, :])
+    near_loc, near_el, geometry = _close_field(source, x, centroids, diam)
+    assert len(want_loc) > 0
+    assert np.array_equal(near_loc, want_loc) and np.array_equal(near_el, want_el)
+    assert len(geometry) == -(-len(want_loc) // _NEAR_BATCH)
+    for lo, batch in zip(range(0, len(want_loc), _NEAR_BATCH), geometry):
+        j = near_el[lo : lo + _NEAR_BATCH]
+        own = _near_geometry(x[near_loc[lo : lo + _NEAR_BATCH]],
+                             source.vertices[source.elements[j]], source.normals[j])
+        assert all(np.array_equal(a, b) for a, b in zip(batch, own))
+        assert not any(a.flags.writeable for a in batch)
 
 
 @pytest.mark.slow

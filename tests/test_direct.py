@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -89,6 +90,16 @@ def test_neumann_compatibility(sphere):
         ref.solution_trace.values, abs=1e-10)
     area = sphere.vertex_weights.sum()
     assert rep.compatibility_defect == pytest.approx(3.0 * area, rel=1e-12)
+
+
+def test_wrong_data_type_names_the_nodal_field(sphere):
+    # a pair of fields on a closed surface, or bare values, are not the
+    # NodalField the solvers take
+    field = NodalField("s", sphere.vertices[:, 2].copy())
+    with pytest.raises(ShapeMismatch, match="expected a NodalField on 's', got tuple"):
+        solve_dirichlet(1.0, sphere, (field, field))
+    with pytest.raises(ShapeMismatch, match="expected a NodalField on 's', got ndarray"):
+        solve_neumann_normalized(1.0, sphere, field.values.copy())
 
 
 def test_neumann_block_matches_column_solves(sphere, caplog):
@@ -400,3 +411,20 @@ def test_boundary_operators_match_block_reference(domain2, model):
         _solve_neumann_block(tensor, heart, np.zeros(nh))
         kept = heart.__dict__["_derived"][("neumann", tensor.tobytes())]
         assert np.array_equal(kept, np.linalg.inv(big)[:nh, :nh])
+
+
+def test_cold_shell_build_transient_memory():
+    # numpy reports its buffers to tracemalloc: the peak of a cold level-2
+    # shell build, less the A and B it keeps, bounds the temporaries of the
+    # layer builds without timing anything
+    domain = DomainConfig(heart=icosphere(2, 1.0, surface_id="heart"),
+                          torso=icosphere(2, 2.0, surface_id="torso"))
+    tensor = as_tensor(7.0, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a, b = boundary_operators(tensor, domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - a.nbytes - b.nbytes < 8 * 2 ** 20

@@ -21,6 +21,7 @@ from cardiobem.kernels import (
     SIGMA_LE,
     SIGMA_LI,
     SURFACE_TO_VOLUME,
+    _KernelSet,
 )
 
 
@@ -124,6 +125,39 @@ def test_fundamental_solves_pde(M):
         e[i] = h
         lap += M[i, i] * (phi(x0 + e) - 2 * phi(x0) + phi(x0 - e)) / h ** 2
     assert abs(lap) < 1e-4 * abs(phi(x0)) / np.linalg.norm(x0) ** 2
+
+
+@pytest.mark.parametrize("M", [np.eye(3), np.diag([3.0, 1.0, 0.5])])
+def test_layer_kernels_overwrite_their_r2(M):
+    # the kernels are written over the r_M^2 block they are given, with the
+    # values of the written-out formulas, bit for bit
+    rng = np.random.default_rng(7)
+    r2 = rng.uniform(0.01, 4.0, size=(7, 5, 6))
+    h = rng.normal(size=(5, 6))
+    ker = _KernelSet(M, 3)
+    c = ker._c
+    for kind, want in (("single", c / np.sqrt(r2)),
+                       ("double", h * (c / (r2 * np.sqrt(r2))))):
+        block = r2.copy()
+        assert ker.layer(kind, block, h) is block
+        assert np.array_equal(block, want)
+        block = r2.copy()
+        got = ker.single(block) if kind == "single" else ker.double(block, h)
+        assert got is block and np.array_equal(block, want)
+    # the Duffy rule's (subtriangles, points) block with a column of heights
+    flat, h_col = r2.reshape(35, 6), rng.normal(size=(35, 1))
+    block = flat.copy()
+    assert ker.double(block, h_col) is block
+    assert np.array_equal(block, h_col * (c / (flat * np.sqrt(flat))))
+    # 2D: the shifted logarithm and h / r^2
+    ker2 = _KernelSet(M[:2, :2], 2, r0=4.0)
+    c2 = ker2._c
+    block = r2.copy()
+    assert ker2.single(block) is block
+    assert np.array_equal(block, (-0.5 * c2) * np.log(r2 / 16.0))
+    block = r2.copy()
+    assert ker2.double(block, h) is block
+    assert np.array_equal(block, h * (c2 / r2))
 
 
 def test_heat_operator_spec_from_model():

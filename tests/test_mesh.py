@@ -12,12 +12,15 @@ from cardiobem import (
     CurveMesh,
     DomainConfig,
     GeometryError,
+    HeatOperatorSpec,
     NodalField,
     ParseError,
     PointLocation,
     PointOnBoundary,
     ShapeMismatch,
+    SpaceTimeField,
     SurfaceMesh,
+    TimeGrid,
     circle_curve,
     icosphere,
     load_mesh,
@@ -433,15 +436,28 @@ def test_point_location(domain2):
 
 
 def test_meshes_and_domains_compare_by_identity():
-    # like the operators kept on them: equal content is not the same owner
+    # like the data kept on them: equal content is not the same owner, and
+    # owners with array fields neither raise on == nor on hash()
     heart, twin = (icosphere(1, 1.0, surface_id="heart") for _ in range(2))
     loop, loop_twin = (circle_curve(1.0, 16, surface_id="c") for _ in range(2))
     torso = icosphere(1, 2.0, surface_id="torso")
     domain = DomainConfig(heart=heart, torso=torso)
-    for a, b in ((heart, twin), (loop, loop_twin),
-                 (domain, DomainConfig(heart=heart, torso=torso))):
+    times = TimeGrid(10.0, 3)
+    owners = [
+        (heart, twin), (loop, loop_twin),
+        (domain, DomainConfig(heart=heart, torso=torso)),
+        (NodalField("heart", np.arange(3.0)), NodalField("heart", np.arange(3.0))),
+        (SpaceTimeField("heart", np.ones((2, 3)), times),
+         SpaceTimeField("heart", np.ones((2, 3)), times)),
+        (HeatOperatorSpec(np.diag([1.0, 2.0, 3.0])),
+         HeatOperatorSpec(np.diag([1.0, 2.0, 3.0]))),
+        (InteriorGrid.for_mesh(heart, 0.4), InteriorGrid.for_mesh(heart, 0.4)),
+    ]
+    for a, b in owners:
         assert a == a and not a == b and a != b
         assert {a: 1, b: 2}[a] == 1
+    # the time grid is a value: parabolic compares grids
+    assert TimeGrid(10.0, 3) == times and hash(TimeGrid(10.0, 3)) == hash(times)
 
 
 def test_domain_config_containment():
