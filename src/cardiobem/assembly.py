@@ -23,16 +23,18 @@ one (panels x targets) product.  Close pairs are left out of the block,
 which is contracted with the weighted basis values and added to the
 vertex columns through one incidence matrix with an entry per panel corner.
 
-In 3D the close (target, panel) pairs are found from one product of
-squared distances and confirmed component by component, and integrated
-together in batches of 256 pairs: closest points, the split into exactly
-three subtriangles, and the 8x8 Duffy rule on the subtriangles of nonzero
-area only (a target at a corner or on an edge of its panel leaves one or
-two of zero area, which contribute nothing).  The r_M^2 at the 64 points
-of the kept subtriangles of a batch is one (kept x 6) @ (6 x 64) product:
-the six whitened Gram entries of x - p and the two edges from p against a
-fixed table, with no per-point difference vectors; one ``np.add.at`` per
-batch adds the integrals in pair order.  The close pairs and everything
+In 3D the close (target, panel) pairs come from ``mesh._near_pairs`` (one
+product of squared distances, confirmed component by component) and are
+integrated together in batches of 256 pairs: closest points
+(``mesh._closest_points``, the rule of every distance check in ``mesh``
+too), the split into exactly three subtriangles, and the 8x8 Duffy rule
+on the subtriangles of nonzero area only (a target at a corner or on an
+edge of its panel leaves one or two of zero area, which contribute
+nothing).  The r_M^2 at the 64 points of the kept subtriangles of a batch
+is one (kept x 6) @ (6 x 64) product: the six whitened Gram entries of
+x - p and the two edges from p against a fixed table, with no per-point
+difference vectors; one ``np.add.at`` per batch adds the integrals in pair
+order.  The close pairs and everything
 about them that does not depend on the tensor or the kind (closest points,
 kept subtriangles, their edges, areas and heights) are built in one pass
 per block of targets, once per mesh for its own vertices, about 160 bytes
@@ -70,8 +72,8 @@ from scipy import sparse
 from .errors import ParseError, QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import _KernelSet, as_tensor
-from .mesh import (CurveMesh, NodalField, SurfaceMesh, _freeze, _memo,
-                   _write_text, require_off_surface)
+from .mesh import (CurveMesh, NodalField, SurfaceMesh, _closest_points, _freeze,
+                   _memo, _near_pairs, _write_text, require_off_surface)
 
 __all__ = [
     "LayerOperators",
@@ -122,8 +124,6 @@ _DUF_GRAM = np.vstack([np.ones(_GL_N * _GL_N), -2.0 * _S1, -2.0 * _S2,
 _GRAM_ROWS, _GRAM_COLS = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 
 _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
-# relative slack of the close-pair candidate test, see _close_field
-_NEAR_SLACK = 1e-8
 # close (target, panel) pairs per batch: with at most three subtriangles
 # each, the batch arrays of shape (subtriangles, 64) stay near 0.4 MB,
 # well below the far-field blocks
@@ -217,39 +217,6 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum((a[:, None, i] - b[None, :, i]) ** 2 for i in range(a.shape[1]))
 
 
-def _closest_points(x: np.ndarray, corners: np.ndarray) -> tuple:
-    """Point of each triangle nearest its target, for (P, 3) / (P, 3, 3).
-
-    The projection when it falls inside the triangle, otherwise the nearest
-    edge point (the first edge wins a tie).  Returns the points (P, 3) and
-    their barycentric coordinates (P, 3).
-    """
-    c0 = corners[:, 0]
-    e1 = corners[:, 1] - c0
-    e2 = corners[:, 2] - c0
-    s = x - c0
-    g11, g12, g22 = (e1 * e1).sum(1), (e1 * e2).sum(1), (e2 * e2).sum(1)
-    det = g11 * g22 - g12 * g12
-    se1, se2 = (s * e1).sum(1), (s * e2).sum(1)
-    u = (g22 * se1 - g12 * se2) / det
-    v = (g11 * se2 - g12 * se1) / det
-    inside = (u >= 0) & (v >= 0) & (u + v <= 1)
-    # edge a runs from corner a to corner a + 1
-    ab = np.roll(corners, -1, axis=1) - corners
-    t = np.clip(((x[:, None, :] - corners) * ab).sum(2) / (ab * ab).sum(2), 0.0, 1.0)
-    on_edge = corners + t[..., None] * ab
-    pair = np.arange(len(x))
-    edge = np.argmin(np.linalg.norm(x[:, None, :] - on_edge, axis=2), axis=1)
-    t = t[pair, edge]
-    lam_edge = np.zeros((len(x), 3))
-    lam_edge[pair, edge] = 1.0 - t
-    lam_edge[pair, (edge + 1) % 3] = t
-    point = np.where(inside[:, None], c0 + u[:, None] * e1 + v[:, None] * e2,
-                     on_edge[pair, edge])
-    lam = np.where(inside[:, None], np.column_stack([1.0 - u - v, u, v]), lam_edge)
-    return point, lam
-
-
 def _near_geometry(x: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> tuple:
     """The tensor-free part of ``_near_panel_integrals_3d``, read-only.
 
@@ -331,7 +298,7 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
         far = b if at_a else a
         tangent = (far - x) / length
         gamma = np.sqrt(ker.r2(tangent))
-        c = 1.0 / (2.0 * np.pi * ker.sqrt_det)
+        c = ker._c
         i0 = length * (np.log(length) - 1.0)                    # int ln s ds
         i1 = length ** 2 * (2.0 * np.log(length) - 1.0) / 4.0   # int s ln s ds
         shift = np.log(gamma / ker.r0)
@@ -357,34 +324,19 @@ def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
     return out
 
 
-def _close_field(source, x: np.ndarray, centroids: np.ndarray,
-                 diam: np.ndarray) -> tuple:
+def _close_field(source, x: np.ndarray) -> tuple:
     """The close (target, panel) pairs of the targets ``x``, and their
     geometry.
 
-    Returns ``(near_loc, near_el)``, the target and panel indices of the
-    pairs whose panel centroid lies within ``_NEAR_FACTOR`` panel diameters,
-    and in 3D the ``_near_geometry`` of each batch of ``_NEAR_BATCH`` of
-    them, in pair order (empty in 2D): one geometry over all the pairs,
-    sliced.  None of it depends on the tensor or the layer kind.
-
-    Candidates come from one product of squared distances about the source
-    centre, |x'|^2 + |c'|^2 - 2 x'.c', less a slack of ``_NEAR_SLACK``
-    (|x'|^2 + |c'|^2 + reach^2), far above its rounding; the distance of
-    each candidate is then taken component by component, as a loop over
-    all pairs would, so the pairs are exactly those within reach.
+    Returns ``(near_loc, near_el, geometry)``, the target and panel indices
+    of the pairs whose panel centroid lies within ``_NEAR_FACTOR`` panel
+    diameters (``mesh._near_pairs``), and in 3D the ``_near_geometry`` of
+    each batch of ``_NEAR_BATCH`` of them, in pair order (empty in 2D): one
+    geometry over all the pairs, sliced.  None of it depends on the tensor
+    or the layer kind.
     """
-    centre = _panel_quadrature(source)[0]
-    xc, cc = x - centre, centroids - centre
-    x2, c2 = (xc * xc).sum(axis=1), (cc * cc).sum(axis=1)
-    reach = _NEAR_FACTOR * diam
-    shrink = 1.0 - _NEAR_SLACK
-    x_aug = np.column_stack([xc, np.ones(len(x)), x2])
-    c_aug = np.column_stack([-2.0 * cc, shrink * c2, np.full(len(cc), shrink)])
-    loc, el = np.nonzero(x_aug @ c_aug.T < (1.0 + _NEAR_SLACK) * reach ** 2)
-    d = np.sqrt(sum((x[loc, i] - centroids[el, i]) ** 2 for i in range(x.shape[1])))
-    close = d < reach[el]
-    near_loc, near_el = _freeze(loc[close]), _freeze(el[close])
+    near_loc, near_el = (_freeze(a) for a in _near_pairs(
+        source, x, _NEAR_FACTOR * source.element_diameters()))
     if source.dim == 2:
         return near_loc, near_el, []
     lam_p, xp, pair, part, e1, e2, sub2, h = _near_geometry(
@@ -418,16 +370,13 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
                     same_surface: bool) -> np.ndarray:
     centre, points, offset, basis_w, incidence = _panel_quadrature(source)
     k, nq = basis_w.shape
-    els = source.elements
-    m = len(els)
+    m = len(source.elements)
     # whitened coordinates about the source centroid, see the module
     # docstring: r_M^2 is one GEMM of the rows (x', 1, |x'|^2) and
     # (-2 y', |y'|^2, 1), and a flat panel's height nu_j . (x - y) is
     # nu_j . x' - offset_j
     y = ker.whiten(points)
     y_aug = np.column_stack([-2.0 * y, (y * y).sum(axis=1), np.ones(nq * m)])
-    centroids = source.vertices[els].mean(axis=1)
-    diam = source.element_diameters()
     n_t = len(targets)
     matrix = np.empty((n_t, source.n_vertices))
     chunk = max(1, _FAR_BLOCK // (nq * m))
@@ -436,7 +385,7 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
         # a surface's close pairs with its own vertices are the same for
         # every tensor and kind: built once per mesh
         close = _memo(source, "self_close", lambda: [
-            _close_field(source, targets[lo : lo + chunk], centroids, diam)
+            _close_field(source, targets[lo : lo + chunk])
             for lo in starts])
     for block, lo in enumerate(starts):
         x = targets[lo : lo + chunk]
@@ -453,7 +402,7 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
         del r2
         # panels close to a target get the split rule below instead
         near_loc, near_el, geometry = (close[block] if same_surface else
-                                       _close_field(source, x, centroids, diam))
+                                       _close_field(source, x))
         kv[:, near_el, near_loc] = 0.0
         kb = basis_w @ kv.reshape(nq, m * t)  # (k, m * t)
         del kv
@@ -576,7 +525,7 @@ def volume_potential(M, grid: InteriorGrid, g: np.ndarray,
 
 
 def green_representation(M, mesh, dirichlet: NodalField, conormal: NodalField,
-                         x, g_volume=None, *, boundary_tolerance: float | None = None):
+                         x, g_volume=None):
     """Evaluate chi_D u(x) = SL(conormal)(x) - DL(dirichlet)(x) + T(g)(x).
 
     ``g_volume`` is an optional ``(InteriorGrid, flat values)`` pair for the
@@ -586,12 +535,12 @@ def green_representation(M, mesh, dirichlet: NodalField, conormal: NodalField,
     Raises
     ------
     PointOnBoundary
-        If any evaluation point is within ``boundary_tolerance`` (default
-        1e-9 x bounding-box diagonal) of the surface.
+        If any evaluation point is within 1e-9 x the bounding-box diagonal
+        of the surface (``require_off_surface``).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     scalar_in = np.asarray(x).ndim == 1
-    require_off_surface(mesh, pts, boundary_tolerance)
+    require_off_surface(mesh, pts)
     u0 = dirichlet.check_on(mesh)
     u1 = conormal.check_on(mesh)
     sl = assemble_layer("single", M, mesh, pts)

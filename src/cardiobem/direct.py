@@ -59,6 +59,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# a Neumann flux column whose compatibility defect exceeds this times the
+# area and the data's scale is incompatible, see _solve_neumann_block
+_COMPATIBILITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DirectSolveReport:
@@ -138,23 +142,21 @@ def _interior_values(M, meshes, traces, fluxes, targets,
     """Green representation inside the domain bounded by the given meshes.
 
     traces and fluxes are nodal values per mesh, fluxes in the stored
-    outward conormal (heart-outward on the shell).
+    outward conormal (heart-outward on the shell).  Only a single closed
+    surface carries a volume source; ``solve_dirichlet`` rejects one on
+    the shell.
     """
     pts = np.atleast_2d(np.asarray(targets, dtype=float))
 
-    def term(i):
+    def term(i, g=None):
         mesh = meshes[i]
         return green_representation(M, mesh, NodalField(mesh.surface_id, traces[i]),
-                                    NodalField(mesh.surface_id, fluxes[i]), pts)
+                                    NodalField(mesh.surface_id, fluxes[i]), pts, g)
 
-    vals = term(0)
-    if len(meshes) == 2:
-        # the shell is the inside of the torso minus the inside of the heart
-        vals = term(1) - vals
-    if g_volume is not None:
-        grid, g = g_volume
-        vals = vals + volume_potential(M, grid, g, pts).values
-    return vals
+    if len(meshes) == 1:
+        return term(0, g_volume)
+    # the shell is the inside of the torso minus the inside of the heart
+    return term(1) - term(0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +225,18 @@ def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
 
 
 def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0,
-                         volume: np.ndarray = None, *, tol: float = 1e-6,
+                         volume: np.ndarray = None, *,
                          project: bool = False) -> tuple:
     """Normalized Neumann solves for a flux vector (n,) or block (n, k).
 
     Each column's compatibility defect is its total flux plus
-    ``source_total``; a column whose defect exceeds ``tol`` x area x scale
-    raises IncompatibleData, or with ``project`` is shifted by a constant
-    onto the compatible subspace, and one log line counts the shifted
-    columns.  ``volume`` (n,), the volume potential at the vertices, is
-    added to every column's right side.  All columns share one S product
-    and one product with the kept bordered inverse.  Returns (u0, u1,
-    defect, residual, normalization): solutions, the fluxes solved for,
+    ``source_total``; a column whose defect exceeds ``_COMPATIBILITY_TOL``
+    x area x scale raises IncompatibleData, or with ``project`` is shifted
+    by a constant onto the compatible subspace, and one log line counts the
+    shifted columns.  ``volume`` (n,), the volume potential at the
+    vertices, is added to every column's right side.  All columns share one
+    S product and one product with the kept bordered inverse.  Returns (u0,
+    u1, defect, residual, normalization): solutions, the fluxes solved for,
     and per column the signed defect, the residual norm and w . u0.
     """
     w = mesh.vertex_weights
@@ -242,13 +244,13 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     defect = w @ u1 + source_total
     scale = np.maximum(np.abs(u1).max(axis=0, initial=0.0),
                        abs(source_total) / area)
-    bad = np.abs(defect) > tol * area * np.maximum(scale, 1e-300)
+    bad = np.abs(defect) > _COMPATIBILITY_TOL * area * np.maximum(scale, 1e-300)
     if bad.any():
         worst = np.abs(defect).max(where=bad, initial=0.0)
         if not project:
             raise IncompatibleData(
                 f"flux/source compatibility defect {worst:.3e} exceeds "
-                f"{tol:.1e} x area x scale"
+                f"{_COMPATIBILITY_TOL:.1e} x area x scale"
             )
         u1 = u1 - np.where(bad, defect / area, 0.0)
         logger.info("projected %d of %d Neumann data columns onto the "
@@ -278,11 +280,11 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
 
 
 def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
-                             tol: float = 1e-6, project: bool = False):
+                             project: bool = False):
     """Solve Delta_M u = g, nu . M grad u = u1, with lumped mean zero.
 
     Checks the compatibility integral (total flux plus total source) before
-    solving; a defect beyond ``tol`` relative raises IncompatibleData unless
+    solving; a defect beyond 1e-6 relative raises IncompatibleData unless
     ``project`` is set, in which case u1 is shifted by a constant to the
     compatible subspace and the defect is reported.  The normalization
     |oint u dsigma| = 0 is enforced as a bordered linear constraint.
@@ -296,7 +298,7 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
         source_total = float(grid.integrate(np.asarray(g, float)))
         volume = volume_potential(tensor, grid, g, mesh.vertices).values
     u0, u1v, defect, residual, normalization = _solve_neumann_block(
-        tensor, mesh, u1v, source_total, volume, tol=tol, project=project)
+        tensor, mesh, u1v, source_total, volume, project=project)
     report = DirectSolveReport(
         residual_norm=float(residual),
         compatibility_defect=abs(float(defect)),

@@ -59,6 +59,16 @@ _CLAIM_LOCK = threading.Lock()
 # bytes of transients in _ray_parity, so a block stays near 13 MB
 _INSIDE_BLOCK = 1 << 18
 
+# relative slack of the near-pair candidate test, see _near_pairs
+_NEAR_SLACK = 1e-8
+# (point, panel) entries per candidate product of _near_pairs: 8 MB
+_PAIR_BLOCK = 1 << 20
+# (point, panel) pairs per _closest_points call in _distances_within: a
+# triangle pair holds about 500 bytes of transients, its corners included,
+# so a call stays near 8 MB even when an infinite reach makes every pair a
+# candidate
+_CLOSEST_BATCH = 1 << 14
+
 # the parity tests' bounds, shared by _ray_parity and _lattice_inside: a
 # triangle with |det| at most _PARALLEL is parallel to the ray; within
 # _GRAZE of an edge, in barycentrics, a ray grazes it; a crossing within
@@ -582,101 +592,130 @@ def points_inside(mesh, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_triangle_distance(points: np.ndarray, mesh: SurfaceMesh) -> np.ndarray:
-    """Min distance from each point to the surface (exact per triangle)."""
-    verts, tris = mesh.vertices, mesh.triangles
-    p0 = verts[tris[:, 0]]
-    e1 = verts[tris[:, 1]] - p0
-    e2 = verts[tris[:, 2]] - p0
-    n = mesh.normals
-    best = np.full(len(points), np.inf)
-    chunk = max(1, int(1e6) // max(1, len(tris)))
-    segs = [
-        (verts[tris[:, 0]], verts[tris[:, 1]]),
-        (verts[tris[:, 1]], verts[tris[:, 2]]),
-        (verts[tris[:, 2]], verts[tris[:, 0]]),
-    ]
-    g11 = np.einsum("mj,mj->m", e1, e1)
-    g12 = np.einsum("mj,mj->m", e1, e2)
-    g22 = np.einsum("mj,mj->m", e2, e2)
+def _closest_points(x: np.ndarray, corners: np.ndarray) -> tuple:
+    """Point of each panel nearest its target, for (P, dim) / (P, k, dim).
+
+    A segment's (k = 2) is the clamped projection onto it.  A triangle's
+    (k = 3) is the projection onto its plane when that falls inside it,
+    otherwise the nearest edge point (the first edge wins a tie).  Returns
+    the points (P, dim) and their barycentric coordinates (P, k).
+    """
+    k = corners.shape[1]
+    pair = np.arange(len(x))
+    # edge a runs from corner a to corner a + 1; a segment is its own edge
+    n_edges = 3 if k == 3 else 1
+    starts = corners[:, :n_edges]
+    ab = np.roll(corners, -1, axis=1)[:, :n_edges] - starts
+    t = np.clip(((x[:, None, :] - starts) * ab).sum(2) / (ab * ab).sum(2), 0.0, 1.0)
+    on_edge = starts + t[..., None] * ab
+    edge = np.argmin(np.linalg.norm(x[:, None, :] - on_edge, axis=2), axis=1)
+    t = t[pair, edge]
+    lam = np.zeros((len(x), k))
+    lam[pair, edge] = 1.0 - t
+    lam[pair, (edge + 1) % k] = t
+    point = on_edge[pair, edge]
+    if k == 2:
+        return point, lam
+    c0 = corners[:, 0]
+    e1 = corners[:, 1] - c0
+    e2 = corners[:, 2] - c0
+    s = x - c0
+    g11, g12, g22 = (e1 * e1).sum(1), (e1 * e2).sum(1), (e2 * e2).sum(1)
     det = g11 * g22 - g12 * g12
-    for lo in range(0, len(points), chunk):
-        pts = points[lo : lo + chunk]
-        s = pts[:, None, :] - p0[None, :, :]
-        b1 = np.einsum("pmj,mj->pm", s, e1)
-        b2 = np.einsum("pmj,mj->pm", s, e2)
-        u = (g22 * b1 - g12 * b2) / det
-        v = (g11 * b2 - g12 * b1) / det
-        interior = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-        d_plane = np.abs(np.einsum("pmj,mj->pm", s, n))
-        d = np.where(interior, d_plane, np.inf)
-        for a, b in segs:
-            ab = b - a
-            tt = np.einsum("pmj,mj->pm", pts[:, None, :] - a[None, :, :], ab)
-            tt = np.clip(tt / np.einsum("mj,mj->m", ab, ab), 0.0, 1.0)
-            closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
-            d_edge = np.linalg.norm(pts[:, None, :] - closest, axis=2)
-            d = np.minimum(d, d_edge)
-        best[lo : lo + chunk] = d.min(axis=1)
-    return best
-
-
-def _point_segment_distance(points: np.ndarray, mesh: CurveMesh) -> np.ndarray:
-    a = mesh.vertices[mesh.segments[:, 0]]
-    b = mesh.vertices[mesh.segments[:, 1]]
-    ab = b - a
-    tt = np.einsum("pmj,mj->pm", points[:, None, :] - a[None, :, :], ab)
-    tt = np.clip(tt / np.einsum("mj,mj->m", ab, ab), 0.0, 1.0)
-    closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
-    return np.linalg.norm(points[:, None, :] - closest, axis=2).min(axis=1)
-
-
-def surface_distance(mesh, points: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to the surface of ``mesh``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != mesh.dim:
-        raise ShapeMismatch(f"points must be (n, {mesh.dim})")
-    if mesh.dim == 2:
-        return _point_segment_distance(pts, mesh)
-    return _point_triangle_distance(pts, mesh)
+    se1, se2 = (s * e1).sum(1), (s * e2).sum(1)
+    u = (g22 * se1 - g12 * se2) / det
+    v = (g11 * se2 - g12 * se1) / det
+    inside = ((u >= 0) & (v >= 0) & (u + v <= 1))[:, None]
+    point = np.where(inside, c0 + u[:, None] * e1 + v[:, None] * e2, point)
+    lam = np.where(inside, np.column_stack([1.0 - u - v, u, v]), lam)
+    return point, lam
 
 
 def _panel_balls(mesh) -> tuple:
-    """Per panel, the centroid (m, dim) and a radius (m,) about it that
-    reaches every corner; built once per mesh, read-only."""
+    """The panel balls and the rows of ``_near_pairs``' candidate product.
+
+    Returns ``(centroids, radius, centre, c_aug)``: per panel its centroid
+    (m, dim) and a radius (m,) about it that reaches every corner, inflated
+    past the rounding of ``_near_pairs``' test; the mesh centre, the mean
+    of its vertices; and per panel the row (-2 c', (1 - s)|c'|^2, 1 - s)
+    of its centroid c' about the centre, s = ``_NEAR_SLACK``.  Panel j lies
+    at least |x - c_j| - R_j from x, so only the panels with
+    |x - c_j| < R_j + tol can come within tol of x: a distance taken over
+    those alone is exact where it is at most tol and more than tol
+    elsewhere (``_distances_within``).  Built once per mesh, read-only.
+    """
     def build():
         corners = mesh.vertices[mesh.elements]  # (m, k, dim)
-        centre = corners.mean(axis=1)
-        radius = np.linalg.norm(corners - centre[:, None], axis=2).max(axis=1)
-        # inflated past the rounding of the comparison in _distances_within
-        return _freeze(centre), _freeze(radius * (1.0 + 1e-12))
+        centroids = corners.mean(axis=1)
+        radius = np.linalg.norm(corners - centroids[:, None], axis=2).max(axis=1)
+        centre = mesh.vertices.mean(axis=0)
+        cc = centroids - centre
+        shrink = 1.0 - _NEAR_SLACK
+        c_aug = np.column_stack([-2.0 * cc, shrink * (cc * cc).sum(axis=1),
+                                 np.full(len(cc), shrink)])
+        return tuple(_freeze(a) for a in
+                     (centroids, radius * (1.0 + 1e-12), centre, c_aug))
 
     return _memo(mesh, "panel_balls", build)
 
 
-def _distances_within(mesh, points: np.ndarray, tol: float) -> np.ndarray:
-    """Distance from each point to the surface where it may be <= ``tol``,
-    and inf where it is certainly larger.
+def _near_pairs(mesh, x: np.ndarray, reach: np.ndarray) -> tuple:
+    """The (point, panel) pairs, point-major, whose panel centroid lies
+    strictly within ``reach`` (m,), its panel's, of the point.
 
-    Panel j lies at least |x - c_j| - R_j from x (see ``_panel_balls``), so
-    the exact point-panel distances are computed only for the points with
-    |x - c_j| <= R_j + tol for some panel j.
+    Returns ``(loc, el)``, the point and panel indices.  Candidates come
+    from one product of squared distances about the mesh centre,
+    |x'|^2 + |c'|^2 - 2 x'.c', less a slack of ``_NEAR_SLACK``
+    (|x'|^2 + |c'|^2 + reach^2), far above its rounding; the distance of
+    each candidate is then taken component by component, as a loop over
+    all pairs would, so the pairs are exactly those within reach.  An
+    infinite reach takes every pair.  The product runs over blocks of at
+    most ``_PAIR_BLOCK`` entries.
+    """
+    centroids, _, centre, c_aug = _panel_balls(mesh)
+    bound = (1.0 + _NEAR_SLACK) * reach ** 2
+    xc = x - centre
+    x_aug = np.column_stack([xc, np.ones(len(x)), (xc * xc).sum(axis=1)])
+    starts = range(0, max(1, len(x)), max(1, _PAIR_BLOCK // len(centroids)))
+    parts = [np.nonzero(x_aug[lo : lo + starts.step] @ c_aug.T < bound)
+             for lo in starts]
+    loc = np.concatenate([i + lo for lo, (i, _) in zip(starts, parts)])
+    el = np.concatenate([j for _, j in parts])
+    if len(loc) == 0:
+        return loc, el
+    d = np.sqrt(sum((x[loc, i] - centroids[el, i]) ** 2 for i in range(x.shape[1])))
+    close = d < reach[el]
+    return loc[close], el[close]
+
+
+def _distances_within(mesh, points: np.ndarray, tol: float) -> np.ndarray:
+    """Distance from each point to the surface: exact where it is at most
+    ``tol``, and more than ``tol`` elsewhere (inf when no panel is near).
+
+    Only the panels of the near pairs at reach R_j + tol (``_near_pairs``,
+    ``_panel_balls``) can lie within ``tol``; each point keeps the least
+    distance to the nearest points of its pairs (``_closest_points``), in
+    batches of ``_CLOSEST_BATCH`` pairs.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.dim:
         raise ShapeMismatch(f"points must be (n, {mesh.dim})")
-    centre, radius = _panel_balls(mesh)
-    reach2 = (radius + tol) ** 2
-    near = np.empty(len(pts), dtype=bool)
-    chunk = max(1, int(1e6) // len(radius))
-    for lo in range(0, len(pts), chunk):
-        d2 = sum((pts[lo : lo + chunk, None, i] - centre[None, :, i]) ** 2
-                 for i in range(mesh.dim))
-        near[lo : lo + chunk] = (d2 <= reach2).any(axis=1)
+    loc, el = _near_pairs(mesh, pts, _panel_balls(mesh)[1] + tol)
     out = np.full(len(pts), np.inf)
-    if near.any():
-        out[near] = surface_distance(mesh, pts[near])
+    for lo in range(0, len(loc), _CLOSEST_BATCH):
+        i, j = loc[lo : lo + _CLOSEST_BATCH], el[lo : lo + _CLOSEST_BATCH]
+        near = _closest_points(pts[i], mesh.vertices[mesh.elements[j]])[0]
+        np.minimum.at(out, i, np.linalg.norm(pts[i] - near, axis=1))
     return out
+
+
+def surface_distance(mesh, points: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to the surface of ``mesh``.
+
+    ``_distances_within`` at an infinite tolerance: every (point, panel)
+    pair is near, so the distance is exact everywhere.
+    """
+    return _distances_within(mesh, points, np.inf)
 
 
 def point_location(config: DomainConfig, x) -> PointLocation:

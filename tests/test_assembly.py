@@ -428,7 +428,7 @@ def test_close_pairs_match_all_pairs_reference(source, targets):
     diam = source.element_diameters()
     d = np.sqrt(sum((x[:, None, i] - centroids[None, :, i]) ** 2 for i in range(3)))
     want_loc, want_el = np.nonzero(d < _NEAR_FACTOR * diam[None, :])
-    near_loc, near_el, geometry = _close_field(source, x, centroids, diam)
+    near_loc, near_el, geometry = _close_field(source, x)
     assert len(want_loc) > 0
     assert np.array_equal(near_loc, want_loc) and np.array_equal(near_el, want_el)
     assert len(geometry) == -(-len(want_loc) // _NEAR_BATCH)

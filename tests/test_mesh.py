@@ -33,8 +33,9 @@ from cardiobem import (
 )
 import cardiobem.mesh as mesh_module
 from cardiobem.grid import InteriorGrid
-from cardiobem.mesh import (_INSIDE_BLOCK, _curve_parity, _distances_within, _memo,
-                            _ray_parity, _write_text, require_off_surface)
+from cardiobem.mesh import (_INSIDE_BLOCK, _closest_points, _curve_parity,
+                            _distances_within, _memo, _ray_parity, _write_text,
+                            require_off_surface)
 from cardiobem.primitives import octahedron, unit_cube
 
 
@@ -497,6 +498,84 @@ def test_distances_within_are_exact_up_to_the_tolerance(mesh):
         close = exact <= tol
         assert np.array_equal(got[close], exact[close])
         assert np.all(got[~close] > tol)
+
+
+def _reference_distances(mesh, pts):
+    """Least distance from each point to the elements, one element at a
+    time: a triangle's is the Gram projection onto its plane when that falls
+    inside it, otherwise the least of its three clamped edges; a segment's
+    is the clamped projection."""
+    best = np.full(len(pts), np.inf)
+    for el in mesh.elements:
+        c = mesh.vertices[el]
+        edges = [(c[0], c[1])] if len(el) == 2 else [(c[a], c[(a + 1) % 3])
+                                                       for a in range(3)]
+        for a, b in edges:
+            ab = b - a
+            t = np.clip((pts - a) @ ab / (ab @ ab), 0.0, 1.0)
+            best = np.minimum(best, np.linalg.norm(pts - a - t[:, None] * ab, axis=1))
+        if len(el) == 3:
+            e1, e2 = c[1] - c[0], c[2] - c[0]
+            gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
+            u, v = np.linalg.solve(gram, np.stack([(pts - c[0]) @ e1,
+                                                   (pts - c[0]) @ e2]))
+            foot = c[0] + u[:, None] * e1 + v[:, None] * e2
+            inside = (u >= 0) & (v >= 0) & (u + v <= 1)
+            best = np.where(inside, np.minimum(best, np.linalg.norm(pts - foot, axis=1)),
+                            best)
+    return best
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2, 1.0), unit_cube(), octahedron(),
+                                  circle_curve(1.0, 64)],
+                         ids=["sphere", "cube", "octahedron", "circle"])
+def test_surface_distance_matches_per_element_reference(mesh):
+    # the flat faces of the cube and the octahedron tie exactly over their
+    # shared edges and vertices
+    verts = mesh.vertices
+    centre = verts.mean(axis=0)
+    diag = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+    rng = np.random.default_rng(5)
+    pts = np.vstack([verts, verts[mesh.elements].mean(axis=1),
+                     centre + rng.uniform(-0.2, 0.2, size=(60, mesh.dim)) * diag,
+                     centre + 1.3 * (verts - centre)])
+    got = surface_distance(mesh, pts)
+    assert np.abs(got - _reference_distances(mesh, pts)).max() <= 1e-15 * diag
+
+
+def test_blocked_near_pairs_match_one_block(monkeypatch):
+    # with small blocks the candidate products and the closest-point
+    # batches split, and the pairs and the distances keep their bits
+    m = icosphere(2, 1.0)
+    pts = np.vstack([m.vertices * 1.01, m.vertices * 0.5])
+    reach = 1.6 * m.element_diameters()
+    want_pairs = mesh_module._near_pairs(m, pts, reach)
+    want = surface_distance(m, pts)
+    monkeypatch.setattr(mesh_module, "_PAIR_BLOCK", 1000)
+    monkeypatch.setattr(mesh_module, "_CLOSEST_BATCH", 777)
+    got_pairs = mesh_module._near_pairs(m, pts, reach)
+    assert len(want_pairs[0]) > 777
+    assert all(np.array_equal(a, b) for a, b in zip(got_pairs, want_pairs))
+    assert np.array_equal(surface_distance(m, pts), want)
+
+
+def test_closest_points_on_segments():
+    # a segment's nearest point is its clamped projection; the barycentric
+    # coordinates sum to 1 and give the point back
+    curve = circle_curve(1.0, 64)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(400, 2)) * 1.5
+    corners = curve.vertices[curve.segments[rng.integers(0, 64, 400)]]
+    point, lam = _closest_points(x, corners)
+    assert point.shape == (400, 2) and lam.shape == (400, 2)
+    assert np.all(lam >= 0.0)
+    assert np.abs(lam.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.abs(np.einsum("pk,pkj->pj", lam, corners) - point).max() <= 1e-15
+    assert {0.0, 1.0} <= set(lam[:, 0])  # clamped at both ends
+    s = np.linspace(0.0, 1.0, 201)[None, :, None]
+    samples = corners[:, :1] + s * (corners[:, 1:] - corners[:, :1])
+    nearest = np.linalg.norm(x[:, None] - samples, axis=2).min(axis=1)
+    assert np.all(np.linalg.norm(x - point, axis=1) <= nearest + 1e-15)
 
 
 def test_require_off_surface_at_the_tolerance():

@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and two structural guards."""
+and every module uses what it imports; and three structural guards."""
 
 import ast
 import re
@@ -82,3 +82,23 @@ def test_direct_has_one_operator_builder():
                       and "assemble_layer" in (getattr(node.func, "id", None),
                                                getattr(node.func, "attr", None))})
     assert callers == ["boundary_operators"]
+
+
+def test_each_helper_has_one_home():
+    # no top-level function is defined in two modules, and the
+    # point-to-surface geometry lives in mesh.py, which assembly imports it
+    # from, so a moved helper cannot grow back as a copy
+    homes = {}
+    for path in _modules():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+    geometry = {"_closest_points", "_near_pairs"}
+    assert {name: homes[name] for name in geometry} == {
+        name: ["mesh.py"] for name in geometry}
+    tree = ast.parse((ROOT / "src" / "cardiobem" / "assembly.py").read_text())
+    from_mesh = {alias.name for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.module == "mesh"
+                 for alias in node.names}
+    assert geometry <= from_mesh
