@@ -1,37 +1,27 @@
 """Regularized lateral Cauchy solver: torso data propagated to the heart.
 
-Given both Dirichlet data f and (typically zero) conormal flux on the torso
-surface, recover the trace and flux on the heart surface through the passive
-shell.  The forward constraint is the collocated interior-limit Green
-identity of the shell,
+Given the potential f on the insulated torso surface, recover the trace and
+flux on the heart surface through the passive shell.  The heart-torso
+DomainConfig keeps the Zaremba transfer X of ``direct``: for any heart
+trace u_h it gives the insulated-torso solution's shell conormal
+q_h = Lambda u_h and torso trace T u_h, so the torso flux data hold by
+construction and only the torso potential is left to match.  The problem
+is classically ill posed, so the minimizer of
 
-    A_full [u_h; u_t] = B_full [q_h; q_t]
+    |T u_h - f|^2 + alpha |L u_h|^2,   L = [P; P Lambda],
 
-with the shell's operators from ``direct.boundary_operators``, which the
-heart-torso DomainConfig keeps; with (u_t, q_t) known this is an
-overdetermined linear system for the unknown heart pair x = [u_h; q_h],
+is returned, with P the heart mesh's graph Laplacian (the surface gradient
+of both the trace and the flux) and alpha picked by the configured rule
+(L-curve corner by default).  The heart-outward flux is -Lambda u_h.
 
-    [A_full[:, h], -B_full[:, h]] x = B_full[:, t] q_t - A_full[:, t] f.
-
-Torso-collocation rows ask the predicted torso Cauchy data to match; heart
-rows ask an M-harmonic extension to exist.  The least-squares residual is
-the computable distance-to-solvability; the problem is classically ill posed
-so the minimizer of || A x - b ||^2 + alpha || L x ||^2 is returned, with
-alpha picked by the configured rule (L-curve corner by default).
-
-Both penalties, the identity and the surface gradient (the graph Laplacian
-of the heart mesh in each half of x, so that over-smoothing is not the only
-option), share one sweep.  The general penalty is first brought to
-standard form (Elden's transformation with the A-weighted pseudo-inverse of
-L, see ``_StandardForm``), which turns it into an identity-penalty problem;
-the null space of L, one constant per connected component of the heart
-mesh, is carried by a separate least-squares term.  The thin SVD of the
-standard-form matrix makes the residual and seminorm norms of the whole
-alpha grid one (alphas x singular values) array, and only the chosen
-alpha's x is formed.  That SVD, with the lift back to x, lives on the
-same DomainConfig as A_full and B_full, once per (tensor, penalty), and
-goes with the domain; the Cauchy matrix itself is needed only inside that
-build.
+The penalty is brought to standard form once per (domain, tensor) with
+Elden's split (see ``_ReducedForm``): null(L), the constants, is carried
+by a separate least-squares term, and L on the rest becomes the identity
+through a Cholesky factor of L^T L, with no pseudo-inverse of L.  The thin
+SVD of the standard-form matrix makes the residual and seminorm norms of
+the whole alpha grid one (alphas x singular values) array, and only the
+chosen alpha's u_h is formed.  That SVD, with the lift back to u_h, lives
+on the same DomainConfig as X and goes with the domain.
 """
 
 from __future__ import annotations
@@ -42,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .direct import boundary_operators
+from .direct import _zaremba_transfer
 from .errors import DegenerateLCurve, ShapeMismatch
 from .kernels import as_tensor
 from .mesh import NodalField, _format_rows, _memo, _write_text
@@ -80,7 +70,7 @@ class FixedAlpha:
 @dataclass(frozen=True)
 class DiscrepancyPrinciple:
     """Largest alpha whose residual stays at or below noise_level (absolute,
-    same units as ||A x - b||)."""
+    same units as the torso misfit ||T u - f||)."""
 
     noise_level: float
 
@@ -93,7 +83,6 @@ class DiscrepancyPrinciple:
 class TikhonovConfig:
     alpha_grid: np.ndarray
     selection: object = field(default_factory=LCurveMaxCurvature)
-    penalty: str = "identity"
 
     def __post_init__(self):
         grid = np.asarray(self.alpha_grid, dtype=float)
@@ -104,8 +93,6 @@ class TikhonovConfig:
             raise ShapeMismatch("alpha_grid must be strictly increasing and positive")
         if isinstance(self.selection, LCurveMaxCurvature) and len(grid) < 8:
             raise ShapeMismatch("L-curve selection needs >= 8 grid points")
-        if self.penalty not in ("identity", "surface_gradient"):
-            raise ShapeMismatch(f"unknown penalty {self.penalty!r}")
 
     @classmethod
     def log_grid(cls, count: int = 16, alpha_min: float = 1e-10,
@@ -118,7 +105,7 @@ class TikhonovConfig:
 class CauchySolveReport:
     chosen_alpha: float
     lcurve_points: Tuple[Tuple[float, float], ...]  # (log rho, log eta), alpha-ascending
-    residual_norm: float
+    residual_norm: float  # torso misfit |T u_h - f| at the chosen alpha
     heart_dirichlet: NodalField
     heart_flux: NodalField  # heart-outward conormal, nu_i . M grad u
     diagnostics: dict = field(default_factory=dict)
@@ -167,91 +154,72 @@ def _graph_laplacian(mesh) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _StandardForm:
-    """min |A x - b|^2 + alpha |L x|^2 as an identity-penalty problem.
+class _ReducedForm:
+    """min |T u - f|^2 + alpha |L u|^2 over heart traces u, in standard form.
 
-    With N a basis of null(L) and the A-weighted pseudo-inverse
-    L_A+ = (I - N (AN)+ A) L+, the minimizer is x = L_A+ xbar + N (AN)+ b,
-    where xbar minimizes |Abar xbar - bbar|^2 + alpha |xbar|^2 for
-    Abar = A L_A+ and bbar = b - AN (AN)+ b, and |L x| = |xbar| (Elden,
-    BIT 22, 1982; Hansen, Rank-Deficient and Discrete Ill-Posed Problems,
-    1998, 2.3).  For L = I, N is empty and Abar is A itself.
+    z spans null(L); K maps onto the rest with |L K y| = |y| and T K
+    perpendicular to T z.  The minimizer is then u = K y + z c, with
+    c = (T z)+ f and y minimizing |T K y - f|^2 + alpha |y|^2 (Elden, BIT
+    22, 1982; Hansen, Rank-Deficient and Discrete Ill-Posed Problems, 1998,
+    2.3), and |L u| = |y|.
 
-    u, s: the thin SVD of Abar without its dim null(L) null directions;
-    vt: its right singular vectors lifted by L_A+, one per row, so that
-    x = vt.T @ (filter * u.T b) + null @ ((AN)+ b).
+    u, s: the thin SVD T K = U diag(s) V^T; lift: K V, so that
+    u = lift @ (filter * U^T f) + null @ (tz_pinv @ f).
     """
 
     u: np.ndarray
     s: np.ndarray
-    vt: np.ndarray
-    null: np.ndarray     # N, (n, p)
-    an: np.ndarray       # A N, (m, p)
-    an_pinv: np.ndarray  # (A N)+, (p, m)
+    lift: np.ndarray     # K V, (nh, k)
+    null: np.ndarray     # z, (nh, 1)
+    tz: np.ndarray       # T z, (nt, 1)
+    tz_pinv: np.ndarray  # (T z)+, (1, nt)
 
 
-def _twice(m: np.ndarray) -> np.ndarray:
-    """The block diagonal matrix blockdiag(m, m)."""
-    r, c = m.shape
-    out = np.zeros((2 * r, 2 * c))
-    out[:r, :c] = m
-    out[r:, c:] = m
-    return out
+def _reduced_form(tensor, domain) -> _ReducedForm:
+    """The Cauchy problem of ``domain`` reduced onto its Zaremba transfer.
 
-
-def _component_labels(lap: np.ndarray) -> np.ndarray:
-    """Connected-component label of each vertex of the graph of ``lap``.
-
-    Labels count from 0 in the order of each component's lowest vertex.
-    Every vertex takes the least label among its neighbours until none
-    changes, and jumps to its label's label on the way.
+    X = [Lambda; T] maps the heart trace u to the shell conormal and the
+    torso trace of the insulated-torso solution, so any u meets the torso
+    flux data and the problem is min |T u - f|^2 + alpha |L u|^2, with
+    L = [P; P Lambda] and P the heart's graph Laplacian: the surface
+    gradient of both the trace and the flux.  Kept on ``domain`` beside X.
     """
-    rows, cols = np.nonzero(lap)
-    labels = np.arange(len(lap))
-    while True:
-        low = labels.copy()
-        np.minimum.at(low, rows, labels[cols])
-        low = low[low]
-        if np.array_equal(low, labels):
-            break
-        labels = low
-    return np.unique(labels, return_inverse=True)[1]
+    def build():
+        nh = domain.heart.n_vertices
+        x = _zaremba_transfer(tensor, domain)
+        t = x[nh:]
+        lap = _graph_laplacian(domain.heart)
+        lap_flux = lap @ x[:nh]
+        # null(L) is the constants, P 1 = 0 and Lambda 1 = 0 to rounding;
+        # the heart's other component indicators are not in it, because the
+        # shell joins them and P Lambda sees a jump between them
+        z = np.full((nh, 1), nh ** -0.5)
+        # R^T R = L^T L + z z^T, and Q spans (R z)-perp = (R^-T z)-perp, so
+        # K = R^-1 Q maps onto z-perp with |L K y| = |y|
+        r = np.linalg.cholesky(lap @ lap + lap_flux.T @ lap_flux + z @ z.T).T
+        q = np.linalg.qr(r @ z, mode="complete")[0][:, 1:]
+        k = np.linalg.solve(r, q)
+        tz = t @ z
+        tz_pinv = np.linalg.pinv(tz)
+        tk = t @ k
+        # shift K by z so that T K is perpendicular to T z; L z = 0 keeps |L K y|
+        w = tz_pinv @ tk
+        k -= z @ w
+        tk -= tz @ w
+        u, s, vt = np.linalg.svd(tk, full_matrices=False)
+        return _ReducedForm(u, s, k @ vt.T, z, tz, tz_pinv)
+
+    return _memo(domain, ("cauchy", tensor.tobytes()), build)
 
 
-def _standard_form(a: np.ndarray, lap: Optional[np.ndarray]) -> _StandardForm:
-    """Standard form for L = I (lap None) or L = blockdiag(lap, lap)."""
-    m, n = a.shape
-    if lap is None:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        return _StandardForm(u, s, vt, np.zeros((n, 0)), np.zeros((m, 0)),
-                             np.zeros((0, m)))
-    # null(lap): one indicator per connected component of the mesh, which
-    # also makes lap + Z Z^T invertible, with inverse lap+ + Z Z^T
-    labels = _component_labels(lap)
-    z = (labels[:, None] == np.arange(labels.max() + 1)).astype(float)
-    z /= np.sqrt(z.sum(axis=0))
-    zz = z @ z.T
-    lap_pinv = np.linalg.inv(lap + zz) - zz
-    l_pinv = _twice(lap_pinv)
-    null = _twice(z)
-    an = a @ null
-    an_pinv = np.linalg.pinv(an)
-    a_lpinv = a @ l_pinv
-    la_pinv = l_pinv - null @ (an_pinv @ a_lpinv)
-    u, s, vt = np.linalg.svd(a_lpinv - an @ (an_pinv @ a_lpinv),
-                             full_matrices=False)
-    k = len(s) - null.shape[1]  # Abar vanishes on null(L)
-    return _StandardForm(u[:, :k], s[:k], vt[:k] @ la_pinv.T, null, an, an_pinv)
-
-
-def _sweep(form: _StandardForm, b: np.ndarray, grid: np.ndarray):
+def _sweep(form: _ReducedForm, f: np.ndarray, grid: np.ndarray):
     """Residual and seminorm norms over the grid, and the solution maker.
 
     Returns rho, eta (one per alpha) and a function of the grid index that
-    forms that alpha's x; only the chosen alpha's x is ever formed.
+    forms that alpha's u; only the chosen alpha's u is ever formed.
     """
-    c = form.an_pinv @ b
-    b = b - form.an @ c
+    c = form.tz_pinv @ f
+    b = f - form.tz @ c
     beta = form.u.T @ b
     perp2 = float(b @ b - beta @ beta)  # component outside the column space
     s = form.s
@@ -262,7 +230,7 @@ def _sweep(form: _StandardForm, b: np.ndarray, grid: np.ndarray):
     eta = np.linalg.norm(filt * beta, axis=1)
 
     def solution(idx: int) -> np.ndarray:
-        return form.vt.T @ (filt[idx] * beta) + form.null @ c
+        return form.lift @ (filt[idx] * beta) + form.null @ c
 
     return rho, eta, solution
 
@@ -294,32 +262,23 @@ def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
 
 
 def solve_cauchy_elliptic(M_b, domain, f: NodalField,
-                          flux_on_torso: Optional[NodalField] = None,
                           config: Optional[TikhonovConfig] = None) -> CauchySolveReport:
     """Propagate torso Cauchy data through the shell to the heart surface.
 
-    f: measured torso potential; flux_on_torso: conormal data there (default
-    zero, the insulated body surface).  Returns heart Dirichlet trace and
-    heart-outward conormal flux at the selected regularization, plus the full
-    L-curve ordered by increasing alpha.
+    f: measured torso potential on the insulated body surface.  Returns
+    heart Dirichlet trace and heart-outward conormal flux at the selected
+    regularization, plus the full L-curve ordered by increasing alpha; the
+    residual is the torso misfit |T u_h - f|.
     """
     if config is None:
         config = TikhonovConfig.log_grid()
-    heart, torso = domain.heart, domain.torso
+    heart = domain.heart
     tensor = as_tensor(M_b, heart.dim)
-    fv = f.check_on(torso)
-    qt = None if flux_on_torso is None else flux_on_torso.check_on(torso)
-    nh = heart.n_vertices
-    a_full, b_full = boundary_operators(tensor, domain)
-    # b = B q - A f; -(A f) + B q rounds the same, and an insulated torso
-    # (no flux given) skips the product with q = 0
-    b = -(a_full[:, nh:] @ fv)
-    if qt is not None:
-        b += b_full[:, nh:] @ qt
+    fv = f.check_on(domain.torso)
 
-    if not np.any(fv) and (qt is None or not np.any(qt)):
+    if not np.any(fv):
         # exactly zero data: the regularized minimizer is exactly zero
-        zero = np.zeros(nh)
+        zero = np.zeros(heart.n_vertices)
         points = tuple((np.log(1e-300), np.log(1e-300)) for _ in config.alpha_grid)
         return CauchySolveReport(
             chosen_alpha=float(config.alpha_grid[0]),
@@ -331,18 +290,13 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
             diagnostics={"zero_data": True},
         )
 
-    def standard_form():
-        a = np.hstack([a_full[:, :nh], -b_full[:, :nh]])
-        lap = None if config.penalty == "identity" else _graph_laplacian(heart)
-        return _standard_form(a, lap)
-
-    form = _memo(domain, ("cauchy", tensor.tobytes(), config.penalty),
-                 standard_form)
     grid = config.alpha_grid
-    rho, eta, solution = _sweep(form, b, grid)
+    rho, eta, solution = _sweep(_reduced_form(tensor, domain), fv, grid)
     diagnostics = {}
     idx = _select_alpha(config, grid, rho, eta, diagnostics)
-    x = solution(idx)
+    u = solution(idx)
+    # the shell conormal is Lambda u; heart-outward is its negative
+    flux = -(_zaremba_transfer(tensor, domain)[:heart.n_vertices] @ u)
     floor = 1e-300
     points = tuple(zip(np.log(np.maximum(rho, floor)),
                        np.log(np.maximum(eta, floor))))
@@ -353,9 +307,8 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
         chosen_alpha=float(grid[idx]),
         lcurve_points=points,
         residual_norm=float(rho[idx]),
-        heart_dirichlet=NodalField(heart.surface_id, x[:nh]),
-        # internal unknown is the shell conormal; report heart-outward
-        heart_flux=NodalField(heart.surface_id, -x[nh:], units="mV*mS/cm^2"),
+        heart_dirichlet=NodalField(heart.surface_id, u),
+        heart_flux=NodalField(heart.surface_id, flux, units="mV*mS/cm^2"),
         diagnostics=diagnostics,
     )
 

@@ -371,7 +371,6 @@ def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
         config = TikhonovConfig(
             alpha_grid=tikhonov.alpha_grid,
             selection=FixedAlpha(first.diagnostics["chosen_alpha"]),
-            penalty=tikhonov.penalty,
         )
 
     def solve(j):

@@ -28,13 +28,13 @@ surface keeps its own A and B, the inverse of its Dirichlet matrix B and
 that of its bordered Neumann matrix.  The heart-torso pair, a
 DomainConfig, keeps the shell's A and B (the only copies of their layer
 blocks), the inverse of B, the Zaremba transfer and (for cauchy.py) the SVD
-of the Cauchy problem in standard form.  No LU factors are kept: a solve is
-one matrix product with a kept solution operator, and its residual is
-formed from the kept operators.  The Zaremba transfer maps heart data d
+of the Cauchy problem reduced onto that transfer.  No LU factors are kept: a
+solve is one matrix product with a kept solution operator, and its residual
+is formed from the kept operators.  The Zaremba transfer maps heart data d
 straight to the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy
-problem).  Everything runs on numpy's BLAS, so the package never wakes a
-second BLAS thread pool.  Threads that miss an entry together build it
-once.
+problem), for both protocols.  Everything runs on numpy's BLAS, so the
+package never wakes a second BLAS thread pool.  Threads that miss an entry
+together build it once.
 """
 
 from __future__ import annotations
@@ -317,6 +317,25 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
 # Zaremba (mixed) problem of the first protocol
 
 
+def _zaremba_transfer(tensor, domain) -> np.ndarray:
+    """X, kept on ``domain``, that maps heart data d to [q_h; u_t].
+
+    Its rows are Lambda (heart trace to shell conormal) and T (heart trace
+    to torso trace) of the mixed problem with an insulated torso; the
+    reduced Cauchy problem of ``cauchy.py`` reads the same X.
+    """
+    def transfer():
+        # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
+        #   A [d; u_t] = B [q_h; 0]  =>  -B[:, :nh] q_h + A[:, nh:] u_t = -A[:, :nh] d
+        # so [q_h; u_t] = X d with X = sysmat^-1 (-A[:, :nh])
+        a, b = boundary_operators(tensor, domain)
+        nh = domain.heart.n_vertices
+        sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
+        return _solution_operator(sysmat, -a[:, :nh])
+
+    return _memo(domain, ("zaremba", tensor.tobytes()), transfer)
+
+
 def solve_zaremba(M, domain, u_dirichlet_on_heart):
     """Dirichlet data on the heart, zero flux on the torso: heart flux out.
 
@@ -329,16 +348,7 @@ def solve_zaremba(M, domain, u_dirichlet_on_heart):
     d = _values_on(u_dirichlet_on_heart, heart)
     nh = heart.n_vertices
     a, b = boundary_operators(tensor, domain)
-
-    def transfer():
-        # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
-        #   A [d; u_t] = B [q_h; 0]  =>  -B[:, :nh] q_h + A[:, nh:] u_t = -A[:, :nh] d
-        # so [q_h; u_t] = X d with X = sysmat^-1 (-A[:, :nh])
-        sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
-        return _solution_operator(sysmat, -a[:, :nh])
-
-    x = _memo(domain, ("zaremba", tensor.tobytes()), transfer)
-    sol = x @ d
+    sol = _zaremba_transfer(tensor, domain) @ d
     q_h, u_t = sol[:nh], sol[nh:]
     residual = float(np.linalg.norm(a @ np.concatenate([d, u_t])
                                     - b[:, :nh] @ q_h))

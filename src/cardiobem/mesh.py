@@ -1131,8 +1131,8 @@ def require_off_surface(mesh, points: np.ndarray, tol: float | None = None) -> N
     diagonal of the mesh's bounding box.
     """
     if tol is None:
-        box = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-        tol = 1e-9 * float(np.linalg.norm(box))
+        tol = 1e-9 * _memo(mesh, "box_diagonal", lambda: float(np.linalg.norm(
+            mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0))))
     d = _distances_within(mesh, points, tol)
     if np.any(d <= tol):
         worst = float(d.min())

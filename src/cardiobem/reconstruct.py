@@ -181,9 +181,10 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
                    c0: float = 1.0) -> ReconstructionOutput:
     """Torso potential to transmembrane potential via the Cauchy solver.
 
-    Recovers the heart trace and flux from torso Cauchy data (insulated body
-    surface), then runs the protocol-1 tail on the recovered pair, skipping
-    the Zaremba step the Cauchy solve already subsumes.
+    Recovers the heart trace from the torso potential (insulated body
+    surface), and its flux through the Zaremba transfer protocol 1 uses,
+    then runs the protocol-1 tail on the recovered pair.  cauchy_residual
+    is the torso misfit |T u_h - f| at the chosen alpha.
     """
     heart = domain.heart
     cauchy: CauchySolveReport = solve_cauchy_elliptic(model.M_b, domain, f,

@@ -203,7 +203,6 @@ def test_criterion_07_tikhonov_monotonicity(domain2, model, fields2,
         TikhonovConfig(grid),
         TikhonovConfig(grid, selection=FixedAlpha(1e-4)),
         TikhonovConfig(grid, selection=DiscrepancyPrinciple(1.0)),
-        TikhonovConfig(grid, penalty="surface_gradient"),
     ]
     data = [fields2["f"], noisy_torso_data]
     worst_rho, worst_eta, n_solves = 0.0, 0.0, 0

@@ -240,8 +240,7 @@ import cardiobem as cb
 heart = cb.icosphere(1, 1.0, surface_id="heart")
 torso = cb.icosphere(1, 2.0, surface_id="torso")
 cb.solve_cauchy_elliptic(7.0, cb.DomainConfig(heart=heart, torso=torso),
-                         cb.NodalField("torso", torso.vertices[:, 2].copy()),
-                         config=cb.TikhonovConfig.log_grid(penalty="surface_gradient"))
+                         cb.NodalField("torso", torso.vertices[:, 2].copy()))
 tg = cb.TimeGrid(t_end=0.5, steps=6)
 grid = cb.InteriorGrid.for_mesh(heart, h=0.25)
 trace = cb.SpaceTimeField.constant_in_time("heart", np.ones(heart.n_vertices), tg)
@@ -257,9 +256,10 @@ sys.exit(f"loaded: {loaded}" if loaded else 0)
 
 
 def test_surface_gradient_and_heat_paths_leave_scipy_linalg_unloaded():
-    # the surface-gradient penalty counts the heart's components and the
-    # heat potentials reduce through sparse incidences, both without
-    # scipy.sparse.csgraph, which would import scipy.linalg
+    # the Cauchy solve's surface-gradient penalty (a graph Laplacian, a
+    # Cholesky and a QR on numpy) and the heat potentials (sparse
+    # incidences) both run without scipy.sparse.csgraph, which would import
+    # scipy.linalg
     _run_apart(_OTHER_PATHS_SCRIPT)
 
 
@@ -341,7 +341,7 @@ def test_operators_go_with_their_owner():
     solve_cauchy_elliptic(7.0, domain, NodalField("torso", torso.vertices[:, 2]))
     derived = domain.__dict__["_derived"]
     zaremba = derived[("zaremba", tensor.tobytes())]
-    cauchy = derived[("cauchy", tensor.tobytes(), "identity")]
+    cauchy = derived[("cauchy", tensor.tobytes())]
     a, b = boundary_operators(tensor, domain)
     refs = [weakref.ref(x) for x in (a, b, zaremba, cauchy)]
     own = dict(heart.__dict__["_derived"])
@@ -354,6 +354,26 @@ def test_operators_go_with_their_owner():
     operators = own[("operators", tensor.tobytes())]
     assert [m.shape for m in operators] == [(heart.n_vertices,) * 2] * 2
     assert ("neumann", tensor.tobytes()) in own
+
+
+def test_protocols_share_one_zaremba_transfer(model):
+    # a cold protocol 2 on a fresh domain builds the Zaremba transfer once,
+    # under its own key, beside the operators and the reduced Cauchy form;
+    # protocol 1 after it finds every entry it needs and builds none
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    key = as_tensor(model.M_b, 3).tobytes()
+    owners = (domain, heart, torso)
+    cardiobem.run_protocol_2(domain, model, NodalField("torso", torso.vertices[:, 2].copy()))
+    derived = domain.__dict__["_derived"]
+    assert set(derived) == {("operators", key), ("zaremba", key), ("cauchy", key)}
+    before = [dict(owner.__dict__["_derived"]) for owner in owners]
+    cardiobem.run_protocol_1(domain, model, NodalField("heart", heart.vertices[:, 2].copy()))
+    for owner, entries in zip(owners, before):
+        after = owner.__dict__["_derived"]
+        assert after.keys() == entries.keys()
+        assert all(after[k] is v for k, v in entries.items())
 
 
 def test_torso_sweep_keeps_no_dropped_torso(model, heart2):
