@@ -11,8 +11,8 @@ with piecewise-linear nodal densities and collocation at mesh vertices
 (rows = targets, cols = source vertices).  Regular panels use a degree-5
 7-point Gauss rule (3D) or 8-point Gauss-Legendre (2D); panels close to the
 target are integrated instead by splitting at the point nearest the target
-and applying a Duffy-type polar transform per subtriangle, which also
-provides the weakly-singular self terms of the single layer.
+and applying a rule adapted to the singularity at that point on each piece,
+which also provides the weakly-singular self terms of the single layer.
 
 The regular rule runs in whitened coordinates (see ``kernels._KernelSet``).
 With the source mesh centred on its centroid and the targets and
@@ -23,40 +23,48 @@ one (panels x targets) product.  Close pairs are left out of the block,
 which is contracted with the weighted basis values and added to the
 vertex columns through one incidence matrix with an entry per panel corner.
 
-In 3D the close (target, panel) pairs come from ``mesh._near_pairs`` (one
-product of squared distances, confirmed component by component) and are
-integrated together in batches of 256 pairs: closest points
-(``mesh._closest_points``, the rule of every distance check in ``mesh``
-too), the split into exactly three subtriangles, and the 8x8 Duffy rule
-on the subtriangles of nonzero area only (a target at a corner or on an
-edge of its panel leaves one or two of zero area, which contribute
-nothing).  The r_M^2 at the 64 points of the kept subtriangles of a batch
-is one (kept x 6) @ (6 x 64) product: the six whitened Gram entries of
-x - p and the two edges from p against a fixed table, with no per-point
-difference vectors; one ``np.add.at`` per batch adds the integrals in pair
-order.  The close pairs and everything
-about them that does not depend on the tensor or the kind (closest points,
-kept subtriangles, their edges, areas and heights) are built in one pass
-per block of targets, once per mesh for its own vertices, about 160 bytes
-per pair, and shared by every self operator of that surface.  Peak memory
-is therefore set by the far-field blocks, which hold at most 4e6 (target,
-quadrature point) pairs: the r_M^2 block, 32 MB whatever the mesh size,
-which the kernel values overwrite, plus one (panels x targets) slice, on
-top of the dense matrix itself.  The double-layer diagonal on its own
-surface is fixed by the interior solid-angle row-sum identity
-``D 1 = -1/2``; combined with the ``1/2 I + D`` combination this
-reproduces the exact interior-limit operator at polyhedral vertices.
+Triangles and segments take one near-field pass.  The close (target,
+panel) pairs come from ``mesh._near_pairs`` (one product of squared
+distances, confirmed component by component) and are integrated together
+in batches of 256 pairs.  Each panel is split at the point p nearest its
+target (``mesh._closest_points``, the rule of every distance check in
+``mesh`` too): a triangle into the three subtriangles (p, c_a, c_{a+1}),
+which get the 8x8 Duffy rule, a segment into the two pieces (p, c_a),
+which get 8-point Gauss-Legendre from p.  Only pieces of nonzero measure
+are kept (a target at a corner or on an edge of its panel leaves one or
+two of zero measure, which contribute nothing).  The r_M^2 at the points
+of the kept pieces of a batch is one product of the whitened Gram entries
+of x - p and the edges from p against a fixed table (six entries against
+64 points for a subtriangle, three against 8 for a segment piece), with no
+per-point difference vectors.  On a segment piece that starts at the
+target itself the single layer is -c ln u plus a constant in the rule's
+variable u, and the ln u part takes its exact moments (product
+integration).  One ``np.add.at`` per batch adds the integrals in pair
+order.  The close pairs and everything about them that does not depend on
+the tensor or the kind (closest points, kept pieces, their edges, measures
+and heights) are built in one pass per block of targets, once per mesh for
+its own vertices, about 160 bytes per pair in 3D, and shared by every self
+operator of that surface.  Peak memory is therefore set by the far-field
+blocks, which hold at most 4e6 (target, quadrature point) pairs: the r_M^2
+block, 32 MB whatever the mesh size, which the kernel values overwrite,
+plus one (panels x targets) slice, on top of the dense matrix itself.  The
+double-layer diagonal on its own surface is fixed by the interior
+solid-angle row-sum identity ``D 1 = -1/2``; combined with the
+``1/2 I + D`` combination this reproduces the exact interior-limit
+operator at polyhedral vertices.
 
 The interior Green representation evaluated here is
 
     chi_D(x) u(x) = SL(d_{nu,M} u)(x) - DL(u)(x) + T(Delta_M u)(x).
 
-2D note: assembly uses the shifted logarithm -ln(r_M / r0)/(2 pi sqrt(det M))
-with a fixed r0 = 4.  A fundamental solution in the plane is defined up to
-an additive constant, and every compatible boundary problem (total flux
-zero) is invariant under the shift; the nonzero r0 keeps the single-layer
-operator of unit-capacity curves (for example the unit circle) away from its
-constant-density null vector.
+2D note: the plane's kernel is the shifted logarithm
+-ln(r_M / r0)/(2 pi sqrt(det M)) with a fixed r0 = 4.  A fundamental
+solution in the plane is defined up to an additive constant, and every
+compatible boundary problem (total flux zero) is invariant under the shift;
+the nonzero r0 keeps the single-layer operator of unit-capacity curves (for
+example the unit circle) away from its constant-density null vector.
+Curves otherwise take the surfaces' code: the same far-field block, the
+same near-field pass and the same row-sum diagonal.
 """
 
 from __future__ import annotations
@@ -113,15 +121,24 @@ _DUF_V = np.tile(_GL01_X, _GL_N)
 _DUF_W = np.repeat(_GL01_W, _GL_N) * np.tile(_GL01_W, _GL_N)
 _DUF_UW = _DUF_U * _DUF_W  # weight x Jacobian factor u
 # moments of the barycentric coordinates along the Duffy map, see
-# _near_panel_integrals_3d
+# _near_panel_integrals
 _DUF_MOMENTS = np.column_stack([1.0 - _DUF_U, _DUF_U * (1.0 - _DUF_V), _DUF_U * _DUF_V])
 # with s1 = u(1-v), s2 = uv, the whitened x - y is a - s1 b1 - s2 b2, so
 # r_M^2 is the Gram entries (|a|^2, a.b1, a.b2, |b1|^2, b1.b2, |b2|^2)
-# against these rows
+# against these rows; along a segment piece x - y is a - u b, and the
+# entries are (|a|^2, a.b, |b|^2)
 _S1, _S2 = _DUF_MOMENTS[:, 1], _DUF_MOMENTS[:, 2]
 _DUF_GRAM = np.vstack([np.ones(_GL_N * _GL_N), -2.0 * _S1, -2.0 * _S2,
                        _S1 * _S1, 2.0 * _S1 * _S2, _S2 * _S2])
-_GRAM_ROWS, _GRAM_COLS = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_SEG_GRAM = np.vstack([np.ones(_GL_N), -2.0 * _GL01_X, _GL01_X * _GL01_X])
+# the split rule per dimension: Gram rows, weights (times the Jacobian
+# factor u of the Duffy map), moments, and the vector pairs of the Gram
+# entries
+_NEAR_RULES = {3: (_DUF_GRAM, _DUF_UW, _DUF_MOMENTS,
+                   ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])),
+               2: (_SEG_GRAM, _GL01_W, _SEG_RULE_B, ([0, 0, 1], [0, 1, 1]))}
+# exact moments of ln u against (1-u, u) on [0, 1], less the rule's
+_LOG_FIX = np.array([-0.75, -0.25]) - (_GL01_W * np.log(_GL01_X)) @ _SEG_RULE_B
 
 _NEAR_FACTOR = 1.6  # panels within this many diameters get the split rule
 # close (target, panel) pairs per batch: with at most three subtriangles
@@ -218,110 +235,84 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _near_geometry(x: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> tuple:
-    """The tensor-free part of ``_near_panel_integrals_3d``, read-only.
+    """The tensor-free part of ``_near_panel_integrals``, read-only.
 
-    Returns ``(lam_p, xp, pair, part, e1, e2, sub2, h)``: per pair the
+    Returns ``(lam_p, xp, pair, part, jac, h, *edges)``: per pair the
     barycentric coordinates of the split point p and x - p; per kept
-    (pair, part) subtriangle its indices, its edges from p, twice its area
-    and the height nu . (x - p) (p lies on the flat panel, so this is
-    nu . (x - y) at every point of it).
+    (pair, part) piece its indices, its measure (twice the area of a
+    subtriangle, the length of a segment piece), the height nu . (x - p)
+    (p lies on the flat panel, so this is nu . (x - y) at every point of
+    it) and its edges from p, two for a subtriangle (p, c_a, c_{a+1}), one
+    for a segment piece (p, c_a).
     """
     p, lam_p = _closest_points(x, corners)
-    area2 = np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0],
-                                    corners[:, 2] - corners[:, 0]), axis=1)
-    # subtriangle edges from p, shape (P, 3 parts, 3)
-    e1 = corners - p[:, None, :]
-    e2 = np.roll(e1, -1, axis=1)
-    sub2 = np.linalg.norm(np.cross(e1, e2), axis=2)
-    pair, part = np.nonzero(sub2 > 1e-12 * area2[:, None])
+    # piece edges from p, shape (P, k parts, dim) each
+    edges = [corners - p[:, None, :]]
+    if corners.shape[1] == 3:
+        edges.append(np.roll(edges[0], -1, axis=1))
+    sizes = np.linalg.norm(np.cross(*edges) if len(edges) == 2 else edges[0], axis=-1)
+    # the pieces tile the panel, so their measures sum to the panel's
+    pair, part = np.nonzero(sizes > 1e-12 * sizes.sum(axis=1, keepdims=True))
     xp = x - p
     h = np.einsum("pi,pi->p", normals, xp)[pair]
-    geometry = (lam_p, xp, pair, part, e1[pair, part], e2[pair, part],
-                sub2[pair, part], h)
+    geometry = (lam_p, xp, pair, part, sizes[pair, part], h,
+                *(e[pair, part] for e in edges))
     for a in geometry:
         a.flags.writeable = False
     return geometry
 
 
 def _near_integrals(ker: _KernelSet, kind: str, geometry: tuple) -> np.ndarray:
-    """The kernel part of ``_near_panel_integrals_3d`` on its geometry."""
-    lam_p, xp, pair, part, e1, e2, sub2, h = geometry
-    # a = W(x - p), b1 = W e1, b2 = W e2 per kept subtriangle, components
-    # first: (3 components, 3 vectors, kept).  p is the panel point nearest
-    # x, so |x - y|^2 >= |x - p|^2 + |p - y|^2 and the Gram expansion of
-    # r_M^2 loses at most a few eps cond(M)
-    z = (ker.W @ np.concatenate([xp[pair], e1, e2]).T).reshape(3, 3, -1)
-    gram = (z[:, _GRAM_ROWS] * z[:, _GRAM_COLS]).sum(axis=0)  # (6, kept)
-    w = ker.layer(kind, gram.T @ _DUF_GRAM, h[:, None])
-    w *= sub2[:, None] * _DUF_UW
-    # y is affine in (u, v): lam(y) = (1-u) lam(p) + u(1-v) e_a + uv e_{a+1},
-    # so three moments per subtriangle carry the basis functions
-    mom = w @ _DUF_MOMENTS  # (kept, 3)
+    """The kernel part of ``_near_panel_integrals`` on its geometry."""
+    lam_p, xp, pair, part, jac, h, *edges = geometry
+    table, weights, moments, (rows, cols) = _NEAR_RULES[ker.dim]
+    # a = W(x - p) and b_c = W e_c per kept piece, components first:
+    # (dim components, vectors, kept).  p is the panel point nearest x, so
+    # |x - y|^2 >= |x - p|^2 + |p - y|^2 and the Gram expansion of r_M^2
+    # loses at most a few eps cond(M)
+    z = (ker.W @ np.concatenate([xp[pair], *edges]).T).reshape(
+        ker.dim, len(edges) + 1, -1)
+    gram = (z[:, rows] * z[:, cols]).sum(axis=0)  # (Gram entries, kept)
+    w = ker.layer(kind, gram.T @ table, h[:, None])
+    w *= jac[:, None] * weights
+    # y is affine in the rule's variables: lam(y) = (1-u) lam(p) + s_c e_c
+    # summed over the piece's corners, so one moment per corner carries
+    # the basis functions
+    mom = w @ moments  # (kept, k)
+    if ker.dim == 2 and kind == "single":
+        # on a piece from the target itself (p = x, so a = 0) the kernel
+        # is -c ln u - c ln(|b| / r0): its -c ln u part takes the exact
+        # moments (-3/4, -1/4) in place of the rule's
+        at_x = gram[0] <= 1e-24 * gram[-1]
+        mom[at_x] -= ker._c * jac[at_x, None] * _LOG_FIX
     out = np.bincount(pair, mom[:, 0], len(xp))[:, None] * lam_p
     out[pair, part] += mom[:, 1]
-    out[pair, (part + 1) % 3] += mom[:, 2]
+    if ker.dim == 3:  # a subtriangle's second corner
+        out[pair, (part + 1) % 3] += mom[:, 2]
     return out
 
 
-def _near_panel_integrals_3d(ker: _KernelSet, kind: str, x: np.ndarray,
-                             corners: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _near_panel_integrals(ker: _KernelSet, kind: str, x: np.ndarray,
+                          corners: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Accurate integrals of kernel x linear basis over close panels.
 
-    For P (target, panel) pairs, ``x`` (P, 3), ``corners`` (P, 3, 3) and
-    ``normals`` (P, 3), returns the (P, 3) basis-weighted integrals in
-    corner order.  Each panel is split at the point p nearest its target
-    into the subtriangles (p, c_a, c_{a+1}), and the Duffy transform
+    For P (target, panel) pairs, ``x`` (P, dim), ``corners`` (P, k, dim)
+    and ``normals`` (P, dim), returns the (P, k) basis-weighted integrals
+    in corner order.  Each panel is split at the point p nearest its
+    target (``mesh._closest_points``).  A triangle splits into the
+    subtriangles (p, c_a, c_{a+1}), and the Duffy transform
     ``y(u, v) = p + u((1-v) e1 + v e2)``, ``|J| = 2 area u``, with an 8x8
     Gauss tensor rule concentrates the points where the kernel peaks.  A
-    subtriangle of zero area (p on an edge or at a corner) contributes
-    nothing and is not evaluated: only the kept (pair, part) subtriangles
-    are whitened and get the rule, and their three moments are added to
-    their pair's corners.  The geometry does not depend on the
-    tensor or the kind (``_near_geometry``); the kernel part does
-    (``_near_integrals``).
+    segment splits into the pieces (p, c_a), ``y(u) = p + u e1``,
+    ``|J| = length``, with 8-point Gauss-Legendre in u; where p is the
+    target the single layer's logarithm is integrated exactly.  A piece of
+    zero measure (p on an edge or at a corner) contributes nothing and is
+    not evaluated: only the kept (pair, part) pieces are whitened and get
+    the rule, and their moments are added to their pair's corners.  The
+    geometry does not depend on the tensor or the kind
+    (``_near_geometry``); the kernel part does (``_near_integrals``).
     """
     return _near_integrals(ker, kind, _near_geometry(x, corners, normals))
-
-
-def _integrate_panel_near_2d(ker: _KernelSet, kind: str, x: np.ndarray,
-                             a: np.ndarray, b: np.ndarray, normal: np.ndarray,
-                             singular: bool) -> np.ndarray:
-    """Close/singular segment integrals against the two linear basis funcs."""
-    if kind == "double" and singular:
-        # straight panel through the collocation node: n.(x-y) = 0 exactly
-        return np.zeros(2)
-    if singular:
-        # product integration of the log against a linear density, exact:
-        # the collocation node is an endpoint; r_M(s) = s * gamma.
-        length = np.linalg.norm(b - a)
-        at_a = np.allclose(x, a)
-        far = b if at_a else a
-        tangent = (far - x) / length
-        gamma = np.sqrt(ker.r2(tangent))
-        c = ker._c
-        i0 = length * (np.log(length) - 1.0)                    # int ln s ds
-        i1 = length ** 2 * (2.0 * np.log(length) - 1.0) / 4.0   # int s ln s ds
-        shift = np.log(gamma / ker.r0)
-        near_val = -c * (i0 - i1 / length + shift * length / 2.0)
-        far_val = -c * (i1 / length + shift * length / 2.0)
-        return np.array([near_val, far_val] if at_a else [far_val, near_val])
-    # near but off the panel: split at the closest point, refined Gauss
-    ab = b - a
-    t = np.clip((x - a) @ ab / (ab @ ab), 0.0, 1.0)
-    mid = a + t * ab
-    out = np.zeros(2)
-    for (p, q) in ((a, mid), (mid, b)):
-        seg = q - p
-        ln = np.linalg.norm(seg)
-        if ln < 1e-15:
-            continue
-        y = p[None, :] + _GL01_X[:, None] * seg[None, :]
-        diff = x - y
-        kv = ker.layer(kind, ker.r2(diff), diff @ normal)
-        s_full = ((y - a) @ ab) / (ab @ ab)
-        lam = np.column_stack([1.0 - s_full, s_full])
-        out += ((kv * _GL01_W * ln) @ lam)
-    return out
 
 
 def _close_field(source, x: np.ndarray) -> tuple:
@@ -330,30 +321,27 @@ def _close_field(source, x: np.ndarray) -> tuple:
 
     Returns ``(near_loc, near_el, geometry)``, the target and panel indices
     of the pairs whose panel centroid lies within ``_NEAR_FACTOR`` panel
-    diameters (``mesh._near_pairs``), and in 3D the ``_near_geometry`` of
-    each batch of ``_NEAR_BATCH`` of them, in pair order (empty in 2D): one
-    geometry over all the pairs, sliced.  None of it depends on the tensor
-    or the layer kind.
+    diameters (``mesh._near_pairs``), and the ``_near_geometry`` of each
+    batch of ``_NEAR_BATCH`` of them, in pair order: one geometry over all
+    the pairs, sliced.  None of it depends on the tensor or the layer kind.
     """
     near_loc, near_el = (_freeze(a) for a in _near_pairs(
         source, x, _NEAR_FACTOR * source.element_diameters()))
-    if source.dim == 2:
-        return near_loc, near_el, []
-    lam_p, xp, pair, part, e1, e2, sub2, h = _near_geometry(
+    lam_p, xp, pair, *pieces = _near_geometry(
         x[near_loc], source.vertices[source.elements[near_el]],
         source.normals[near_el])
     geometry = []
     for lo in range(0, len(near_loc), _NEAR_BATCH):
         hi = lo + _NEAR_BATCH
         k = slice(*np.searchsorted(pair, [lo, hi]))
-        geometry.append((lam_p[lo:hi], xp[lo:hi], _freeze(pair[k] - lo), part[k],
-                         e1[k], e2[k], sub2[k], h[k]))
+        geometry.append((lam_p[lo:hi], xp[lo:hi], _freeze(pair[k] - lo),
+                         *(a[k] for a in pieces)))
     return near_loc, near_el, geometry
 
 
-def _correct_near_3d(matrix: np.ndarray, kind: str, ker: _KernelSet, source,
-                     rows: np.ndarray, panels: np.ndarray, geometry: list) -> None:
-    """Add the Duffy-rule integrals of close (row, panel) pairs.
+def _correct_near(matrix: np.ndarray, kind: str, ker: _KernelSet, source,
+                  rows: np.ndarray, panels: np.ndarray, geometry: list) -> None:
+    """Add the split-rule integrals of close (row, panel) pairs.
 
     The far-field pass left these pairs out.  ``geometry`` holds the
     ``_near_geometry`` of each batch of ``_NEAR_BATCH`` pairs, and one
@@ -407,19 +395,7 @@ def _assemble_dense(kind: str, ker: _KernelSet, source, targets: np.ndarray,
         kb = basis_w @ kv.reshape(nq, m * t)  # (k, m * t)
         del kv
         matrix[lo : lo + chunk] = (incidence @ kb.reshape(k * m, t)).T
-        if source.dim == 3:
-            _correct_near_3d(matrix, kind, ker, source, lo + near_loc, near_el,
-                             geometry)
-            continue
-        for i_loc, j in zip(near_loc, near_el):
-            row = lo + i_loc
-            idx = source.elements[j]
-            # during same-surface assembly the target IS vertex `row`
-            singular = same_surface and bool(np.any(idx == row))
-            matrix[row, idx] += _integrate_panel_near_2d(
-                ker, kind, x[i_loc], source.vertices[idx[0]], source.vertices[idx[1]],
-                source.normals[j], singular,
-            )
+        _correct_near(matrix, kind, ker, source, lo + near_loc, near_el, geometry)
     return matrix
 
 

@@ -9,10 +9,12 @@ Conventions used throughout the toolkit:
 * vertex indices are 0-based everywhere, including on disk;
 * nodal fields live on mesh vertices (piecewise-linear collocation densities).
 
-The 2D counterpart :class:`CurveMesh` (closed polygonal loops, used by the
-annulus verification cases) mirrors the same interface: ``elements`` are
-vertex index pairs, ``areas`` are segment lengths and the enclosed "volume"
-is the signed plane area.
+The 2D counterpart :class:`CurveMesh` (closed polygonal loops) mirrors the
+same interface: ``elements`` are vertex index pairs, ``areas`` are segment
+lengths and the enclosed "volume" is the signed plane area.  It carries the
+annulus verification cases: the Zaremba heart-flux order floor in
+``tests/test_refinement.py`` and the L-curve cases on the annulus in
+``tests/test_cauchy.py``.
 """
 
 from __future__ import annotations

@@ -319,7 +319,6 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
 
 
 def write_reconstruction(out: ReconstructionOutput, directory, heart,
-                         manifest_extra: Optional[dict] = None,
                          vtk: bool = False) -> dict:
     """Write per-surface CSVs, a JSON run manifest, optionally VTK POLYDATA.
 
@@ -347,8 +346,6 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
         "files": files,
         "surface": heart.surface_id,
     }
-    if manifest_extra:
-        manifest.update(manifest_extra)
     if vtk:
         vtk_path = os.path.join(directory, "reconstruction.vtk")
         save_mesh(heart, vtk_path, fmt="vtk", point_data={

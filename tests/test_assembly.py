@@ -20,6 +20,7 @@ from cardiobem import (
     volume_potential,
 )
 from cardiobem.assembly import (
+    LOG_KERNEL_SCALE,
     _DUF_U,
     _DUF_V,
     _DUF_W,
@@ -30,7 +31,7 @@ from cardiobem.assembly import (
     _close_field,
     _closest_points,
     _near_geometry,
-    _near_panel_integrals_3d,
+    _near_panel_integrals,
     _panel_quadrature,
     _panel_rule,
 )
@@ -260,30 +261,68 @@ def _subdivided_reference(M, kind, x, k):
     return (kv * w) @ lam
 
 
-def _near(M, kind, targets):
-    p = len(targets)
-    return _near_panel_integrals_3d(
-        _KernelSet(M, 3), kind, np.asarray(targets, float),
-        np.broadcast_to(_PANEL, (p, 3, 3)), np.broadcast_to(_PANEL_NORMAL, (p, 3)))
+# a segment whose far corner is not c0 + (c1 - c0) in floating point
+_SEGMENT = np.array([[0.1, 0.2], [0.7, 0.9]])
+_SEGMENT_TANGENT = (_SEGMENT[1] - _SEGMENT[0]) / np.linalg.norm(_SEGMENT[1] - _SEGMENT[0])
+_SEGMENT_NORMAL = np.array([_SEGMENT_TANGENT[1], -_SEGMENT_TANGENT[0]])
+_SEGMENT_LENGTH = np.linalg.norm(_SEGMENT[1] - _SEGMENT[0])
+
+
+def _segment_reference(M, kind, x, pieces):
+    """Kernel x basis integrals over _SEGMENT: composite 8-point Gauss.
+
+    The shifted logarithm and the double-layer kernel are written out
+    here, apart from assembly.
+    """
+    g, gw = np.polynomial.legendre.leggauss(8)
+    s = ((np.arange(pieces)[:, None] + 0.5 * (g + 1.0)) / pieces).reshape(-1)
+    w = np.tile(0.5 * gw, pieces) / pieces * _SEGMENT_LENGTH
+    lam = np.column_stack([1.0 - s, s])
+    d = x - lam @ _SEGMENT
+    r2 = np.einsum("ni,ij,nj->n", d, np.linalg.inv(M), d)
+    c = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(M)))
+    kv = (-0.5 * c * np.log(r2 / LOG_KERNEL_SCALE ** 2) if kind == "single"
+          else c * (d @ _SEGMENT_NORMAL) / r2)
+    return (kv * w) @ lam
+
+
+def _near(M, kind, targets, panel="triangle"):
+    corners, normal = ((_PANEL, _PANEL_NORMAL) if panel == "triangle"
+                       else (_SEGMENT, _SEGMENT_NORMAL))
+    p, dim = len(targets), corners.shape[1]
+    return _near_panel_integrals(
+        _KernelSet(M, dim, r0=LOG_KERNEL_SCALE), kind, np.asarray(targets, float),
+        np.broadcast_to(corners, (p, *corners.shape)), np.broadcast_to(normal, (p, dim)))
 
 
 _TENSORS = [pytest.param(2.0 * np.eye(3), id="isotropic"),
             pytest.param(np.diag([3.0, 1.0, 0.5]), id="anisotropic")]
+_TENSORS_2D = [pytest.param(np.eye(2), id="isotropic"),
+               pytest.param(np.diag([3.0, 0.5]), id="anisotropic")]
 
 
-@pytest.mark.parametrize("M", _TENSORS)
+@pytest.mark.parametrize("panel, M", [
+    pytest.param("triangle", *p.values, id=p.id) for p in _TENSORS] + [
+    pytest.param("segment", *p.values, id=f"segment-{p.id}") for p in _TENSORS_2D])
 @pytest.mark.parametrize("kind", ["single", "double"])
-def test_near_panel_integrals_match_subdivision(M, kind):
+def test_near_panel_integrals_match_subdivision(panel, M, kind):
     # above the centroid (split at the projection) and beside the panel
-    # (split at an edge point), 0.05-1.5 diameters off; all in one batch
-    bases = [_PANEL.mean(axis=0), np.array([1.2, 1.0, 0.0])]
+    # (split at an edge point or an end), 0.05-1.5 diameters off; all in
+    # one batch
+    if panel == "triangle":
+        bases = [_PANEL.mean(axis=0), np.array([1.2, 1.0, 0.0])]
+        diam, normal = _PANEL_DIAM, _PANEL_NORMAL
+    else:
+        bases = [_SEGMENT.mean(axis=0), _SEGMENT[1] + 0.2 * (_SEGMENT[1] - _SEGMENT[0])]
+        diam, normal = _SEGMENT_LENGTH, _SEGMENT_NORMAL
     heights = [0.05, 0.2, 0.5, 1.5]
-    targets = [b + h * _PANEL_DIAM * _PANEL_NORMAL for b in bases for h in heights]
-    got = _near(M, kind, targets)
+    targets = [b + h * diam * normal for b in bases for h in heights]
+    got = _near(M, kind, targets, panel)
     for x, row in zip(targets, got):
-        want = _subdivided_reference(M, kind, x, 6)
-        # the 8x8 Duffy rule loses digits as the target nears the panel:
-        # about 1e-3 at 0.05 diameters above the centroid
+        want = (_subdivided_reference(M, kind, x, 6) if panel == "triangle"
+                else _segment_reference(M, kind, x, 4096))
+        # the split rule loses digits as the target nears the panel: about
+        # 1e-3 at 0.05 diameters above a triangle's centroid
         assert np.abs(row - want).max() < 3e-3 * np.abs(want).max()
 
 
@@ -303,6 +342,24 @@ def test_near_panel_integrals_on_the_panel(M):
         want = 2.0 * _subdivided_reference(M, "single", x, 8) \
             - _subdivided_reference(M, "single", x, 7)
         assert np.abs(row - want).max() < 1e-4 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("M", _TENSORS_2D)
+def test_near_segment_integrals_at_a_corner(M):
+    # product integration of the log against the linear basis, exact:
+    # with r_M(s) = gamma s from the corner, gamma = r_M of the unit
+    # tangent, the near and far corners get
+    # -c L (ln(gamma L / r0) / 2 - 3/4) and -c L (ln(gamma L / r0) / 2 - 1/4)
+    c = 1.0 / (2.0 * np.pi * np.sqrt(np.linalg.det(M)))
+    gamma = np.sqrt(_SEGMENT_TANGENT @ np.linalg.inv(M) @ _SEGMENT_TANGENT)
+    log = np.log(gamma * _SEGMENT_LENGTH / LOG_KERNEL_SCALE) / 2.0
+    near, far = -c * _SEGMENT_LENGTH * (log - np.array([0.75, 0.25]))
+    with np.errstate(all="raise"):
+        single = _near(M, "single", _SEGMENT, "segment")
+        double = _near(M, "double", _SEGMENT, "segment")
+    np.testing.assert_allclose(single, [[near, far], [far, near]], rtol=1e-14, atol=0)
+    # the double-layer kernel vanishes on the segment's own line
+    assert np.abs(double).max() < 1e-14 * np.abs(single).max()
 
 
 def _duffy_loop(M, kind, x):
@@ -352,7 +409,7 @@ def test_near_panel_integrals_match_subtriangle_loop(M, kind):
 
     p = len(targets)
     with np.errstate(all="raise"):
-        got = _near_panel_integrals_3d(
+        got = _near_panel_integrals(
             Recording(M, 3), kind, targets, np.broadcast_to(_PANEL, (p, 3, 3)),
             np.broadcast_to(_PANEL_NORMAL, (p, 3)))
     # 1 + 2 + 3 + 3 + 2 subtriangles of nonzero area, 64 points each
@@ -373,21 +430,24 @@ def test_double_layer_gauss_law_near_surface(sphere):
         assert np.abs(dl.matrix.sum(axis=1) - want).max() < 3e-3
 
 
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level", [1, 2, "curve"])
 def test_self_geometry_is_kept_and_bit_identical(level):
     # builds under M = 7 leave the surface's close-pair geometry on it; S and
-    # D under diag(3, 1, 0.5) reuse it and match, bit for bit, both a fresh
+    # D under an anisotropic M reuse it and match, bit for bit, both a fresh
     # mesh's and the same targets given as points, which never use it
-    mesh = icosphere(level, 1.0, surface_id="s")
+    def make():
+        return (circle_curve(1.0, 128, surface_id="s") if level == "curve"
+                else icosphere(level, 1.0, surface_id="s"))
+
+    mesh = make()
     assemble_layer("double", 7.0, mesh)
     assemble_layer("single", 7.0, mesh)
     kept = mesh._derived["self_close"]
-    M = np.diag([3.0, 1.0, 0.5])
+    M = np.diag([3.0, 1.0, 0.5][-mesh.dim:])
     n = mesh.n_vertices
     for kind in ("single", "double"):
         got = assemble_layer(kind, M, mesh).matrix
-        fresh = icosphere(level, 1.0, surface_id="s")
-        assert np.array_equal(got, assemble_layer(kind, M, fresh).matrix)
+        assert np.array_equal(got, assemble_layer(kind, M, make()).matrix)
         points = assemble_layer(kind, M, mesh, mesh.vertices.copy()).matrix
         if kind == "double":  # the self build's row-sum diagonal
             np.fill_diagonal(points, 0.0)
@@ -397,9 +457,9 @@ def test_self_geometry_is_kept_and_bit_identical(level):
     arrays = [a for near_loc, near_el, geometry in kept
               for a in (near_loc, near_el, *(b for batch in geometry for b in batch))]
     assert not any(a.flags.writeable for a in arrays)
-    # per-pair and per-subtriangle data only: no (subtriangles x 64) arrays
-    assert max(a.shape[-1] for a in arrays if a.ndim == 2) == 3
-    assert sum(a.nbytes for a in arrays) < (0.2 if level == 1 else 0.8) * 2 ** 20
+    # per-pair and per-piece data only: no (pieces x rule points) arrays
+    assert max(a.shape[-1] for a in arrays if a.ndim == 2) == mesh.dim
+    assert sum(a.nbytes for a in arrays) < (0.8 if level == 2 else 0.2) * 2 ** 20
 
 
 def _translated(mesh, shift=0.0, scale=1.0):
@@ -411,6 +471,7 @@ _SPHERE2 = icosphere(2, 1.0, surface_id="s")
 _ECCENTRIC = icosphere(2, 1.0, center=(0.85, 0.0, 0.0), surface_id="heart")
 _TORSO = icosphere(2, 2.0, surface_id="torso")
 _POINTS = np.random.default_rng(3).normal(size=(40, 3)) * [0.6, 0.6, 0.3] + [0.0, 0.0, 0.9]
+_CIRCLE = circle_curve(1.0, 64, center=(0.3, -0.2), surface_id="c")
 
 
 @pytest.mark.parametrize("source, targets", [
@@ -418,7 +479,10 @@ _POINTS = np.random.default_rng(3).normal(size=(40, 3)) * [0.6, 0.6, 0.3] + [0.0
     (_translated(_SPHERE2, scale=1e-3), None),
     (_ECCENTRIC, _TORSO.vertices), (_TORSO, _ECCENTRIC.vertices),
     (_SPHERE2, _POINTS),
-], ids=["translated", "scaled", "heart-torso", "torso-heart", "points"])
+    (_CIRCLE, None),
+    (_CIRCLE, np.random.default_rng(4).normal(size=(40, 2)) * 0.05 + _CIRCLE.vertices[:40]),
+], ids=["translated", "scaled", "heart-torso", "torso-heart", "points", "curve",
+        "curve-points"])
 def test_close_pairs_match_all_pairs_reference(source, targets):
     # the candidates of one distance product, tested component by
     # component, are exactly the pairs of the all-pairs test; the geometry
@@ -426,7 +490,8 @@ def test_close_pairs_match_all_pairs_reference(source, targets):
     x = source.vertices if targets is None else targets
     centroids = source.vertices[source.elements].mean(axis=1)
     diam = source.element_diameters()
-    d = np.sqrt(sum((x[:, None, i] - centroids[None, :, i]) ** 2 for i in range(3)))
+    d = np.sqrt(sum((x[:, None, i] - centroids[None, :, i]) ** 2
+                  for i in range(x.shape[1])))
     want_loc, want_el = np.nonzero(d < _NEAR_FACTOR * diam[None, :])
     near_loc, near_el, geometry = _close_field(source, x)
     assert len(want_loc) > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cardiobem import InteriorGrid, icosphere
+from cardiobem.primitives import unit_cube
 from cardiobem.errors import EmptySupport, ShapeMismatch
 
 
@@ -61,6 +62,15 @@ def test_elliptic_apply_anisotropic(ball_grid):
     inside = ball_grid.inside.ravel()
     near = np.linalg.norm(c, axis=1) < 0.5
     assert out[inside & near] == pytest.approx(-4.0, rel=1e-9)
+
+
+def test_elliptic_apply_exact_on_every_interior_cell():
+    # the box's pad keeps the rim, which gets no stencil, outside the mask:
+    # every one of the cube's 1000 interior cells reads Delta |x|^2 = -6
+    grid = InteriorGrid.for_mesh(unit_cube(), h=0.1)
+    out = grid.elliptic_apply(1.0, grid.sample(lambda x: (x * x).sum(axis=1)))
+    assert grid.inside.sum() == 1000
+    assert out[grid.inside] == pytest.approx(-6.0, rel=1e-9)
 
 
 def test_gradient_linear(ball_grid):
