@@ -54,9 +54,10 @@ class InteriorGrid:
 
         The mask is :func:`~cardiobem.mesh.points_inside` of the cell
         centers, computed by one +z ray per (x, y) column of cells
-        (``mesh._lattice_inside``); a cell that pass cannot settle, in a
-        column that grazes a triangle edge or within eps * scale of a
-        crossing, is tested by ``points_inside`` itself.
+        (``mesh._lattice_inside``), so a center on the surface is not
+        inside; a cell that pass leaves unsettled, below a point where its
+        column grazes a triangle edge, is tested by ``points_inside``
+        itself.
         """
         if h <= 0:
             raise ShapeMismatch("grid spacing must be positive")

@@ -57,8 +57,9 @@ logger = logging.getLogger(__name__)
 _MESH_TOKENS = itertools.count()
 _CLAIM_LOCK = threading.Lock()
 
-# (point, triangle) pairs per points_inside block: each pair holds about 48
-# bytes of transients in _ray_parity, so a block stays near 13 MB
+# (column, element) pairs per block of _column_pass: each pair holds about
+# 50 bytes of transients (its k + 1 affine values and their least
+# barycentric), so a block stays near 13 MB
 _INSIDE_BLOCK = 1 << 18
 
 # relative slack of the near-pair candidate test, see _near_pairs
@@ -71,15 +72,15 @@ _PAIR_BLOCK = 1 << 20
 # candidate
 _CLOSEST_BATCH = 1 << 14
 
-# the parity tests' bounds, shared by _ray_parity and _lattice_inside: a
-# triangle with |det| at most _PARALLEL is parallel to the ray; within
-# _GRAZE of an edge, in barycentrics, a ray grazes it; a crossing within
-# _GRAZE times the bounding-box diagonal of the origin is not counted
+# the crossing rule's bounds (_column_pass): an element with |det| at most
+# _PARALLEL is parallel to the ray and skipped; a ray within _GRAZE of an
+# element's edge, in barycentrics, touches it; a point within _GRAZE times
+# the bounding-box diagonal of a touch, along the ray, is on the surface
 _PARALLEL = 1e-14
 _GRAZE = 1e-10
 
-# Deterministic "random" ray directions for parity tests; re-cast along the
-# next one when a ray grazes an edge.
+# Deterministic "random" ray directions for points_inside, tried in turn
+# until every point is settled.
 _RAY_DIRECTIONS = np.array(
     [
         [0.57735026919, 0.57735026919, 0.57735026919],
@@ -92,6 +93,20 @@ _RAY_DIRECTIONS = np.array(
         [0.48507125007, 0.72760687510, -0.48507125007],
     ]
 )
+
+
+def _ray_frames(directions: np.ndarray) -> np.ndarray:
+    """(f, dim, dim) orthonormal frames whose last axes are ``directions``,
+    normalised; a QR step completes each direction to a basis."""
+    d = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    q = np.linalg.qr(d[:, :, None], mode="complete")[0]  # q[..., 0] = +-d
+    q *= np.sign(np.einsum("fi,fi->f", q[..., 0], d))[:, None, None]
+    return np.roll(q, -1, axis=2)
+
+
+# per dimension, the frames of the ray directions; a 2D one takes the first
+# two components of a direction
+_FRAMES = {dim: _ray_frames(_RAY_DIRECTIONS[:, :dim]) for dim in (2, 3)}
 
 
 class PointLocation(Enum):
@@ -450,147 +465,114 @@ def signed_volume(vertices, triangles=None) -> float:
     return float(np.einsum("ij,ij->", p0, np.cross(p1, p2)) / 6.0)
 
 
-def _ray_parity(mesh: SurfaceMesh, points: np.ndarray) -> np.ndarray:
-    """Crossing-parity containment test, robust to edge grazing by re-cast.
+def _column_pass(verts: np.ndarray, els: np.ndarray, cols: np.ndarray,
+                 heights: np.ndarray, tol: float) -> tuple:
+    """Which points on rays along the last axis lie inside a closed mesh.
 
-    Per triangle, the Moller-Trumbore barycentrics u, v and the ray
-    parameter t along direction d are each (x - v0) . c / det for a vector
-    c of the triangle alone: d x e2, e1 x d and e1 x e2.  So each is one
-    matrix product of the points with the stacked vectors c / det, less a
-    per-triangle constant.
+    ``verts`` (n, dim) and ``els`` (m, dim) are the mesh in the rays'
+    frame, ``cols`` (C, dim - 1) the rays' columns and ``heights`` (C, H)
+    or (1, H) the last coordinates of the points on each.  An element's
+    projection along the last axis is a simplex in the column space; the
+    barycentrics of a column in it, and the element's height over the
+    column, are affine in the column.  So for all elements they are one
+    product of [cols, 1] with a table per element, in blocks of
+    ``_INSIDE_BLOCK`` (column, element) pairs.  An element whose projection
+    has |det| <= ``_PARALLEL`` is parallel to the rays and skipped.  A
+    column touches an element when its barycentrics are all >= -eps and
+    hits it when they are all > eps, eps = ``_GRAZE``.  A point with a touch
+    within ``tol`` of it is on the surface, so not inside; else one with a
+    touch above it that is not a hit is unsettled, its ray grazing an edge;
+    else it is inside when the hits above it are odd.  Returns the (C, H)
+    masks ``(inside, unsettled)``.
     """
-    verts, tris = mesh.vertices, mesh.triangles
-    v0 = verts[tris[:, 0]]
-    e1 = verts[tris[:, 1]] - v0
-    e2 = verts[tris[:, 2]] - v0
-    n = np.cross(e1, e2)
-    inside = np.zeros(len(points), dtype=bool)
-    pending = np.arange(len(points))
-    scale = float(np.linalg.norm(verts.max(0) - verts.min(0)))
-    for d in _RAY_DIRECTIONS:
-        if len(pending) == 0:
-            break
-        p = np.cross(d, e2)  # (m, 3)
-        det = np.einsum("mj,mj->m", e1, p)
-        ok = np.abs(det) > _PARALLEL
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        vecs = np.stack((p, np.cross(e1, d), n)) * inv[:, None]  # (3, m, 3)
-        offsets = np.einsum("kmj,mj->km", vecs, v0)
-        uvt = points[pending] @ vecs.reshape(-1, 3).T - offsets.reshape(-1)
-        u, v, t = np.split(uvt, 3, axis=1)  # each (p, m)
-        eps = _GRAZE
-        hit = ok & (u > eps) & (v > eps) & (u + v < 1.0 - eps) & (t > eps * scale)
-        # grazing: intersection parameter close to an edge of any triangle
-        margin = ok & (t > eps * scale) & (
-            (np.abs(u) <= eps) | (np.abs(v) <= eps) | (np.abs(u + v - 1.0) <= eps)
-        )
-        ambiguous = margin.any(axis=1)
-        parity = (hit.sum(axis=1) % 2).astype(bool)
-        settled = ~ambiguous
-        inside[pending[settled]] = parity[settled]
-        pending = pending[ambiguous]
-    if len(pending):
-        # all rays grazed an edge; fall back to the last parity computed
-        inside[pending] = parity[ambiguous]
-    return inside
+    k = els.shape[1]
+    corners = verts[els]                       # (m, k, dim), k = dim
+    aug = corners.copy()
+    aug[..., -1] = 1.0                         # rows [projected corner, 1]
+    ok = np.abs(np.linalg.det(aug)) > _PARALLEL
+    inv = np.linalg.inv(aug[ok])               # [col, 1] @ inv: barycentrics
+    table = np.concatenate([inv, inv @ corners[ok, :, -1:]], axis=2)
+    table = table.transpose(1, 2, 0).reshape(k, -1)  # [col, 1] -> (k + 1, m')
+    heights = np.broadcast_to(heights, (len(cols), heights.shape[1]))
+    inside = np.zeros(heights.shape, dtype=bool)
+    unsettled = np.zeros_like(inside)
+    step = max(1, _INSIDE_BLOCK // max(1, int(ok.sum())))
+    for lo in range(0, len(cols), step):
+        q = cols[lo : lo + step]
+        vals = (np.column_stack([q, np.ones(len(q))]) @ table).reshape(len(q), k + 1, -1)
+        least = vals[:, :k].min(axis=1)
+        col, el = np.nonzero(least >= -_GRAZE)  # touches; col ascending
+        if len(col) == 0:
+            continue
+        t = vals[col, k, el][:, None] - heights[lo + col]  # (touches, H)
+        above = t > tol
+        hit = (least[col, el] > _GRAZE)[:, None]
+        first = np.flatnonzero(np.diff(col, prepend=-1))  # each column's run
+        rows = lo + col[first]
+        on = np.logical_or.reduceat(np.abs(t) <= tol, first, axis=0)
+        inside[rows] = np.logical_xor.reduceat(above & hit, first, axis=0) & ~on
+        unsettled[rows] = np.logical_or.reduceat(above & ~hit, first, axis=0) & ~on
+    return inside, unsettled
 
 
 def _lattice_inside(mesh: SurfaceMesh, axes) -> np.ndarray:
-    """:func:`points_inside` over the lattice ``axes[0] x axes[1] x axes[2]``.
+    """:func:`points_inside` over the lattice ``axes[0] x ... x axes[-1]``.
 
-    Returns the (nx, ny, nz) mask.  All cells of an (x, y) column share one
-    +z ray.  For d = e_z the Moller-Trumbore u and v of :func:`_ray_parity`
-    depend on x and y alone, and t = 0 at a crossing height zc, so one pass
-    per column over the triangles settles all its cells: a cell is inside
-    when an odd number of crossings lie more than eps * scale above it.  The
-    tests are ``_ray_parity``'s (``_PARALLEL``, eps and eps * scale).  A
-    column within eps of a triangle edge, and a cell within eps * scale of
-    a crossing, are left to :func:`points_inside`.  As there, cells outside
-    the open bounding box are not inside.
+    Returns the mask shaped by the axes.  All cells of a column share one
+    ray along the last axis, so one :func:`_column_pass` in the mesh's own
+    frame settles them; the cells it leaves unsettled go to
+    ``points_inside``.  As there, cells outside the open bounding box are
+    not inside.
     """
-    x, y, z = axes
-    verts, tris = mesh.vertices, mesh.triangles
+    verts = mesh.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
-    eps = _GRAZE
-    tol = eps * float(np.linalg.norm(hi - lo))
-    ix = np.flatnonzero((x > lo[0]) & (x < hi[0]))
-    iy = np.flatnonzero((y > lo[1]) & (y < hi[1]))
-    iz = np.flatnonzero((z > lo[2]) & (z < hi[2]))
-    inside = np.zeros((len(x), len(y), len(z)), dtype=bool)
-    defer = np.zeros_like(inside)
-    v0 = verts[tris[:, 0]]
-    e1 = verts[tris[:, 1]] - v0
-    e2 = verts[tris[:, 2]] - v0
-    d = np.array([0.0, 0.0, 1.0])
-    p = np.cross(d, e2)
-    det = np.einsum("mj,mj->m", e1, p)
-    ok = np.abs(det) > _PARALLEL
-    # u, v and zc - v0_z are each (x, y) . c[:2] / det, less a constant,
-    # for c = d x e2, e1 x d and e1 x e2
-    vecs = np.stack((p, np.cross(e1, d), np.cross(e1, e2)))[:, ok, :2] / det[ok, None]
-    offsets = np.einsum("kmj,mj->km", vecs, v0[ok, :2])
-    offsets[2] -= v0[ok, 2]
-    cols = np.stack(np.meshgrid(ix, iy, indexing="ij"), axis=-1).reshape(-1, 2)
-    chunk = max(1, _INSIDE_BLOCK // max(1, int(ok.sum())))
-    zs = z[iz]
-    for start in range(0, len(cols), chunk):
-        i, j = cols[start:start + chunk].T
-        xy = np.column_stack((x[i], y[j]))
-        uvz = xy @ vecs.reshape(-1, 2).T - offsets.reshape(-1)
-        u, v, zc = np.split(uvz, 3, axis=1)  # each (columns, triangles)
-        hit = (u > eps) & (v > eps) & (u + v < 1.0 - eps)
-        grazes = ((u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & ~hit).any(axis=1)
-        defer[i[grazes, None], j[grazes, None], iz] = True
-        col, tri = np.nonzero(hit)  # col ascending: each column's crossings are a run
-        if len(col) == 0:
-            continue
-        t = zc[col, tri][:, None] - zs  # (crossings, cells)
-        first = np.flatnonzero(np.diff(col, prepend=-1))
-        ci, cj = i[col[first], None], j[col[first], None]
-        inside[ci, cj, iz] = np.logical_xor.reduceat(t > tol, first, axis=0)
-        defer[ci, cj, iz] |= np.logical_or.reduceat(np.abs(t) <= tol, first, axis=0)
-    cells = np.nonzero(defer)
+    tol = _GRAZE * float(np.linalg.norm(hi - lo))
+    idx = [np.flatnonzero((a > l) & (a < h)) for a, l, h in zip(axes, lo, hi)]
+    near = [a[i] for a, i in zip(axes, idx)]
+    shape = tuple(map(len, idx))
+    cols = np.stack(np.meshgrid(*near[:-1], indexing="ij"), axis=-1)
+    box, unsettled = _column_pass(verts, mesh.elements, cols.reshape(-1, len(axes) - 1),
+                                  near[-1][None, :], tol)
+    box = box.reshape(shape)
+    cells = np.nonzero(unsettled.reshape(shape))
     if len(cells[0]):
-        inside[cells] = points_inside(mesh, np.column_stack(
-            (x[cells[0]], y[cells[1]], z[cells[2]])))
+        box[cells] = points_inside(mesh, np.column_stack(
+            [a[c] for a, c in zip(near, cells)]))
+    inside = np.zeros(tuple(map(len, axes)), dtype=bool)
+    inside[np.ix_(*idx)] = box
     return inside
-
-
-def _curve_parity(mesh: CurveMesh, points: np.ndarray) -> np.ndarray:
-    a = mesh.vertices[mesh.segments[:, 0]]
-    b = mesh.vertices[mesh.segments[:, 1]]
-    x = points[:, None, 0]
-    y = points[:, None, 1]
-    ya, yb = a[None, :, 1], b[None, :, 1]
-    xa, xb = a[None, :, 0], b[None, :, 0]
-    straddles = (ya <= y) != (yb <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = xa + (y - ya) * (xb - xa) / (yb - ya)
-    crossings = straddles & (x_cross > x)
-    return (crossings.sum(axis=1) % 2).astype(bool)
 
 
 def points_inside(mesh, points: np.ndarray) -> np.ndarray:
     """Boolean mask of which ``points`` lie strictly inside ``mesh``.
 
     The surface lies in the closed bounding box of its vertices, so a point
-    outside the open box is not strictly inside and casts no ray.
+    outside the open box is not strictly inside and casts no ray.  The
+    others go through :func:`_column_pass` in each frame of ``_FRAMES`` in
+    turn, along its last axis, until every point is settled.  A point
+    within ``_GRAZE`` times the bounding-box diagonal of the surface along
+    its ray is on the surface and not inside.  A point whose ray grazes an
+    edge along every direction raises GeometryError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.dim:
         raise ShapeMismatch(f"points must be (n, {mesh.dim})")
     verts = mesh.vertices
-    cand = np.flatnonzero(((pts > verts.min(axis=0))
-                           & (pts < verts.max(axis=0))).all(axis=1))
-    if mesh.dim == 2:
-        parity, chunk = _curve_parity, 4096
-    else:
-        parity = _ray_parity
-        chunk = max(1, _INSIDE_BLOCK // max(1, len(mesh.elements)))
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    tol = _GRAZE * float(np.linalg.norm(hi - lo))
     out = np.zeros(len(pts), dtype=bool)
-    for lo in range(0, len(cand), chunk):
-        idx = cand[lo : lo + chunk]
-        out[idx] = parity(mesh, pts[idx])
+    pending = np.flatnonzero(((pts > lo) & (pts < hi)).all(axis=1))
+    for frame in _FRAMES[mesh.dim]:
+        if len(pending) == 0:
+            break
+        local = pts[pending] @ frame
+        inside, unsettled = _column_pass(verts @ frame, mesh.elements,
+                                         local[:, :-1], local[:, -1:], tol)
+        out[pending] = inside[:, 0]
+        pending = pending[unsettled[:, 0]]
+    if len(pending):
+        raise GeometryError(f"{len(pending)} points graze an edge of "
+                            f"{mesh.surface_id!r} along every ray direction")
     return out
 
 

@@ -421,15 +421,20 @@ def parabolic_green_reconstruct(spec: HeatOperatorSpec, mesh,
     Equals u(x, t) for x inside the surface and 0 outside (up to quadrature).
     ``flux_trace`` is the M-conormal trace nu . M grad u; the identity pairs
     the kernel with the A-conormal, A = scale M, so the diffusion scale is
-    applied here.  ``u_initial`` are flat cell samples at t = 0 (None for
-    zero initial data); ``Lu`` a grid-sampled SpaceTimeField source (None
-    for a caloric u).  Points on the surface are rejected.
+    applied here.  The initial time t0 is ``u_trace``'s first frame, which
+    the flux and the source must share.  ``u_initial`` are flat cell
+    samples at t0 (None for zero initial data); ``Lu`` a grid-sampled
+    SpaceTimeField source (None for a caloric u).  Points on the surface
+    are rejected.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     require_off_surface(mesh, x[None, :])  # PointOnSurface is PointOnBoundary
+    t0 = u_trace.grid.t0
+    if any(f.grid.t0 != t0 for f in (flux_trace, Lu) if f is not None):
+        raise ShapeMismatch("trace, flux and source must start at one t0")
     total = 0.0
     if u_initial is not None:
-        total += poisson_integral(spec, grid, u_initial, x, t)
+        total += poisson_integral(spec, grid, u_initial, x, t - t0)
     if Lu is not None:
         total += volume_heat_potential(spec, grid, Lu, x, t)
     _check_density(mesh, flux_trace, t)

@@ -33,9 +33,8 @@ from cardiobem import (
 )
 import cardiobem.mesh as mesh_module
 from cardiobem.grid import InteriorGrid
-from cardiobem.mesh import (_INSIDE_BLOCK, _closest_points, _curve_parity,
-                            _distances_within, _memo, _ray_parity, _write_text,
-                            require_off_surface)
+from cardiobem.mesh import (_INSIDE_BLOCK, _closest_points, _distances_within,
+                            _memo, _write_text, require_off_surface)
 from cardiobem.primitives import octahedron, unit_cube
 
 
@@ -348,7 +347,7 @@ def test_points_inside_known_answer(shape):
 
 
 def test_points_inside_blocks():
-    # 3000 points span several blocks of _INSIDE_BLOCK (point, triangle)
+    # 3000 points span several blocks of _INSIDE_BLOCK (column, triangle)
     # pairs; calls on pieces that straddle the block edges give the same
     # mask, and away from the surface it is |x| < 1 on the unit icosphere
     sphere = icosphere(2, 1.0, surface_id="s")
@@ -371,46 +370,98 @@ def _eccentric_rotated_sphere():
     return SurfaceMesh(sphere.vertices @ q.T, sphere.triangles, "s")
 
 
+def _winding_number(mesh, pts):
+    # an independent reference for containment: the solid angle (van
+    # Oosterom & Strackee) or, on a curve, the angle the surface subtends
+    # at each point, over 4 pi or 2 pi; 1 inside, 0 outside
+    out = []
+    for part in np.array_split(pts, -(-len(pts) // 64)):
+        r = mesh.vertices[mesh.elements][None] - part[:, None, None]  # (p, m, k, dim)
+        if mesh.dim == 2:
+            a, b = r[:, :, 0], r[:, :, 1]
+            cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+            out.append(np.arctan2(cross, (a * b).sum(-1)).sum(1) / (2.0 * np.pi))
+            continue
+        a, b, c = r[:, :, 0], r[:, :, 1], r[:, :, 2]
+        la, lb, lc = (np.linalg.norm(v, axis=-1) for v in (a, b, c))
+        triple = (a * np.cross(b, c)).sum(-1)
+        den = (la * lb * lc + (a * b).sum(-1) * lc + (a * c).sum(-1) * lb
+               + (b * c).sum(-1) * la)
+        out.append(2.0 * np.arctan2(triple, den).sum(1) / (4.0 * np.pi))
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize("mesh, h, deferred", [
     (icosphere(2, 1.0, surface_id="s"), 0.14, False),
-    (unit_cube(), 0.15, False),
-    (octahedron(radius=0.8), 0.15, False),
+    (unit_cube(), 0.15, True),
+    (octahedron(radius=0.8), 0.15, True),
     (icosphere(3, 1.0, surface_id="s"), 0.05, False),
     (_eccentric_rotated_sphere(), 0.06, False),
     (unit_cube(), 0.125, True),
-    (octahedron(radius=0.78125), 0.125, True),
+    (octahedron(radius=0.78125), 0.125, False),
 ], ids=["heat-grid", "cube", "octahedron", "level-3", "eccentric-rotated",
         "cube-edges", "octahedron-faces"])
-def test_points_inside_box_cut_matches_ray_parity(mesh, h, deferred, monkeypatch):
+def test_points_inside_box_cut_matches_solid_angle(mesh, h, deferred, monkeypatch):
     # outside the open bounding box no ray is cast, and the grid's mask
-    # comes from one ray per column of cells; both give every point of the
-    # grid the mask that parity over the whole grid gives.  At h = 1/8 the
-    # cube's columns with x = y run exactly along the diagonal edges of its
-    # top and bottom faces, and 78 cell centers lie exactly on the faces of
-    # the octahedron of radius 25/32; the column pass leaves both kinds of
-    # cell to points_inside.
+    # comes from one ray per column of cells; both give every cell the
+    # mask points_inside gives.  Cells on the surface are not inside, and
+    # a seeded sample of the others agrees with the solid angle.  Columns
+    # that run along an edge leave their cells to points_inside: at
+    # h = 1/8 the cube's columns with x = y run exactly along the diagonal
+    # edges of its top and bottom faces.  The 78 cell centers that lie
+    # exactly on the faces of the octahedron of radius 25/32 settle in the
+    # column pass.
     left = []
     monkeypatch.setattr(mesh_module, "points_inside",
                         lambda m, pts: left.append(len(pts)) or points_inside(m, pts))
     grid = InteriorGrid.for_mesh(mesh, h=h)
     centers = grid.centers()
-    parity = np.concatenate([_ray_parity(mesh, part) for part in
-                             np.array_split(centers, -(-len(centers) // 1024))])
-    assert np.array_equal(points_inside(mesh, centers), parity)
-    assert np.array_equal(grid.inside, parity)
-    if deferred:
-        assert sum(left) > 0
+    assert np.array_equal(points_inside(mesh, centers), grid.inside)
+    assert (sum(left) > 0) == deferred
+    on = _distances_within(mesh, centers, 1e-9) <= 1e-9
+    assert not grid.inside[on].any()
+    off = np.flatnonzero(~on)
+    sample = np.random.default_rng(17).choice(off, min(len(off), 1500), replace=False)
+    winding = _winding_number(mesh, centers[sample])
+    assert np.array_equal(grid.inside[sample], winding > 0.5)
 
 
-def test_points_inside_box_cut_matches_curve_parity():
+def test_points_inside_box_cut_matches_curve_winding():
     curve = circle_curve(0.7, 48, surface_id="c")
     axis = np.linspace(-0.95, 0.95, 77)
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    # parity says nothing useful on the curve itself, here at (-0.7, 0)
-    pts = pts[surface_distance(curve, pts) > 1e-9]
-    mask = points_inside(curve, pts)
-    assert np.array_equal(mask, _curve_parity(curve, pts))
+    # the points on the curve itself, here at (-0.7, 0), are not inside
+    on = surface_distance(curve, pts) <= 1e-9
+    assert on.any() and not points_inside(curve, pts[on]).any()
+    mask = points_inside(curve, pts[~on])
+    assert np.array_equal(mask, _winding_number(curve, pts[~on]) > 0.5)
     assert 0 < mask.sum() < len(pts)
+
+
+@pytest.mark.parametrize("mesh", [icosphere(2, 1.0, surface_id="s"), unit_cube(),
+                                  octahedron(), circle_curve(0.7, 48, surface_id="c")],
+                         ids=["icosphere", "cube", "octahedron", "circle"])
+def test_points_on_the_surface_are_not_inside(mesh):
+    # vertices, edge midpoints and face centroids (a curve's vertices and
+    # segment midpoints).  The parity rules before the column pass put 56
+    # of 162 vertices, 225 of 480 edge midpoints and 160 of 320 face
+    # centroids of the level-2 icosphere inside, and 22 of the circle's 48
+    # vertices.
+    pts = [mesh.vertices, mesh.vertices[mesh.elements].mean(axis=1)]
+    if mesh.dim == 3:
+        pts.append(mesh.vertices[mesh.edges].mean(axis=1))
+    assert not points_inside(mesh, np.vstack(pts)).any()
+
+
+def test_a_point_that_grazes_along_every_ray_raises(monkeypatch):
+    # along +z alone, the column through (0.25, 0.25) runs along the
+    # diagonal edge of the cube's top face above the point, so no ray
+    # settles it; with every frame the next direction does
+    cube, point = unit_cube(), np.array([[0.25, 0.25, 0.5]])
+    assert points_inside(cube, point)[0]
+    monkeypatch.setattr(mesh_module, "_FRAMES", {3: np.eye(3)[None]})
+    with pytest.raises(GeometryError, match="graze"):
+        points_inside(cube, point)
 
 
 @pytest.mark.parametrize("mesh", [icosphere(2, 1.0, surface_id="s"), unit_cube()],

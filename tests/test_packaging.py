@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and three structural guards."""
+and every module uses what it imports; and four structural guards."""
 
 import ast
 import re
@@ -94,11 +94,27 @@ def test_each_helper_has_one_home():
             if isinstance(node, ast.FunctionDef):
                 homes.setdefault(node.name, []).append(path.name)
     assert {name: where for name, where in homes.items() if len(where) > 1} == {}
-    geometry = {"_closest_points", "_near_pairs"}
+    geometry = {"_closest_points", "_near_pairs", "_column_pass"}
     assert {name: homes[name] for name in geometry} == {
         name: ["mesh.py"] for name in geometry}
     tree = ast.parse((ROOT / "src" / "cardiobem" / "assembly.py").read_text())
     from_mesh = {alias.name for node in tree.body
                  if isinstance(node, ast.ImportFrom) and node.module == "mesh"
                  for alias in node.names}
-    assert geometry <= from_mesh
+    assert {"_closest_points", "_near_pairs"} <= from_mesh
+
+
+def test_one_crossing_pass_answers_containment():
+    # points, grid columns and curves share _column_pass; the per-shape
+    # parity tests it replaced do not grow back
+    callers, defined = set(), set()
+    for path in _modules():
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef):
+                defined.add(top.name)
+            callers |= {f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                        for node in ast.walk(top) if isinstance(node, ast.Call)
+                        and "_column_pass" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))}
+    assert callers == {"mesh.py:points_inside", "mesh.py:_lattice_inside"}
+    assert not defined & {"_ray_parity", "_curve_parity"}

@@ -197,6 +197,33 @@ def test_green_identity_source(heart2):
     assert abs(outside) < 2e-2
 
 
+def test_green_identity_starts_at_the_first_frame(heart2):
+    # caloric u = |x|^2 + 6t on the unit ball over [t0, t0 + 0.5]: the
+    # Poisson term takes the lag t - t0 from the trace's first frame.  At
+    # t0 = 0.2 the lag t was 1.96 % off; t - t0 gives 0.63 % (0.90 % at
+    # t0 = 0).  A flux or source on frames from another t0 is rejected.
+    spec = HeatOperatorSpec(M=1.0, scale=1.0, dim=3)
+    grid = InteriorGrid.for_mesh(heart2, h=0.14)
+    x, t0, t = np.array([0.1, -0.2, 0.15]), 0.2, 0.7
+    tg = TimeGrid(t_end=t, steps=60, t0=t0)
+    trace = SpaceTimeField("heart", np.add.outer(
+        np.sum(heart2.vertices ** 2, axis=1), 6.0 * tg.times), tg)
+    radial = np.repeat(2.0 * np.linalg.norm(heart2.vertices, axis=1)[:, None], 60, 1)
+    flux = SpaceTimeField("heart", radial, tg)
+    u0 = np.sum(grid.centers() ** 2, axis=1) + 6.0 * t0
+    got = parabolic_green_reconstruct(spec, heart2, grid, trace, flux, u0, None, x, t)
+    want = x @ x + 6.0 * t
+    assert abs(got - want) / want < 0.015
+    from_zero = TimeGrid(t_end=t, steps=60)
+    with pytest.raises(ShapeMismatch):
+        parabolic_green_reconstruct(spec, heart2, grid, trace,
+                                    SpaceTimeField("heart", radial, from_zero),
+                                    u0, None, x, t)
+    source = SpaceTimeField("grid", np.zeros((grid.n_cells, 60)), from_zero)
+    with pytest.raises(ShapeMismatch):
+        parabolic_green_reconstruct(spec, heart2, grid, trace, flux, u0, source, x, t)
+
+
 def _layer_per_lag(rule, spec, mesh, density, kind, x, t):
     # one heat_kernel call per frame, summed with the time weights
     times = density.grid.times
