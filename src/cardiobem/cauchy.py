@@ -17,9 +17,10 @@ of both the trace and the flux) and alpha picked by the configured rule
 The penalty is brought to standard form once per (domain, tensor) with
 Elden's split (see ``_ReducedForm``): null(L), the constants, is carried
 by a separate least-squares term, and L on the rest becomes the identity
-through a Cholesky factor of L^T L, with no pseudo-inverse of L.  The thin
-SVD of the standard-form matrix makes the residual and seminorm norms of
-the whole alpha grid one (alphas x singular values) array, and only the
+through the triangular factor of a QR of L, with no pseudo-inverse of L and
+no Gram matrix L^T L, whose squared conditioning fails on fine meshes.  The
+thin SVD of the standard-form matrix makes the residual and seminorm norms
+of the whole alpha grid one (alphas x singular values) array, and only the
 chosen alpha's u_h is formed.  That SVD, with the lift back to u_h, lives
 on the same DomainConfig as X and goes with the domain.
 """
@@ -33,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .direct import _zaremba_transfer
-from .errors import DegenerateLCurve, ShapeMismatch
+from .errors import DegenerateLCurve, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
 from .mesh import NodalField, _format_rows, _memo, _write_text
 
@@ -186,7 +187,7 @@ def _reduced_form(tensor, domain) -> _ReducedForm:
     """
     def build():
         nh = domain.heart.n_vertices
-        x = _zaremba_transfer(tensor, domain)
+        x, _ = _zaremba_transfer(tensor, domain)
         t = x[nh:]
         lap = _graph_laplacian(domain.heart)
         lap_flux = lap @ x[:nh]
@@ -196,7 +197,7 @@ def _reduced_form(tensor, domain) -> _ReducedForm:
         z = np.full((nh, 1), nh ** -0.5)
         # R^T R = L^T L + z z^T, and Q spans (R z)-perp = (R^-T z)-perp, so
         # K = R^-1 Q maps onto z-perp with |L K y| = |y|
-        r = np.linalg.cholesky(lap @ lap + lap_flux.T @ lap_flux + z @ z.T).T
+        r = np.linalg.qr(np.vstack([lap, lap_flux, z.T]), mode="r")
         q = np.linalg.qr(r @ z, mode="complete")[0][:, 1:]
         k = np.linalg.solve(r, q)
         tz = t @ z
@@ -209,7 +210,10 @@ def _reduced_form(tensor, domain) -> _ReducedForm:
         u, s, vt = np.linalg.svd(tk, full_matrices=False)
         return _ReducedForm(u, s, k @ vt.T, z, tz, tz_pinv)
 
-    return _memo(domain, ("cauchy", tensor.tobytes()), build)
+    try:
+        return _memo(domain, ("cauchy", tensor.tobytes()), build)
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailure(f"reduced Cauchy form failed: {exc}") from exc
 
 
 def _sweep(form: _ReducedForm, f: np.ndarray, grid: np.ndarray):
@@ -296,7 +300,7 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     idx = _select_alpha(config, grid, rho, eta, diagnostics)
     u = solution(idx)
     # the shell conormal is Lambda u; heart-outward is its negative
-    flux = -(_zaremba_transfer(tensor, domain)[:heart.n_vertices] @ u)
+    flux = -(_zaremba_transfer(tensor, domain)[0][:heart.n_vertices] @ u)
     floor = 1e-300
     points = tuple(zip(np.log(np.maximum(rho, floor)),
                        np.log(np.maximum(eta, floor))))

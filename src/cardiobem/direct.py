@@ -4,12 +4,12 @@ All solvers collocate the interior-limit Green identity
 
     A u0 = B u1 + T(g) on the boundary,   A = 1/2 I + D_pv,  B = S,
 
-over the whole boundary of their domain, built once by
-``boundary_operators``.  The domain is the interior of one closed surface,
-or the shell between two (heart inside torso), where the normals point out
-of the shell and so flip sign on the heart.  The double-layer diagonal
-carries the identity D 1 = -1/2 across the full row, making 1/2 I + D the
-exact interior limit at polyhedral vertices.
+over the whole boundary of their domain, built by ``boundary_operators``.
+The domain is the interior of one closed surface (Dirichlet and Neumann),
+or the shell between two, heart inside torso (Zaremba), where the normals
+point out of the shell and so flip sign on the heart.  The double-layer
+diagonal carries the identity D 1 = -1/2 across the full row, making
+1/2 I + D the exact interior limit at polyhedral vertices.
 
 Conventions:
   - Single closed surface: the domain is its interior, fluxes are reported
@@ -24,17 +24,19 @@ Conventions:
 
 Operators and solution operators live on what they derive from
 (``mesh._memo``), keyed by the tensor, and go when it goes.  A closed
-surface keeps its own A and B, the inverse of its Dirichlet matrix B and
-that of its bordered Neumann matrix.  The heart-torso pair, a
-DomainConfig, keeps the shell's A and B (the only copies of their layer
-blocks), the inverse of B, the Zaremba transfer and (for cauchy.py) the SVD
-of the Cauchy problem reduced onto that transfer.  No LU factors are kept: a
-solve is one matrix product with a kept solution operator, and its residual
-is formed from the kept operators.  The Zaremba transfer maps heart data d
-straight to the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy
-problem), for both protocols.  Everything runs on numpy's BLAS, so the
-package never wakes a second BLAS thread pool.  Threads that miss an entry
-together build it once.
+surface keeps its own A and B, which its solves read on every call, the
+inverse of its Dirichlet matrix B and that of its bordered Neumann matrix.
+The heart-torso pair, a DomainConfig, keeps only what the protocols read:
+the Zaremba transfer and (for cauchy.py) the SVD of the Cauchy problem
+reduced onto it.  The shell's A and B are built inside the transfer's build
+and dropped after it.  The Zaremba transfer maps heart data d straight to
+the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy problem),
+for both protocols.  No LU factors are kept: a solve is one matrix product
+with a kept solution operator.  Each solution operator Y of ``matrix Y = R``
+keeps its build residual |matrix Y - R|_F, and a solve reports it times the
+norm of the vector Y is applied to, which bounds the residual of that
+solve.  Everything runs on numpy's BLAS, so the package never wakes a second
+BLAS thread pool.  Threads that miss an entry together build it once.
 """
 
 from __future__ import annotations
@@ -68,10 +70,15 @@ _COMPATIBILITY_TOL = 1e-6
 class DirectSolveReport:
     """Outcome of a direct solve.
 
-    solution_trace / flux_trace live on the primary surface (the single
-    surface, or the heart for two-surface problems); the *_outer fields
-    carry the torso-side traces of shell problems.  compatibility_defect is
-    meaningful for Neumann solves only.
+    residual_norm bounds the residual of the linear system the kept
+    solution operator solves for this data: that operator's build residual
+    |matrix Y - R|_F times the 2-norm of the vector Y is applied to (the
+    right side, or for the Zaremba transfer the heart data).
+    compatibility_defect is the flux/source compatibility defect of a
+    Neumann solve, and the flux conservation |oint flux| on the heart of a
+    Zaremba solve.  solution_trace / flux_trace live on the primary surface
+    (the single surface, or the heart of the shell); solution_trace_outer
+    carries the torso trace of a Zaremba solve.
     """
 
     residual_norm: float
@@ -80,20 +87,25 @@ class DirectSolveReport:
     solution_trace: Optional[NodalField] = None
     flux_trace: Optional[NodalField] = None
     solution_trace_outer: Optional[NodalField] = None
-    flux_trace_outer: Optional[NodalField] = None
 
 
-def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> np.ndarray:
-    """``matrix`` ^-1 ``rhs``, or the inverse without ``rhs``, read-only;
-    SolveFailure if singular or non-finite."""
+def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> tuple:
+    """(Y, |matrix Y - R|_F): Y = ``matrix`` ^-1 ``rhs``, or the inverse
+    without ``rhs`` (R = I), read-only; SolveFailure if singular or
+    non-finite."""
     try:
         out = np.linalg.inv(matrix) if rhs is None else np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"factorization failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise SolveFailure("solution operator has non-finite entries")
+    misfit = matrix @ out
+    if rhs is None:
+        misfit[np.diag_indices_from(misfit)] -= 1.0
+    else:
+        misfit -= rhs
     out.flags.writeable = False
-    return out
+    return out, float(np.linalg.norm(misfit))
 
 
 def _values_on(field, mesh) -> np.ndarray:
@@ -112,111 +124,72 @@ def boundary_operators(M, owner):
     flipped).  A = 1/2 I + D, with the diagonal from the full row,
     D 1 = -1/2, and B = S, both over the stacked boundary vertices (heart
     first), so that A u = B q holds for any M-harmonic u in the domain with
-    q its conormal on the domain-outward normals.  Kept on ``owner``.  M is
-    a tensor as returned by ``as_tensor``.
+    q its conormal on the domain-outward normals.  Built anew on every
+    call: a closed mesh keeps its pair (``_mesh_operators``), a DomainConfig
+    only the transfer ``_zaremba_transfer`` makes of it.  M is a tensor as
+    returned by ``as_tensor``.
     """
-    def build():
-        shell = isinstance(owner, DomainConfig)
-        surfaces = (owner.heart, owner.torso) if shell else (owner,)
-        ends = np.cumsum([0] + [s.n_vertices for s in surfaces])
-        n = ends[-1]
-        a, b = np.empty((n, n)), np.empty((n, n))
-        parts = [(slice(lo, hi), s) for lo, hi, s in zip(ends, ends[1:], surfaces)]
-        for rows, target in parts:
-            for cols, source in parts:
-                b[rows, cols] = assemble_layer("single", M, source, target).matrix
-                a[rows, cols] = assemble_layer("double", M, source, target).matrix
-        if shell:
-            a[:, :ends[1]] *= -1.0  # shell-outward normals flip on the heart
-        # each surface's diagonal is replaced by the full row's,
-        # D 1 = -1/2, before the 1/2 I is added
-        np.fill_diagonal(a, 0.0)
-        np.fill_diagonal(a, 0.5 + (-0.5 - a.sum(axis=1)))
-        return a, b
-
-    return _memo(owner, ("operators", M.tobytes()), build)
+    shell = isinstance(owner, DomainConfig)
+    surfaces = (owner.heart, owner.torso) if shell else (owner,)
+    ends = np.cumsum([0] + [s.n_vertices for s in surfaces])
+    n = ends[-1]
+    a, b = np.empty((n, n)), np.empty((n, n))
+    parts = [(slice(lo, hi), s) for lo, hi, s in zip(ends, ends[1:], surfaces)]
+    for rows, target in parts:
+        for cols, source in parts:
+            b[rows, cols] = assemble_layer("single", M, source, target).matrix
+            a[rows, cols] = assemble_layer("double", M, source, target).matrix
+    if shell:
+        a[:, :ends[1]] *= -1.0  # shell-outward normals flip on the heart
+    # each surface's diagonal is replaced by the full row's,
+    # D 1 = -1/2, before the 1/2 I is added
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, 0.5 + (-0.5 - a.sum(axis=1)))
+    return a, b
 
 
-def _interior_values(M, meshes, traces, fluxes, targets,
-                     g_volume=None) -> np.ndarray:
-    """Green representation inside the domain bounded by the given meshes.
-
-    traces and fluxes are nodal values per mesh, fluxes in the stored
-    outward conormal (heart-outward on the shell).  Only a single closed
-    surface carries a volume source; ``solve_dirichlet`` rejects one on
-    the shell.
-    """
-    pts = np.atleast_2d(np.asarray(targets, dtype=float))
-
-    def term(i, g=None):
-        mesh = meshes[i]
-        return green_representation(M, mesh, NodalField(mesh.surface_id, traces[i]),
-                                    NodalField(mesh.surface_id, fluxes[i]), pts, g)
-
-    if len(meshes) == 1:
-        return term(0, g_volume)
-    # the shell is the inside of the torso minus the inside of the heart
-    return term(1) - term(0)
+def _mesh_operators(tensor, mesh):
+    """A closed mesh's (A, B), kept on it: its solves read them every call."""
+    return _memo(mesh, ("operators", tensor.tobytes()),
+                 lambda: boundary_operators(tensor, mesh))
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet
 
 
-def solve_dirichlet(M, domain, u0, targets=None, g_volume=None):
-    """Solve the Dirichlet problem, returning interior values and traces.
+def solve_dirichlet(M, mesh, u0, targets=None, g_volume=None):
+    """Solve the Dirichlet problem inside one closed mesh.
 
-    domain: a single closed mesh (problem posed in its interior, with u0 a
-    NodalField and an optional volume source ``g_volume``) or a
-    DomainConfig (problem posed in the shell between heart and torso, with
-    u0 a (heart_field, torso_field) pair and no volume source).  Either way
-    the unknown conormal trace solves B q = A u0 with the domain's operators
-    of ``boundary_operators``; interior values are then evaluated by the
-    representation formula.  Fluxes are reported in each surface's stored
-    outward convention.
+    u0 is a NodalField on ``mesh``, ``g_volume`` an optional
+    (InteriorGrid, values) volume source.  The conormal trace solves
+    B q = A u0 - T(g) through the kept inverse of B; values at ``targets``
+    follow from the representation formula.  The flux is reported in the
+    stored outward convention.  A DomainConfig raises ShapeMismatch: the
+    protocols pose no Dirichlet problem in the shell.
     """
-    shell = isinstance(domain, DomainConfig)
-    surfaces = (domain.heart, domain.torso) if shell else (domain,)
-    tensor = as_tensor(M, surfaces[0].dim)
-    if not shell:
-        fields = (u0,)
-    elif g_volume is not None:
-        raise ShapeMismatch("shell Dirichlet takes no volume source")
-    else:
-        try:
-            u0_h, u0_t = u0
-        except (TypeError, ValueError) as exc:
-            raise ShapeMismatch(
-                "shell Dirichlet needs (heart_field, torso_field) data"
-            ) from exc
-        fields = (u0_h, u0_t)
-    traces = [_values_on(f, s) for f, s in zip(fields, surfaces)]
-    a, b = boundary_operators(tensor, domain)
-    rhs = a @ np.concatenate(traces)
+    if isinstance(mesh, DomainConfig):
+        raise ShapeMismatch("solve_dirichlet takes one closed mesh, "
+                            "not a heart-torso DomainConfig")
+    tensor = as_tensor(M, mesh.dim)
+    u0v = _values_on(u0, mesh)
+    a, b = _mesh_operators(tensor, mesh)
+    rhs = a @ u0v
     if g_volume is not None:
         grid, g = g_volume
-        rhs = rhs - volume_potential(tensor, grid, g, domain.vertices).values
-    b_inv = _memo(domain, ("dirichlet", tensor.tobytes()),
-                  lambda: _solution_operator(b))
-    q = b_inv @ rhs
-    residual = float(np.linalg.norm(b @ q - rhs))
-    nh = surfaces[0].n_vertices
-    # heart-outward convention: negate the shell conormal on the heart
-    fluxes = [-q[:nh], q[nh:]] if shell else [q]
-    u = [NodalField(s.surface_id, t) for s, t in zip(surfaces, traces)] + [None]
-    flux = [NodalField(s.surface_id, f, units="mV*mS/cm^2")
-            for s, f in zip(surfaces, fluxes)] + [None]
+        rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
+    b_inv, build_residual = _memo(mesh, ("dirichlet", tensor.tobytes()),
+                                  lambda: _solution_operator(b))
     report = DirectSolveReport(
-        residual_norm=residual,
-        solution_trace=u[0],
-        flux_trace=flux[0],
-        solution_trace_outer=u[1],
-        flux_trace_outer=flux[1],
+        residual_norm=build_residual * float(np.linalg.norm(rhs)),
+        solution_trace=NodalField(mesh.surface_id, u0v),
+        flux_trace=NodalField(mesh.surface_id, b_inv @ rhs, units="mV*mS/cm^2"),
     )
     values = None
     if targets is not None:
-        values = _interior_values(tensor, surfaces, traces, fluxes, targets,
-                                  g_volume=g_volume)
+        values = green_representation(tensor, mesh, report.solution_trace,
+                                      report.flux_trace, np.atleast_2d(targets),
+                                      g_volume)
     return values, report
 
 
@@ -237,7 +210,8 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     vertices, is added to every column's right side.  All columns share one
     S product and one product with the kept bordered inverse.  Returns (u0,
     u1, defect, residual, normalization): solutions, the fluxes solved for,
-    and per column the signed defect, the residual norm and w . u0.
+    and per column the signed defect, the residual bound (the bordered
+    inverse's build residual times the right side's norm) and w . u0.
     """
     w = mesh.vertex_weights
     area = float(w.sum())
@@ -256,7 +230,7 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
         logger.info("projected %d of %d Neumann data columns onto the "
                     "compatible subspace (largest defect %.3e)", bad.sum(),
                     bad.size, worst)
-    a, b = boundary_operators(tensor, mesh)
+    a, b = _mesh_operators(tensor, mesh)
     rhs = b @ u1
     if volume is not None:
         np.add(rhs.T, volume, out=rhs.T)  # to every column
@@ -269,13 +243,14 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
         big[:n, :n] = a
         big[:n, n] = w
         big[n, :n] = w
-        inv = _solution_operator(big)[:n, :n].copy()
+        inv, build_residual = _solution_operator(big)
+        inv = inv[:n, :n].copy()
         inv.flags.writeable = False
-        return inv
+        return inv, build_residual
 
-    inv = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
+    inv, build_residual = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
     u0 = inv @ rhs
-    residual = np.linalg.norm(a @ u0 - rhs, axis=0)
+    residual = build_residual * np.linalg.norm(rhs, axis=0)
     return u0, u1, defect, residual, w @ u0
 
 
@@ -308,8 +283,9 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
     )
     values = None
     if targets is not None:
-        values = _interior_values(tensor, (mesh,), (u0,), (u1v,), targets,
-                                  g_volume=g_volume)
+        values = green_representation(tensor, mesh, report.solution_trace,
+                                      report.flux_trace, np.atleast_2d(targets),
+                                      g_volume)
     return values, report
 
 
@@ -317,12 +293,14 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
 # Zaremba (mixed) problem of the first protocol
 
 
-def _zaremba_transfer(tensor, domain) -> np.ndarray:
-    """X, kept on ``domain``, that maps heart data d to [q_h; u_t].
+def _zaremba_transfer(tensor, domain) -> tuple:
+    """(X, build residual), kept on ``domain``; X maps heart data d to
+    [q_h; u_t].
 
     Its rows are Lambda (heart trace to shell conormal) and T (heart trace
     to torso trace) of the mixed problem with an insulated torso; the
-    reduced Cauchy problem of ``cauchy.py`` reads the same X.
+    reduced Cauchy problem of ``cauchy.py`` reads the same X.  The shell's
+    A and B live only for this build.
     """
     def transfer():
         # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
@@ -331,7 +309,9 @@ def _zaremba_transfer(tensor, domain) -> np.ndarray:
         a, b = boundary_operators(tensor, domain)
         nh = domain.heart.n_vertices
         sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
-        return _solution_operator(sysmat, -a[:, :nh])
+        rhs = -a[:, :nh]
+        del a, b  # freed before the solve
+        return _solution_operator(sysmat, rhs)
 
     return _memo(domain, ("zaremba", tensor.tobytes()), transfer)
 
@@ -347,16 +327,13 @@ def solve_zaremba(M, domain, u_dirichlet_on_heart):
     tensor = as_tensor(M, heart.dim)
     d = _values_on(u_dirichlet_on_heart, heart)
     nh = heart.n_vertices
-    a, b = boundary_operators(tensor, domain)
-    sol = _zaremba_transfer(tensor, domain) @ d
+    x, build_residual = _zaremba_transfer(tensor, domain)
+    sol = x @ d
     q_h, u_t = sol[:nh], sol[nh:]
-    residual = float(np.linalg.norm(a @ np.concatenate([d, u_t])
-                                    - b[:, :nh] @ q_h))
     flux = -q_h  # heart-outward convention
-    conservation = float(heart.vertex_weights @ flux)
     report = DirectSolveReport(
-        residual_norm=residual,
-        compatibility_defect=abs(conservation),
+        residual_norm=build_residual * float(np.linalg.norm(d)),
+        compatibility_defect=abs(float(heart.vertex_weights @ flux)),
         solution_trace=NodalField(heart.surface_id, d),
         solution_trace_outer=NodalField(torso.surface_id, u_t),
         flux_trace=NodalField(heart.surface_id, flux, units="mV*mS/cm^2"),

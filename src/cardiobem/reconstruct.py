@@ -153,7 +153,10 @@ def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
     """Measured extracellular trace to transmembrane potential.
 
     (a) Zaremba solve in the shell for the bath flux, (b) proportional
-    reconstruction of u_i, (c) v = u_i - u_e.
+    reconstruction of u_i, (c) v = u_i - u_e.  zaremba_residual and
+    neumann_residual bound the residuals of the two solves: each kept
+    solution operator's build residual times the norm of the vector it is
+    applied to (see ``DirectSolveReport``).
     """
     heart = domain.heart
     ue = u_e_measured.check_on(heart)
@@ -184,7 +187,8 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
     Recovers the heart trace from the torso potential (insulated body
     surface), and its flux through the Zaremba transfer protocol 1 uses,
     then runs the protocol-1 tail on the recovered pair.  cauchy_residual
-    is the torso misfit |T u_h - f| at the chosen alpha.
+    is the torso misfit |T u_h - f| at the chosen alpha; every flag the
+    Cauchy solve sets (a fallback, zero data) is set in the diagnostics.
     """
     heart = domain.heart
     cauchy: CauchySolveReport = solve_cauchy_elliptic(model.M_b, domain, f,
@@ -199,8 +203,9 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
         "cauchy_residual": cauchy.residual_norm,
         "c": c,
     })
-    if "degenerate_lcurve_fallback" in cauchy.diagnostics:
-        diag["degenerate_lcurve_fallback"] = True
+    # every flag the Cauchy solve set (a fallback, zero data) is the
+    # protocol's too
+    diag.update({k: True for k, v in cauchy.diagnostics.items() if v is True})
     return ReconstructionOutput(
         u_e=cauchy.heart_dirichlet,
         u_i=ui_field,

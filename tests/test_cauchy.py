@@ -14,6 +14,7 @@ from cardiobem import (
     NodalField,
     ShapeMismatch,
     Shell3D,
+    SolveFailure,
     SurfaceMesh,
     TikhonovConfig,
     circle_curve,
@@ -97,6 +98,38 @@ def test_zero_data_short_circuit(model, domain2):
     assert rep.residual_norm == 0.0
 
 
+def test_reduced_form_on_a_fine_annulus():
+    # at 1024 segments the Gram matrix L^T L + z z^T of the penalty is not
+    # numerically positive definite, so the form's factor comes from a QR
+    # of L.  Insulated torso data x on the r = 1..2 annulus continue as
+    # (r/2 + 2/r) cos(theta), so the heart trace is 5/2 x
+    heart = circle_curve(1.0, 1024, surface_id="heart")
+    torso = circle_curve(2.0, 1024, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    rep = solve_cauchy_elliptic(7.0 * np.eye(2), domain,
+                                NodalField("torso", torso.vertices[:, 0].copy()))
+    want = 2.5 * heart.vertices[:, 0]
+    got = rep.heart_dirichlet.values
+    assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
+
+
+def test_reduced_form_failure_is_a_solve_failure(model, monkeypatch):
+    # numpy's LinAlgError from the form's factorizations leaves as the
+    # package's SolveFailure, and the next call builds the form again
+    domain = _shell(1)
+    f = NodalField("torso", domain.torso.vertices[:, 2].copy())
+    svd = np.linalg.svd
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fails)
+    with pytest.raises(SolveFailure, match="SVD did not converge"):
+        solve_cauchy_elliptic(model.M_b, domain, f)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert solve_cauchy_elliptic(model.M_b, domain, f).chosen_alpha > 0
+
+
 def test_torso_flux_enters_linearly(model, domain2, fields2):
     # at a fixed alpha the heart trace and flux are linear in the torso data
     cfg = TikhonovConfig(TikhonovConfig.log_grid().alpha_grid,
@@ -154,7 +187,7 @@ def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
 def _reduced_system(M, domain):
     """T, Lambda and the stacked penalty L = [P; P Lambda] of the reduced problem."""
     nh = domain.heart.n_vertices
-    x = _zaremba_transfer(as_tensor(M, 3), domain)
+    x, _ = _zaremba_transfer(as_tensor(M, 3), domain)
     lap = _graph_laplacian(domain.heart)
     return x[nh:], x[:nh], np.vstack([lap, lap @ x[:nh]])
 

@@ -29,7 +29,7 @@ from cardiobem import (
 )
 from cardiobem.kernels import as_tensor
 from cardiobem.direct import (_solution_operator, _solve_neumann_block,
-                              boundary_operators)
+                              _zaremba_transfer, boundary_operators)
 
 
 @pytest.fixture(scope="module")
@@ -46,22 +46,6 @@ def test_dirichlet_single_surface(sphere):
     assert (np.linalg.norm(rep.flux_trace.values - z)
             / np.linalg.norm(z)) < 0.05
     assert rep.residual_norm < 1e-10
-
-
-def test_dirichlet_shell(domain2):
-    # u = z is harmonic in the shell; prescribe both traces
-    zh = domain2.heart.vertices[:, 2]
-    zt = domain2.torso.vertices[:, 2]
-    targets = np.array([[0.0, 0.0, 1.5], [1.2, 0.4, -0.6]])
-    data = (NodalField("heart", zh), NodalField("torso", zt))
-    values, rep = solve_dirichlet(1.0, domain2, data, targets)
-    assert values == pytest.approx(targets[:, 2], rel=2e-2)
-    assert rep.residual_norm < 1e-10
-    # the shell holds no source: a volume term is refused, not dropped
-    grid = InteriorGrid.for_mesh(domain2.heart, h=0.25)
-    with pytest.raises(ShapeMismatch, match="no volume source"):
-        solve_dirichlet(1.0, domain2, data, targets,
-                        g_volume=(grid, np.ones(grid.n_cells)))
 
 
 def test_neumann_degree_one(sphere):
@@ -92,14 +76,17 @@ def test_neumann_compatibility(sphere):
     assert rep.compatibility_defect == pytest.approx(3.0 * area, rel=1e-12)
 
 
-def test_wrong_data_type_names_the_nodal_field(sphere):
+def test_wrong_data_type_names_the_nodal_field(sphere, domain2):
     # a pair of fields on a closed surface, or bare values, are not the
-    # NodalField the solvers take
+    # NodalField the solvers take; and no protocol poses the Dirichlet
+    # problem in the shell, so a heart-torso domain is refused by name
     field = NodalField("s", sphere.vertices[:, 2].copy())
     with pytest.raises(ShapeMismatch, match="expected a NodalField on 's', got tuple"):
         solve_dirichlet(1.0, sphere, (field, field))
     with pytest.raises(ShapeMismatch, match="expected a NodalField on 's', got ndarray"):
         solve_neumann_normalized(1.0, sphere, field.values.copy())
+    with pytest.raises(ShapeMismatch, match="one closed mesh"):
+        solve_dirichlet(1.0, domain2, (field, field))
 
 
 def test_neumann_block_matches_column_solves(sphere, caplog):
@@ -189,14 +176,55 @@ def test_zaremba_transfer_matches_lu_solution(model, heart2, domain2, fields2):
     assert rep.residual_norm < 1e-10
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_reported_residual_bounds_the_fresh_residual(level):
+    # each solve reports its kept solution operator's build residual times
+    # the norm of the vector it is applied to.  That bounds the residual of
+    # the system solved, formed here from freshly built A and B, and stays
+    # within the tolerances of the solver tests.  The Neumann system is the
+    # bordered one: its Lagrange multiplier is fitted by least squares, so
+    # the fresh residual is at most that of the multiplier the solve used.
+    heart = icosphere(level, 1.0, surface_id="heart")
+    domain = DomainConfig(heart=heart, torso=icosphere(level, 2.0, surface_id="torso"))
+    tensor = as_tensor(7.0, 3)
+    a, b = boundary_operators(tensor, domain)
+    a_h, b_h = boundary_operators(tensor, heart)
+    nh = heart.n_vertices
+    w = heart.vertex_weights
+    x, y, z = heart.vertices.T
+    rng = np.random.default_rng(level)
+    for d in (z, x * y, 50.0 * x * z + 3.0, np.ones(nh), rng.standard_normal(nh)):
+        flux, rep = solve_zaremba(7.0, domain, NodalField("heart", d))
+        u_t = rep.solution_trace_outer.values
+        fresh = np.linalg.norm(a @ np.concatenate([d, u_t]) - b[:, :nh] @ -flux.values)
+        assert fresh <= rep.residual_norm < 1e-10
+
+        _, rep = solve_dirichlet(7.0, heart, NodalField("heart", d))
+        fresh = np.linalg.norm(b_h @ rep.flux_trace.values - a_h @ d)
+        assert fresh <= rep.residual_norm < 1e-10
+
+        _, rep = solve_neumann_normalized(7.0, heart, NodalField("heart", d),
+                                          project=True)
+        u0 = rep.solution_trace.values
+        misfit = a_h @ u0 - b_h @ rep.flux_trace.values
+        lam = -(w @ misfit) / (w @ w)
+        fresh = np.hypot(np.linalg.norm(misfit + lam * w), w @ u0)
+        assert fresh <= rep.residual_norm < 1e-12
+
+
 def test_solution_operator_failures():
     with pytest.raises(SolveFailure):
         _solution_operator(np.zeros((3, 3)))
     with pytest.raises(SolveFailure):
         _solution_operator(np.diag([1.0, np.nan, 1.0]), np.ones((3, 2)))
-    inv = _solution_operator(np.diag([2.0, 4.0]))
+    inv, residual = _solution_operator(np.diag([2.0, 4.0]))
     assert np.array_equal(inv, np.diag([0.5, 0.25]))
     assert not inv.flags.writeable
+    assert residual == 0.0
+    x, residual = _solution_operator(np.array([[4.0, 1.0], [1.0, 3.0]]),
+                                     np.array([[1.0], [2.0]]))
+    assert x == pytest.approx(np.array([[1.0], [7.0]]) / 11.0, rel=1e-15)
+    assert 0.0 <= residual < 1e-15
 
 
 _ONE_POOL_SCRIPT = """
@@ -256,8 +284,8 @@ sys.exit(f"loaded: {loaded}" if loaded else 0)
 
 
 def test_surface_gradient_and_heat_paths_leave_scipy_linalg_unloaded():
-    # the Cauchy solve's surface-gradient penalty (a graph Laplacian, a
-    # Cholesky and a QR on numpy) and the heat potentials (sparse
+    # the Cauchy solve's surface-gradient penalty (a graph Laplacian and
+    # QRs on numpy) and the heat potentials (sparse
     # incidences) both run without scipy.sparse.csgraph, which would import
     # scipy.linalg
     _run_apart(_OTHER_PATHS_SCRIPT)
@@ -330,8 +358,9 @@ def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
 
 def test_operators_go_with_their_owner():
     # the two-surface operators live on the domain, the one-surface ones on
-    # their mesh: dropping the domain alone frees A, B, the Zaremba transfer
-    # and the Cauchy form, and leaves the heart's own layers and inverse
+    # their mesh: the domain keeps the Zaremba transfer and the Cauchy form
+    # and no shell A and B, dropping it alone frees both, and it leaves the
+    # heart's own layers and inverse
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
     domain = DomainConfig(heart=heart, torso=torso)
@@ -340,12 +369,12 @@ def test_operators_go_with_their_owner():
     solve_neumann_normalized(7.0, heart, NodalField("heart", heart.vertices[:, 2]))
     solve_cauchy_elliptic(7.0, domain, NodalField("torso", torso.vertices[:, 2]))
     derived = domain.__dict__["_derived"]
-    zaremba = derived[("zaremba", tensor.tobytes())]
+    assert set(derived) == {("zaremba", tensor.tobytes()), ("cauchy", tensor.tobytes())}
+    zaremba = derived[("zaremba", tensor.tobytes())][0]
     cauchy = derived[("cauchy", tensor.tobytes())]
-    a, b = boundary_operators(tensor, domain)
-    refs = [weakref.ref(x) for x in (a, b, zaremba, cauchy)]
+    refs = [weakref.ref(x) for x in (zaremba, cauchy)]
     own = dict(heart.__dict__["_derived"])
-    del domain, derived, zaremba, cauchy, a, b
+    del domain, derived, zaremba, cauchy
     gc.collect()
     assert all(r() is None for r in refs)
     kept = heart.__dict__["_derived"]
@@ -358,7 +387,7 @@ def test_operators_go_with_their_owner():
 
 def test_protocols_share_one_zaremba_transfer(model):
     # a cold protocol 2 on a fresh domain builds the Zaremba transfer once,
-    # under its own key, beside the operators and the reduced Cauchy form;
+    # under its own key, beside the reduced Cauchy form and nothing else;
     # protocol 1 after it finds every entry it needs and builds none
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
@@ -367,7 +396,7 @@ def test_protocols_share_one_zaremba_transfer(model):
     owners = (domain, heart, torso)
     cardiobem.run_protocol_2(domain, model, NodalField("torso", torso.vertices[:, 2].copy()))
     derived = domain.__dict__["_derived"]
-    assert set(derived) == {("operators", key), ("zaremba", key), ("cauchy", key)}
+    assert set(derived) == {("zaremba", key), ("cauchy", key)}
     before = [dict(owner.__dict__["_derived"]) for owner in owners]
     cardiobem.run_protocol_1(domain, model, NodalField("heart", heart.vertices[:, 2].copy()))
     for owner, entries in zip(owners, before):
@@ -385,7 +414,7 @@ def test_torso_sweep_keeps_no_dropped_torso(model, heart2):
         torso = icosphere(2, radius, surface_id="torso")
         domain = DomainConfig(heart=heart2, torso=torso)
         solve_zaremba(model.M_b, domain, data)
-        ref = weakref.ref(boundary_operators(as_tensor(model.M_b, 3), domain)[0])
+        ref = weakref.ref(_zaremba_transfer(as_tensor(model.M_b, 3), domain)[0])
         del domain, torso
         gc.collect()
         keys.append(set(heart2.__dict__.get("_derived", {})))
@@ -429,14 +458,14 @@ def test_boundary_operators_match_block_reference(domain2, model):
         big[:nh, nh] = w
         big[nh, :nh] = w
         _solve_neumann_block(tensor, heart, np.zeros(nh))
-        kept = heart.__dict__["_derived"][("neumann", tensor.tobytes())]
+        kept = heart.__dict__["_derived"][("neumann", tensor.tobytes())][0]
         assert np.array_equal(kept, np.linalg.inv(big)[:nh, :nh])
 
 
 def test_cold_shell_build_transient_memory():
     # numpy reports its buffers to tracemalloc: the peak of a cold level-2
-    # shell build, less the A and B it keeps, bounds the temporaries of the
-    # layer builds without timing anything
+    # shell build, less the A and B it returns, bounds the temporaries of
+    # the layer builds without timing anything
     domain = DomainConfig(heart=icosphere(2, 1.0, surface_id="heart"),
                           torso=icosphere(2, 2.0, surface_id="torso"))
     tensor = as_tensor(7.0, 3)

@@ -74,14 +74,20 @@ def test_no_module_reads_the_cache_token():
 
 def test_direct_has_one_operator_builder():
     # every solver reads its owner's (A, B) from boundary_operators, so no
-    # second builder of layer operators grows back in direct.py
+    # second builder of layer operators grows back in direct.py; the
+    # builder keeps nothing, so the shell's A and B cannot be kept again
+    # beside the Zaremba transfer
     tree = ast.parse((ROOT / "src" / "cardiobem" / "direct.py").read_text())
-    callers = sorted({getattr(top, "name", f"line {top.lineno}")
-                      for top in tree.body for node in ast.walk(top)
-                      if isinstance(node, ast.Call)
-                      and "assemble_layer" in (getattr(node.func, "id", None),
-                                               getattr(node.func, "attr", None))})
-    assert callers == ["boundary_operators"]
+
+    def callers(name):
+        return sorted({getattr(top, "name", f"line {top.lineno}")
+                       for top in tree.body for node in ast.walk(top)
+                       if isinstance(node, ast.Call)
+                       and name in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))})
+
+    assert callers("assemble_layer") == ["boundary_operators"]
+    assert "boundary_operators" not in callers("_memo")
 
 
 def test_each_helper_has_one_home():

@@ -7,6 +7,7 @@ import pytest
 
 from cardiobem import (
     CubicRadial,
+    DiscrepancyPrinciple,
     DomainConfig,
     HarmonicSpec,
     HarmonicTerm,
@@ -15,6 +16,7 @@ from cardiobem import (
     NodalField,
     Sphere3D,
     SupportTouchesBoundary,
+    TikhonovConfig,
     calibration_constant,
     eval_harmonic,
     generate_nullspace_element,
@@ -122,6 +124,26 @@ def test_protocol_2(domain2, model, fields2):
     v_true = fields2["v"].values
     assert rmse(out.v.values, v_true) / np.ptp(v_true) < 0.05
     assert out.diagnostics["chosen_alpha"] > 0
+
+
+def test_protocol_2_forwards_every_cauchy_flag(tmp_path, model):
+    # a fallback or a zero-data short cut in the Cauchy solve is flagged in
+    # the protocol's diagnostics and in the written manifest, never dropped
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    grid = TikhonovConfig.log_grid().alpha_grid
+    tight = TikhonovConfig(grid, selection=DiscrepancyPrinciple(1e-30))
+    cases = [
+        ("discrepancy_unreachable",
+         NodalField("torso", torso.vertices[:, 2].copy()), tight),
+        ("zero_data", NodalField("torso", np.zeros(torso.n_vertices)), None),
+    ]
+    for flag, f, config in cases:
+        out = run_protocol_2(domain, model, f, config)
+        assert out.diagnostics[flag] is True
+        manifest = write_reconstruction(out, tmp_path / flag, heart)
+        assert manifest["flags"] == {flag: True}
 
 
 def test_cubic_bump():
