@@ -121,7 +121,7 @@ _DUF_V = np.tile(_GL01_X, _GL_N)
 _DUF_W = np.repeat(_GL01_W, _GL_N) * np.tile(_GL01_W, _GL_N)
 _DUF_UW = _DUF_U * _DUF_W  # weight x Jacobian factor u
 # moments of the barycentric coordinates along the Duffy map, see
-# _near_panel_integrals
+# _near_integrals
 _DUF_MOMENTS = np.column_stack([1.0 - _DUF_U, _DUF_U * (1.0 - _DUF_V), _DUF_U * _DUF_V])
 # with s1 = u(1-v), s2 = uv, the whitened x - y is a - s1 b1 - s2 b2, so
 # r_M^2 is the Gram entries (|a|^2, a.b1, a.b2, |b1|^2, b1.b2, |b2|^2)
@@ -235,7 +235,14 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _near_geometry(x: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> tuple:
-    """The tensor-free part of ``_near_panel_integrals``, read-only.
+    """The tensor-free part of ``_near_integrals``, read-only.
+
+    For P (target, panel) pairs, ``x`` (P, dim), ``corners`` (P, k, dim)
+    and ``normals`` (P, dim), each panel is split at the point p nearest
+    its target (``mesh._closest_points``): a triangle into the
+    subtriangles (p, c_a, c_{a+1}), a segment into the pieces (p, c_a).
+    A piece of zero measure (p on an edge or at a corner) contributes
+    nothing and is not kept.
 
     Returns ``(lam_p, xp, pair, part, jac, h, *edges)``: per pair the
     barycentric coordinates of the split point p and x - p; per kept
@@ -263,7 +270,18 @@ def _near_geometry(x: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> t
 
 
 def _near_integrals(ker: _KernelSet, kind: str, geometry: tuple) -> np.ndarray:
-    """The kernel part of ``_near_panel_integrals`` on its geometry."""
+    """Accurate integrals of kernel x linear basis over close panels.
+
+    Returns the (P, k) basis-weighted integrals, in corner order, of the P
+    (target, panel) pairs of ``geometry`` (``_near_geometry``), which does
+    not depend on the tensor or the kind.  On a subtriangle the Duffy
+    transform ``y(u, v) = p + u((1-v) e1 + v e2)``, ``|J| = 2 area u``,
+    with an 8x8 Gauss tensor rule concentrates the points where the kernel
+    peaks.  On a segment piece ``y(u) = p + u e1``, ``|J| = length``, with
+    8-point Gauss-Legendre in u; where p is the target the single layer's
+    logarithm is integrated exactly.  Only the kept pieces are whitened and
+    get the rule, and their moments are added to their pair's corners.
+    """
     lam_p, xp, pair, part, jac, h, *edges = geometry
     table, weights, moments, (rows, cols) = _NEAR_RULES[ker.dim]
     # a = W(x - p) and b_c = W e_c per kept piece, components first:
@@ -290,29 +308,6 @@ def _near_integrals(ker: _KernelSet, kind: str, geometry: tuple) -> np.ndarray:
     if ker.dim == 3:  # a subtriangle's second corner
         out[pair, (part + 1) % 3] += mom[:, 2]
     return out
-
-
-def _near_panel_integrals(ker: _KernelSet, kind: str, x: np.ndarray,
-                          corners: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Accurate integrals of kernel x linear basis over close panels.
-
-    For P (target, panel) pairs, ``x`` (P, dim), ``corners`` (P, k, dim)
-    and ``normals`` (P, dim), returns the (P, k) basis-weighted integrals
-    in corner order.  Each panel is split at the point p nearest its
-    target (``mesh._closest_points``).  A triangle splits into the
-    subtriangles (p, c_a, c_{a+1}), and the Duffy transform
-    ``y(u, v) = p + u((1-v) e1 + v e2)``, ``|J| = 2 area u``, with an 8x8
-    Gauss tensor rule concentrates the points where the kernel peaks.  A
-    segment splits into the pieces (p, c_a), ``y(u) = p + u e1``,
-    ``|J| = length``, with 8-point Gauss-Legendre in u; where p is the
-    target the single layer's logarithm is integrated exactly.  A piece of
-    zero measure (p on an edge or at a corner) contributes nothing and is
-    not evaluated: only the kept (pair, part) pieces are whitened and get
-    the rule, and their moments are added to their pair's corners.  The
-    geometry does not depend on the tensor or the kind
-    (``_near_geometry``); the kernel part does (``_near_integrals``).
-    """
-    return _near_integrals(ker, kind, _near_geometry(x, corners, normals))
 
 
 def _close_field(source, x: np.ndarray) -> tuple:

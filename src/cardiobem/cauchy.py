@@ -3,8 +3,8 @@
 Given the potential f on the insulated torso surface, recover the trace and
 flux on the heart surface through the passive shell.  The heart-torso
 DomainConfig keeps the Zaremba transfer X of ``direct``: for any heart
-trace u_h it gives the insulated-torso solution's shell conormal
-q_h = Lambda u_h and torso trace T u_h, so the torso flux data hold by
+trace u_h it gives the insulated-torso solution's heart-outward flux
+Lambda u_h and torso trace T u_h, so the torso flux data hold by
 construction and only the torso potential is left to match.  The problem
 is classically ill posed, so the minimizer of
 
@@ -12,7 +12,7 @@ is classically ill posed, so the minimizer of
 
 is returned, with P the heart mesh's graph Laplacian (the surface gradient
 of both the trace and the flux) and alpha picked by the configured rule
-(L-curve corner by default).  The heart-outward flux is -Lambda u_h.
+(L-curve corner by default).  The heart flux is Lambda u_h.
 
 The penalty is brought to standard form once per (domain, tensor) with
 Elden's split (see ``_ReducedForm``): null(L), the constants, is carried
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class TikhonovConfig:
 @dataclass(frozen=True)
 class CauchySolveReport:
     chosen_alpha: float
-    lcurve_points: Tuple[Tuple[float, float], ...]  # (log rho, log eta), alpha-ascending
     residual_norm: float  # torso misfit |T u_h - f| at the chosen alpha
     heart_dirichlet: NodalField
     heart_flux: NodalField  # heart-outward conormal, nu_i . M grad u
@@ -179,8 +178,8 @@ class _ReducedForm:
 def _reduced_form(tensor, domain) -> _ReducedForm:
     """The Cauchy problem of ``domain`` reduced onto its Zaremba transfer.
 
-    X = [Lambda; T] maps the heart trace u to the shell conormal and the
-    torso trace of the insulated-torso solution, so any u meets the torso
+    X = [Lambda; T] maps the heart trace u to the heart-outward flux and
+    the torso trace of the insulated-torso solution, so any u meets the torso
     flux data and the problem is min |T u - f|^2 + alpha |L u|^2, with
     L = [P; P Lambda] and P the heart's graph Laplacian: the surface
     gradient of both the trace and the flux.  Kept on ``domain`` beside X.
@@ -271,8 +270,9 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
 
     f: measured torso potential on the insulated body surface.  Returns
     heart Dirichlet trace and heart-outward conormal flux at the selected
-    regularization, plus the full L-curve ordered by increasing alpha; the
-    residual is the torso misfit |T u_h - f|.
+    regularization; the residual is the torso misfit |T u_h - f|, and the
+    diagnostics hold the swept grid with its residual and seminorm norms
+    (``save_lcurve``).
     """
     if config is None:
         config = TikhonovConfig.log_grid()
@@ -283,10 +283,8 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     if not np.any(fv):
         # exactly zero data: the regularized minimizer is exactly zero
         zero = np.zeros(heart.n_vertices)
-        points = tuple((np.log(1e-300), np.log(1e-300)) for _ in config.alpha_grid)
         return CauchySolveReport(
             chosen_alpha=float(config.alpha_grid[0]),
-            lcurve_points=points,
             residual_norm=0.0,
             heart_dirichlet=NodalField(heart.surface_id, zero),
             heart_flux=NodalField(heart.surface_id, zero.copy(),
@@ -299,17 +297,12 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     diagnostics = {}
     idx = _select_alpha(config, grid, rho, eta, diagnostics)
     u = solution(idx)
-    # the shell conormal is Lambda u; heart-outward is its negative
-    flux = -(_zaremba_transfer(tensor, domain)[0][:heart.n_vertices] @ u)
-    floor = 1e-300
-    points = tuple(zip(np.log(np.maximum(rho, floor)),
-                       np.log(np.maximum(eta, floor))))
+    flux = _zaremba_transfer(tensor, domain)[0][:heart.n_vertices] @ u
     diagnostics["alpha_grid"] = grid
     diagnostics["residuals"] = rho
     diagnostics["seminorms"] = eta
     return CauchySolveReport(
         chosen_alpha=float(grid[idx]),
-        lcurve_points=points,
         residual_norm=float(rho[idx]),
         heart_dirichlet=NodalField(heart.surface_id, u),
         heart_flux=NodalField(heart.surface_id, flux, units="mV*mS/cm^2"),

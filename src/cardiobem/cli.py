@@ -318,14 +318,14 @@ def _selection(cfg: RunConfig):
     )
 
 
-def _tikhonov(cfg: RunConfig, selection=None) -> TikhonovConfig:
+def _tikhonov(cfg: RunConfig) -> TikhonovConfig:
     _require_positive(cfg, "alpha_min", "alpha_max")
     if cfg["alpha_count"] < 8:
         raise ValidationFailure("alpha_count must be at least 8")
     return TikhonovConfig.log_grid(count=cfg["alpha_count"],
                                    alpha_min=cfg["alpha_min"],
                                    alpha_max=cfg["alpha_max"],
-                                   selection=selection or _selection(cfg))
+                                   selection=_selection(cfg))
 
 
 def _noisy(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
@@ -346,8 +346,9 @@ def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
     tikhonov = _tikhonov(cfg)
     domain = DomainConfig(heart=heart, torso=torso)
 
-    head = fpath.read_text(errors="replace").splitlines()[:1]
-    if head and head[0].strip() == "node_index,value":
+    with open(fpath, errors="replace") as fh:
+        head = fh.readline()
+    if head.strip() == "node_index,value":
         f = load_nodal_field(fpath)
         f = NodalField(f.surface_id, _noisy(f.values, cfg), f.units)
         result = run_protocol_2(domain, model, f, tikhonov, c0=cfg["c0"])

@@ -14,29 +14,33 @@ diagonal carries the identity D 1 = -1/2 across the full row, making
 Conventions:
   - Single closed surface: the domain is its interior, fluxes are reported
     in the stored outward-normal conormal, nu . M grad u.
-  - Shell: reported heart flux is in the heart-outward (stored) convention,
-    nu_i . M grad u, the quantity the reconstruction formulas consume; the
-    internal unknown is the shell conormal, which is its negative.
+  - Shell: the heart flux is in the heart-outward (stored) convention,
+    nu_i . M grad u, the quantity the reconstruction formulas consume, and
+    the Zaremba transfer solves for it directly: it is the negative of the
+    shell conormal in the Green identity.
   - Neumann solutions are normalized by the lumped surface mean (area
     weights at vertices) through one bordered Lagrange row, so the discrete
     constraint holds to solver precision.  A block of flux columns shares
     one single-layer product and one product with the bordered inverse.
 
 Operators and solution operators live on what they derive from
-(``mesh._memo``), keyed by the tensor, and go when it goes.  A closed
-surface keeps its own A and B, which its solves read on every call, the
-inverse of its Dirichlet matrix B and that of its bordered Neumann matrix.
-The heart-torso pair, a DomainConfig, keeps only what the protocols read:
-the Zaremba transfer and (for cauchy.py) the SVD of the Cauchy problem
-reduced onto it.  The shell's A and B are built inside the transfer's build
-and dropped after it.  The Zaremba transfer maps heart data d straight to
-the unknowns [q_h; u_t] (the Lambda and T of the reduced Cauchy problem),
-for both protocols.  No LU factors are kept: a solve is one matrix product
-with a kept solution operator.  Each solution operator Y of ``matrix Y = R``
-keeps its build residual |matrix Y - R|_F, and a solve reports it times the
-norm of the vector Y is applied to, which bounds the residual of that
-solve.  Everything runs on numpy's BLAS, so the package never wakes a second
-BLAS thread pool.  Threads that miss an entry together build it once.
+(``mesh._memo``), keyed by the tensor, and go when it goes.  Each entry
+keeps the one operator its solve applies on every call beside its solution
+operator: a closed surface's Dirichlet entry keeps the inverse of B and A,
+its Neumann entry the inverse of the bordered matrix and B; the operator a
+solve reads only while building is dropped after the build.  The
+heart-torso pair, a DomainConfig, keeps only what the protocols read: the
+Zaremba transfer and (for cauchy.py) the SVD of the Cauchy problem reduced
+onto it.  The shell's A and B are built inside the transfer's build and
+dropped after it.  The Zaremba transfer maps heart data d straight to the
+heart-outward flux and the torso trace [psi; u_t] (the Lambda and T of the
+reduced Cauchy problem), for both protocols.  No LU factors are kept: a
+solve is one matrix product with a kept solution operator.  Each solution
+operator Y of ``matrix Y = R`` keeps its build residual |matrix Y - R|_F,
+and a solve reports it times the norm of the vector Y is applied to, which
+bounds the residual of that solve.  Everything runs on numpy's BLAS, so the
+package never wakes a second BLAS thread pool.  Threads that miss an entry
+together build it once.
 """
 
 from __future__ import annotations
@@ -125,9 +129,10 @@ def boundary_operators(M, owner):
     D 1 = -1/2, and B = S, both over the stacked boundary vertices (heart
     first), so that A u = B q holds for any M-harmonic u in the domain with
     q its conormal on the domain-outward normals.  Built anew on every
-    call: a closed mesh keeps its pair (``_mesh_operators``), a DomainConfig
-    only the transfer ``_zaremba_transfer`` makes of it.  M is a tensor as
-    returned by ``as_tensor``.
+    call and kept by none: a closed mesh's Dirichlet and Neumann entries
+    each keep the one of A and B their solves apply, and a DomainConfig
+    only the transfer ``_zaremba_transfer`` makes of them.  M is a tensor
+    as returned by ``as_tensor``.
     """
     shell = isinstance(owner, DomainConfig)
     surfaces = (owner.heart, owner.torso) if shell else (owner,)
@@ -148,12 +153,6 @@ def boundary_operators(M, owner):
     return a, b
 
 
-def _mesh_operators(tensor, mesh):
-    """A closed mesh's (A, B), kept on it: its solves read them every call."""
-    return _memo(mesh, ("operators", tensor.tobytes()),
-                 lambda: boundary_operators(tensor, mesh))
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet
 
@@ -163,23 +162,26 @@ def solve_dirichlet(M, mesh, u0, targets=None, g_volume=None):
 
     u0 is a NodalField on ``mesh``, ``g_volume`` an optional
     (InteriorGrid, values) volume source.  The conormal trace solves
-    B q = A u0 - T(g) through the kept inverse of B; values at ``targets``
-    follow from the representation formula.  The flux is reported in the
-    stored outward convention.  A DomainConfig raises ShapeMismatch: the
-    protocols pose no Dirichlet problem in the shell.
+    B q = A u0 - T(g) through the inverse of B, kept beside A on the mesh;
+    values at ``targets`` follow from the representation formula.  The flux
+    is reported in the stored outward convention.  A DomainConfig raises
+    ShapeMismatch: the protocols pose no Dirichlet problem in the shell.
     """
     if isinstance(mesh, DomainConfig):
         raise ShapeMismatch("solve_dirichlet takes one closed mesh, "
                             "not a heart-torso DomainConfig")
     tensor = as_tensor(M, mesh.dim)
     u0v = _values_on(u0, mesh)
-    a, b = _mesh_operators(tensor, mesh)
+
+    def build():
+        a, b = boundary_operators(tensor, mesh)
+        return (*_solution_operator(b), a)
+
+    b_inv, build_residual, a = _memo(mesh, ("dirichlet", tensor.tobytes()), build)
     rhs = a @ u0v
     if g_volume is not None:
         grid, g = g_volume
         rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
-    b_inv, build_residual = _memo(mesh, ("dirichlet", tensor.tobytes()),
-                                  lambda: _solution_operator(b))
     report = DirectSolveReport(
         residual_norm=build_residual * float(np.linalg.norm(rhs)),
         solution_trace=NodalField(mesh.surface_id, u0v),
@@ -208,10 +210,11 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     by a constant onto the compatible subspace, and one log line counts the
     shifted columns.  ``volume`` (n,), the volume potential at the
     vertices, is added to every column's right side.  All columns share one
-    S product and one product with the kept bordered inverse.  Returns (u0,
-    u1, defect, residual, normalization): solutions, the fluxes solved for,
-    and per column the signed defect, the residual bound (the bordered
-    inverse's build residual times the right side's norm) and w . u0.
+    S product and one product with the bordered inverse, kept beside S on
+    the mesh (A is read only to build it).  Returns (u0, u1, defect,
+    residual, normalization): solutions, the fluxes solved for, and per
+    column the signed defect, the residual bound (the bordered inverse's
+    build residual times the right side's norm) and w . u0.
     """
     w = mesh.vertex_weights
     area = float(w.sum())
@@ -230,25 +233,26 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
         logger.info("projected %d of %d Neumann data columns onto the "
                     "compatible subspace (largest defect %.3e)", bad.sum(),
                     bad.size, worst)
-    a, b = _mesh_operators(tensor, mesh)
-    rhs = b @ u1
-    if volume is not None:
-        np.add(rhs.T, volume, out=rhs.T)  # to every column
     n = mesh.n_vertices
 
     def bordered():
         # [A, w; w^T, 0]: the right side's last entry is always 0, so only
         # the leading n x n block of the inverse is kept
+        a, b = boundary_operators(tensor, mesh)
         big = np.zeros((n + 1, n + 1))
         big[:n, :n] = a
         big[:n, n] = w
         big[n, :n] = w
+        del a  # freed before the inverse
         inv, build_residual = _solution_operator(big)
         inv = inv[:n, :n].copy()
         inv.flags.writeable = False
-        return inv, build_residual
+        return inv, build_residual, b
 
-    inv, build_residual = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
+    inv, build_residual, b = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
+    rhs = b @ u1
+    if volume is not None:
+        np.add(rhs.T, volume, out=rhs.T)  # to every column
     u0 = inv @ rhs
     residual = build_residual * np.linalg.norm(rhs, axis=0)
     return u0, u1, defect, residual, w @ u0
@@ -295,20 +299,21 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
 
 def _zaremba_transfer(tensor, domain) -> tuple:
     """(X, build residual), kept on ``domain``; X maps heart data d to
-    [q_h; u_t].
+    [psi; u_t].
 
-    Its rows are Lambda (heart trace to shell conormal) and T (heart trace
-    to torso trace) of the mixed problem with an insulated torso; the
-    reduced Cauchy problem of ``cauchy.py`` reads the same X.  The shell's
-    A and B live only for this build.
+    Its rows are Lambda (heart trace to heart-outward flux psi) and T
+    (heart trace to torso trace) of the mixed problem with an insulated
+    torso; the reduced Cauchy problem of ``cauchy.py`` reads the same X.
+    The shell's A and B live only for this build.
     """
     def transfer():
-        # unknowns [q_h; u_t]; knowns u_h = d, q_t = 0:
-        #   A [d; u_t] = B [q_h; 0]  =>  -B[:, :nh] q_h + A[:, nh:] u_t = -A[:, :nh] d
-        # so [q_h; u_t] = X d with X = sysmat^-1 (-A[:, :nh])
+        # knowns u_h = d, q_t = 0; the shell conormal on the heart is
+        # q_h = -psi, so
+        #   A [d; u_t] = B [-psi; 0]  =>  B[:, :nh] psi + A[:, nh:] u_t = -A[:, :nh] d
+        # and [psi; u_t] = X d with X = sysmat^-1 (-A[:, :nh])
         a, b = boundary_operators(tensor, domain)
         nh = domain.heart.n_vertices
-        sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
+        sysmat = np.hstack([b[:, :nh], a[:, nh:]])
         rhs = -a[:, :nh]
         del a, b  # freed before the solve
         return _solution_operator(sysmat, rhs)
@@ -329,8 +334,7 @@ def solve_zaremba(M, domain, u_dirichlet_on_heart):
     nh = heart.n_vertices
     x, build_residual = _zaremba_transfer(tensor, domain)
     sol = x @ d
-    q_h, u_t = sol[:nh], sol[nh:]
-    flux = -q_h  # heart-outward convention
+    flux, u_t = sol[:nh], sol[nh:]
     report = DirectSolveReport(
         residual_norm=build_residual * float(np.linalg.norm(d)),
         compatibility_defect=abs(float(heart.vertex_weights @ flux)),

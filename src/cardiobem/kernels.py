@@ -97,38 +97,35 @@ class ConductivityModel:
         Intra- and extracellular conductivity tensors.
     m_b : float, mS/cm
         Isotropic bath (torso) conductivity.
-    lam : float, optional
-        Proportionality constant when ``M_e = lam * M_i``.  Detected
-        automatically when the tensors are proportional; if given explicitly
-        it is checked against the tensors.
     chi : float, 1/cm
         Membrane surface-to-volume ratio.
     C_m : float, uF/cm^2
         Membrane capacitance per unit area.
+
+    Attributes
+    ----------
+    lam : float or None
+        ``M_e = lam * M_i`` to 1e-12 of the largest entry of M_e, detected
+        from the tensors (the ratio of their traces); None when they are not
+        proportional.  Not a parameter.
     """
 
     M_i: np.ndarray = field(default=SIGMA_LI)
     M_e: np.ndarray = field(default=SIGMA_LE)
     m_b: float = BATH_CONDUCTIVITY
-    lam: float | None = None
     chi: float = SURFACE_TO_VOLUME
     C_m: float = MEMBRANE_CAPACITANCE
+    lam: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         mi = as_tensor(self.M_i)
         me = as_tensor(self.M_e)
         if self.m_b <= 0 or self.chi <= 0 or self.C_m <= 0:
             raise ShapeMismatch("m_b, chi and C_m must be positive")
-        lam = self.lam
-        scale = np.abs(me).max()
-        if lam is None:
-            ratio = np.trace(me) / np.trace(mi)
-            if np.abs(me - ratio * mi).max() <= 1e-12 * scale:
-                lam = float(ratio)
-        else:
-            if np.abs(me - float(lam) * mi).max() > 1e-12 * scale:
-                raise ShapeMismatch("lam given but M_e != lam * M_i to 1e-12")
-            lam = float(lam)
+        ratio = np.trace(me) / np.trace(mi)
+        lam = None
+        if np.abs(me - ratio * mi).max() <= 1e-12 * np.abs(me).max():
+            lam = float(ratio)
         mi.flags.writeable = False
         me.flags.writeable = False
         object.__setattr__(self, "M_i", mi)

@@ -79,6 +79,10 @@ _CLOSEST_BATCH = 1 << 14
 _PARALLEL = 1e-14
 _GRAZE = 1e-10
 
+# cm: heart and torso closer than this fail the DomainConfig check, and a
+# point closer than this to either surface is on it (point_location)
+_CONTAINMENT_TOL = 1e-6
+
 # Deterministic "random" ray directions for points_inside, tried in turn
 # until every point is settled.
 _RAY_DIRECTIONS = np.array(
@@ -407,20 +411,18 @@ class DomainConfig:
     """Heart surface strictly inside a torso surface.
 
     The closed region between the two surfaces is the passive conductor
-    shell; the inside of ``heart`` is the active tissue domain.  The domain
-    owns the shell problems' operators, which go with it: build one per
-    heart-torso pair and reuse it for every solve on that pair.
+    shell; the inside of ``heart`` is the active tissue domain.  The two
+    surfaces must stay more than 1e-6 cm apart (``_CONTAINMENT_TOL``).  The
+    domain owns the shell problems' operators, which go with it: build one
+    per heart-torso pair and reuse it for every solve on that pair.
     """
 
     heart: SurfaceMesh | CurveMesh
     torso: SurfaceMesh | CurveMesh
-    containment_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.heart.dim != self.torso.dim:
             raise GeometryError("heart and torso must share the ambient dimension")
-        if self.containment_tolerance <= 0.0:
-            raise GeometryError("containment_tolerance must be positive")
         if self.heart.surface_id == self.torso.surface_id:
             raise GeometryError("heart and torso need distinct surface ids")
         inside = points_inside(self.torso, self.heart.vertices)
@@ -428,7 +430,7 @@ class DomainConfig:
             raise GeometryError("heart surface is not strictly inside the torso")
         if points_inside(self.heart, self.torso.vertices).any():
             raise GeometryError("torso surface dips inside the heart")
-        tol = self.containment_tolerance
+        tol = _CONTAINMENT_TOL
         gap = min(_distances_within(self.torso, self.heart.vertices, tol).min(),
                   _distances_within(self.heart, self.torso.vertices, tol).min())
         if gap <= tol:
@@ -448,15 +450,10 @@ def _signed_area(verts: np.ndarray, segs: np.ndarray) -> float:
     return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
 
 
-def signed_volume(vertices, triangles=None) -> float:
-    """Signed enclosed volume of a closed triangle mesh (divergence theorem).
-
-    Accepts either a :class:`SurfaceMesh` / :class:`CurveMesh` (returning the
-    stored positive volume / area) or raw ``(vertices, triangles)`` arrays, in
-    which case the sign reflects the winding as given.
+def signed_volume(vertices, triangles) -> float:
+    """Signed enclosed volume of a closed triangle mesh (divergence theorem),
+    or signed area of a closed curve, with the sign of the winding given.
     """
-    if triangles is None:
-        return vertices.enclosed_volume
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
     if verts.shape[1] == 2:
@@ -705,12 +702,12 @@ def surface_distance(mesh, points: np.ndarray) -> np.ndarray:
 def point_location(config: DomainConfig, x) -> PointLocation:
     """Classify a point against a heart/torso configuration.
 
-    A point within ``containment_tolerance`` of either surface reports
+    A point within 1e-6 cm (``_CONTAINMENT_TOL``) of either surface reports
     :attr:`PointLocation.ON_BOUNDARY`; otherwise parity against the two
     surfaces decides between heart interior, conductor shell and outside.
     """
     pt = np.asarray(x, dtype=float).reshape(1, -1)
-    tol = config.containment_tolerance
+    tol = _CONTAINMENT_TOL
     if _distances_within(config.heart, pt, tol)[0] <= tol:
         return PointLocation.ON_BOUNDARY
     if _distances_within(config.torso, pt, tol)[0] <= tol:
@@ -1108,15 +1105,14 @@ def load_nodal_field(path) -> NodalField:
     return NodalField(manifest["surface_id"], values, manifest.get("units", "mV"))
 
 
-def require_off_surface(mesh, points: np.ndarray, tol: float | None = None) -> None:
+def require_off_surface(mesh, points: np.ndarray) -> None:
     """Raise :class:`PointOnBoundary` if any point sits on the surface.
 
-    A point is on the surface within ``tol`` of it, by default 1e-9 x the
-    diagonal of the mesh's bounding box.
+    A point at most 1e-9 x the diagonal of the mesh's bounding box from
+    the surface is on it.
     """
-    if tol is None:
-        tol = 1e-9 * _memo(mesh, "box_diagonal", lambda: float(np.linalg.norm(
-            mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0))))
+    tol = 1e-9 * _memo(mesh, "box_diagonal", lambda: float(
+        np.linalg.norm(mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0))))
     d = _distances_within(mesh, points, tol)
     if np.any(d <= tol):
         worst = float(d.min())

@@ -215,19 +215,18 @@ def heat_kernel(spec: HeatOperatorSpec, diff: np.ndarray, s) -> np.ndarray:
     return block
 
 
-def heat_kernel_mass(spec: HeatOperatorSpec, t: float, half_width: float = None,
-                     n: int = 72) -> float:
+def heat_kernel_mass(spec: HeatOperatorSpec, t: float) -> float:
     """Midpoint-quadrature mass of Psi(., t); exp(-a0 t) analytically.
 
-    The box is centred on the drift displacement with half width
-    ``half_width`` (default 8 standard deviations of the widest principal
-    axis).  Midpoint quadrature of a Gaussian converges spectrally, so the
-    default resolves the mass far below 1e-6.
+    The box is centred on the drift displacement with half width 8
+    standard deviations of the widest principal axis, and has 72 midpoints
+    per axis.  Midpoint quadrature of a Gaussian converges spectrally, so
+    this resolves the mass far below 1e-6.
     """
     if t <= 0.0:
         return 0.0
-    sigma = np.sqrt(2.0 * t * np.linalg.eigvalsh(spec.A).max())
-    hw = 8.0 * sigma if half_width is None else float(half_width)
+    n = 72
+    hw = 8.0 * np.sqrt(2.0 * t * np.linalg.eigvalsh(spec.A).max())
     axes = [np.linspace(-hw, hw, n, endpoint=False) + hw / n for _ in range(spec.dim)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
     pts = pts + spec.drift * t

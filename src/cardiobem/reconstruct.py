@@ -75,9 +75,7 @@ def calibration_constant(u_b_trace: NodalField, c0: float, mesh) -> float:
     u_b_trace is the bath potential trace on the heart surface (equal to the
     extracellular trace by transmission); the mean is lumped quadrature.
     """
-    vals = u_b_trace.check_on(mesh)
-    w = mesh.vertex_weights
-    return float(-c0 * (w @ vals) / w.sum())
+    return -c0 * _surface_mean(mesh, u_b_trace.check_on(mesh))
 
 
 def _surface_mean(mesh, vals: np.ndarray) -> float:
@@ -167,7 +165,6 @@ def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
     v = ui_field.values - ue
     diag.update({
         "zaremba_residual": zrep.residual_norm,
-        "flux_conservation": zrep.compatibility_defect,
         "c": c,
     })
     return ReconstructionOutput(
@@ -289,19 +286,12 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
     u_e_trace = NodalField(heart.surface_id, trace)
     c = calibration_constant(u_e_trace, 1.0, heart)
     diagnostics = {"c": c, "support_gap": gap - bump.radius}
+    ui_grid = None
     if proportional:
         if model.lam is None:
             raise ShapeMismatch("proportional null-space element needs lambda")
-        ui_trace = -float(model.lam) * trace + c
+        ui_field = NodalField(heart.surface_id, -float(model.lam) * trace + c)
         ui_grid = -float(model.lam) * u_grid + c
-        element = NullSpaceElement(
-            bump=bump, grid=grid, u_interior=u_grid,
-            u_e_trace=u_e_trace,
-            u_i_trace=NodalField(heart.surface_id, ui_trace),
-            grad_trace_norm=float(np.abs(grad_trace).max()),
-            proportional=True, u_i_interior=ui_grid,
-            diagnostics=diagnostics,
-        )
     else:
         ui_field, c_gen, diag = reconstruct_ui_general(
             u_e_trace, NodalField(heart.surface_id, np.zeros(heart.n_vertices)),
@@ -309,14 +299,12 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
         )
         diagnostics.update(diag)
         diagnostics["c"] = c_gen
-        element = NullSpaceElement(
-            bump=bump, grid=grid, u_interior=u_grid,
-            u_e_trace=u_e_trace, u_i_trace=ui_field,
-            grad_trace_norm=float(np.abs(grad_trace).max()),
-            proportional=False,
-            diagnostics=diagnostics,
-        )
-    return element
+    return NullSpaceElement(
+        bump=bump, grid=grid, u_interior=u_grid, u_e_trace=u_e_trace,
+        u_i_trace=ui_field, grad_trace_norm=float(np.abs(grad_trace).max()),
+        proportional=proportional, u_i_interior=ui_grid,
+        diagnostics=diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from cardiobem.assembly import (
     _close_field,
     _closest_points,
     _near_geometry,
-    _near_panel_integrals,
+    _near_integrals,
     _panel_quadrature,
     _panel_rule,
 )
@@ -290,9 +290,10 @@ def _near(M, kind, targets, panel="triangle"):
     corners, normal = ((_PANEL, _PANEL_NORMAL) if panel == "triangle"
                        else (_SEGMENT, _SEGMENT_NORMAL))
     p, dim = len(targets), corners.shape[1]
-    return _near_panel_integrals(
-        _KernelSet(M, dim, r0=LOG_KERNEL_SCALE), kind, np.asarray(targets, float),
-        np.broadcast_to(corners, (p, *corners.shape)), np.broadcast_to(normal, (p, dim)))
+    return _near_integrals(
+        _KernelSet(M, dim, r0=LOG_KERNEL_SCALE), kind, _near_geometry(
+            np.asarray(targets, float), np.broadcast_to(corners, (p, *corners.shape)),
+            np.broadcast_to(normal, (p, dim))))
 
 
 _TENSORS = [pytest.param(2.0 * np.eye(3), id="isotropic"),
@@ -409,9 +410,10 @@ def test_near_panel_integrals_match_subtriangle_loop(M, kind):
 
     p = len(targets)
     with np.errstate(all="raise"):
-        got = _near_panel_integrals(
-            Recording(M, 3), kind, targets, np.broadcast_to(_PANEL, (p, 3, 3)),
-            np.broadcast_to(_PANEL_NORMAL, (p, 3)))
+        got = _near_integrals(
+            Recording(M, 3), kind, _near_geometry(
+                targets, np.broadcast_to(_PANEL, (p, 3, 3)),
+                np.broadcast_to(_PANEL_NORMAL, (p, 3))))
     # 1 + 2 + 3 + 3 + 2 subtriangles of nonzero area, 64 points each
     assert Recording.points == 11 * 64
     for x, row in zip(targets, got):

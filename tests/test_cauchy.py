@@ -174,7 +174,7 @@ def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
     eta = rep.diagnostics["seminorms"]
     assert np.all(np.diff(rho) >= 0)
     assert np.all(np.diff(eta) <= 0)
-    assert len(rep.lcurve_points) == len(rho)
+    assert len(rho) == len(eta) == len(rep.diagnostics["alpha_grid"])
 
     path = tmp_path / "lc.csv"
     save_lcurve(rep, path)
@@ -185,7 +185,8 @@ def test_sweep_monotone_and_saved(tmp_path, model, domain2, fields2):
 
 
 def _reduced_system(M, domain):
-    """T, Lambda and the stacked penalty L = [P; P Lambda] of the reduced problem."""
+    """T, Lambda (to the heart-outward flux) and the stacked penalty
+    L = [P; P Lambda] of the reduced problem."""
     nh = domain.heart.n_vertices
     x, _ = _zaremba_transfer(as_tensor(M, 3), domain)
     lap = _graph_laplacian(domain.heart)
@@ -221,7 +222,7 @@ def test_identity_sweep_matches_per_alpha_loop(model, domain2, fields2, seed):
     assert rep.chosen_alpha == grid[idx]
     assert np.array_equal(rep.diagnostics["residuals"], rho)
     assert np.array_equal(rep.heart_dirichlet.values, us[idx])
-    assert np.array_equal(rep.heart_flux.values, -(lam @ us[idx]))
+    assert np.array_equal(rep.heart_flux.values, lam @ us[idx])
     assert rep.diagnostics["seminorms"] == pytest.approx(eta, rel=1e-12)
 
 
@@ -237,7 +238,7 @@ def _two_sphere_heart():
 @pytest.mark.parametrize("heart_kind", ["icosphere", "two_spheres"])
 def test_surface_gradient_matches_normal_equations(model, heart_kind):
     # rho = |T u - f| and eta = |L u| at every alpha, and the heart flux
-    # -Lambda u at the chosen one, with u from the normal equations
+    # Lambda u at the chosen one, with u from the normal equations
     # (T^T T + alpha L^T L) u = T^T f
     if heart_kind == "icosphere":
         heart = icosphere(2, 1.0, surface_id="heart")
@@ -258,7 +259,7 @@ def test_surface_gradient_matches_normal_equations(model, heart_kind):
         assert eta == pytest.approx(np.linalg.norm(lmat @ u), rel=1e-8)
         if alpha == rep.chosen_alpha:
             flux = rep.heart_flux.values
-            assert np.abs(flux + lam @ u).max() <= 1e-8 * np.abs(flux).max()
+            assert np.abs(flux - lam @ u).max() <= 1e-8 * np.abs(flux).max()
 
 
 @PENALTIES

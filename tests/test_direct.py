@@ -161,8 +161,8 @@ def test_zaremba_constant_data(model, heart2, domain2):
 
 
 def test_zaremba_transfer_matches_lu_solution(model, heart2, domain2, fields2):
-    # the cached transfer X = sysmat^-1 (-A[:, :nh]) against an LU solve of
-    # the mixed system with the same data
+    # the kept transfer against an LU solve of the mixed system with the
+    # same data, posed for the shell conormal q_h = -flux and u_t
     from scipy.linalg import lu_factor, lu_solve
 
     d = fields2["u_e"].values
@@ -360,7 +360,7 @@ def test_operators_go_with_their_owner():
     # the two-surface operators live on the domain, the one-surface ones on
     # their mesh: the domain keeps the Zaremba transfer and the Cauchy form
     # and no shell A and B, dropping it alone frees both, and it leaves the
-    # heart's own layers and inverse
+    # heart's Neumann entry, which keeps its bordered inverse and B but no A
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
     domain = DomainConfig(heart=heart, torso=torso)
@@ -380,15 +380,26 @@ def test_operators_go_with_their_owner():
     kept = heart.__dict__["_derived"]
     assert kept.keys() == own.keys()
     assert all(kept[key] is value for key, value in own.items())
-    operators = own[("operators", tensor.tobytes())]
-    assert [m.shape for m in operators] == [(heart.n_vertices,) * 2] * 2
-    assert ("neumann", tensor.tobytes()) in own
+    inv, _, b = own[("neumann", tensor.tobytes())]
+    assert [m.shape for m in (inv, b)] == [(heart.n_vertices,) * 2] * 2
+    assert [key for key in own if key[0] in ("operators", "dirichlet")] == []
 
 
-def test_protocols_share_one_zaremba_transfer(model):
+def test_protocols_share_one_zaremba_transfer(model, monkeypatch):
     # a cold protocol 2 on a fresh domain builds the Zaremba transfer once,
     # under its own key, beside the reduced Cauchy form and nothing else;
-    # protocol 1 after it finds every entry it needs and builds none
+    # protocol 1 after it finds every entry it needs and builds none.  The
+    # two assemble ten distinct layers, each once: the eight shell blocks
+    # under M_b and the heart's single and double layer under M_i
+    builds = []
+    assemble_layer = cardiobem.direct.assemble_layer
+
+    def recorded(kind, M, source, target=None):
+        builds.append((kind, as_tensor(M, 3).tobytes(), source.surface_id,
+                       None if target is None else target.surface_id))
+        return assemble_layer(kind, M, source, target)
+
+    monkeypatch.setattr(cardiobem.direct, "assemble_layer", recorded)
     heart = icosphere(1, 1.0, surface_id="heart")
     torso = icosphere(1, 2.0, surface_id="torso")
     domain = DomainConfig(heart=heart, torso=torso)
@@ -403,6 +414,7 @@ def test_protocols_share_one_zaremba_transfer(model):
         after = owner.__dict__["_derived"]
         assert after.keys() == entries.keys()
         assert all(after[k] is v for k, v in entries.items())
+    assert len(builds) == len(set(builds)) == 10
 
 
 def test_torso_sweep_keeps_no_dropped_torso(model, heart2):
@@ -458,8 +470,9 @@ def test_boundary_operators_match_block_reference(domain2, model):
         big[:nh, nh] = w
         big[nh, :nh] = w
         _solve_neumann_block(tensor, heart, np.zeros(nh))
-        kept = heart.__dict__["_derived"][("neumann", tensor.tobytes())][0]
+        kept, _, kept_b = heart.__dict__["_derived"][("neumann", tensor.tobytes())]
         assert np.array_equal(kept, np.linalg.inv(big)[:nh, :nh])
+        assert np.array_equal(kept_b, b)
 
 
 def test_cold_shell_build_transient_memory():

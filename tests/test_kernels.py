@@ -42,6 +42,8 @@ def test_proportionality_detection():
     skew = ConductivityModel(M_i=np.diag([1.0, 2.0, 3.0]),
                              M_e=np.diag([2.0, 4.0, 7.0]))
     assert skew.lam is None
+    with pytest.raises(TypeError):  # detected only, never given
+        ConductivityModel(lam=2.0)
 
 
 def test_as_tensor():

@@ -521,17 +521,24 @@ def test_domain_config_containment():
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_domain_config_gap_at_the_tolerance(level):
-    # a torso 2e-6 outside the heart: the check raises for a gap just below
-    # the tolerance and passes just above it
+    # a torso r outside the heart is kappa r away from it, with kappa set
+    # by the mesh's face heights: the check raises for a gap just below the
+    # 1e-6 cm tolerance and passes just above it
     heart = icosphere(level, 1.0, surface_id="heart")
-    torso = icosphere(level, 1.0 + 2e-6, surface_id="torso")
-    gap = min(surface_distance(torso, heart.vertices).min(),
-              surface_distance(heart, torso.vertices).min())
-    assert 1e-6 < gap < 2e-6
+
+    def gap_at(r):
+        torso = icosphere(level, 1.0 + r, surface_id="torso")
+        return torso, min(surface_distance(torso, heart.vertices).min(),
+                          surface_distance(heart, torso.vertices).min())
+
+    kappa = gap_at(2e-6)[1] / 2e-6
+    assert 0.5 < kappa < 1.0
+    torso, gap = gap_at(1e-6 * (1.0 - 1e-6) / kappa)
+    assert 1e-6 * (1.0 - 2e-6) < gap < 1e-6
     with pytest.raises(GeometryError, match=f"{gap:.3e}"):
-        DomainConfig(heart=heart, torso=torso,
-                     containment_tolerance=gap * (1.0 + 1e-9))
-    DomainConfig(heart=heart, torso=torso, containment_tolerance=gap * (1.0 - 1e-9))
+        DomainConfig(heart=heart, torso=torso)
+    torso, gap = gap_at(1e-6 * (1.0 + 1e-6) / kappa)
+    assert 1e-6 < gap < 1e-6 * (1.0 + 2e-6)
     DomainConfig(heart=heart, torso=torso)
 
 
@@ -630,15 +637,21 @@ def test_closest_points_on_segments():
 
 
 def test_require_off_surface_at_the_tolerance():
-    # a point 1e-4 off a face centroid along the normal: that face is the
-    # nearest, so the distance is 1e-4, and the message gives it
+    # points just inside and just outside the tolerance, 1e-9 x the box
+    # diagonal, off a face centroid along the normal: that face is the
+    # nearest, so the distance is the offset, and the message gives it
     m = icosphere(2, 1.0)
-    x = m.vertices[m.triangles[7]].mean(axis=0) + 1e-4 * m.normals[7]
-    d = surface_distance(m, x[None, :])[0]
-    assert d == pytest.approx(1e-4, rel=1e-9)
-    with pytest.raises(PointOnBoundary, match=f"{d:.3e}"):
-        require_off_surface(m, x[None, :], d * (1.0 + 1e-9))
-    require_off_surface(m, x[None, :], d * (1.0 - 1e-9))
+    tol = 1e-9 * np.linalg.norm(np.ptp(m.vertices, axis=0))
+    centroid = m.vertices[m.triangles[7]].mean(axis=0)
+    for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+        x = centroid + factor * tol * m.normals[7]
+        d = surface_distance(m, x[None, :])[0]
+        assert d == pytest.approx(factor * tol, rel=1e-6)
+        if factor < 1.0:
+            with pytest.raises(PointOnBoundary, match=f"{d:.3e}"):
+                require_off_surface(m, x[None, :])
+        else:
+            require_off_surface(m, x[None, :])
 
 
 def test_vertex_weights_built_once():

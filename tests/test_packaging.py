@@ -76,7 +76,9 @@ def test_direct_has_one_operator_builder():
     # every solver reads its owner's (A, B) from boundary_operators, so no
     # second builder of layer operators grows back in direct.py; the
     # builder keeps nothing, so the shell's A and B cannot be kept again
-    # beside the Zaremba transfer
+    # beside the Zaremba transfer, and the only entries kept are the three
+    # solution operators, so no shared ("operators", tensor) entry holding
+    # a closed mesh's A and B beside them grows back
     tree = ast.parse((ROOT / "src" / "cardiobem" / "direct.py").read_text())
 
     def callers(name):
@@ -88,6 +90,10 @@ def test_direct_has_one_operator_builder():
 
     assert callers("assemble_layer") == ["boundary_operators"]
     assert "boundary_operators" not in callers("_memo")
+    keys = sorted(node.args[1].elts[0].value for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_memo")
+    assert keys == ["dirichlet", "neumann", "zaremba"]
 
 
 def test_each_helper_has_one_home():

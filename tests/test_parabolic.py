@@ -133,8 +133,6 @@ def test_heat_kernel_mass(aniso_spec):
         assert heat_kernel_mass(aniso_spec, t) == pytest.approx(
             np.exp(-aniso_spec.reaction * t), abs=1e-9)
     assert heat_kernel_mass(aniso_spec, 0.0) == 0.0
-    clipped = heat_kernel_mass(aniso_spec, 0.5, half_width=0.3)
-    assert 0.0 < clipped < np.exp(-0.35)
 
 
 def test_poisson_semigroup(heart2):
