@@ -45,7 +45,8 @@ def main():
         fields = oracle.fields_on(heart, torso)
         domain = DomainConfig(heart=heart, torso=torso)
 
-        flux, report = solve_zaremba(model.M_b, domain, fields["heart_trace_ub"])
+        report = solve_zaremba(model.M_b, domain, fields["heart_trace_ub"])
+        flux = report.flux_trace
         flux_err = (np.abs(flux.values - fields["heart_flux"].values).max()
                     / np.abs(fields["heart_flux"].values).max())
         chest = report.solution_trace_outer.values

@@ -41,7 +41,7 @@ def main():
 
     # push the (numerically zero) trace through the torso shell anyway:
     # the chest potential it generates is zero to machine precision
-    _, report = solve_zaremba(model.M_b, domain, elem.u_e_trace)
+    report = solve_zaremba(model.M_b, domain, elem.u_e_trace)
     chest = np.abs(report.solution_trace_outer.values).max()
     print(f"chest signal sup:         {chest:.1e}")
 

@@ -12,7 +12,11 @@ config file (``--config``), then explicit flags (flags win), and writes the
 resolved set to ``run_manifest.json`` in the output directory.  Re-running
 that manifest reproduces every output byte for byte: no timestamps are
 written, floats are shortest-repr, and noise is drawn from a recorded seed.
-Noise exists only here; the library solvers are deterministic.
+Noise exists only here; the library solvers are deterministic.  The
+manifest's ``results`` hold only what no other file of the run holds: a
+single-field reconstruction's c, chosen alpha and diagnostics live in its
+``reconstruction.json``, and only a time record, which writes none, lists
+its per-frame c and chosen alpha there.
 
 Exit codes: 0 success, 2 validation error (bad flags, missing or malformed
 files, non-positive parameters), 3 solver or invariant failure.  The env
@@ -300,9 +304,8 @@ def _run_reconstruct_p1(cfg: RunConfig, out: Path) -> dict:
     model = _model(cfg)
     domain = DomainConfig(heart=heart, torso=torso)
     result = run_protocol_1(domain, model, u_e, c0=cfg["c0"])
-    manifest = write_reconstruction(result, out, heart, vtk=cfg["vtk"])
-    return {"c": result.c, "lambda": model.lam,
-            "diagnostics": manifest["diagnostics"]}
+    write_reconstruction(result, out, heart, vtk=cfg["vtk"])
+    return {"lambda": model.lam}
 
 
 def _selection(cfg: RunConfig):
@@ -352,9 +355,8 @@ def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
         f = load_nodal_field(fpath)
         f = NodalField(f.surface_id, _noisy(f.values, cfg), f.units)
         result = run_protocol_2(domain, model, f, tikhonov, c0=cfg["c0"])
-        manifest = write_reconstruction(result, out, heart, vtk=cfg["vtk"])
-        return {"c": result.c, "chosen_alpha": result.diagnostics["chosen_alpha"],
-                "diagnostics": manifest["diagnostics"]}
+        write_reconstruction(result, out, heart, vtk=cfg["vtk"])
+        return {}
 
     record = load_spacetime_field(fpath)
     frames = record.values.shape[1]
@@ -424,7 +426,7 @@ def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
     if cfg.get("torso"):
         torso = load_mesh(_require_file(cfg, "torso"), surface_id="torso")
         domain = DomainConfig(heart=heart, torso=torso)
-        _, rep = solve_zaremba(model.M_b, domain, elem.u_e_trace)
+        rep = solve_zaremba(model.M_b, domain, elem.u_e_trace)
         results["torso_signal_sup"] = float(
             np.abs(rep.solution_trace_outer.values).max())
     return results

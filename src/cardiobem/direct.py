@@ -11,6 +11,11 @@ point out of the shell and so flip sign on the heart.  The double-layer
 diagonal carries the identity D 1 = -1/2 across the full row, making
 1/2 I + D the exact interior limit at polyhedral vertices.
 
+Each solver returns one ``DirectSolveReport`` holding the boundary pair
+(trace, conormal flux) that the Green identity fixes.  Interior values are
+``assembly.green_representation`` of that pair, the one interior-value
+path of the package; this module never evaluates it.
+
 Conventions:
   - Single closed surface: the domain is its interior, fluxes are reported
     in the stored outward-normal conormal, nu . M grad u.
@@ -51,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble_layer, green_representation, volume_potential
+from .assembly import assemble_layer, volume_potential
 from .errors import IncompatibleData, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
 from .mesh import DomainConfig, NodalField, _memo
@@ -82,7 +87,8 @@ class DirectSolveReport:
     Neumann solve, and the flux conservation |oint flux| on the heart of a
     Zaremba solve.  solution_trace / flux_trace live on the primary surface
     (the single surface, or the heart of the shell); solution_trace_outer
-    carries the torso trace of a Zaremba solve.
+    carries the torso trace of a Zaremba solve.  The Dirichlet data of a
+    Dirichlet or Zaremba solve is held as the caller's field itself.
     """
 
     residual_norm: float
@@ -157,15 +163,15 @@ def boundary_operators(M, owner):
 # Dirichlet
 
 
-def solve_dirichlet(M, mesh, u0, targets=None, g_volume=None):
-    """Solve the Dirichlet problem inside one closed mesh.
+def solve_dirichlet(M, mesh, u0, g_volume=None):
+    """Solve the Dirichlet problem inside one closed mesh; returns the report.
 
     u0 is a NodalField on ``mesh``, ``g_volume`` an optional
     (InteriorGrid, values) volume source.  The conormal trace solves
-    B q = A u0 - T(g) through the inverse of B, kept beside A on the mesh;
-    values at ``targets`` follow from the representation formula.  The flux
-    is reported in the stored outward convention.  A DomainConfig raises
-    ShapeMismatch: the protocols pose no Dirichlet problem in the shell.
+    B q = A u0 - T(g) through the inverse of B, kept beside A on the mesh.
+    The report's solution_trace is u0 itself, its flux_trace q in the
+    stored outward convention.  A DomainConfig raises ShapeMismatch: the
+    protocols pose no Dirichlet problem in the shell.
     """
     if isinstance(mesh, DomainConfig):
         raise ShapeMismatch("solve_dirichlet takes one closed mesh, "
@@ -182,17 +188,11 @@ def solve_dirichlet(M, mesh, u0, targets=None, g_volume=None):
     if g_volume is not None:
         grid, g = g_volume
         rhs = rhs - volume_potential(tensor, grid, g, mesh.vertices).values
-    report = DirectSolveReport(
+    return DirectSolveReport(
         residual_norm=build_residual * float(np.linalg.norm(rhs)),
-        solution_trace=NodalField(mesh.surface_id, u0v),
+        solution_trace=u0,
         flux_trace=NodalField(mesh.surface_id, b_inv @ rhs, units="mV*mS/cm^2"),
     )
-    values = None
-    if targets is not None:
-        values = green_representation(tensor, mesh, report.solution_trace,
-                                      report.flux_trace, np.atleast_2d(targets),
-                                      g_volume)
-    return values, report
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     return u0, u1, defect, residual, w @ u0
 
 
-def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
+def solve_neumann_normalized(M, mesh, u1, g_volume=None, *,
                              project: bool = False):
     """Solve Delta_M u = g, nu . M grad u = u1, with lumped mean zero.
 
@@ -267,6 +267,8 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
     ``project`` is set, in which case u1 is shifted by a constant to the
     compatible subspace and the defect is reported.  The normalization
     |oint u dsigma| = 0 is enforced as a bordered linear constraint.
+    Returns the report: solution_trace is u, flux_trace the flux solved
+    for (u1, or its projection).
     """
     tensor = as_tensor(M, mesh.dim)
     u1v = _values_on(u1, mesh)
@@ -278,19 +280,13 @@ def solve_neumann_normalized(M, mesh, u1, g_volume=None, targets=None, *,
         volume = volume_potential(tensor, grid, g, mesh.vertices).values
     u0, u1v, defect, residual, normalization = _solve_neumann_block(
         tensor, mesh, u1v, source_total, volume, project=project)
-    report = DirectSolveReport(
+    return DirectSolveReport(
         residual_norm=float(residual),
         compatibility_defect=abs(float(defect)),
         normalization_value=float(normalization),
         solution_trace=NodalField(mesh.surface_id, u0),
         flux_trace=NodalField(mesh.surface_id, u1v, units="mV*mS/cm^2"),
     )
-    values = None
-    if targets is not None:
-        values = green_representation(tensor, mesh, report.solution_trace,
-                                      report.flux_trace, np.atleast_2d(targets),
-                                      g_volume)
-    return values, report
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +318,12 @@ def _zaremba_transfer(tensor, domain) -> tuple:
 
 
 def solve_zaremba(M, domain, u_dirichlet_on_heart):
-    """Dirichlet data on the heart, zero flux on the torso: heart flux out.
+    """Dirichlet data on the heart, zero flux on the torso; returns the report.
 
-    Solves the mixed problem in the shell of ``domain`` and returns
-    nu_i . M grad u on the heart (heart-outward conormal) as a NodalField
-    plus the report; the torso trace rides along as solution_trace_outer.
+    Solves the mixed problem in the shell of ``domain``.  The report's
+    flux_trace is nu_i . M grad u on the heart (heart-outward conormal),
+    its solution_trace the heart data itself and its solution_trace_outer
+    the torso trace.
     """
     heart, torso = domain.heart, domain.torso
     tensor = as_tensor(M, heart.dim)
@@ -335,11 +332,10 @@ def solve_zaremba(M, domain, u_dirichlet_on_heart):
     x, build_residual = _zaremba_transfer(tensor, domain)
     sol = x @ d
     flux, u_t = sol[:nh], sol[nh:]
-    report = DirectSolveReport(
+    return DirectSolveReport(
         residual_norm=build_residual * float(np.linalg.norm(d)),
         compatibility_defect=abs(float(heart.vertex_weights @ flux)),
-        solution_trace=NodalField(heart.surface_id, d),
+        solution_trace=u_dirichlet_on_heart,
         solution_trace_outer=NodalField(torso.surface_id, u_t),
         flux_trace=NodalField(heart.surface_id, flux, units="mV*mS/cm^2"),
     )
-    return report.flux_trace, report

@@ -118,8 +118,9 @@ class ConductivityModel:
     lam: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        mi = as_tensor(self.M_i)
-        me = as_tensor(self.M_e)
+        # copies, frozen below: the caller's arrays stay writeable
+        mi = as_tensor(self.M_i).copy()
+        me = as_tensor(self.M_e).copy()
         if self.m_b <= 0 or self.chi <= 0 or self.C_m <= 0:
             raise ShapeMismatch("m_b, chi and C_m must be positive")
         ratio = np.trace(me) / np.trace(mi)
@@ -154,10 +155,11 @@ class HeatOperatorSpec:
     dim: int = 3
 
     def __post_init__(self) -> None:
-        m = as_tensor(self.M, self.dim)
+        # copies, frozen below: the caller's arrays stay writeable
+        m = as_tensor(self.M, self.dim).copy()
         if self.scale <= 0.0:
             raise ShapeMismatch("diffusion scale must be positive")
-        drift = np.zeros(self.dim) if self.drift is None else np.asarray(self.drift, float)
+        drift = np.zeros(self.dim) if self.drift is None else np.array(self.drift, float)
         if drift.shape != (self.dim,):
             raise ShapeMismatch(f"drift must have shape ({self.dim},)")
         m.flags.writeable = False

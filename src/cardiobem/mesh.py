@@ -44,7 +44,6 @@ __all__ = [
     "PointLocation",
     "load_mesh",
     "save_mesh",
-    "signed_volume",
     "point_location",
     "points_inside",
     "surface_distance",
@@ -178,8 +177,9 @@ class _Mesh:
 
     def __post_init__(self) -> None:
         k, kind = self._WIDTH, self._ELEMENTS
-        verts = np.asarray(self.vertices, dtype=float)
-        els = np.asarray(getattr(self, kind), dtype=np.int64)
+        # copies, frozen below: the caller's arrays stay writeable
+        verts = np.array(self.vertices, dtype=float)
+        els = np.array(getattr(self, kind), dtype=np.int64)
         if verts.ndim != 2 or verts.shape[1] != k or len(verts) <= k:
             raise GeometryError(f"vertices must be an (n>={k + 1}, {k}) array")
         if els.ndim != 2 or els.shape[1] != k or len(els) <= k:
@@ -189,11 +189,11 @@ class _Mesh:
         if els.min() < 0 or els.max() >= len(verts):
             raise GeometryError(f"{kind} index vertices out of range")
         self._check_closed(len(verts), els)
-        if signed_volume(verts, els) < 0.0:
+        if _signed_volume(verts, els) < 0.0:
             logger.info("%s %r stored with inward orientation; applying global "
                         "flip", type(self).__name__, self.surface_id)
             els = els[:, ::-1]
-        volume = signed_volume(verts, els)
+        volume = _signed_volume(verts, els)
         if volume <= 0.0:
             raise GeometryError("mesh encloses no positive volume (area in 2D)")
         normals, areas = self._frames(verts, els)
@@ -375,7 +375,8 @@ class NodalField:
     units: str = "mV"
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        # a copy, frozen below: the caller's array stays writeable
+        vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise ShapeMismatch("field values must be one-dimensional")
         if not np.all(np.isfinite(vals)):
@@ -450,12 +451,10 @@ def _signed_area(verts: np.ndarray, segs: np.ndarray) -> float:
     return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
 
 
-def signed_volume(vertices, triangles) -> float:
+def _signed_volume(verts: np.ndarray, tris: np.ndarray) -> float:
     """Signed enclosed volume of a closed triangle mesh (divergence theorem),
     or signed area of a closed curve, with the sign of the winding given.
     """
-    verts = np.asarray(vertices, dtype=float)
-    tris = np.asarray(triangles, dtype=np.int64)
     if verts.shape[1] == 2:
         return _signed_area(verts, tris)
     p0, p1, p2 = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]

@@ -303,6 +303,9 @@ class _TermSolution:
 class BidomainSteadyOracle:
     """Closed-form consistent dataset for the steady proportional model.
 
+    The model's tensors must be isotropic, M_i = sigma_i I and
+    M_e = sigma_e I, or ShapeMismatch is raised.
+
     Evaluation methods take (n, dim) point arrays restricted to the natural
     domain of each field (heart ball/disk for u_e, u_i, v, w; shell/annulus
     for u_b).  ``fields_on`` samples everything on meshes.
@@ -311,13 +314,19 @@ class BidomainSteadyOracle:
     def __init__(self, geometry, model, u_e_spec: HarmonicSpec, c0: float = 1.0):
         if not model.proportional:
             raise ShapeMismatch("oracle requires a proportional conductivity model")
+        # the closed forms take one scalar sigma per tissue: M_i must be
+        # sigma_i I (and so M_e = lam M_i is sigma_e I)
+        mi = model.M_i
+        if np.abs(mi - mi[0, 0] * np.eye(len(mi))).max() > 1e-12 * np.abs(mi).max():
+            raise ShapeMismatch("oracle requires isotropic tensors, M_i a "
+                                "multiple of the identity")
         self.geometry = geometry
         self.model = model
         self.c0 = float(c0)
         self.dim = geometry.dim
         R1, R2 = geometry.R1, geometry.R2
-        sigma_i = float(np.asarray(model.M_i).reshape(-1)[0]) if np.ndim(model.M_i) else float(model.M_i)
-        sigma_e = float(np.asarray(model.M_e).reshape(-1)[0]) if np.ndim(model.M_e) else float(model.M_e)
+        sigma_i = float(model.M_i[0, 0])
+        sigma_e = float(model.M_e[0, 0])
         m_b = float(model.m_b)
         self.sigma_i, self.sigma_e, self.m_b = sigma_i, sigma_e, m_b
         self.lam = float(model.lam)

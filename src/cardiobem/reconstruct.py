@@ -60,7 +60,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ReconstructionOutput:
-    """Recovered heart-surface fields; v = u_i - u_e holds nodewise."""
+    """Recovered heart-surface fields; v = u_i - u_e holds nodewise.
+
+    ``c`` is the calibration constant and is held here only; ``diagnostics``
+    holds the solves' residuals, defects and flags.
+    """
 
     u_e: NodalField
     u_i: NodalField
@@ -98,8 +102,8 @@ def reconstruct_ui_proportional(u_e: NodalField, heart_flux_of_ub: NodalField,
         raise ShapeMismatch("proportional reconstruction needs the model lambda")
     ue = u_e.check_on(heart)
     lam = float(model.lam)
-    _, rep = solve_neumann_normalized(model.M_i, heart, heart_flux_of_ub,
-                                      project=True)
+    rep = solve_neumann_normalized(model.M_i, heart, heart_flux_of_ub,
+                                   project=True)
     c = calibration_constant(u_e, c0, heart)
     ui = -lam * (ue - _surface_mean(heart, ue)) + rep.solution_trace.values + c
     diagnostics = {
@@ -134,8 +138,8 @@ def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
     g = grid.elliptic_apply(tensor_e, np.asarray(ue_grid, dtype=float))
     zero_flux = NodalField(heart.surface_id, np.zeros(heart.n_vertices),
                            units="mV*mS/cm^2")
-    _, rep = solve_neumann_normalized(as_tensor(M_i, 3), heart, zero_flux,
-                                      g_volume=(grid, g), project=True)
+    rep = solve_neumann_normalized(as_tensor(M_i, 3), heart, zero_flux,
+                                   g_volume=(grid, g), project=True)
     c = calibration_constant(u_e, c0, heart)
     ui = -rep.solution_trace.values + c
     diagnostics = {
@@ -144,6 +148,22 @@ def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
         "normalization": rep.normalization_value,
     }
     return NodalField(heart.surface_id, ui), c, diagnostics
+
+
+def _tail(heart, model: ConductivityModel, u_e: NodalField, flux: NodalField,
+          c0: float, diagnostics: dict) -> ReconstructionOutput:
+    """The steps both protocols end with: the Neumann step for u_i, then
+    v = u_i - u_e, then the output, which holds ``u_e`` itself and
+    ``diagnostics`` beside the Neumann step's own."""
+    ui_field, c, diag = reconstruct_ui_proportional(u_e, flux, model, c0, heart)
+    diag.update(diagnostics)
+    return ReconstructionOutput(
+        u_e=u_e,
+        u_i=ui_field,
+        v=NodalField(heart.surface_id, ui_field.values - u_e.values),
+        c=c,
+        diagnostics=diag,
+    )
 
 
 def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
@@ -156,24 +176,9 @@ def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
     solution operator's build residual times the norm of the vector it is
     applied to (see ``DirectSolveReport``).
     """
-    heart = domain.heart
-    ue = u_e_measured.check_on(heart)
-    flux, zrep = solve_zaremba(model.M_b, domain, u_e_measured)
-    ui_field, c, diag = reconstruct_ui_proportional(
-        u_e_measured, flux, model, c0, heart
-    )
-    v = ui_field.values - ue
-    diag.update({
-        "zaremba_residual": zrep.residual_norm,
-        "c": c,
-    })
-    return ReconstructionOutput(
-        u_e=NodalField(heart.surface_id, ue),
-        u_i=ui_field,
-        v=NodalField(heart.surface_id, v),
-        c=c,
-        diagnostics=diag,
-    )
+    zrep = solve_zaremba(model.M_b, domain, u_e_measured)
+    return _tail(domain.heart, model, u_e_measured, zrep.flux_trace, c0,
+                 {"zaremba_residual": zrep.residual_norm})
 
 
 def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
@@ -187,29 +192,14 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
     is the torso misfit |T u_h - f| at the chosen alpha; every flag the
     Cauchy solve sets (a fallback, zero data) is set in the diagnostics.
     """
-    heart = domain.heart
     cauchy: CauchySolveReport = solve_cauchy_elliptic(model.M_b, domain, f,
                                                       config=tikhonov)
-    ui_field, c, diag = reconstruct_ui_proportional(
-        cauchy.heart_dirichlet, cauchy.heart_flux, model, c0, heart
-    )
-    ue = cauchy.heart_dirichlet.values
-    v = ui_field.values - ue
-    diag.update({
-        "chosen_alpha": cauchy.chosen_alpha,
-        "cauchy_residual": cauchy.residual_norm,
-        "c": c,
-    })
-    # every flag the Cauchy solve set (a fallback, zero data) is the
-    # protocol's too
-    diag.update({k: True for k, v in cauchy.diagnostics.items() if v is True})
-    return ReconstructionOutput(
-        u_e=cauchy.heart_dirichlet,
-        u_i=ui_field,
-        v=NodalField(heart.surface_id, v),
-        c=c,
-        diagnostics=diag,
-    )
+    diagnostics = {"chosen_alpha": cauchy.chosen_alpha,
+                   "cauchy_residual": cauchy.residual_norm}
+    diagnostics.update({k: True for k, v in cauchy.diagnostics.items()
+                        if v is True})
+    return _tail(domain.heart, model, cauchy.heart_dirichlet, cauchy.heart_flux,
+                 c0, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +303,14 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
 
 def write_reconstruction(out: ReconstructionOutput, directory, heart,
                          vtk: bool = False) -> dict:
-    """Write per-surface CSVs, a JSON run manifest, optionally VTK POLYDATA.
+    """Write u_e, u_i and v as CSVs, ``reconstruction.json``, optionally VTK.
 
-    Returns the manifest dict.  File contents are deterministic: repr-exact
-    floats (``mesh._format_rows``), no timestamps.  Files are rewritten in
-    place (see ``mesh._write_text``).  ``directory`` (a ``str`` or path-like)
+    ``reconstruction.json`` holds each number of ``out`` once: ``c`` at its
+    top, the numeric diagnostics under ``diagnostics``, the flags under
+    ``flags``, beside the file names and the surface id; the dict written
+    is returned.  A CLI run manifest repeats none of it.  File contents are
+    deterministic: repr-exact floats (``mesh._format_rows``), no
+    timestamps.  Files are rewritten in place (see ``mesh._write_text``).  ``directory`` (a ``str`` or path-like)
     and its parents are made when it is not a directory yet; a path that is
     a file raises ``FileExistsError``.  Paths are joined as strings: building
     ``Path`` objects costs a measurable share of a small write.

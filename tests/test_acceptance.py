@@ -86,13 +86,13 @@ def test_criterion_02_neumann_solver():
     bad = NodalField("sphere", np.ones(mesh.n_vertices), units="mV*mS/cm^2")
     with pytest.raises(IncompatibleData):
         solve_neumann_normalized(1.0, mesh, bad)
-    _, rep_bad = solve_neumann_normalized(1.0, mesh, bad, project=True)
+    rep_bad = solve_neumann_normalized(1.0, mesh, bad, project=True)
     defect_err = abs(rep_bad.compatibility_defect - area) / area
 
     # degree-1 flux z on the unit sphere: the trace of the Neumann solution
     # is z itself (eigenvalue 1 of the trace-from-flux map)
     g = NodalField("sphere", mesh.vertices[:, 2], units="mV*mS/cm^2")
-    _, rep = solve_neumann_normalized(1.0, mesh, g)
+    rep = solve_neumann_normalized(1.0, mesh, g)
     z = mesh.vertices[:, 2]
     trace = rep.solution_trace.values
     steklov = np.linalg.norm(trace - z) / np.linalg.norm(z)
@@ -111,7 +111,8 @@ def test_criterion_03_zaremba_degree_one(model, heart3, domain3):
     d = 30.0
     z = heart3.vertices[:, 2]
     data = NodalField("heart", d * z)
-    flux, rep = solve_zaremba(model.M_b, domain3, data)
+    rep = solve_zaremba(model.M_b, domain3, data)
+    flux = rep.flux_trace
 
     a_c, b_c = d / 5.0, 4.0 * d / 5.0
     oracle = model.m_b * (a_c - 2.0 * b_c) * z  # heart-outward conormal at r=1
@@ -135,7 +136,7 @@ def test_criterion_04_nullspace_certification(model, heart2, domain2):
                            ((-0.1, 0.15, 0.0), 0.6)]:
         bump = CubicRadial(center=center, radius=radius, amplitude=amp)
         elem = generate_nullspace_element(heart2, grid, model, bump)
-        _, rep = solve_zaremba(model.M_b, domain2, elem.u_e_trace)
+        rep = solve_zaremba(model.M_b, domain2, elem.u_e_trace)
         worst_torso = max(worst_torso,
                           np.abs(rep.solution_trace_outer.values).max())
         ident = np.abs(elem.u_i_trace.values + model.lam * elem.u_e_trace.values

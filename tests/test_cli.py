@@ -101,11 +101,36 @@ def test_reconstruct_p1_end_to_end(tmp_path, synth_dir):
                  "--torso", str(synth_dir / "torso.off"),
                  "--u-e", str(synth_dir / "u_e.csv"), "--out", str(out)])
     assert code == 0
-    doc = json.loads((out / "run_manifest.json").read_text())
-    assert np.isfinite(doc["results"]["c"])
+    doc = json.loads((out / "reconstruction.json").read_text())
+    assert np.isfinite(doc["c"])
     v = load_nodal_field(out / "v.csv")
     truth = load_nodal_field(synth_dir / "v.csv")
     assert rmse(v, truth) < 0.05 * np.ptp(truth.values)
+
+
+def _key_count(doc, key):
+    if isinstance(doc, dict):
+        return (key in doc) + sum(_key_count(v, key) for v in doc.values())
+    if isinstance(doc, list):
+        return sum(_key_count(v, key) for v in doc)
+    return 0
+
+
+@pytest.mark.parametrize("protocol", ["p1", "p2"])
+def test_run_directory_writes_each_number_once(tmp_path, synth_dir, protocol):
+    # c and the chosen alpha live in reconstruction.json alone; the run
+    # manifest's results repeat none of its numbers
+    data = (["--u-e", str(synth_dir / "u_e.csv")] if protocol == "p1" else
+            ["--f", str(synth_dir / "f.csv"), "--alpha-count", "8"])
+    out = tmp_path / protocol
+    assert main([f"reconstruct-{protocol}", "--heart", str(synth_dir / "heart.off"),
+                 "--torso", str(synth_dir / "torso.off"), *data,
+                 "--out", str(out)]) == 0
+    docs = [json.loads((out / name).read_text())
+            for name in ("reconstruction.json", "run_manifest.json")]
+    assert sum(_key_count(doc, "c") for doc in docs) == 1
+    assert sum(_key_count(doc, "chosen_alpha") for doc in docs) == (protocol == "p2")
+    assert "diagnostics" not in docs[1]["results"]
 
 
 def test_reconstruct_p2_time_record(tmp_path, synth_dir, monkeypatch):

@@ -21,6 +21,7 @@ from cardiobem import (
     ShapeMismatch,
     SolveFailure,
     NodalField,
+    green_representation,
     icosphere,
     solve_cauchy_elliptic,
     solve_dirichlet,
@@ -38,9 +39,13 @@ def sphere():
 
 
 def test_dirichlet_single_surface(sphere):
+    # the solve returns the boundary pair; interior values are the Green
+    # representation of it
     z = sphere.vertices[:, 2]
     targets = np.array([[0.0, 0.0, 0.4], [0.3, -0.1, 0.2]])
-    values, rep = solve_dirichlet(1.0, sphere, NodalField("s", z), targets)
+    rep = solve_dirichlet(1.0, sphere, NodalField("s", z))
+    values = green_representation(1.0, sphere, rep.solution_trace,
+                                  rep.flux_trace, targets)
     assert values == pytest.approx(targets[:, 2], rel=2e-2)
     # recovered conormal of u = z on the unit sphere is z again
     assert (np.linalg.norm(rep.flux_trace.values - z)
@@ -50,8 +55,8 @@ def test_dirichlet_single_surface(sphere):
 
 def test_neumann_degree_one(sphere):
     z = sphere.vertices[:, 2]
-    _, rep = solve_neumann_normalized(1.0, sphere,
-                                      NodalField("s", z, units="mV*mS/cm^2"))
+    rep = solve_neumann_normalized(1.0, sphere,
+                                   NodalField("s", z, units="mV*mS/cm^2"))
     trace = rep.solution_trace.values
     assert np.linalg.norm(trace - z) / np.linalg.norm(z) < 0.02
     assert abs(rep.normalization_value) < 1e-8
@@ -67,9 +72,9 @@ def test_neumann_compatibility(sphere):
     # projection removes exactly the constant offset: same solution as z
     z = sphere.vertices[:, 2]
     shifted = NodalField("s", z + 3.0, units="mV*mS/cm^2")
-    _, rep = solve_neumann_normalized(1.0, sphere, shifted, project=True)
-    _, ref = solve_neumann_normalized(1.0, sphere,
-                                      NodalField("s", z, units="mV*mS/cm^2"))
+    rep = solve_neumann_normalized(1.0, sphere, shifted, project=True)
+    ref = solve_neumann_normalized(1.0, sphere,
+                                   NodalField("s", z, units="mV*mS/cm^2"))
     assert rep.solution_trace.values == pytest.approx(
         ref.solution_trace.values, abs=1e-10)
     area = sphere.vertex_weights.sum()
@@ -103,7 +108,7 @@ def test_neumann_block_matches_column_solves(sphere, caplog):
     shifted = [r for r in caplog.records if "projected" in r.getMessage()]
     assert len(shifted) == 1 and "3 of 6" in shifted[0].getMessage()
     for j in range(block.shape[1]):
-        _, rep = solve_neumann_normalized(
+        rep = solve_neumann_normalized(
             tensor, sphere, NodalField("s", block[:, j], units="mV*mS/cm^2"),
             project=True)
         want = rep.solution_trace.values
@@ -126,8 +131,8 @@ def test_neumann_volume_source(sphere):
     g = np.full(grid.n_cells, -6.0)
     flux = NodalField("s", np.full(sphere.n_vertices, 2.0),
                       units="mV*mS/cm^2")
-    _, rep = solve_neumann_normalized(1.0, sphere, flux, g_volume=(grid, g),
-                                      project=True)
+    rep = solve_neumann_normalized(1.0, sphere, flux, g_volume=(grid, g),
+                                   project=True)
     scale = np.abs(rep.flux_trace.values).max()
     assert np.abs(rep.solution_trace.values).max() < 0.05 * scale
 
@@ -136,7 +141,8 @@ def test_zaremba_degree_one(model, heart2, torso2, domain2):
     # zero-flux outer wall: u = (r/5 + 4/(5 r^2)) d cos(theta) for u(1) = d cos
     d = 30.0
     zh = heart2.vertices[:, 2]
-    flux, rep = solve_zaremba(model.M_b, domain2, NodalField("heart", d * zh))
+    rep = solve_zaremba(model.M_b, domain2, NodalField("heart", d * zh))
+    flux = rep.flux_trace
     oracle_flux = model.m_b * (d / 5.0 - 2 * 4.0 * d / 5.0) * zh
     assert (np.linalg.norm(flux.values - oracle_flux)
             / np.linalg.norm(oracle_flux)) < 0.06
@@ -155,9 +161,17 @@ def test_zaremba_degree_one(model, heart2, torso2, domain2):
 def test_zaremba_constant_data(model, heart2, domain2):
     # constant Dirichlet data extends as a constant: zero flux everywhere
     ones = NodalField("heart", np.full(heart2.n_vertices, 5.0))
-    flux, rep = solve_zaremba(model.M_b, domain2, ones)
+    rep = solve_zaremba(model.M_b, domain2, ones)
+    flux = rep.flux_trace
     assert np.abs(flux.values).max() < 1e-8
     assert rep.solution_trace_outer.values == pytest.approx(5.0, abs=1e-8)
+
+
+def test_reports_hold_the_callers_dirichlet_data(model, heart2, domain2):
+    # the validated data field is the report's trace, not a copy of it
+    data = NodalField("heart", heart2.vertices[:, 2])
+    assert solve_zaremba(model.M_b, domain2, data).solution_trace is data
+    assert solve_dirichlet(model.M_b, heart2, data).solution_trace is data
 
 
 def test_zaremba_transfer_matches_lu_solution(model, heart2, domain2, fields2):
@@ -166,7 +180,8 @@ def test_zaremba_transfer_matches_lu_solution(model, heart2, domain2, fields2):
     from scipy.linalg import lu_factor, lu_solve
 
     d = fields2["u_e"].values
-    flux, rep = solve_zaremba(model.M_b, domain2, fields2["u_e"])
+    rep = solve_zaremba(model.M_b, domain2, fields2["u_e"])
+    flux = rep.flux_trace
     a, b = boundary_operators(cardiobem.as_tensor(model.M_b, 3), domain2)
     nh = heart2.n_vertices
     sysmat = np.hstack([-b[:, :nh], a[:, nh:]])
@@ -194,17 +209,18 @@ def test_reported_residual_bounds_the_fresh_residual(level):
     x, y, z = heart.vertices.T
     rng = np.random.default_rng(level)
     for d in (z, x * y, 50.0 * x * z + 3.0, np.ones(nh), rng.standard_normal(nh)):
-        flux, rep = solve_zaremba(7.0, domain, NodalField("heart", d))
+        rep = solve_zaremba(7.0, domain, NodalField("heart", d))
+        flux = rep.flux_trace
         u_t = rep.solution_trace_outer.values
         fresh = np.linalg.norm(a @ np.concatenate([d, u_t]) - b[:, :nh] @ -flux.values)
         assert fresh <= rep.residual_norm < 1e-10
 
-        _, rep = solve_dirichlet(7.0, heart, NodalField("heart", d))
+        rep = solve_dirichlet(7.0, heart, NodalField("heart", d))
         fresh = np.linalg.norm(b_h @ rep.flux_trace.values - a_h @ d)
         assert fresh <= rep.residual_norm < 1e-10
 
-        _, rep = solve_neumann_normalized(7.0, heart, NodalField("heart", d),
-                                          project=True)
+        rep = solve_neumann_normalized(7.0, heart, NodalField("heart", d),
+                                       project=True)
         u0 = rep.solution_trace.values
         misfit = a_h @ u0 - b_h @ rep.flux_trace.values
         lam = -(w @ misfit) / (w @ w)
@@ -299,12 +315,12 @@ from cardiobem import DomainConfig, NodalField, icosphere, solve_zaremba
 heart = icosphere(2, 1.0, surface_id="heart")
 domain = DomainConfig(heart=heart, torso=icosphere(2, 2.0, surface_id="torso"))
 data = NodalField("heart", heart.vertices[:, 2].copy())
-want = solve_zaremba(7.0, domain, data)[0].values
+want = solve_zaremba(7.0, domain, data).flux_trace.values
 wrong = []
 
 def work():
     for _ in range(600):
-        got = solve_zaremba(7.0, domain, data)[0].values
+        got = solve_zaremba(7.0, domain, data).flux_trace.values
         if not np.array_equal(got, want):
             wrong.append(1)
 
@@ -338,7 +354,7 @@ def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
 
     def work():
         barrier.wait()
-        fluxes.append(solve_zaremba(7.0, domain, data)[0].values)
+        fluxes.append(solve_zaremba(7.0, domain, data).flux_trace.values)
 
     threads = [threading.Thread(target=work) for _ in range(4)]
     interval = sys.getswitchinterval()

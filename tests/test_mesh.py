@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cardiobem import (
+    ConductivityModel,
     CurveMesh,
     DomainConfig,
     GeometryError,
@@ -96,6 +97,34 @@ def test_nodal_field_checks():
         NodalField("heart", np.zeros(5)).check_on(m)
     with pytest.raises(ShapeMismatch):
         NodalField("torso", m.vertices[:, 2]).check_on(m)
+
+
+def test_constructors_copy_the_callers_arrays():
+    # each object freezes its own copy: the caller's array stays writeable,
+    # and writing to it later leaves the object's array as it was
+    octa, loop = octahedron(), circle_curve(1.0, 8, surface_id="c")
+    cases = [
+        (lambda a: NodalField("h", a), np.arange(5.0), lambda o: o.values),
+        (lambda a: SurfaceMesh(a, octa.triangles, surface_id="o"),
+         octa.vertices.copy(), lambda o: o.vertices),
+        (lambda a: SurfaceMesh(octa.vertices, a, surface_id="o"),
+         octa.triangles.copy(), lambda o: o.triangles),
+        (lambda a: CurveMesh(a, loop.segments, surface_id="c"),
+         loop.vertices.copy(), lambda o: o.vertices),
+        (lambda a: CurveMesh(loop.vertices, a, surface_id="c"),
+         loop.segments.copy(), lambda o: o.segments),
+        (lambda a: ConductivityModel(M_i=a), 3.0 * np.eye(3), lambda o: o.M_i),
+        (lambda a: ConductivityModel(M_e=a), 9.0 * np.eye(3), lambda o: o.M_e),
+        (lambda a: HeatOperatorSpec(M=a), np.diag([1.0, 2.0, 3.0]), lambda o: o.M),
+        (lambda a: HeatOperatorSpec(drift=a), np.array([0.1, 0.2, 0.3]),
+         lambda o: o.drift),
+    ]
+    for make, given, held in cases:
+        before = given.copy()
+        kept = held(make(given))
+        assert given.flags.writeable and not kept.flags.writeable
+        given[0] = given[1]
+        assert np.array_equal(kept, before)
 
 
 @pytest.mark.parametrize("fmt", ["off", "json", "vtk"])

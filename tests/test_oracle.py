@@ -77,6 +77,21 @@ def test_zero_c0_zeroes_the_constant(model):
     assert orc.c == 0.0
 
 
+def test_anisotropic_model_is_refused():
+    # a proportional but anisotropic model has no closed form here: reading
+    # M_i[0, 0] as sigma would give a wrong bath flux, so it is refused
+    spec = HarmonicSpec(terms=(HarmonicTerm(1, 0, a=30.0),),
+                        geometry=Shell3D(1.0, 2.0))
+    m_i = np.diag([3.0, 1.0, 0.5])
+    aniso = ConductivityModel(M_i=m_i, M_e=2.5 * m_i)
+    assert aniso.proportional
+    with pytest.raises(ShapeMismatch, match="isotropic"):
+        synth_bidomain_steady(Shell3D(1.0, 2.0), aniso, spec)
+    iso = ConductivityModel(M_i=3.0 * np.eye(3), M_e=7.5 * np.eye(3))
+    orc = synth_bidomain_steady(Shell3D(1.0, 2.0), iso, spec)
+    assert (orc.sigma_i, orc.sigma_e) == (3.0, 7.5)
+
+
 def test_degree_cap():
     with pytest.raises(ResolvabilityError):
         HarmonicSpec(terms=(HarmonicTerm(9, 0, a=1.0),),

@@ -78,7 +78,9 @@ def test_direct_has_one_operator_builder():
     # builder keeps nothing, so the shell's A and B cannot be kept again
     # beside the Zaremba transfer, and the only entries kept are the three
     # solution operators, so no shared ("operators", tensor) entry holding
-    # a closed mesh's A and B beside them grows back
+    # a closed mesh's A and B beside them grows back; the solvers return
+    # the boundary pair and leave interior values to green_representation,
+    # which direct.py neither calls nor imports
     tree = ast.parse((ROOT / "src" / "cardiobem" / "direct.py").read_text())
 
     def callers(name):
@@ -94,6 +96,10 @@ def test_direct_has_one_operator_builder():
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "id", None) == "_memo")
     assert keys == ["dirichlet", "neumann", "zaremba"]
+    assert callers("green_representation") == []
+    assert "green_representation" not in {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_each_helper_has_one_home():

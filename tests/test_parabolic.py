@@ -459,7 +459,7 @@ def test_evolution_rhs_time_derivative(model, heart2, compatible_flux):
     h = SpaceTimeField.constant_in_time("heart", np.zeros(heart2.n_vertices), tg)
     flux = SpaceTimeField("heart", psi_t, tg, units="mV*mS/cm^2")
     out = assemble_evolution_rhs(model, heart2, h, flux, 0.0)
-    _, rep = solve_neumann_normalized(
+    rep = solve_neumann_normalized(
         model.M_i, heart2,
         NodalField("heart", compatible_flux, units="mV*mS/cm^2"), project=True)
     want = model.lam * beta * rep.solution_trace.values
@@ -475,7 +475,7 @@ def test_evolution_rhs_reaction(model, heart2, compatible_flux):
     flux = SpaceTimeField.constant_in_time("heart", compatible_flux, tg,
                                            units="mV*mS/cm^2")
     out = assemble_evolution_rhs(model, heart2, h, flux, 0.5, spec=spec)
-    _, rep = solve_neumann_normalized(
+    rep = solve_neumann_normalized(
         model.M_i, heart2,
         NodalField("heart", compatible_flux, units="mV*mS/cm^2"), project=True)
     want = model.lam * 0.8 * (rep.solution_trace.values + 0.5)

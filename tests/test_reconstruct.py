@@ -115,8 +115,11 @@ def test_protocol_1(domain2, model, fields2):
     v_true = fields2["v"].values
     assert rmse(out.v.values, v_true) / np.ptp(v_true) < 0.01
     assert np.array_equal(out.v.values, out.u_i.values - out.u_e.values)
-    for key in ("zaremba_residual", "flux_defect", "c"):
+    for key in ("zaremba_residual", "flux_defect"):
         assert key in out.diagnostics
+    # c is held once, beside the fields, and u_e is the measured field
+    assert "c" not in out.diagnostics and np.isfinite(out.c)
+    assert out.u_e is fields2["u_e"]
     # |w . flux| is reported once, by the Neumann step
     assert "flux_conservation" not in out.diagnostics
 
