@@ -264,6 +264,27 @@ def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
         return idx
 
 
+def _heart_trace(tensor, domain, f: NodalField,
+                 config: Optional[TikhonovConfig]) -> tuple:
+    """(chosen alpha, torso misfit, heart trace u, diagnostics) of one
+    Cauchy solve; the heart flux Lambda u is left to the caller."""
+    if config is None:
+        config = TikhonovConfig.log_grid()
+    fv = f.check_on(domain.torso)
+    if not np.any(fv):
+        # exactly zero data: the regularized minimizer is exactly zero
+        return (float(config.alpha_grid[0]), 0.0,
+                np.zeros(domain.heart.n_vertices), {"zero_data": True})
+    grid = config.alpha_grid
+    rho, eta, solution = _sweep(_reduced_form(tensor, domain), fv, grid)
+    diagnostics = {}
+    idx = _select_alpha(config, grid, rho, eta, diagnostics)
+    diagnostics["alpha_grid"] = grid
+    diagnostics["residuals"] = rho
+    diagnostics["seminorms"] = eta
+    return float(grid[idx]), float(rho[idx]), solution(idx), diagnostics
+
+
 def solve_cauchy_elliptic(M_b, domain, f: NodalField,
                           config: Optional[TikhonovConfig] = None) -> CauchySolveReport:
     """Propagate torso Cauchy data through the shell to the heart surface.
@@ -274,36 +295,16 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     diagnostics hold the swept grid with its residual and seminorm norms
     (``save_lcurve``).
     """
-    if config is None:
-        config = TikhonovConfig.log_grid()
     heart = domain.heart
     tensor = as_tensor(M_b, heart.dim)
-    fv = f.check_on(domain.torso)
-
-    if not np.any(fv):
-        # exactly zero data: the regularized minimizer is exactly zero
-        zero = np.zeros(heart.n_vertices)
-        return CauchySolveReport(
-            chosen_alpha=float(config.alpha_grid[0]),
-            residual_norm=0.0,
-            heart_dirichlet=NodalField(heart.surface_id, zero),
-            heart_flux=NodalField(heart.surface_id, zero.copy(),
-                                  units="mV*mS/cm^2"),
-            diagnostics={"zero_data": True},
-        )
-
-    grid = config.alpha_grid
-    rho, eta, solution = _sweep(_reduced_form(tensor, domain), fv, grid)
-    diagnostics = {}
-    idx = _select_alpha(config, grid, rho, eta, diagnostics)
-    u = solution(idx)
-    flux = _zaremba_transfer(tensor, domain)[0][:heart.n_vertices] @ u
-    diagnostics["alpha_grid"] = grid
-    diagnostics["residuals"] = rho
-    diagnostics["seminorms"] = eta
+    alpha, residual, u, diagnostics = _heart_trace(tensor, domain, f, config)
+    if "zero_data" in diagnostics:
+        flux = np.zeros(heart.n_vertices)  # zero data builds no transfer
+    else:
+        flux = _zaremba_transfer(tensor, domain)[0][:heart.n_vertices] @ u
     return CauchySolveReport(
-        chosen_alpha=float(grid[idx]),
-        residual_norm=float(rho[idx]),
+        chosen_alpha=alpha,
+        residual_norm=residual,
         heart_dirichlet=NodalField(heart.surface_id, u),
         heart_flux=NodalField(heart.surface_id, flux, units="mV*mS/cm^2"),
         diagnostics=diagnostics,

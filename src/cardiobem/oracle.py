@@ -450,17 +450,6 @@ class BidomainSteadyOracle:
             out += (t.B * base)[:, None] * 2.0 * pts
         return out
 
-    def volume_source(self, pts) -> np.ndarray:
-        """Delta_{M_e} u_e = -sigma_e Lap u_e (the sign of -div M grad)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts))
-        lap_factor = (lambda l: 4 * l + 6) if self.dim == 3 else (lambda l: 4 * l + 4)
-        for t in self.terms:
-            if t.B == 0.0:
-                continue
-            out += -self.sigma_e * t.B * lap_factor(t.l) * self._basis(t.l, t.m, pts)
-        return out
-
     def neumann_part(self, pts) -> np.ndarray:
         """The mean-free Neumann solution w with sigma_i dw/dnu = psi."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

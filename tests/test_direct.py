@@ -343,33 +343,56 @@ def test_shared_factorization_is_thread_safe():
     _run_apart(_SHARED_SOLVE_SCRIPT, OPENBLAS_NUM_THREADS="1")
 
 
-def test_concurrent_cold_solves_build_each_operator_once(assembly_builds):
+def _zaremba_flux(domain, data):
+    return solve_zaremba(7.0, domain, data).flux_trace.values
+
+
+def _protocol_1_v(domain, data):
+    return cardiobem.run_protocol_1(domain, cardiobem.ConductivityModel(), data).v.values
+
+
+def test_concurrent_cold_solves_build_each_operator_once(assembly_builds, monkeypatch):
     # four threads miss the cache together on fresh meshes; each operator
-    # is still assembled by exactly one of them
-    heart = icosphere(1, 1.0, surface_id="heart")
-    domain = DomainConfig(heart=heart, torso=icosphere(1, 2.0, surface_id="torso"))
-    data = NodalField("heart", heart.vertices[:, 2].copy())
-    barrier = threading.Barrier(4, timeout=60)
-    fluxes = []
+    # is still assembled by exactly one of them, for a Zaremba solve and for
+    # a protocol-1 frame, whose heart map (the one reader of the heart's
+    # Neumann entry there) is also composed once
+    composed = []
+    neumann_entry = cardiobem.reconstruct._neumann_entry
 
-    def work():
-        barrier.wait()
-        fluxes.append(solve_zaremba(7.0, domain, data).flux_trace.values)
+    def counted(*args):
+        composed.append(args)
+        return neumann_entry(*args)
 
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(assembly_builds) == 8
-    assert len(fluxes) == 4
-    assert all(np.array_equal(f, fluxes[0]) for f in fluxes)
+    monkeypatch.setattr(cardiobem.reconstruct, "_neumann_entry", counted)
+    for frame, layers, maps in ((_zaremba_flux, 8, 0), (_protocol_1_v, 10, 1)):
+        assembly_builds.clear()
+        composed.clear()
+        heart = icosphere(1, 1.0, surface_id="heart")
+        domain = DomainConfig(heart=heart,
+                              torso=icosphere(1, 2.0, surface_id="torso"))
+        data = NodalField("heart", heart.vertices[:, 2].copy())
+        barrier = threading.Barrier(4, timeout=60)
+        results = []
+
+        def work():
+            barrier.wait()
+            results.append(frame(domain, data))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(assembly_builds) == layers
+        assert len(composed) == maps
+        assert len(results) == 4
+        assert all(np.array_equal(r, results[0]) for r in results)
 
 
 def test_operators_go_with_their_owner():
@@ -403,10 +426,11 @@ def test_operators_go_with_their_owner():
 
 def test_protocols_share_one_zaremba_transfer(model, monkeypatch):
     # a cold protocol 2 on a fresh domain builds the Zaremba transfer once,
-    # under its own key, beside the reduced Cauchy form and nothing else;
-    # protocol 1 after it finds every entry it needs and builds none.  The
-    # two assemble ten distinct layers, each once: the eight shell blocks
-    # under M_b and the heart's single and double layer under M_i
+    # under its own key, beside the reduced Cauchy form and the heart map
+    # both protocols end in, and nothing else; protocol 1 after it finds
+    # every entry it needs and builds none.  The two assemble ten distinct
+    # layers, each once: the eight shell blocks under M_b and the heart's
+    # single and double layer under M_i
     builds = []
     assemble_layer = cardiobem.direct.assemble_layer
 
@@ -423,7 +447,8 @@ def test_protocols_share_one_zaremba_transfer(model, monkeypatch):
     owners = (domain, heart, torso)
     cardiobem.run_protocol_2(domain, model, NodalField("torso", torso.vertices[:, 2].copy()))
     derived = domain.__dict__["_derived"]
-    assert set(derived) == {("zaremba", key), ("cauchy", key)}
+    heart_map = ("heart_map", key, as_tensor(model.M_i, 3).tobytes(), model.lam)
+    assert set(derived) == {("zaremba", key), ("cauchy", key), heart_map}
     before = [dict(owner.__dict__["_derived"]) for owner in owners]
     cardiobem.run_protocol_1(domain, model, NodalField("heart", heart.vertices[:, 2].copy()))
     for owner, entries in zip(owners, before):

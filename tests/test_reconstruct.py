@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import cardiobem.cauchy
+import cardiobem.direct
+import cardiobem.reconstruct
 from cardiobem import (
     CubicRadial,
     DiscrepancyPrinciple,
@@ -26,6 +29,9 @@ from cardiobem import (
     rmse,
     run_protocol_1,
     run_protocol_2,
+    solve_cauchy_elliptic,
+    solve_neumann_normalized,
+    solve_zaremba,
     write_reconstruction,
 )
 
@@ -149,6 +155,106 @@ def test_protocol_2_forwards_every_cauchy_flag(tmp_path, model):
         assert out.diagnostics[flag] is True
         manifest = write_reconstruction(out, tmp_path / flag, heart)
         assert manifest["flags"] == {flag: True}
+
+
+def _chain(domain, model, u_e, flux, diagnostics):
+    """The public solver chain the protocols' kept heart map replaces: the
+    proportional Neumann step on (u_e, flux), then v; returns (v, u_i, c,
+    diagnostics)."""
+    ui, c, diag = reconstruct_ui_proportional(u_e, flux, model, 1.0, domain.heart)
+    diag.update(diagnostics)
+    return ui.values - u_e.values, ui.values, c, diag
+
+
+def _projections(caplog):
+    return sum("projected" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("level, tol", [(1, None), (2, None), (2, 0.0)])
+def test_kept_heart_map_matches_the_solver_chain(level, tol, model, shell_oracle,
+                                                 monkeypatch, caplog):
+    # both protocols end in the domain's kept heart map; it gives what the
+    # Zaremba or Cauchy solve followed by the proportional Neumann step
+    # give.  With the compatibility tolerance at 0 the Neumann step projects
+    # every flux, on both sides.  normalization (w . u0) and flux_defect
+    # (|w . psi|) are rounding-level numbers, compared against the scales
+    # they are tested against: max |u0| and area x max |psi|
+    if tol is not None:
+        monkeypatch.setattr(cardiobem.direct, "_COMPATIBILITY_TOL", tol)
+    caplog.set_level("INFO", logger="cardiobem.direct")
+    heart = icosphere(level, 1.0, surface_id="heart")
+    torso = icosphere(level, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+    fields = shell_oracle.fields_on(heart, torso)
+    f = fields["f"].values
+    rng = np.random.default_rng(level)
+    noisy = NodalField("torso", f + 0.01 * np.abs(f).max() * rng.normal(size=f.size))
+    config = TikhonovConfig.log_grid()
+
+    zrep = solve_zaremba(model.M_b, domain, fields["u_e"])
+    cauchy = solve_cauchy_elliptic(model.M_b, domain, noisy, config)
+    pairs = [(fields["u_e"], zrep.flux_trace,
+              {"zaremba_residual": zrep.residual_norm}),
+             (cauchy.heart_dirichlet, cauchy.heart_flux,
+              {"chosen_alpha": cauchy.chosen_alpha,
+               "cauchy_residual": cauchy.residual_norm})]
+    chains = [_chain(domain, model, *pair) for pair in pairs]
+    projected = _projections(caplog)
+    caplog.clear()
+    outs = [run_protocol_1(domain, model, fields["u_e"]),
+            run_protocol_2(domain, model, noisy, config)]
+    assert _projections(caplog) == projected == (0 if tol is None else 2)
+
+    for out, (v, ui, c, diag), (_, flux, _) in zip(outs, chains, pairs):
+        for got, want in ((out.v.values, v), (out.u_i.values, ui)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert out.c == pytest.approx(c, rel=1e-13, abs=0.0)
+        assert list(out.diagnostics) == list(diag)
+        u0 = solve_neumann_normalized(model.M_i, heart, flux, project=True)
+        for key, want in diag.items():
+            got = out.diagnostics[key]
+            if key == "normalization":
+                scale = np.abs(u0.solution_trace.values).max()
+            elif key == "flux_defect":
+                scale = heart.vertex_weights.sum() * np.abs(flux.values).max()
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), key
+                continue
+            assert abs(got - want) <= 1e-13 * scale, key
+
+
+def test_warm_frames_take_the_kept_heart_map(domain2, model, fields2, monkeypatch):
+    # after one cold frame a warm frame of either protocol runs on kept
+    # operators alone: no direct solver, no Cauchy report, no proportional
+    # step is called, and p1 builds only the u_i and v fields (p2 also
+    # builds the recovered u_e)
+    config = TikhonovConfig.log_grid()
+    run_protocol_1(domain2, model, fields2["u_e"])
+    run_protocol_2(domain2, model, fields2["f"], config)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a warm frame called a solver")
+
+    for module, name in ((cardiobem.reconstruct, "solve_neumann_normalized"),
+                         (cardiobem.reconstruct, "reconstruct_ui_proportional"),
+                         (cardiobem.direct, "solve_zaremba"),
+                         (cardiobem.direct, "solve_neumann_normalized"),
+                         (cardiobem.direct, "_solve_neumann_block"),
+                         (cardiobem.cauchy, "solve_cauchy_elliptic")):
+        monkeypatch.setattr(module, name, refused)
+    built = []
+    post_init = NodalField.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(NodalField, "__post_init__", counted)
+    out = run_protocol_1(domain2, model, fields2["u_e"])
+    assert built == [out.u_i, out.v]  # NodalField compares by identity
+    built.clear()
+    out = run_protocol_2(domain2, model, fields2["f"], config)
+    assert built == [out.u_e, out.u_i, out.v]
 
 
 def test_cubic_bump():
