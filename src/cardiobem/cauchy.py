@@ -266,15 +266,16 @@ def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
 
 def _heart_trace(tensor, domain, f: NodalField,
                  config: Optional[TikhonovConfig]) -> tuple:
-    """(chosen alpha, torso misfit, heart trace u, diagnostics) of one
-    Cauchy solve; the heart flux Lambda u is left to the caller."""
+    """(chosen alpha, torso misfit, heart trace u, heart flux Lambda u,
+    diagnostics) of one Cauchy solve."""
     if config is None:
         config = TikhonovConfig.log_grid()
     fv = f.check_on(domain.torso)
     if not np.any(fv):
-        # exactly zero data: the regularized minimizer is exactly zero
-        return (float(config.alpha_grid[0]), 0.0,
-                np.zeros(domain.heart.n_vertices), {"zero_data": True})
+        # exactly zero data: the regularized minimizer and its flux are
+        # exactly zero, and no transfer is built
+        zero = np.zeros(domain.heart.n_vertices)
+        return float(config.alpha_grid[0]), 0.0, zero, zero, {"zero_data": True}
     grid = config.alpha_grid
     rho, eta, solution = _sweep(_reduced_form(tensor, domain), fv, grid)
     diagnostics = {}
@@ -282,7 +283,9 @@ def _heart_trace(tensor, domain, f: NodalField,
     diagnostics["alpha_grid"] = grid
     diagnostics["residuals"] = rho
     diagnostics["seminorms"] = eta
-    return float(grid[idx]), float(rho[idx]), solution(idx), diagnostics
+    u = solution(idx)
+    flux = _zaremba_transfer(tensor, domain)[0][:domain.heart.n_vertices] @ u
+    return float(grid[idx]), float(rho[idx]), u, flux, diagnostics
 
 
 def solve_cauchy_elliptic(M_b, domain, f: NodalField,
@@ -296,12 +299,8 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     (``save_lcurve``).
     """
     heart = domain.heart
-    tensor = as_tensor(M_b, heart.dim)
-    alpha, residual, u, diagnostics = _heart_trace(tensor, domain, f, config)
-    if "zero_data" in diagnostics:
-        flux = np.zeros(heart.n_vertices)  # zero data builds no transfer
-    else:
-        flux = _zaremba_transfer(tensor, domain)[0][:heart.n_vertices] @ u
+    alpha, residual, u, flux, diagnostics = _heart_trace(
+        as_tensor(M_b, heart.dim), domain, f, config)
     return CauchySolveReport(
         chosen_alpha=alpha,
         residual_norm=residual,

@@ -10,8 +10,11 @@ report table), ``green-check`` / ``heat-check`` (invariant suites), and
 Every run resolves its parameters from defaults, then a flat ``key = value``
 config file (``--config``), then explicit flags (flags win), and writes the
 resolved set to ``run_manifest.json`` in the output directory.  Re-running
-that manifest reproduces every output byte for byte: no timestamps are
-written, floats are shortest-repr, and noise is drawn from a recorded seed.
+that manifest on the same machine, with the same BLAS build and thread
+count, reproduces every output byte for byte: no timestamps are written,
+floats are shortest-repr, and noise is drawn from a recorded seed.
+Rounding-level diagnostics such as ``flux_defect`` move with the BLAS
+blocking, so another BLAS build or thread count changes their last digits.
 Noise exists only here; the library solvers are deterministic.  The
 manifest's ``results`` hold only what no other file of the run holds: a
 single-field reconstruction's c, chosen alpha and diagnostics live in its

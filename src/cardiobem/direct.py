@@ -35,18 +35,17 @@ operator: a closed surface's Dirichlet entry keeps the inverse of B and A,
 its Neumann entry the inverse of the bordered matrix and B; the operator a
 solve reads only while building is dropped after the build.  The
 heart-torso pair, a DomainConfig, keeps only what the protocols read: the
-Zaremba transfer, (for cauchy.py) the SVD of the Cauchy problem reduced
-onto it, and (for reconstruct.py) the heart map both protocols end in,
-one nh x nh matrix composed from the transfer's heart rows and the heart's
-Neumann entry (``_neumann_entry``), which it reads rather than copies.
-The shell's A and B are built inside the transfer's build and dropped
-after it.  The Zaremba transfer maps heart data d straight to the
-heart-outward flux and the torso trace [psi; u_t] (the Lambda and T of the
-reduced Cauchy problem), for both protocols.  No LU factors are kept: a
-solve is one matrix product with a kept solution operator.  Each solution
-operator Y of ``matrix Y = R`` keeps its build residual |matrix Y - R|_F,
-and a solve reports it times the norm of the vector Y is applied to, which
-bounds the residual of that solve.  Everything runs on numpy's BLAS, so the
+Zaremba transfer and (for cauchy.py) the SVD of the Cauchy problem reduced
+onto it; the Neumann step both protocols end in reads the heart's own
+Neumann entry through ``_solve_neumann_block``.  The shell's A and B are
+built inside the transfer's build and dropped after it.  The Zaremba
+transfer maps heart data d straight to the heart-outward flux and the
+torso trace [psi; u_t] (the Lambda and T of the reduced Cauchy problem),
+for both protocols.  No LU factors are kept: a solve is one matrix
+product with a kept solution operator.  Each solution operator Y of
+``matrix Y = R`` keeps its build residual |matrix Y - R|_F, and a solve
+reports it times the norm of the vector Y is applied to, which bounds the
+residual of that solve.  Everything runs on numpy's BLAS, so the
 package never wakes a second BLAS thread pool.  Threads that miss an entry
 together build it once.
 """
@@ -74,7 +73,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # a Neumann flux column whose compatibility defect exceeds this times the
-# area and the data's scale is incompatible, see _compatible_shift
+# area and the data's scale is incompatible, see _solve_neumann_block
 _COMPATIBILITY_TOL = 1e-6
 
 
@@ -202,18 +201,47 @@ def solve_dirichlet(M, mesh, u0, g_volume=None):
 # normalized Neumann (the transform N_i)
 
 
-def _neumann_entry(tensor, mesh) -> tuple:
-    """(N, build residual, B), kept on ``mesh``: N the leading n x n block
-    of the inverse of the bordered matrix [A, w; w^T, 0], B = S.
+def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0,
+                         volume: np.ndarray = None, *,
+                         project: bool = False) -> tuple:
+    """Normalized Neumann solves for a flux vector (n,) or block (n, k).
 
-    A normalized Neumann solution with flux u1 is N B u1 (plus N times a
-    volume potential); A is read only to build N.
+    Each column's compatibility defect is its total flux plus
+    ``source_total``; a column whose defect exceeds ``_COMPATIBILITY_TOL``
+    x area x scale raises IncompatibleData, or with ``project`` is shifted
+    by a constant onto the compatible subspace, and one log line counts the
+    shifted columns.  ``volume`` (n,), the volume potential at the
+    vertices, is added to every column's right side.  All columns share one
+    S product and one product with the bordered inverse, kept beside S on
+    the mesh (A is read only to build it).  Returns (u0, u1, defect,
+    residual, normalization): solutions, the fluxes solved for, and per
+    column the signed defect, the residual bound (the bordered inverse's
+    build residual times the right side's norm) and w . u0.
     """
+    w = mesh.vertex_weights
+    area = float(w.sum())
+    defect = w @ u1 + source_total
+    # a column's scale is its largest |flux|, or the mean source if larger;
+    # the floor keeps a zero column's test finite
+    scale = np.abs(u1).max(axis=0, initial=max(abs(source_total) / area, 1e-300))
+    bad = np.abs(defect) > _COMPATIBILITY_TOL * area * scale
+    shifted = np.count_nonzero(bad)
+    if shifted:
+        worst = np.abs(defect).max(where=bad, initial=0.0)
+        if not project:
+            raise IncompatibleData(
+                f"flux/source compatibility defect {worst:.3e} exceeds "
+                f"{_COMPATIBILITY_TOL:.1e} x area x scale"
+            )
+        u1 = u1 - np.where(bad, defect / area, 0.0)
+        logger.info("projected %d of %d Neumann data columns onto the "
+                    "compatible subspace (largest defect %.3e)", shifted,
+                    bad.size, worst)
+    n = mesh.n_vertices
+
     def bordered():
-        # the right side's last entry is always 0, so only the leading
-        # n x n block of the inverse is kept
-        n = mesh.n_vertices
-        w = mesh.vertex_weights
+        # [A, w; w^T, 0]: the right side's last entry is always 0, so only
+        # the leading n x n block of the inverse is kept
         a, b = boundary_operators(tensor, mesh)
         big = np.zeros((n + 1, n + 1))
         big[:n, :n] = a
@@ -225,61 +253,12 @@ def _neumann_entry(tensor, mesh) -> tuple:
         inv.flags.writeable = False
         return inv, build_residual, b
 
-    return _memo(mesh, ("neumann", tensor.tobytes()), bordered)
-
-
-def _compatible_shift(defect, scale, area: float, project: bool):
-    """The constant per flux column that moves it onto the compatible
-    subspace, or None when no column needs one.
-
-    A column needs one when its defect exceeds ``_COMPATIBILITY_TOL`` x
-    area x scale; the shift is then defect / area, or without ``project``
-    IncompatibleData is raised.  One log line counts the shifted columns.
-    """
-    bad = np.abs(defect) > _COMPATIBILITY_TOL * area * np.maximum(scale, 1e-300)
-    if not bad.any():
-        return None
-    worst = np.abs(defect).max(where=bad, initial=0.0)
-    if not project:
-        raise IncompatibleData(
-            f"flux/source compatibility defect {worst:.3e} exceeds "
-            f"{_COMPATIBILITY_TOL:.1e} x area x scale"
-        )
-    logger.info("projected %d of %d Neumann data columns onto the "
-                "compatible subspace (largest defect %.3e)", bad.sum(),
-                bad.size, worst)
-    return np.where(bad, defect / area, 0.0)
-
-
-def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0,
-                         volume: np.ndarray = None, *,
-                         project: bool = False) -> tuple:
-    """Normalized Neumann solves for a flux vector (n,) or block (n, k).
-
-    Each column's compatibility defect is its total flux plus
-    ``source_total``; an incompatible column raises IncompatibleData, or
-    with ``project`` is shifted by a constant onto the compatible subspace
-    (``_compatible_shift``).  ``volume`` (n,), the volume potential at the
-    vertices, is added to every column's right side.  All columns share one
-    S product and one product with N of ``_neumann_entry``.  Returns (u0,
-    u1, defect, residual, normalization): solutions, the fluxes solved for,
-    and per column the signed defect, the residual bound (N's build
-    residual times the right side's norm) and w . u0.
-    """
-    w = mesh.vertex_weights
-    area = float(w.sum())
-    defect = w @ u1 + source_total
-    scale = np.maximum(np.abs(u1).max(axis=0, initial=0.0),
-                       abs(source_total) / area)
-    shift = _compatible_shift(defect, scale, area, project)
-    if shift is not None:
-        u1 = u1 - shift
-    inv, build_residual, b = _neumann_entry(tensor, mesh)
+    inv, build_residual, b = _memo(mesh, ("neumann", tensor.tobytes()), bordered)
     rhs = b @ u1
     if volume is not None:
         np.add(rhs.T, volume, out=rhs.T)  # to every column
     u0 = inv @ rhs
-    residual = build_residual * np.linalg.norm(rhs, axis=0)
+    residual = build_residual * np.sqrt(np.vecdot(rhs, rhs, axis=0))
     return u0, u1, defect, residual, w @ u0
 
 

@@ -16,17 +16,14 @@ form needs the explicit mean split (the identity
 
 Protocol 1 consumes a measured u_e on the heart: (a) the bath flux
 psi = Lambda u_e through the Zaremba transfer, (b) the proportional formula,
-(c) v = u_i - u_e.  Protocol 2 first recovers u_e from torso data via the
-regularized Cauchy solver, then runs the same tail.  With the meshes and the
-model fixed that tail is linear in u_e, and the DomainConfig keeps it as one
-heart map per (M_b, M_i, lambda), ``_HeartMap``: u_i = H u_e + c, with
-H = -lambda (I - 1 w^T / area) + N B Lambda composed once from the kept
-Zaremba transfer and the heart's kept Neumann entry.  A warm frame of either
-protocol is then three matrix-vector products (Lambda u_e, H u_e and B psi
-for the Neumann residual bound) and calls no solver; a flux that fails the
-Neumann step's compatibility test has that step's projection replayed as a
-rank-1 correction.  reconstruct_ui_proportional is the same tail through the
-public Neumann solver, for a (u_e, psi) pair from elsewhere.
+(c) v = u_i - u_e.  Protocol 2 first recovers u_e and psi from torso data
+via the regularized Cauchy solver, then runs the same tail.  Both protocols
+and reconstruct_ui_proportional end in one array-level step,
+``_proportional_tail``: the normalized Neumann step under M_i on the
+heart's kept Neumann entry, which builds no solver report.  A warm
+protocol-1 frame is three matrix-vector products with kept operators:
+Lambda u_e, B psi and the bordered inverse on that.  No composed heart map
+is kept, because folding the three into one matrix saves no product.
 
 The reconstruction's null space is spanned by compactly supported interior
 bumps: u in H^2_0 of the heart domain, u_e = u, u_b = 0, u_i from the same
@@ -44,12 +41,12 @@ from typing import Optional
 import numpy as np
 
 from .cauchy import TikhonovConfig, _heart_trace
-from .direct import (_compatible_shift, _neumann_entry, _values_on,
-                     _zaremba_transfer, solve_neumann_normalized)
+from .direct import (_solve_neumann_block, _values_on, _zaremba_transfer,
+                     solve_neumann_normalized)
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, as_tensor
-from .mesh import (DomainConfig, NodalField, _memo, _write_text, points_inside,
+from .mesh import (DomainConfig, NodalField, _write_text, points_inside,
                    save_mesh, save_nodal_field, surface_distance)
 
 __all__ = [
@@ -108,20 +105,35 @@ def reconstruct_ui_proportional(u_e: NodalField, heart_flux_of_ub: NodalField,
     holds only to quadrature accuracy and the defect is reported instead of
     rejected.
     """
+    _check_proportional(model)
+    ui, c, diagnostics = _proportional_tail(
+        heart, model, u_e.check_on(heart), _values_on(heart_flux_of_ub, heart), c0)
+    return NodalField(heart.surface_id, ui), c, diagnostics
+
+
+def _check_proportional(model: ConductivityModel) -> None:
+    """ShapeMismatch unless the model has a lambda, M_e = lambda M_i; each
+    caller of ``_proportional_tail`` checks before it builds anything."""
     if model.lam is None:
         raise ShapeMismatch("proportional reconstruction needs the model lambda")
-    ue = u_e.check_on(heart)
-    lam = float(model.lam)
-    rep = solve_neumann_normalized(model.M_i, heart, heart_flux_of_ub,
-                                   project=True)
-    c = calibration_constant(u_e, c0, heart)
-    ui = -lam * (ue - _surface_mean(heart, ue)) + rep.solution_trace.values + c
+
+
+def _proportional_tail(heart, model: ConductivityModel, d: np.ndarray,
+                       psi: np.ndarray, c0: float) -> tuple:
+    """``reconstruct_ui_proportional`` on arrays, heart data d and bath flux
+    psi: (u_i, c, diagnostics), with no report and no NodalField built.
+    Both protocols end in it."""
+    u0, _, defect, residual, normalization = _solve_neumann_block(
+        as_tensor(model.M_i, heart.dim), heart, psi, project=True)
+    mean = _surface_mean(heart, d)
+    c = -c0 * mean  # calibration_constant
+    ui = -float(model.lam) * (d - mean) + u0 + c
     diagnostics = {
-        "neumann_residual": rep.residual_norm,
-        "flux_defect": rep.compatibility_defect,
-        "normalization": rep.normalization_value,
+        "neumann_residual": float(residual),
+        "flux_defect": abs(float(defect)),
+        "normalization": float(normalization),
     }
-    return NodalField(heart.surface_id, ui), c, diagnostics
+    return ui, c, diagnostics
 
 
 def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
@@ -160,119 +172,41 @@ def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
     return NodalField(heart.surface_id, ui), c, diagnostics
 
 
-@dataclass(frozen=True)
-class _HeartMap:
-    """The tail both protocols end with, as kept operators of one
-    (domain, M_b, M_i, lambda).
-
-    For heart data d, psi = Lambda d is the heart-outward bath flux (the
-    heart rows of the Zaremba transfer under M_b) and u_i = H d + c, with
-
-        H = -lambda (I - 1 w^T / area) + N B Lambda,
-
-    N and B the heart's Neumann entry under M_i and w the lumped vertex
-    weights: the proportional formula with the normalized Neumann transform
-    N B folded in.  ``row`` = w^T N B Lambda gives the transform's
-    normalization w . u0.  When psi fails the compatibility test of
-    ``direct._compatible_shift``, the Neumann step solves for psi - s 1,
-    s = defect / area, which takes s ``n1`` (n1 = N B 1) off u_i, s ``b1``
-    (b1 = B 1) off the right side B psi and s w . n1 off the normalization.
-    Lambda and B are the kept entries themselves; only H and the vectors
-    are new.
-    """
-
-    h: np.ndarray
-    flux_rows: np.ndarray  # Lambda
-    b: np.ndarray
-    row: np.ndarray
-    n1: np.ndarray
-    b1: np.ndarray
-    zaremba_residual: float  # build residuals of the transfer and of N
-    neumann_residual: float
-
-    def output(self, heart, u_e: NodalField, c0: float,
-               diagnostics: dict) -> ReconstructionOutput:
-        """The tail on heart data u_e: the flux, u_i, v = u_i - u_e, and
-        the Neumann step's diagnostics before ``diagnostics``; the output
-        holds ``u_e`` itself."""
-        d = u_e.values
-        w = heart.vertex_weights
-        flux = self.flux_rows @ d
-        rhs = self.b @ flux
-        ui = self.h @ d
-        normalization = float(self.row @ d)
-        defect = float(w @ flux)
-        shift = _compatible_shift(defect, np.abs(flux).max(initial=0.0),
-                                  float(w.sum()), project=True)
-        if shift is not None:
-            s = float(shift)
-            ui -= s * self.n1
-            rhs -= s * self.b1
-            normalization -= s * float(w @ self.n1)
-        c = calibration_constant(u_e, c0, heart)
-        ui += c
-        diag = {
-            "neumann_residual": self.neumann_residual * float(np.linalg.norm(rhs)),
-            "flux_defect": abs(defect),
-            "normalization": normalization,
-        }
-        diag.update(diagnostics)
-        return ReconstructionOutput(
-            u_e=u_e,
-            u_i=NodalField(heart.surface_id, ui),
-            v=NodalField(heart.surface_id, ui - d),
-            c=c,
-            diagnostics=diag,
-        )
-
-
-def _heart_map(domain: DomainConfig, model: ConductivityModel) -> _HeartMap:
-    """The kept ``_HeartMap`` of ``domain`` for ``model``, built on a miss
-    from the kept Zaremba transfer and heart Neumann entry."""
-    if model.lam is None:
-        raise ShapeMismatch("proportional reconstruction needs the model lambda")
-    heart = domain.heart
-    lam = float(model.lam)
-    tensor_b = as_tensor(model.M_b, heart.dim)
-    tensor_i = as_tensor(model.M_i, heart.dim)
-
-    def build():
-        x, zaremba_residual = _zaremba_transfer(tensor_b, domain)
-        inv, neumann_residual, b = _neumann_entry(tensor_i, heart)
-        flux_rows = x[:heart.n_vertices]
-        w = heart.vertex_weights
-        h = inv @ (b @ flux_rows)
-        row = w @ h
-        h[np.diag_indices_from(h)] -= lam
-        h += (lam / float(w.sum())) * w  # lambda 1 w^T / area, row by row
-        b1 = b.sum(axis=1)
-        n1 = inv @ b1
-        for arr in (h, row, b1, n1):
-            arr.flags.writeable = False
-        return _HeartMap(h, flux_rows, b, row, n1, b1, zaremba_residual,
-                         neumann_residual)
-
-    return _memo(domain, ("heart_map", tensor_b.tobytes(), tensor_i.tobytes(),
-                          lam), build)
+def _output(heart, model: ConductivityModel, u_e: NodalField, psi: np.ndarray,
+            c0: float, diagnostics: dict) -> ReconstructionOutput:
+    """The tail both protocols end with on the heart trace u_e and its bath
+    flux psi: u_i, v = u_i - u_e, and the Neumann step's diagnostics before
+    ``diagnostics``; the output holds ``u_e`` itself."""
+    ui, c, diag = _proportional_tail(heart, model, u_e.values, psi, c0)
+    diag.update(diagnostics)
+    return ReconstructionOutput(
+        u_e=u_e,
+        u_i=NodalField(heart.surface_id, ui),
+        v=NodalField(heart.surface_id, ui - u_e.values),
+        c=c,
+        diagnostics=diag,
+    )
 
 
 def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
                    u_e_measured: NodalField, c0: float = 1.0) -> ReconstructionOutput:
     """Measured extracellular trace to transmembrane potential.
 
-    (a) the bath flux through the Zaremba transfer, (b) the proportional
-    reconstruction of u_i, (c) v = u_i - u_e, all through the kept
-    ``_HeartMap``.  zaremba_residual and neumann_residual bound the
-    residuals of the two solves: each kept solution operator's build
-    residual times the norm of the vector it is applied to (see
-    ``DirectSolveReport``); flux_defect is |w . psi| and normalization
-    w . u0 of the Neumann step, which projects psi onto the compatible
-    subspace when the defect fails the test of ``solve_neumann_normalized``.
+    (a) the bath flux psi = Lambda u_e through the kept Zaremba transfer,
+    (b) the proportional reconstruction of u_i, (c) v = u_i - u_e.
+    zaremba_residual and neumann_residual bound the residuals of the two
+    solves: each kept solution operator's build residual times the norm of
+    the vector it is applied to (see ``DirectSolveReport``); flux_defect is
+    |w . psi| and normalization w . u0 of the Neumann step, which projects
+    psi onto the compatible subspace when the defect fails the test of
+    ``solve_neumann_normalized``.
     """
-    d = _values_on(u_e_measured, domain.heart)
-    m = _heart_map(domain, model)
-    return m.output(domain.heart, u_e_measured, c0, {
-        "zaremba_residual": m.zaremba_residual * float(np.linalg.norm(d))})
+    heart = domain.heart
+    d = _values_on(u_e_measured, heart)
+    _check_proportional(model)
+    x, build_residual = _zaremba_transfer(as_tensor(model.M_b, heart.dim), domain)
+    return _output(heart, model, u_e_measured, x[:heart.n_vertices] @ d, c0, {
+        "zaremba_residual": build_residual * float(np.linalg.norm(d))})
 
 
 def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
@@ -280,19 +214,20 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
                    c0: float = 1.0) -> ReconstructionOutput:
     """Torso potential to transmembrane potential via the Cauchy solver.
 
-    Recovers the heart trace from the torso potential (insulated body
-    surface) as ``solve_cauchy_elliptic`` does, then runs the protocol-1
-    tail on it, the flux included.  cauchy_residual is the torso misfit
+    Recovers the heart trace and flux from the torso potential (insulated
+    body surface) as ``solve_cauchy_elliptic`` does, then runs the
+    protocol-1 tail on them.  cauchy_residual is the torso misfit
     |T u_h - f| at the chosen alpha; every flag the Cauchy solve sets (a
     fallback, zero data) is set in the diagnostics.
     """
+    _check_proportional(model)
     heart = domain.heart
-    alpha, residual, u, cauchy = _heart_trace(
+    alpha, residual, u, flux, cauchy = _heart_trace(
         as_tensor(model.M_b, heart.dim), domain, f, tikhonov)
     diagnostics = {"chosen_alpha": alpha, "cauchy_residual": residual}
     diagnostics.update({k: True for k, v in cauchy.items() if v is True})
-    return _heart_map(domain, model).output(
-        heart, NodalField(heart.surface_id, u), c0, diagnostics)
+    return _output(heart, model, NodalField(heart.surface_id, u), flux, c0,
+                   diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -354,19 +354,20 @@ def _protocol_1_v(domain, data):
 def test_concurrent_cold_solves_build_each_operator_once(assembly_builds, monkeypatch):
     # four threads miss the cache together on fresh meshes; each operator
     # is still assembled by exactly one of them, for a Zaremba solve and for
-    # a protocol-1 frame, whose heart map (the one reader of the heart's
-    # Neumann entry there) is also composed once
-    composed = []
-    neumann_entry = cardiobem.reconstruct._neumann_entry
+    # a protocol-1 frame, whose Neumann step inverts the heart's bordered
+    # matrix (the one inverse without a right side there) also once
+    inverses = []
+    solution_operator = cardiobem.direct._solution_operator
 
-    def counted(*args):
-        composed.append(args)
-        return neumann_entry(*args)
+    def counted(matrix, rhs=None):
+        if rhs is None:
+            inverses.append(matrix.shape)
+        return solution_operator(matrix, rhs)
 
-    monkeypatch.setattr(cardiobem.reconstruct, "_neumann_entry", counted)
+    monkeypatch.setattr(cardiobem.direct, "_solution_operator", counted)
     for frame, layers, maps in ((_zaremba_flux, 8, 0), (_protocol_1_v, 10, 1)):
         assembly_builds.clear()
-        composed.clear()
+        inverses.clear()
         heart = icosphere(1, 1.0, surface_id="heart")
         domain = DomainConfig(heart=heart,
                               torso=icosphere(1, 2.0, surface_id="torso"))
@@ -390,7 +391,7 @@ def test_concurrent_cold_solves_build_each_operator_once(assembly_builds, monkey
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(assembly_builds) == layers
-        assert len(composed) == maps
+        assert inverses == [(heart.n_vertices + 1,) * 2] * maps
         assert len(results) == 4
         assert all(np.array_equal(r, results[0]) for r in results)
 
@@ -426,11 +427,12 @@ def test_operators_go_with_their_owner():
 
 def test_protocols_share_one_zaremba_transfer(model, monkeypatch):
     # a cold protocol 2 on a fresh domain builds the Zaremba transfer once,
-    # under its own key, beside the reduced Cauchy form and the heart map
-    # both protocols end in, and nothing else; protocol 1 after it finds
-    # every entry it needs and builds none.  The two assemble ten distinct
-    # layers, each once: the eight shell blocks under M_b and the heart's
-    # single and double layer under M_i
+    # under its own key, beside the reduced Cauchy form and nothing else,
+    # and of operators the heart keeps only its Neumann entry under M_i (its
+    # geometry entries have string keys); protocol 1
+    # after it finds every entry it needs and builds none.  The two
+    # assemble ten distinct layers, each once: the eight shell blocks under
+    # M_b and the heart's single and double layer under M_i
     builds = []
     assemble_layer = cardiobem.direct.assemble_layer
 
@@ -447,8 +449,9 @@ def test_protocols_share_one_zaremba_transfer(model, monkeypatch):
     owners = (domain, heart, torso)
     cardiobem.run_protocol_2(domain, model, NodalField("torso", torso.vertices[:, 2].copy()))
     derived = domain.__dict__["_derived"]
-    heart_map = ("heart_map", key, as_tensor(model.M_i, 3).tobytes(), model.lam)
-    assert set(derived) == {("zaremba", key), ("cauchy", key), heart_map}
+    assert set(derived) == {("zaremba", key), ("cauchy", key)}
+    assert {k for k in heart.__dict__["_derived"] if isinstance(k, tuple)} == {
+        ("neumann", as_tensor(model.M_i, 3).tobytes())}
     before = [dict(owner.__dict__["_derived"]) for owner in owners]
     cardiobem.run_protocol_1(domain, model, NodalField("heart", heart.vertices[:, 2].copy()))
     for owner, entries in zip(owners, before):

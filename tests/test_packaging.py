@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and four structural guards."""
+and every module uses what it imports; and five structural guards."""
 
 import ast
 import re
@@ -100,6 +100,17 @@ def test_direct_has_one_operator_builder():
     assert "green_representation" not in {
         alias.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_reconstruct_keeps_no_entry():
+    # the protocols end in the operators direct.py and cauchy.py keep; a
+    # map composed from them and kept beside them saves no product per
+    # frame, so reconstruct.py keeps nothing of its own
+    tree = ast.parse((ROOT / "src" / "cardiobem" / "reconstruct.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "_memo" in (getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None))]
+    assert calls == []
 
 
 def test_each_helper_has_one_home():

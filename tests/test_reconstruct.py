@@ -7,8 +7,8 @@ import pytest
 
 import cardiobem.cauchy
 import cardiobem.direct
-import cardiobem.reconstruct
 from cardiobem import (
+    ConductivityModel,
     CubicRadial,
     DiscrepancyPrinciple,
     DomainConfig,
@@ -17,6 +17,7 @@ from cardiobem import (
     InteriorGrid,
     MissingInteriorData,
     NodalField,
+    ShapeMismatch,
     Sphere3D,
     SupportTouchesBoundary,
     TikhonovConfig,
@@ -158,12 +159,20 @@ def test_protocol_2_forwards_every_cauchy_flag(tmp_path, model):
 
 
 def _chain(domain, model, u_e, flux, diagnostics):
-    """The public solver chain the protocols' kept heart map replaces: the
-    proportional Neumann step on (u_e, flux), then v; returns (v, u_i, c,
-    diagnostics)."""
-    ui, c, diag = reconstruct_ui_proportional(u_e, flux, model, 1.0, domain.heart)
+    """The public solver chain the protocols' tail must match, written out:
+    the projected normalized Neumann solve on ``flux``, the proportional
+    formula with c0 = 1, then v; returns (v, u_i, c, diagnostics)."""
+    w = domain.heart.vertex_weights
+    ue = u_e.values
+    rep = solve_neumann_normalized(model.M_i, domain.heart, flux, project=True)
+    mean = (w @ ue) / w.sum()
+    c = -mean
+    ui = -model.lam * (ue - mean) + rep.solution_trace.values + c
+    diag = {"neumann_residual": rep.residual_norm,
+            "flux_defect": rep.compatibility_defect,
+            "normalization": rep.normalization_value}
     diag.update(diagnostics)
-    return ui.values - u_e.values, ui.values, c, diag
+    return ui - ue, ui, c, diag
 
 
 def _projections(caplog):
@@ -173,12 +182,13 @@ def _projections(caplog):
 @pytest.mark.parametrize("level, tol", [(1, None), (2, None), (2, 0.0)])
 def test_kept_heart_map_matches_the_solver_chain(level, tol, model, shell_oracle,
                                                  monkeypatch, caplog):
-    # both protocols end in the domain's kept heart map; it gives what the
-    # Zaremba or Cauchy solve followed by the proportional Neumann step
-    # give.  With the compatibility tolerance at 0 the Neumann step projects
-    # every flux, on both sides.  normalization (w . u0) and flux_defect
-    # (|w . psi|) are rounding-level numbers, compared against the scales
-    # they are tested against: max |u0| and area x max |psi|
+    # both protocols end in the Neumann step on kept operators; they give
+    # what the Zaremba or Cauchy solve followed by the public Neumann solve
+    # and the proportional formula give.  With the compatibility tolerance
+    # at 0 the Neumann step projects every flux, on both sides.
+    # normalization (w . u0) and flux_defect (|w . psi|) are rounding-level
+    # numbers, compared against the scales they are tested against: max |u0|
+    # and area x max |psi|
     if tol is not None:
         monkeypatch.setattr(cardiobem.direct, "_COMPATIBILITY_TOL", tol)
     caplog.set_level("INFO", logger="cardiobem.direct")
@@ -223,24 +233,40 @@ def test_kept_heart_map_matches_the_solver_chain(level, tol, model, shell_oracle
             assert abs(got - want) <= 1e-13 * scale, key
 
 
-def test_warm_frames_take_the_kept_heart_map(domain2, model, fields2, monkeypatch):
+def test_protocols_refuse_a_non_proportional_model_before_building(monkeypatch):
+    # the proportional tail needs lambda; both protocols say so before they
+    # build the Zaremba transfer or the reduced Cauchy form
+    skew = ConductivityModel(M_i=np.diag([1.0, 2.0, 3.0]),
+                             M_e=np.diag([2.0, 4.0, 7.0]))
+    heart = icosphere(1, 1.0, surface_id="heart")
+    torso = icosphere(1, 2.0, surface_id="torso")
+    domain = DomainConfig(heart=heart, torso=torso)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built an operator for a model it refuses")
+
+    monkeypatch.setattr(cardiobem.direct, "boundary_operators", refused)
+    with pytest.raises(ShapeMismatch, match="lambda"):
+        run_protocol_1(domain, skew, NodalField("heart", heart.vertices[:, 2].copy()))
+    with pytest.raises(ShapeMismatch, match="lambda"):
+        run_protocol_2(domain, skew, NodalField("torso", torso.vertices[:, 2].copy()))
+
+
+def test_warm_frames_build_nothing(domain2, model, fields2, monkeypatch):
     # after one cold frame a warm frame of either protocol runs on kept
-    # operators alone: no direct solver, no Cauchy report, no proportional
-    # step is called, and p1 builds only the u_i and v fields (p2 also
-    # builds the recovered u_e)
+    # operators alone: it assembles no layer, forms no solution operator
+    # and no graph Laplacian, and p1 builds only the u_i and v fields (p2
+    # also builds the recovered u_e), so no solver report is made
     config = TikhonovConfig.log_grid()
     run_protocol_1(domain2, model, fields2["u_e"])
     run_protocol_2(domain2, model, fields2["f"], config)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a warm frame called a solver")
+        raise AssertionError("a warm frame built an operator")
 
-    for module, name in ((cardiobem.reconstruct, "solve_neumann_normalized"),
-                         (cardiobem.reconstruct, "reconstruct_ui_proportional"),
-                         (cardiobem.direct, "solve_zaremba"),
-                         (cardiobem.direct, "solve_neumann_normalized"),
-                         (cardiobem.direct, "_solve_neumann_block"),
-                         (cardiobem.cauchy, "solve_cauchy_elliptic")):
+    for module, name in ((cardiobem.direct, "boundary_operators"),
+                         (cardiobem.direct, "_solution_operator"),
+                         (cardiobem.cauchy, "_graph_laplacian")):
         monkeypatch.setattr(module, name, refused)
     built = []
     post_init = NodalField.__post_init__
