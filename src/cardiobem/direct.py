@@ -61,7 +61,7 @@ import numpy as np
 from .assembly import assemble_layer, volume_potential
 from .errors import IncompatibleData, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
-from .mesh import DomainConfig, NodalField, _memo
+from .mesh import DomainConfig, NodalField, _memo, _total_weight
 
 __all__ = [
     "DirectSolveReport",
@@ -219,7 +219,7 @@ def _solve_neumann_block(tensor, mesh, u1: np.ndarray, source_total: float = 0.0
     build residual times the right side's norm) and w . u0.
     """
     w = mesh.vertex_weights
-    area = float(w.sum())
+    area = _total_weight(mesh)
     defect = w @ u1 + source_total
     # a column's scale is its largest |flux|, or the mean source if larger;
     # the floor keeps a zero column's test finite

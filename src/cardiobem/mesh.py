@@ -20,10 +20,12 @@ annulus verification cases: the Zaremba heart-flux order floor in
 from __future__ import annotations
 
 import codecs
+import functools
 import itertools
 import json
 import locale
 import logging
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -157,6 +159,12 @@ def _memo(owner, key, build):
     finally:
         with _CLAIM_LOCK:
             claims.pop(key).set()
+
+
+def _total_weight(mesh) -> float:
+    """``float(mesh.vertex_weights.sum())``, the lumped area of ``mesh``,
+    summed once: the Neumann step and the surface mean both divide by it."""
+    return _memo(mesh, "total_weight", lambda: float(mesh.vertex_weights.sum()))
 
 
 def _longest_edges(verts: np.ndarray, els: np.ndarray) -> np.ndarray:
@@ -758,29 +766,43 @@ def _write_all(fd: int, data: bytes) -> int:
     return len(data)
 
 
-# cells per block of ``_format_rows``: a block's floats, strings and tuple
-# stay under 1 MB, and a 642 x 1000 record formats faster than in blocks of
-# 2^16 cells
+# cells per block of ``_format_rows`` and rows per block of
+# ``save_nodal_field``: a block's floats, strings and tuple stay under 1 MB,
+# and a 642 x 1000 record formats faster than in blocks of 2^16 cells
 _BLOCK_CELLS = 1 << 12
 
 
-def _format_rows(line: str, values, index: bool = False) -> Iterator[str]:
+def _spell_floats(block: np.ndarray) -> list:
+    """``repr(float(x))`` for each x of the 1-D float64 ``block``, as a list.
+
+    The digits come from one ``orjson.dumps`` of the block's floats, which
+    spells them as ``repr`` does for magnitudes in [1e-4, 1e16) and for
+    zero but not outside (``0.00001`` for ``1e-05``, ``1e16`` for
+    ``1e+16``, ``null`` for nan and inf); the cells the mask
+    ``~((|x| >= 1e-4) & (|x| < 1e16))`` picks are redone with ``repr``.
+    Every float of a table the package writes (CSV, OFF, VTK) is spelled
+    here; JSON documents go through ``json``.
+    """
+    floats = block.tolist()
+    if not floats:
+        return floats
+    cells = orjson.dumps(floats)[1:-1].decode().split(",")
+    a = np.abs(block)
+    for i in np.flatnonzero(~((a >= 1e-4) & (a < 1e16))).tolist():
+        cells[i] = repr(floats[i])
+    return cells
+
+
+def _format_rows(line: str, values) -> Iterator[str]:
     """Fill ``line`` once per row of ``values``, as ``(line * rows) % cells``.
 
     ``values`` (1-D: one value a row) is read as float64.  Each ``%r`` prints
-    ``repr(float(x))``, Python's shortest round-trip form.  The digits come
-    from one ``orjson.dumps`` of the block's floats, which spells them as
-    ``repr`` does for magnitudes in [1e-4, 1e16) and for zero but not
-    outside (``0.00001`` for ``1e-05``, ``1e16`` for ``1e+16``, ``null`` for
-    nan and inf); the cells the mask ``~((|x| >= 1e-4) & (|x| < 1e16))``
-    picks are redone with ``repr``.  In a template without ``%r``, ``%d``
-    prints the digits of an integer-valued float; in one with ``%r``, the
-    only ``%d`` may be the row number.  With ``index`` each value of a 1-D
-    ``values`` follows its row number.  Rows are formatted in blocks of at
+    ``repr(float(x))``, Python's shortest round-trip form, spelled by
+    :func:`_spell_floats`.  In a template without ``%r``, ``%d`` prints the
+    digits of an integer-valued float.  Rows are formatted in blocks of at
     most ``_BLOCK_CELLS`` cells (one row at least), and each block's text is
     yielded as it is made, so :func:`_write_text` writes a table without
-    ever holding all its Python floats and strings; a block's row numbers
-    continue from its first row.
+    ever holding all its Python floats and strings.
     """
     vals = np.asarray(values, dtype=float)
     step = max(1, _BLOCK_CELLS // max(1, vals[:1].size))
@@ -788,17 +810,7 @@ def _format_rows(line: str, values, index: bool = False) -> Iterator[str]:
     line = line.replace("%r", "%s")
     for start in range(0, len(vals), step):
         block = vals[start:start + step]
-        cells = floats = block.ravel().tolist()
-        if shortest and floats:
-            cells = orjson.dumps(floats)[1:-1].decode().split(",")
-            a = np.abs(block.ravel())
-            for i in np.flatnonzero(~((a >= 1e-4) & (a < 1e16))).tolist():
-                cells[i] = repr(floats[i])
-        if index:
-            numbered = [None] * (2 * len(cells))
-            numbered[::2] = range(start, start + len(cells))
-            numbered[1::2] = cells
-            cells = numbered
+        cells = _spell_floats(block.ravel()) if shortest else block.ravel().tolist()
         yield (line * len(block)) % tuple(cells)
 
 
@@ -1047,23 +1059,43 @@ def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
 # nodal field I/O (CSV + JSON sidecar manifest)
 
 
+# "0,", "1,", ...: the row prefixes of a nodal CSV, kept for the rows of one
+# block; the rows after them get theirs made per block
+_ROW_PREFIXES = tuple(map("%d,".__mod__, range(_BLOCK_CELLS)))
+
+
 def save_nodal_field(fld: NodalField, path) -> None:
     """Write ``node_index,value`` CSV plus a ``.json`` sidecar manifest.
 
-    Values are ``repr``-exact (formatted by :func:`_format_rows`).  The
-    sidecar, at ``path`` + ``".json"``, is ``json.dumps(manifest, indent=1)``
-    of ``surface_id``, ``units`` and ``length``, plus a newline, filled into
-    a fixed template: only the two strings go through ``json``.  ``path`` is
-    handled as a string: building ``Path`` objects costs a measurable share
-    of a small write.
+    Each row is its row number's prefix (``"0,"``, ``"1,"``, ...) joined to
+    the value's ``repr`` (spelled by :func:`_spell_floats`), in blocks of
+    at most ``_BLOCK_CELLS`` rows whose numbers continue from block to
+    block; an empty field writes only the header.  The sidecar, at ``path``
+    + ``".json"``, is ``json.dumps(manifest, indent=1)`` of ``surface_id``,
+    ``units`` and ``length``, plus a newline (see :func:`_sidecar`).
+    ``path`` is handled as a string: building ``Path`` objects costs a
+    measurable share of a small write.
     """
     path = os.fspath(path)
-    _write_text(path, "node_index,value\n"
-                + "".join(_format_rows("%d,%r\n", fld.values, index=True)))
-    _write_text(path + ".json",
-                '{\n "surface_id": %s,\n "units": %s,\n "length": %d\n}\n'
-                % (json.dumps(fld.surface_id), json.dumps(fld.units),
-                   len(fld.values)))
+    vals, step = fld.values, _BLOCK_CELLS
+    rows = []
+    for start in range(0, len(vals), step):
+        stop = min(start + step, len(vals))
+        prefixes = (_ROW_PREFIXES[start:stop] if stop <= len(_ROW_PREFIXES)
+                    else map("%d,".__mod__, range(start, stop)))
+        rows.append("\n".join(map(operator.add, prefixes,
+                                  _spell_floats(vals[start:stop]))) + "\n")
+    _write_text(path, "node_index,value\n" + "".join(rows))
+    _write_text(path + ".json", _sidecar(fld.surface_id, fld.units, len(vals)))
+
+
+@functools.lru_cache(maxsize=64)
+def _sidecar(surface_id: str, units: str, length: int) -> str:
+    """The sidecar text of :func:`save_nodal_field`, made once per
+    (surface id, units, length): a fixed template in which only the two
+    strings go through ``json``."""
+    return ('{\n "surface_id": %s,\n "units": %s,\n "length": %d\n}\n'
+            % (json.dumps(surface_id), json.dumps(units), length))
 
 
 def load_nodal_field(path) -> NodalField:

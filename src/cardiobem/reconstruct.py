@@ -46,8 +46,8 @@ from .direct import (_solve_neumann_block, _values_on, _zaremba_transfer,
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, as_tensor
-from .mesh import (DomainConfig, NodalField, _write_text, points_inside,
-                   save_mesh, save_nodal_field, surface_distance)
+from .mesh import (DomainConfig, NodalField, _total_weight, _write_text,
+                   points_inside, save_mesh, save_nodal_field, surface_distance)
 
 __all__ = [
     "ReconstructionOutput",
@@ -90,8 +90,7 @@ def calibration_constant(u_b_trace: NodalField, c0: float, mesh) -> float:
 
 
 def _surface_mean(mesh, vals: np.ndarray) -> float:
-    w = mesh.vertex_weights
-    return float((w @ vals) / w.sum())
+    return float(mesh.vertex_weights @ vals) / _total_weight(mesh)
 
 
 def reconstruct_ui_proportional(u_e: NodalField, heart_flux_of_ub: NodalField,
@@ -337,11 +336,13 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
     top, the numeric diagnostics under ``diagnostics``, the flags under
     ``flags``, beside the file names and the surface id; the dict written
     is returned.  A CLI run manifest repeats none of it.  File contents are
-    deterministic: repr-exact floats (``mesh._format_rows``), no
-    timestamps.  Files are rewritten in place (see ``mesh._write_text``).  ``directory`` (a ``str`` or path-like)
-    and its parents are made when it is not a directory yet; a path that is
-    a file raises ``FileExistsError``.  Paths are joined as strings: building
-    ``Path`` objects costs a measurable share of a small write.
+    deterministic: the CSVs hold repr-exact floats (``save_nodal_field``,
+    which spells them with ``mesh._spell_floats``), and nothing holds a
+    timestamp.  Files are rewritten in place (see ``mesh._write_text``).
+    ``directory`` (a ``str`` or path-like) and its parents are made when it
+    is not a directory yet; a path that is a file raises
+    ``FileExistsError``.  Paths are joined as strings: building ``Path``
+    objects costs a measurable share of a small write.
     """
     directory = os.fspath(directory) or os.curdir
     if not os.path.isdir(directory):

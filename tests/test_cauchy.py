@@ -330,7 +330,7 @@ def test_lcurve_pick_at_level_1(model):
     assert picked <= 5.0 * best, f"L-curve pick {picked:.3g} mV, best {best:.3g} mV"
 
 
-@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 1: the L-curve "
+@pytest.mark.xfail(strict=True, reason="open defect, ROADMAP item 5: the L-curve "
                    "has one corner per harmonic degree (35.1 mV against 1.64 mV)")
 def test_lcurve_pick_on_three_term_data_at_level_1(model):
     picked, best = _pick_and_best(model, _shell(1), THREE_TERMS)
@@ -373,7 +373,7 @@ def test_annulus_lcurve_pick_on_one_term_data(model, n):
 
 @pytest.mark.parametrize("n", [
     pytest.param(64, marks=pytest.mark.xfail(
-        strict=True, reason="open defect, ROADMAP item 1: the L-curve has one corner "
+        strict=True, reason="open defect, ROADMAP item 5: the L-curve has one corner "
         "per harmonic degree (u_e error 0.285 at the pick against 3.43e-5 best; "
         "0.287 against 6.7e-4 at 32 segments, 0.282 against 7.5e-5 at 128)")),
     256,

@@ -282,31 +282,43 @@ def _old_format_rows(line, values, index=False):
     return (line * len(vals)) % tuple(cells)
 
 
-def _assert_formats_as_old(line, values, index):
+def _assert_rows_equal(new, old, what):
     # compare row by row: a diff of two multi-megabyte strings takes minutes
-    new = "".join(mesh_module._format_rows(line, values, index=index)).splitlines()
-    old = _old_format_rows(line, values, index=index).splitlines()
-    assert len(new) == len(old), line
+    new, old = new.splitlines(), old.splitlines()
+    assert len(new) == len(old), what
     for row, (a, b) in enumerate(zip(new, old)):
-        assert a == b, (line, row)
+        assert a == b, (what, row)
+
+
+def _assert_formats_as_old(line, values):
+    _assert_rows_equal("".join(mesh_module._format_rows(line, values)),
+                       _old_format_rows(line, values), line)
+
+
+def _assert_saves_as_old(path, values):
+    # the nodal CSV is its header over the old indexed format
+    save_nodal_field(NodalField("heart", values), path)
+    _assert_rows_equal(path.read_text(), "node_index,value\n"
+                       + _old_format_rows("%d,%r\n", values, index=True), path.name)
+    assert json.loads((path.parent / (path.name + ".json")).read_text())["length"] \
+        == len(values)
 
 
 def _format_cases(flat, ints):
     return [
-        ("%d,%r\n", flat, True),
-        ("%r %r %r\n", flat[:3 * (len(flat) // 3)].reshape(-1, 3), False),
-        (",".join(["%r"] * 5) + "\n", flat[:5 * (len(flat) // 5)].reshape(-1, 5), False),
-        ("3 %d %d %d\n", ints, False),
-        ("%d,%r\n", np.empty(0), True),
-        ("%r %r %r\n", np.empty((0, 3)), False),
+        ("%r\n", flat),
+        ("%r %r %r\n", flat[:3 * (len(flat) // 3)].reshape(-1, 3)),
+        (",".join(["%r"] * 5) + "\n", flat[:5 * (len(flat) // 5)].reshape(-1, 5)),
+        ("3 %d %d %d\n", ints),
+        ("%r\n", np.empty(0)),
+        ("%r %r %r\n", np.empty((0, 3))),
     ]
 
 
-def test_format_rows_matches_repr():
+def _spelling_cases():
     # uniform bit patterns cover the whole double range (subnormals, nan
     # payloads, both exponent forms of repr); scaled normals and rounded
-    # decimals fill the range where orjson's digits are kept.  The indexed
-    # table crosses a block boundary, so its row numbers must continue.
+    # decimals fill the range where orjson's digits are kept
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
     scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-8, 20, 20_000)
@@ -314,30 +326,63 @@ def test_format_rows_matches_repr():
                1e-4, 1e16, 9999999999999998.0, np.nextafter(1e-4, 0.0)]
     flat = np.concatenate([special, bits, scaled, np.round(scaled, 3)])
     assert len(flat) > mesh_module._BLOCK_CELLS
-    ints = rng.integers(0, 2**53, size=(100, 3)).astype(float)
+    return flat, rng.integers(0, 2**53, size=(100, 3)).astype(float)
+
+
+def test_format_rows_matches_repr():
+    # the one-column table crosses a block boundary
+    flat, ints = _spelling_cases()
     _assert_formats_as_old(*_format_cases(flat, ints)[0])
     for case in _format_cases(flat[-6000:], ints)[1:]:
         _assert_formats_as_old(*case)
+
+
+def test_save_nodal_field_matches_repr(tmp_path):
+    # the finite values of the same spellings, the special ones first; the
+    # field runs past the kept row prefixes and over several blocks, so its
+    # row numbers must continue
+    flat = _spelling_cases()[0]
+    finite = flat[np.isfinite(flat)]
+    assert len(finite) > 2 * len(mesh_module._ROW_PREFIXES)
+    assert finite[2:7].tolist() == [5e-324, -2.2250738585072014e-308, 1e-4,
+                                    1e16, 9999999999999998.0]
+    _assert_saves_as_old(tmp_path / "f.csv", finite)
+
+
+def _block_cases():
+    rng = np.random.default_rng(15)
+    flat = np.concatenate([[np.nan, -np.inf, 1e-7, 2e16],
+                           rng.standard_normal(60) * 10.0 ** rng.integers(-8, 20, 60)])
+    return flat, rng.integers(0, 1000, size=(9, 3)).astype(float)
 
 
 def test_format_rows_blocks(monkeypatch, tmp_path):
     # seven cells a block: two rows of a three-column table, one of a
     # five-column one, so blocks split tables at every width used here
     monkeypatch.setattr(mesh_module, "_BLOCK_CELLS", 7)
-    rng = np.random.default_rng(15)
-    flat = np.concatenate([[np.nan, -np.inf, 1e-7, 2e16],
-                           rng.standard_normal(60) * 10.0 ** rng.integers(-8, 20, 60)])
-    ints = rng.integers(0, 1000, size=(9, 3)).astype(float)
+    flat, ints = _block_cases()
     for case in _format_cases(flat, ints):
         _assert_formats_as_old(*case)
     # _write_text writes a table of twelve blocks block by block, over a
     # longer file, to the bytes of the whole table
-    line, table = _format_cases(flat, ints)[2][:2]
+    line, table = _format_cases(flat, ints)[2]
     assert len(list(mesh_module._format_rows(line, table))) == 12
     path = tmp_path / "table.csv"
     path.write_text("x" * 4096 + "\n")
     _write_text(path, mesh_module._format_rows(line, table))
     assert path.read_bytes() == _old_format_rows(line, table).encode()
+
+
+def test_save_nodal_field_blocks(monkeypatch, tmp_path):
+    # seven rows a block and sixteen kept prefixes: the second block takes
+    # kept ones from their middle, the third straddles their end and makes
+    # its own, as do the later blocks; an empty field writes only the header
+    monkeypatch.setattr(mesh_module, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(mesh_module, "_ROW_PREFIXES", mesh_module._ROW_PREFIXES[:16])
+    finite = _block_cases()[0][2:]
+    for values in (finite, finite[:7], finite[:1], np.empty(0)):
+        _assert_saves_as_old(tmp_path / "f.csv", values)
+    assert (tmp_path / "f.csv").read_bytes() == b"node_index,value\n"
 
 
 def test_point_queries():

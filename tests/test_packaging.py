@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and five structural guards."""
+and every module uses what it imports; and six structural guards."""
 
 import ast
 import re
@@ -147,3 +147,15 @@ def test_one_crossing_pass_answers_containment():
                                                getattr(node.func, "attr", None))}
     assert callers == {"mesh.py:points_inside", "mesh.py:_lattice_inside"}
     assert not defined & {"_ray_parity", "_curve_parity"}
+
+
+def test_one_float_writer():
+    # every float of a written table is spelled by mesh._spell_floats, the
+    # one caller of orjson.dumps, so no second writer can skip its repr
+    # fix-ups for the magnitudes orjson spells differently
+    sites = [f"{path.name}:{getattr(top, 'name', top.lineno)}" for path in _modules()
+             for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dumps"
+             and getattr(node.func.value, "id", None) == "orjson"]
+    assert sites == ["mesh.py:_spell_floats"]
