@@ -69,19 +69,17 @@ same near-field pass and the same row-sum diagonal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import sparse
 
-from .errors import ParseError, QuadratureFailure, ShapeMismatch
+from .errors import QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
-from .kernels import _KernelSet, as_tensor
+from .kernels import _KernelSet
 from .mesh import (CurveMesh, NodalField, SurfaceMesh, _closest_points, _freeze,
-                   _memo, _near_pairs, _write_text, require_off_surface)
+                   _memo, _near_pairs, require_off_surface)
 
 __all__ = [
     "LayerOperators",
@@ -89,8 +87,6 @@ __all__ = [
     "volume_potential",
     "VolumePotentialResult",
     "green_representation",
-    "save_operator",
-    "load_operator",
 ]
 
 LOG_KERNEL_SCALE = 4.0  # r0 in the shifted 2D logarithm, see module docstring
@@ -151,23 +147,18 @@ _FAR_BLOCK = 4_000_000
 
 @dataclass(frozen=True)
 class LayerOperators:
-    """Assembled dense layer operator.
+    """Assembled dense layer operator of one ``kind``, "single" or "double".
 
-    ``matrix`` maps nodal densities on ``source_surface`` to potential values
-    at the targets (rows = targets, cols = source vertices); ``target`` is
-    either a surface id (collocation at its vertices) or the explicit point
-    array.
+    ``matrix`` maps nodal densities on the source surface to potential
+    values at the targets (rows = targets, cols = source vertices);
+    ``apply`` is that product with a length check.  Made only by
+    ``assemble_layer``, which has checked the kind.
     """
 
     kind: str
-    source_surface: str
-    target: object
     matrix: np.ndarray
-    tensor: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("single", "double"):
-            raise ShapeMismatch("kind must be 'single' or 'double'")
         if not np.all(np.isfinite(self.matrix)):
             raise QuadratureFailure(f"{self.kind}-layer matrix has non-finite entries")
 
@@ -414,30 +405,22 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
     """
     if kind not in ("single", "double"):
         raise ShapeMismatch(f"unknown layer kind {kind!r}")
-    tensor = as_tensor(M, source.dim)
     if target is None:
         target = source
-    is_mesh_target = isinstance(target, (SurfaceMesh, CurveMesh))
     same = target is source
-
-    targets = target.vertices if is_mesh_target else np.atleast_2d(np.asarray(target, float))
+    targets = (target.vertices if isinstance(target, (SurfaceMesh, CurveMesh))
+               else np.atleast_2d(np.asarray(target, float)))
     if targets.shape[1] != source.dim:
         raise ShapeMismatch(f"targets must be (n, {source.dim})")
 
-    ker = _KernelSet(tensor, source.dim, r0=LOG_KERNEL_SCALE)
+    ker = _KernelSet(M, source.dim, r0=LOG_KERNEL_SCALE)
     matrix = _assemble_dense(kind, ker, source, targets, same)
     if kind == "double" and same:
         np.fill_diagonal(matrix, 0.0)
         matrix[np.arange(len(matrix)), np.arange(len(matrix))] = (
             -0.5 - matrix.sum(axis=1)
         )
-    return LayerOperators(
-        kind=kind,
-        source_surface=source.surface_id,
-        target=target.surface_id if is_mesh_target else targets,
-        matrix=matrix,
-        tensor=tensor,
-    )
+    return LayerOperators(kind=kind, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -521,44 +504,3 @@ def green_representation(M, mesh, dirichlet: NodalField, conormal: NodalField,
         grid, g = g_volume
         vals = vals + volume_potential(M, grid, g, pts).values
     return float(vals[0]) if scalar_in else vals
-
-
-# ---------------------------------------------------------------------------
-# binary operator dump
-
-
-def save_operator(op: LayerOperators, base_path) -> None:
-    """Dump a layer operator as row-major float64 ``.bin`` + ``.json`` header."""
-    base = Path(base_path)
-    mat = np.ascontiguousarray(op.matrix, dtype=np.float64)
-    mat.tofile(base.with_suffix(".bin"))
-    header = {
-        "dims": list(mat.shape),
-        "kind": op.kind,
-        "tensor": [[float(v) for v in row] for row in op.tensor],
-        "source_surface": op.source_surface,
-        "target": op.target if isinstance(op.target, str) else "points",
-        "dtype": "float64",
-        "order": "C",
-    }
-    _write_text(base.with_suffix(".json"), json.dumps(header, indent=1) + "\n")
-
-
-def load_operator(base_path) -> LayerOperators:
-    """Reload a dumped operator bit-exactly."""
-    base = Path(base_path)
-    try:
-        header = json.loads(base.with_suffix(".json").read_text())
-        raw = np.fromfile(base.with_suffix(".bin"), dtype=np.float64)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read operator dump {base}: {exc}") from exc
-    dims = tuple(header["dims"])
-    if raw.size != dims[0] * dims[1]:
-        raise ParseError(f"operator dump {base}: size mismatch")
-    return LayerOperators(
-        kind=header["kind"],
-        source_surface=header["source_surface"],
-        target=header["target"],
-        matrix=raw.reshape(dims),
-        tensor=np.asarray(header["tensor"], dtype=float),
-    )

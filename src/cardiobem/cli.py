@@ -315,10 +315,13 @@ def _selection(cfg: RunConfig):
     sel = cfg["selection"]
     if sel == "lcurve":
         return LCurveMaxCurvature()
-    if sel.startswith("fixed:"):
-        return FixedAlpha(float(sel.split(":", 1)[1]))
-    if sel.startswith("discrepancy:"):
-        return DiscrepancyPrinciple(float(sel.split(":", 1)[1]))
+    rule, colon, text = sel.partition(":")
+    rules = {"fixed": FixedAlpha, "discrepancy": DiscrepancyPrinciple}
+    if colon and rule in rules:
+        value = _cast("selection", float, text)
+        if not value > 0:
+            raise ValidationFailure(f"selection {rule} needs a value > 0, got {text!r}")
+        return rules[rule](value)
     raise ValidationFailure(
         f"selection must be 'lcurve', 'fixed:ALPHA' or 'discrepancy:LEVEL', got {sel!r}"
     )
@@ -405,7 +408,7 @@ def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
     heart = load_mesh(_require_file(cfg, "heart"), surface_id="heart")
     model = _model(cfg)
     _require_positive(cfg, "radius", "amplitude", "grid_h")
-    center = tuple(float(x) for x in cfg["center"].split(","))
+    center = tuple(_cast("center", float, x) for x in cfg["center"].split(","))
     if len(center) != 3:
         raise ValidationFailure("center must be 'x,y,z'")
     grid = InteriorGrid.for_mesh(heart, h=cfg["grid_h"])

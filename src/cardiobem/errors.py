@@ -25,10 +25,6 @@ class ShapeMismatch(CardiobemError):
     """Array sizes disagree (field length vs. mesh, matrix dims, frames)."""
 
 
-class SingularPoint(CardiobemError):
-    """A kernel was evaluated at a coincident source/target point."""
-
-
 class QuadratureFailure(CardiobemError):
     """A quadrature rule could not be applied (empty rule, bad panel)."""
 
@@ -39,11 +35,6 @@ class EmptySupport(CardiobemError):
 
 class PointOnBoundary(CardiobemError):
     """A query point lies on a surface within the containment tolerance."""
-
-
-# The parabolic layer potentials raise the same condition under the name the
-# time-dependent interfaces use.
-PointOnSurface = PointOnBoundary
 
 
 class OutOfGeometry(CardiobemError):

@@ -40,12 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularPoint
+from .errors import ShapeMismatch
 
 __all__ = [
     "ConductivityModel",
     "HeatOperatorSpec",
-    "elliptic_fundamental",
     "as_tensor",
 ]
 
@@ -258,23 +257,3 @@ class _KernelSet:
     def layer(self, kind: str, r2: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The "single" or "double" kernel; ``h`` serves the double."""
         return self.single(r2) if kind == "single" else self.double(r2, h)
-
-
-def elliptic_fundamental(M, x, y) -> np.ndarray:
-    """Fundamental solution phi_M(x, y) of Delta_M = -div(M grad).
-
-    ``x`` and ``y`` broadcast against each other over a trailing axis of
-    length 2 or 3 (deduced from the arrays).  Raises
-    :class:`SingularPoint` if any pair coincides.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dim = x.shape[-1]
-    if y.shape[-1] != dim:
-        raise ShapeMismatch("x and y must share the trailing dimension")
-    diff = x - y
-    if np.any(np.all(diff == 0.0, axis=-1)):
-        raise SingularPoint("elliptic_fundamental evaluated at x == y")
-    ker = _KernelSet(M, dim)
-    # a single pair's r_M^2 is a scalar: overwrite a 0-d copy, unwrap it
-    return ker.single(np.asarray(ker.r2(diff)))[()]

@@ -29,7 +29,6 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
@@ -43,10 +42,8 @@ __all__ = [
     "CurveMesh",
     "DomainConfig",
     "NodalField",
-    "PointLocation",
     "load_mesh",
     "save_mesh",
-    "point_location",
     "points_inside",
     "surface_distance",
     "save_nodal_field",
@@ -80,8 +77,7 @@ _CLOSEST_BATCH = 1 << 14
 _PARALLEL = 1e-14
 _GRAZE = 1e-10
 
-# cm: heart and torso closer than this fail the DomainConfig check, and a
-# point closer than this to either surface is on it (point_location)
+# cm: heart and torso closer than this fail the DomainConfig check
 _CONTAINMENT_TOL = 1e-6
 
 # Deterministic "random" ray directions for points_inside, tried in turn
@@ -112,15 +108,6 @@ def _ray_frames(directions: np.ndarray) -> np.ndarray:
 # per dimension, the frames of the ray directions; a 2D one takes the first
 # two components of a direction
 _FRAMES = {dim: _ray_frames(_RAY_DIRECTIONS[:, :dim]) for dim in (2, 3)}
-
-
-class PointLocation(Enum):
-    """Where a query point sits relative to a heart/torso configuration."""
-
-    IN_HEART = "in_heart"
-    IN_SHELL = "in_shell"
-    OUTSIDE = "outside"
-    ON_BOUNDARY = "on_boundary"
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -390,17 +377,6 @@ class NodalField:
         if not np.all(np.isfinite(vals)):
             raise ShapeMismatch("field contains non-finite values")
         object.__setattr__(self, "values", _freeze(vals))
-
-    @staticmethod
-    def for_mesh(mesh, values, units: str = "mV") -> "NodalField":
-        """Build a field and check its length against ``mesh``."""
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (mesh.n_vertices,):
-            raise ShapeMismatch(
-                f"field length {vals.shape} does not match mesh "
-                f"{mesh.surface_id!r} with {mesh.n_vertices} vertices"
-            )
-        return NodalField(mesh.surface_id, vals, units)
 
     def check_on(self, mesh) -> np.ndarray:
         """Return values after verifying the field belongs on ``mesh``."""
@@ -704,26 +680,6 @@ def surface_distance(mesh, points: np.ndarray) -> np.ndarray:
     pair is near, so the distance is exact everywhere.
     """
     return _distances_within(mesh, points, np.inf)
-
-
-def point_location(config: DomainConfig, x) -> PointLocation:
-    """Classify a point against a heart/torso configuration.
-
-    A point within 1e-6 cm (``_CONTAINMENT_TOL``) of either surface reports
-    :attr:`PointLocation.ON_BOUNDARY`; otherwise parity against the two
-    surfaces decides between heart interior, conductor shell and outside.
-    """
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    tol = _CONTAINMENT_TOL
-    if _distances_within(config.heart, pt, tol)[0] <= tol:
-        return PointLocation.ON_BOUNDARY
-    if _distances_within(config.torso, pt, tol)[0] <= tol:
-        return PointLocation.ON_BOUNDARY
-    if points_inside(config.heart, pt)[0]:
-        return PointLocation.IN_HEART
-    if points_inside(config.torso, pt)[0]:
-        return PointLocation.IN_SHELL
-    return PointLocation.OUTSIDE
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "synth_bidomain_steady",
     "BidomainSteadyOracle",
     "rmse",
-    "relative_l2",
 ]
 
 MAX_DEGREE = 8
@@ -535,15 +534,3 @@ def rmse(v_rec, v_true) -> float:
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
-def relative_l2(v_rec, v_true) -> float:
-    """l2 error relative to the l2 norm of the reference."""
-    a = _values(v_rec)
-    b = _values(v_true)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    denom = np.linalg.norm(b)
-    if denom == 0.0:
-        return float(np.linalg.norm(a - b))
-    return float(np.linalg.norm(a - b) / denom)

@@ -427,7 +427,7 @@ def parabolic_green_reconstruct(spec: HeatOperatorSpec, mesh,
     are rejected.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    require_off_surface(mesh, x[None, :])  # PointOnSurface is PointOnBoundary
+    require_off_surface(mesh, x[None, :])
     t0 = u_trace.grid.t0
     if any(f.grid.t0 != t0 for f in (flux_trace, Lu) if f is not None):
         raise ShapeMismatch("trace, flux and source must start at one t0")

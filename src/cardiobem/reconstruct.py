@@ -18,12 +18,12 @@ Protocol 1 consumes a measured u_e on the heart: (a) the bath flux
 psi = Lambda u_e through the Zaremba transfer, (b) the proportional formula,
 (c) v = u_i - u_e.  Protocol 2 first recovers u_e and psi from torso data
 via the regularized Cauchy solver, then runs the same tail.  Both protocols
-and reconstruct_ui_proportional end in one array-level step,
-``_proportional_tail``: the normalized Neumann step under M_i on the
-heart's kept Neumann entry, which builds no solver report.  A warm
-protocol-1 frame is three matrix-vector products with kept operators:
-Lambda u_e, B psi and the bordered inverse on that.  No composed heart map
-is kept, because folding the three into one matrix saves no product.
+end in one array-level step, ``_proportional_tail``: the normalized Neumann
+step under M_i on the heart's kept Neumann entry, which builds no solver
+report.  A warm protocol-1 frame is three matrix-vector products with kept
+operators: Lambda u_e, B psi and the bordered inverse on that.  No composed
+heart map is kept, because folding the three into one matrix saves no
+product.
 
 The reconstruction's null space is spanned by compactly supported interior
 bumps: u in H^2_0 of the heart domain, u_e = u, u_b = 0, u_i from the same
@@ -53,8 +53,6 @@ __all__ = [
     "ReconstructionOutput",
     "CubicRadial",
     "NullSpaceElement",
-    "calibration_constant",
-    "reconstruct_ui_proportional",
     "reconstruct_ui_general",
     "run_protocol_1",
     "run_protocol_2",
@@ -80,34 +78,15 @@ class ReconstructionOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def calibration_constant(u_b_trace: NodalField, c0: float, mesh) -> float:
-    """c = -c0 <u_b>_sigma, the constant fixing oint(u_i + c0 u_e) = 0.
+def _calibration(mesh, u_e: np.ndarray, c0: float) -> tuple:
+    """(c, <u_e>): the calibration constant c = -c0 <u_e>, which fixes
+    oint(u_i + c0 u_e) dsigma = 0, and the surface mean it is made from.
 
-    u_b_trace is the bath potential trace on the heart surface (equal to the
-    extracellular trace by transmission); the mean is lumped quadrature.
+    u_e is the extracellular trace on the heart surface, equal to the bath
+    trace by transmission; the mean is lumped quadrature.
     """
-    return -c0 * _surface_mean(mesh, u_b_trace.check_on(mesh))
-
-
-def _surface_mean(mesh, vals: np.ndarray) -> float:
-    return float(mesh.vertex_weights @ vals) / _total_weight(mesh)
-
-
-def reconstruct_ui_proportional(u_e: NodalField, heart_flux_of_ub: NodalField,
-                                model: ConductivityModel, c0: float,
-                                heart) -> tuple:
-    """Proportional-case intracellular trace from u_e and the bath flux.
-
-    Returns (u_i NodalField, c, diagnostics).  The Neumann step runs with
-    tensor M_i (lambda N_{M_e} = N_{M_i} for proportional tensors) and
-    projects the flux onto the compatible subspace: discrete conservation
-    holds only to quadrature accuracy and the defect is reported instead of
-    rejected.
-    """
-    _check_proportional(model)
-    ui, c, diagnostics = _proportional_tail(
-        heart, model, u_e.check_on(heart), _values_on(heart_flux_of_ub, heart), c0)
-    return NodalField(heart.surface_id, ui), c, diagnostics
+    mean = float(mesh.vertex_weights @ u_e) / _total_weight(mesh)
+    return -c0 * mean, mean
 
 
 def _check_proportional(model: ConductivityModel) -> None:
@@ -119,13 +98,19 @@ def _check_proportional(model: ConductivityModel) -> None:
 
 def _proportional_tail(heart, model: ConductivityModel, d: np.ndarray,
                        psi: np.ndarray, c0: float) -> tuple:
-    """``reconstruct_ui_proportional`` on arrays, heart data d and bath flux
-    psi: (u_i, c, diagnostics), with no report and no NodalField built.
-    Both protocols end in it."""
+    """Proportional-case intracellular trace from the heart data d and the
+    bath flux psi: (u_i, c, diagnostics), with no report and no NodalField
+    built.  Both protocols end in it.
+
+    u_i = -lambda (d - <d>) + N_i(0, psi) + c.  The Neumann step runs with
+    tensor M_i (lambda N_{M_e} = N_{M_i} for proportional tensors) and
+    projects the flux onto the compatible subspace: discrete conservation
+    holds only to quadrature accuracy and the defect is reported instead of
+    rejected.
+    """
     u0, _, defect, residual, normalization = _solve_neumann_block(
         as_tensor(model.M_i, heart.dim), heart, psi, project=True)
-    mean = _surface_mean(heart, d)
-    c = -c0 * mean  # calibration_constant
+    c, mean = _calibration(heart, d, c0)
     ui = -float(model.lam) * (d - mean) + u0 + c
     diagnostics = {
         "neumann_residual": float(residual),
@@ -161,7 +146,7 @@ def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
                            units="mV*mS/cm^2")
     rep = solve_neumann_normalized(as_tensor(M_i, 3), heart, zero_flux,
                                    g_volume=(grid, g), project=True)
-    c = calibration_constant(u_e, c0, heart)
+    c, _ = _calibration(heart, ue, c0)
     ui = -rep.solution_trace.values + c
     diagnostics = {
         "neumann_residual": rep.residual_norm,
@@ -301,7 +286,7 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
     trace = bump(heart.vertices)
     grad_trace = bump.gradient(heart.vertices)
     u_e_trace = NodalField(heart.surface_id, trace)
-    c = calibration_constant(u_e_trace, 1.0, heart)
+    c, _ = _calibration(heart, u_e_trace.values, 1.0)
     diagnostics = {"c": c, "support_gap": gap - bump.radius}
     ui_grid = None
     if proportional:

@@ -13,8 +13,6 @@ from cardiobem import (
     circle_curve,
     green_representation,
     icosphere,
-    load_operator,
-    save_operator,
     solve_neumann_normalized,
     solve_zaremba,
     volume_potential,
@@ -81,15 +79,6 @@ def test_operator_cache(assembly_builds):
     b = assemble_layer("single", np.eye(3), heart)
     assert a.matrix is not b.matrix
     assert np.array_equal(a.matrix, b.matrix)
-
-
-def test_operator_round_trip(tmp_path, sphere):
-    op = assemble_layer("double", 2.0 * np.eye(3), sphere)
-    save_operator(op, tmp_path / "dbl")
-    back = load_operator(tmp_path / "dbl")
-    assert back.kind == "double"
-    assert np.array_equal(back.matrix, op.matrix)
-    assert np.array_equal(back.tensor, op.tensor)
 
 
 def test_green_representation_linear(sphere):

@@ -233,8 +233,15 @@ def test_validation_exit_codes(tmp_path, synth_dir):
                  "--out", str(tmp_path / "d")]) == 2
     assert main(["nullspace", "--heart", str(synth_dir / "heart.off"),
                  "--center", "1,2", "--out", str(tmp_path / "e")]) == 2
+    assert main(["nullspace", "--heart", str(synth_dir / "heart.off"),
+                 "--center", "a,b,c", "--out", str(tmp_path / "e2")]) == 2
     assert main(["green-check", "--level", "7",
                  "--out", str(tmp_path / "f")]) == 2
+    # a selection's value is a positive number, checked before any solve
+    p2 = ["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
+          "--torso", str(synth_dir / "torso.off"), "--f", str(synth_dir / "f.csv")]
+    for k, sel in enumerate(["fixed:abc", "discrepancy:x", "fixed:-1"]):
+        assert main(p2 + ["--selection", sel, "--out", str(tmp_path / f"g{k}")]) == 2
 
 
 def test_solver_exit_code(tmp_path, synth_dir):

@@ -10,7 +10,6 @@ from cardiobem import (
     ShapeMismatch,
     TikhonovConfig,
     as_tensor,
-    elliptic_fundamental,
     icosphere,
     run_protocol_1,
     run_protocol_2,
@@ -92,23 +91,29 @@ def test_warm_frame_skips_tensor_checks(model, shell_oracle, monkeypatch):
     assert calls == []
 
 
+def _fundamental(M, x, y):
+    """phi_M(x, y) for rows x against the point y."""
+    ker = _KernelSet(M, len(y))
+    return ker.single(ker.r2(x - y))
+
+
 def test_fundamental_3d():
     # isotropic: 1/(4 pi r)
-    val = elliptic_fundamental(np.eye(3), np.array([[2.0, 0.0, 0.0]]), np.zeros(3))
+    val = _fundamental(np.eye(3), np.array([[2.0, 0.0, 0.0]]), np.zeros(3))
     assert val[0] == pytest.approx(1.0 / (8 * np.pi), rel=1e-12)
     # anisotropic closed form: 1/(4 pi sqrt(det M) |x|_{M^-1})
     M = np.diag([1.0, 4.0, 9.0])
     x = np.array([[0.3, -0.5, 0.7]])
     rm = np.sqrt(x[0] @ np.linalg.inv(M) @ x[0])
     expect = 1.0 / (4 * np.pi * np.sqrt(np.linalg.det(M)) * rm)
-    assert elliptic_fundamental(M, x, np.zeros(3))[0] == pytest.approx(expect, rel=1e-12)
+    assert _fundamental(M, x, np.zeros(3))[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_fundamental_2d():
     # -log(r_M) / (2 pi sqrt(det M)); vanishes at r = 1 for the identity
-    val = elliptic_fundamental(np.eye(2), np.array([[1.0, 0.0]]), np.zeros(2))
+    val = _fundamental(np.eye(2), np.array([[1.0, 0.0]]), np.zeros(2))
     assert val[0] == pytest.approx(0.0, abs=1e-15)
-    val = elliptic_fundamental(np.eye(2), np.array([[4.0, 0.0]]), np.zeros(2))
+    val = _fundamental(np.eye(2), np.array([[4.0, 0.0]]), np.zeros(2))
     assert val[0] == pytest.approx(-np.log(4.0) / (2 * np.pi), rel=1e-12)
 
 
@@ -119,7 +124,7 @@ def test_fundamental_solves_pde(M):
     h = 1e-4
 
     def phi(p):
-        return elliptic_fundamental(M, p.reshape(1, -1), np.zeros(3))[0]
+        return _fundamental(M, p.reshape(1, -1), np.zeros(3))[0]
 
     lap = 0.0
     for i in range(3):

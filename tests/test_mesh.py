@@ -16,7 +16,6 @@ from cardiobem import (
     HeatOperatorSpec,
     NodalField,
     ParseError,
-    PointLocation,
     PointOnBoundary,
     ShapeMismatch,
     SpaceTimeField,
@@ -26,7 +25,6 @@ from cardiobem import (
     icosphere,
     load_mesh,
     load_nodal_field,
-    point_location,
     points_inside,
     save_mesh,
     save_nodal_field,
@@ -551,14 +549,6 @@ def test_points_on_the_bounding_box_are_not_inside(mesh):
 
 def test_heat_grid_cell_count():
     assert InteriorGrid.for_mesh(icosphere(2, 1.0), h=0.14).inside.sum() == 1469
-
-
-def test_point_location(domain2):
-    assert point_location(domain2, [0.0, 0.0, 0.2]) is PointLocation.IN_HEART
-    assert point_location(domain2, [0.0, 1.5, 0.0]) is PointLocation.IN_SHELL
-    assert point_location(domain2, [3.0, 0.0, 0.0]) is PointLocation.OUTSIDE
-    vertex = domain2.heart.vertices[0]
-    assert point_location(domain2, vertex) is PointLocation.ON_BOUNDARY
 
 
 def test_meshes_and_domains_compare_by_identity():

@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and six structural guards."""
+and every module uses what it imports; and seven structural guards."""
 
 import ast
 import re
@@ -159,3 +159,32 @@ def test_one_float_writer():
              and node.func.attr == "dumps"
              and getattr(node.func.value, "id", None) == "orjson"]
     assert sites == ["mesh.py:_spell_floats"]
+
+
+# exported for readers outside the package and its scripts: the analytic
+# reference of the general-formula test in test_reconstruct.py
+_READERLESS_EXPORTS = {
+    "Sphere3D": "the ball geometry of the general-formula reference field",
+    "eval_harmonic": "values and gradients of that reference field",
+}
+
+
+def test_every_export_has_a_reader():
+    # a name the package re-exports is read in one of its modules (a load,
+    # not its own def or class), or named by a demo, the README or the
+    # benchmark, so an export only its own tests call does not grow back
+    init = ast.parse((ROOT / "src" / "cardiobem" / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    texts = [path.read_text() for pattern in ("demos/*.py", "README.md", "perfbench/*.py")
+             for path in ROOT.glob(pattern)]
+    named = {name for name in exported
+             if any(re.search(rf"\b{name}\b", text) for text in texts)}
+    assert sorted(exported - read - named) == sorted(_READERLESS_EXPORTS)

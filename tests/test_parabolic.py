@@ -14,7 +14,7 @@ from cardiobem import (
     MissingInteriorData,
     NodalField,
     ParseError,
-    PointOnSurface,
+    PointOnBoundary,
     ShapeMismatch,
     SpaceTimeField,
     TimeGrid,
@@ -400,7 +400,7 @@ def test_layer_potential_validation(model, heart2):
     other = SpaceTimeField.constant_in_time("torso", np.ones(heart2.n_vertices), tg)
     with pytest.raises(ShapeMismatch):
         parabolic_layer_potentials(spec, heart2, other, "single", x, 0.3)
-    with pytest.raises(PointOnSurface):
+    with pytest.raises(PointOnBoundary):
         parabolic_layer_potentials(spec, heart2, dens, "double",
                                    heart2.vertices[0], 0.3)
     # no frame lies strictly below t0: the potentials vanish identically

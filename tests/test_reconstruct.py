@@ -21,12 +21,10 @@ from cardiobem import (
     Sphere3D,
     SupportTouchesBoundary,
     TikhonovConfig,
-    calibration_constant,
     eval_harmonic,
     generate_nullspace_element,
     icosphere,
     reconstruct_ui_general,
-    reconstruct_ui_proportional,
     rmse,
     run_protocol_1,
     run_protocol_2,
@@ -35,23 +33,24 @@ from cardiobem import (
     solve_zaremba,
     write_reconstruction,
 )
+from cardiobem.reconstruct import _calibration, _proportional_tail
 
 
 def test_calibration_constant(heart2):
     vals = heart2.vertices[:, 2] + 2.0
     w = heart2.vertex_weights
-    c = calibration_constant(NodalField("heart", vals), 1.5, heart2)
+    c, mean = _calibration(heart2, vals, 1.5)
+    assert mean == pytest.approx((w @ vals) / w.sum())
     assert c == pytest.approx(-1.5 * (w @ vals) / w.sum())
 
 
-def test_proportional_calibration_invariant(model, heart2, fields2):
-    ui, c, diag = reconstruct_ui_proportional(
-        fields2["u_e"], fields2["heart_flux"], model, 1.0, heart2)
+def test_proportional_calibration_invariant(domain2, model, heart2, fields2):
+    out = run_protocol_1(domain2, model, fields2["u_e"])
     w = heart2.vertex_weights
-    total = w @ (ui.values + fields2["u_e"].values)
+    total = w @ (out.u_i.values + out.u_e.values)
     scale = w.sum() * np.abs(fields2["u_e"].values).max()
     assert abs(total) < 1e-12 * scale
-    assert np.isfinite(c)
+    assert np.isfinite(out.c)
 
 
 def test_general_matches_proportional(model, heart2):
@@ -66,13 +65,13 @@ def test_general_matches_proportional(model, heart2):
     spec = HarmonicSpec(terms=(HarmonicTerm(2, 1, a=10.0),),
                         geometry=Sphere3D(2.0))
     vals, grads = eval_harmonic(spec, heart2.vertices)
-    ue = NodalField.for_mesh(heart2, vals)
+    ue = NodalField(heart2.surface_id, vals)
     # unit sphere: outward normal is the position vector
     flux = np.einsum("ij,jk,ik->i", heart2.vertices, model.M_e, grads)
-    psi = NodalField.for_mesh(heart2, flux, units="uA/cm^2")
+    psi = NodalField(heart2.surface_id, flux, units="uA/cm^2")
     scale = model.lam * np.abs(vals).max()
 
-    ui_p, c_p, _ = reconstruct_ui_proportional(ue, psi, model, 1.0, heart2)
+    ui_p, c_p, _ = _proportional_tail(heart2, model, ue.values, psi.values, 1.0)
     grid = InteriorGrid.for_mesh(heart2, h=0.08)
     interior_vals, _ = eval_harmonic(spec, grid.centers())
     ui_g, c_g, _ = reconstruct_ui_general(
@@ -81,8 +80,8 @@ def test_general_matches_proportional(model, heart2):
 
     assert c_g == c_p  # same quadrature formula on both paths
     assert np.abs(ui_g.values - c_g).max() < 1e-12 * scale
-    assert np.abs(ui_p.values - c_p).max() < 3e-2 * scale
-    assert np.abs(ui_g.values - ui_p.values).max() < 3e-2 * scale
+    assert np.abs(ui_p - c_p).max() < 3e-2 * scale
+    assert np.abs(ui_g.values - ui_p).max() < 3e-2 * scale
 
 
 def test_general_tracks_oracle(model, heart2, shell_oracle, fields2):
