@@ -58,13 +58,10 @@ The interior Green representation evaluated here is
     chi_D(x) u(x) = SL(d_{nu,M} u)(x) - DL(u)(x) + T(Delta_M u)(x).
 
 2D note: the plane's kernel is the shifted logarithm
--ln(r_M / r0)/(2 pi sqrt(det M)) with a fixed r0 = 4.  A fundamental
-solution in the plane is defined up to an additive constant, and every
-compatible boundary problem (total flux zero) is invariant under the shift;
-the nonzero r0 keeps the single-layer operator of unit-capacity curves (for
-example the unit circle) away from its constant-density null vector.
-Curves otherwise take the surfaces' code: the same far-field block, the
-same near-field pass and the same row-sum diagonal.
+-ln(r_M / r0)/(2 pi sqrt(det M)) with r0 = ``kernels.LOG_KERNEL_SCALE``
+(see ``kernels._KernelSet``).  Curves otherwise take the surfaces' code:
+the same far-field block, the same near-field pass and the same row-sum
+diagonal.
 """
 
 from __future__ import annotations
@@ -88,8 +85,6 @@ __all__ = [
     "VolumePotentialResult",
     "green_representation",
 ]
-
-LOG_KERNEL_SCALE = 4.0  # r0 in the shifted 2D logarithm, see module docstring
 
 # degree-5 symmetric triangle rule (7 points, weights sum to 1)
 _SQ15 = np.sqrt(15.0)
@@ -413,7 +408,7 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
     if targets.shape[1] != source.dim:
         raise ShapeMismatch(f"targets must be (n, {source.dim})")
 
-    ker = _KernelSet(M, source.dim, r0=LOG_KERNEL_SCALE)
+    ker = _KernelSet(M, source.dim)
     matrix = _assemble_dense(kind, ker, source, targets, same)
     if kind == "double" and same:
         np.fill_diagonal(matrix, 0.0)

@@ -64,8 +64,8 @@ class FixedAlpha:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ShapeMismatch("FixedAlpha needs alpha > 0")
+        if not 0 < self.alpha < np.inf:
+            raise ShapeMismatch("FixedAlpha needs a finite alpha > 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ class DiscrepancyPrinciple:
     noise_level: float
 
     def __post_init__(self):
-        if not self.noise_level > 0:
-            raise ShapeMismatch("DiscrepancyPrinciple needs noise_level > 0")
+        if not 0 < self.noise_level < np.inf:
+            raise ShapeMismatch("DiscrepancyPrinciple needs a finite noise_level > 0")
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,15 @@ class TikhonovConfig:
     selection: object = field(default_factory=LCurveMaxCurvature)
 
     def __post_init__(self):
-        grid = np.asarray(self.alpha_grid, dtype=float)
+        # a copy, frozen: the caller's array stays writeable
+        grid = np.array(self.alpha_grid, dtype=float)
+        grid.flags.writeable = False
         object.__setattr__(self, "alpha_grid", grid)
         if grid.ndim != 1 or len(grid) < 2:
             raise ShapeMismatch("alpha_grid must be a 1-d grid")
-        if not np.all(grid > 0) or not np.all(np.diff(grid) > 0):
-            raise ShapeMismatch("alpha_grid must be strictly increasing and positive")
+        if not np.all((grid > 0) & (grid < np.inf)) or not np.all(np.diff(grid) > 0):
+            raise ShapeMismatch("alpha_grid must be strictly increasing, "
+                                "positive and finite")
         if isinstance(self.selection, LCurveMaxCurvature) and len(grid) < 8:
             raise ShapeMismatch("L-curve selection needs >= 8 grid points")
 

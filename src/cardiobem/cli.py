@@ -85,7 +85,6 @@ _PARAM_TYPES = {
     "p1": (str, None),
     "p2": (str, None),
     "label": (str, "all"),
-    "geometry": (str, "shell"),
     "r1": (float, 1.0),
     "r2": (float, 2.0),
     "level": (int, 3),
@@ -272,11 +271,6 @@ def _spec_terms(cfg: RunConfig) -> HarmonicSpec:
 
 
 def _run_synth(cfg: RunConfig, out: Path) -> dict:
-    if cfg["geometry"] != "shell":
-        raise ValidationFailure(
-            "synth emits concentric-sphere shells; 2D annuli are a library "
-            "feature (see the oracle module)"
-        )
     if not 0 < cfg["r1"] < cfg["r2"]:
         raise ValidationFailure("need 0 < r1 < r2")
     if not 0 <= cfg["level"] <= 5:
@@ -319,8 +313,9 @@ def _selection(cfg: RunConfig):
     rules = {"fixed": FixedAlpha, "discrepancy": DiscrepancyPrinciple}
     if colon and rule in rules:
         value = _cast("selection", float, text)
-        if not value > 0:
-            raise ValidationFailure(f"selection {rule} needs a value > 0, got {text!r}")
+        if not 0 < value < np.inf:
+            raise ValidationFailure(
+                f"selection {rule} needs a finite value > 0, got {text!r}")
         return rules[rule](value)
     raise ValidationFailure(
         f"selection must be 'lcurve', 'fixed:ALPHA' or 'discrepancy:LEVEL', got {sel!r}"
@@ -517,7 +512,7 @@ def _run_heat_check(cfg: RunConfig, out: Path) -> dict:
 
 _SUBCOMMANDS = {
     "synth": (_run_synth,
-              ["geometry", "r1", "r2", "level", "l", "m", "amp", "terms",
+              ["r1", "r2", "level", "l", "m", "amp", "terms",
                "sigma_i", "sigma_e", "m_b", "c0"]),
     "reconstruct-p1": (_run_reconstruct_p1,
                        ["heart", "torso", "u_e", "sigma_i", "sigma_e", "m_b",

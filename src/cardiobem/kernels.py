@@ -27,8 +27,8 @@ exponentially damped Gaussian
     K_A(d, s) = exp(-d^T A^-1 d / (4 s)) / ((4 pi s)^{n/2} sqrt(det A)),
 
 and exactly zero for t <= tau (causality).  This module evaluates phi_M
-and the double-layer kernel (``_KernelSet``, which assembly uses with the
-shifted 2D logarithm described in :mod:`cardiobem.assembly`); Psi is
+and the double-layer kernel (``_KernelSet``, whose 2D logarithm is shifted
+by ``LOG_KERNEL_SCALE``, the shift's one home); Psi is
 evaluated by :func:`cardiobem.parabolic.heat_kernel`.  Units: lengths cm, times ms,
 conductivities mS/cm, membrane capacitance uF/cm^2, surface-to-volume ratio
 1/cm.
@@ -58,10 +58,8 @@ BATH_CONDUCTIVITY = 7.0
 MEMBRANE_CAPACITANCE = 1.0   # uF/cm^2
 SURFACE_TO_VOLUME = 400.0    # 1/cm
 
-# (dim, bytes) of tensors that passed the symmetry and definiteness checks;
-# solvers re-coerce the same few tensors on every call.
-_VALID_TENSORS = set()
-_VALID_TENSORS_MAX = 64
+# r0 of the shifted 2D logarithm -ln(r_M / r0), see ``_KernelSet``
+LOG_KERNEL_SCALE = 4.0
 
 
 def as_tensor(M, dim: int = 3) -> np.ndarray:
@@ -73,16 +71,10 @@ def as_tensor(M, dim: int = 3) -> np.ndarray:
         return np.eye(dim) * float(m)
     if m.shape != (dim, dim):
         raise ShapeMismatch(f"conductivity tensor must be ({dim}, {dim})")
-    key = (dim, m.tobytes())
-    if key in _VALID_TENSORS:
-        return m
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
         raise ShapeMismatch("conductivity tensor must be symmetric")
     if np.linalg.eigvalsh(m).min() <= 0.0:
         raise ShapeMismatch("conductivity tensor must be positive definite")
-    if len(_VALID_TENSORS) >= _VALID_TENSORS_MAX:
-        _VALID_TENSORS.clear()
-    _VALID_TENSORS.add(key)
     return m
 
 
@@ -107,6 +99,11 @@ class ConductivityModel:
         ``M_e = lam * M_i`` to 1e-12 of the largest entry of M_e, detected
         from the tensors (the ratio of their traces); None when they are not
         proportional.  Not a parameter.
+    M_b : (3, 3) array, mS/cm
+        The bath conductivity as an isotropic tensor.  Not a parameter.
+
+    M_i, M_e and M_b are validated and frozen here, once, so the protocols
+    pass them to the solvers' kept operators as they are.
     """
 
     M_i: np.ndarray = field(default=SIGMA_LI)
@@ -115,6 +112,7 @@ class ConductivityModel:
     chi: float = SURFACE_TO_VOLUME
     C_m: float = MEMBRANE_CAPACITANCE
     lam: float | None = field(default=None, init=False)
+    M_b: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         # copies, frozen below: the caller's arrays stay writeable
@@ -126,21 +124,18 @@ class ConductivityModel:
         lam = None
         if np.abs(me - ratio * mi).max() <= 1e-12 * np.abs(me).max():
             lam = float(ratio)
-        mi.flags.writeable = False
-        me.flags.writeable = False
+        mb = np.eye(3) * self.m_b
+        for m in (mi, me, mb):
+            m.flags.writeable = False
         object.__setattr__(self, "M_i", mi)
         object.__setattr__(self, "M_e", me)
+        object.__setattr__(self, "M_b", mb)
         object.__setattr__(self, "lam", lam)
 
     @property
     def proportional(self) -> bool:
         """Whether the tensors satisfy M_e = lam * M_i."""
         return self.lam is not None
-
-    @property
-    def M_b(self) -> np.ndarray:
-        """Bath conductivity as an isotropic tensor."""
-        return np.eye(3) * self.m_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +193,12 @@ class _KernelSet:
         2D:  single -ln(r_M / r0) / (2 pi sqrt(det M))
              double h / (2 pi sqrt(det M) r_M^2)
 
-    so the 2D logarithm is shifted by ``r0``.  Vectors run along the last
-    axis.
+    so the 2D logarithm is shifted by ``r0 = LOG_KERNEL_SCALE`` (4).  A
+    fundamental solution in the plane is defined up to an additive constant,
+    and every compatible boundary problem is invariant under the shift; the
+    nonzero r0 keeps the single layer of unit-capacity curves (the unit
+    circle, say) away from its constant-density null vector.  Vectors run
+    along the last axis.
 
     ``single``, ``double`` and ``layer`` write the kernel over the float
     r_M^2 array they are given and return that array, so a caller passes
@@ -212,10 +211,9 @@ class _KernelSet:
     only temporary is one slice.
     """
 
-    def __init__(self, M, dim: int, r0: float = 1.0):
+    def __init__(self, M, dim: int):
         self.M = as_tensor(M, dim)
         self.dim = dim
-        self.r0 = r0
         chol = np.linalg.cholesky(self.M)
         self.W = np.linalg.inv(chol)
         self.sqrt_det = float(np.prod(np.diag(chol)))
@@ -239,7 +237,7 @@ class _KernelSet:
         if self.dim == 3:
             np.sqrt(r2, out=r2)
             return np.divide(self._c, r2, out=r2)
-        np.divide(r2, self.r0 ** 2, out=r2)
+        np.divide(r2, LOG_KERNEL_SCALE ** 2, out=r2)
         np.log(r2, out=r2)
         return np.multiply(-0.5 * self._c, r2, out=r2)
 

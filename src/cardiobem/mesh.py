@@ -817,12 +817,8 @@ def _parse_rows(path, shape) -> np.ndarray | None:
     return out if start == len(out) else None
 
 
-def _detect_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        f = fmt.lower().replace("-", "_")
-        if f in ("off", "json", "vtk", "vtk_legacy_ascii"):
-            return "vtk" if f.startswith("vtk") else f
-        raise ParseError(f"unknown mesh format {fmt!r}")
+def _detect_format(path: Path) -> str:
+    """"off", "json" or "vtk", from the file suffix."""
     suffix = path.suffix.lower()
     if suffix == ".off":
         return "off"
@@ -833,24 +829,25 @@ def _detect_format(path: Path, fmt: str | None) -> str:
     raise ParseError(f"cannot infer mesh format from suffix {suffix!r}")
 
 
-def load_mesh(path, fmt: str | None = None, surface_id: str | None = None) -> SurfaceMesh:
+def load_mesh(path, surface_id: str | None = None) -> SurfaceMesh:
     """Read a closed triangle mesh from OFF, JSON or legacy-ASCII VTK.
 
     Orientation and normals are recomputed on load; a globally inverted file
-    is repaired by flipping every triangle.
+    is repaired by flipping every triangle.  A VTK file is read up to its
+    POINT_DATA, so the fields ``save_mesh`` writes after the mesh are
+    skipped.
 
     Parameters
     ----------
     path : str or Path
-        File to read.
-    fmt : {"off", "json", "vtk"}, optional
-        Override the suffix-based format detection.
+        File to read; its suffix (``.off``, ``.json`` or ``.vtk``) decides
+        the format.
     surface_id : str, optional
         Label for the loaded surface; defaults to the file stem (JSON files
         carry their own id, which wins unless this argument is given).
     """
     p = Path(path)
-    kind = _detect_format(p, fmt)
+    kind = _detect_format(p)
     try:
         text = p.read_text()
     except OSError as exc:
@@ -859,7 +856,7 @@ def load_mesh(path, fmt: str | None = None, surface_id: str | None = None) -> Su
         verts, tris = _parse_off(text, p)
         sid = surface_id or p.stem
     elif kind == "vtk":
-        verts, tris, _ = _parse_vtk(text, p)
+        verts, tris = _parse_vtk(text, p)
         sid = surface_id or p.stem
     else:
         verts, tris, file_id = _parse_json(text, p)
@@ -906,12 +903,10 @@ def _parse_vtk(text: str, path: Path):
         raise ParseError(f"{path}: only DATASET POLYDATA is supported")
     toks = _tokens("\n".join(lines[4:]))
     verts = tris = None
-    point_data: dict[str, np.ndarray] = {}
     try:
-        while True:
-            try:
-                key = next(toks).upper()
-            except StopIteration:
+        # the sections' own reads advance the same token stream
+        for key in map(str.upper, toks):
+            if key == "POINT_DATA":  # the mesh ends where the fields begin
                 break
             if key == "POINTS":
                 n = int(next(toks))
@@ -930,29 +925,13 @@ def _parse_vtk(text: str, path: Path):
                     tris.append(flat[pos + 1 : pos + 4])
                     pos += 4
                 tris = np.array(tris, dtype=np.int64)
-            elif key == "POINT_DATA":
-                n = int(next(toks))
-                while True:
-                    try:
-                        sub = next(toks).upper()
-                    except StopIteration:
-                        break
-                    if sub != "SCALARS":
-                        raise ParseError(f"{path}: unsupported POINT_DATA section {sub}")
-                    name = next(toks)
-                    next(toks)  # dtype
-                    lookup = next(toks).upper()
-                    if lookup != "LOOKUP_TABLE":
-                        raise ParseError(f"{path}: SCALARS without LOOKUP_TABLE")
-                    next(toks)  # table name
-                    point_data[name] = np.array([float(next(toks)) for _ in range(n)])
             else:
                 raise ParseError(f"{path}: unsupported VTK section {key!r}")
     except (StopIteration, ValueError) as exc:
         raise ParseError(f"{path}: truncated VTK data") from exc
     if verts is None or tris is None:
         raise ParseError(f"{path}: VTK file lacks POINTS or POLYGONS")
-    return verts, tris, point_data
+    return verts, tris
 
 
 def _parse_json(text: str, path: Path):
@@ -967,16 +946,17 @@ def _parse_json(text: str, path: Path):
     return verts, tris, doc.get("surface_id")
 
 
-def save_mesh(mesh: SurfaceMesh, path, fmt: str | None = None,
+def save_mesh(mesh: SurfaceMesh, path,
               point_data: dict[str, np.ndarray] | None = None) -> None:
     """Write a mesh as OFF, JSON or legacy-ASCII VTK POLYDATA.
 
-    JSON writes round-trip coordinates exactly (shortest-repr floats).
+    The suffix of ``path`` (``.off``, ``.json`` or ``.vtk``) decides the
+    format.  JSON writes round-trip coordinates exactly (shortest-repr floats).
     ``point_data`` (name -> per-vertex array) is honoured by the VTK writer
     and rejected for the other formats.
     """
     p = Path(path)
-    kind = _detect_format(p, fmt)
+    kind = _detect_format(p)
     if point_data and kind != "vtk":
         raise ParseError("point_data is only supported by the VTK writer")
     if kind == "json":

@@ -13,9 +13,11 @@ Condon-Shortley phase and without normalization,
 written as the exact polynomial A_(or B_)|m|(x, y) * Q_l|m|(z/r) * r^(l-|m|)
 with A_m + i B_m = (x + iy)^m and Q_lm = d^m P_l/dt^m (plain Ferrers).  In
 particular S_10 = z, S_11 = x, S_1,-1 = y, S_20 = (2z^2 - x^2 - y^2)/2.
-Exterior solutions are S_lm / r^(2l+1).  In 2D the degree-l pair is
-r^l cos(l theta), r^l sin(l theta) (selected by the sign of m) and the
-exterior radial factor is r^(-l).
+In 2D the degree-l pair is r^l cos(l theta), r^l sin(l theta) (selected by
+the sign of m).  Only these interior harmonics are evaluated at points: the
+fields below are their multiples times radial factors, and the shell's
+decaying part (r^(-l-1) in 3D, r^(-l) in 2D) enters only through the
+per-degree coefficients on the two spheres.
 
 The synthetic steady bidomain dataset on a shell (heart r <= R1 inside a
 passive conductor R1 <= r <= R2) solves, per harmonic degree:
@@ -164,17 +166,6 @@ def solid_harmonic(l: int, m: int, pts: np.ndarray):
     return val, np.column_stack([gx, gy, gz])
 
 
-def exterior_harmonic(l: int, m: int, pts: np.ndarray):
-    """Decaying solid harmonic r^(-l-1) Y_lm and its exact gradient."""
-    val_in, grad_in = solid_harmonic(l, m, pts)
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    rpow = r2 ** (l + 0.5)  # r^(2l+1)
-    val = val_in / rpow
-    grad = (grad_in / rpow[:, None]
-            - (2 * l + 1) * (val / r2)[:, None] * pts)
-    return val, grad
-
-
 def harmonic_2d(l: int, sin_type: bool, pts: np.ndarray):
     """r^l cos(l theta) or r^l sin(l theta) with exact gradient; pts (n, 2)."""
     x, y = pts[:, 0], pts[:, 1]
@@ -188,14 +179,11 @@ def harmonic_2d(l: int, sin_type: bool, pts: np.ndarray):
     return val, grad
 
 
-def exterior_harmonic_2d(l: int, sin_type: bool, pts: np.ndarray):
-    """r^(-l) cos/sin(l theta) with exact gradient (l >= 1)."""
-    val_in, grad_in = harmonic_2d(l, sin_type, pts)
-    s = np.einsum("ij,ij->i", pts, pts)
-    sl = s ** l
-    val = val_in / sl
-    grad = grad_in / sl[:, None] - (2.0 * l) * (val / s)[:, None] * pts
-    return val, grad
+def _interior(dim: int, l: int, m: int, pts: np.ndarray):
+    """The degree-l, order-m interior harmonic of ``dim`` and its gradient."""
+    if dim == 3:
+        return solid_harmonic(l, m, pts)
+    return harmonic_2d(l, m < 0, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +192,11 @@ def exterior_harmonic_2d(l: int, sin_type: bool, pts: np.ndarray):
 
 @dataclass(frozen=True)
 class HarmonicTerm:
-    """One separable term: interior coefficient a on r^l Y, exterior b."""
+    """One separable term: coefficient a on the interior harmonic r^l Y_lm."""
 
     l: int
     m: int
     a: float = 0.0
-    b: float = 0.0
 
     def __post_init__(self):
         if self.l < 0 or abs(self.m) > self.l:
@@ -218,7 +205,7 @@ class HarmonicTerm:
             raise ResolvabilityError(
                 f"degree {self.l} exceeds the resolvable cap {MAX_DEGREE}"
             )
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+        if not np.isfinite(self.a):
             raise ShapeMismatch("non-finite harmonic coefficient")
 
 
@@ -234,10 +221,6 @@ class HarmonicSpec:
             t if isinstance(t, HarmonicTerm) else HarmonicTerm(*t)
             for t in self.terms
         ))
-        if self.geometry.dim == 2:
-            for t in self.terms:
-                if t.l == 0 and t.b != 0.0:
-                    raise ShapeMismatch("2D exterior term needs degree >= 1")
 
 
 def eval_harmonic(spec: HarmonicSpec, x):
@@ -257,25 +240,10 @@ def eval_harmonic(spec: HarmonicSpec, x):
     val = np.zeros(len(pts))
     grad = np.zeros((len(pts), dim))
     for t in spec.terms:
-        if dim == 3:
-            if t.a != 0.0:
-                v, g = solid_harmonic(t.l, t.m, pts)
-                val += t.a * v
-                grad += t.a * g
-            if t.b != 0.0:
-                v, g = exterior_harmonic(t.l, t.m, pts)
-                val += t.b * v
-                grad += t.b * g
-        else:
-            sin_type = t.m < 0
-            if t.a != 0.0:
-                v, g = harmonic_2d(t.l, sin_type, pts)
-                val += t.a * v
-                grad += t.a * g
-            if t.b != 0.0:
-                v, g = exterior_harmonic_2d(t.l, sin_type, pts)
-                val += t.b * v
-                grad += t.b * g
+        if t.a != 0.0:
+            v, g = _interior(dim, t.l, t.m, pts)
+            val += t.a * v
+            grad += t.a * g
     if single:
         return float(val[0]), grad[0]
     return val, grad
@@ -305,9 +273,10 @@ class BidomainSteadyOracle:
     The model's tensors must be isotropic, M_i = sigma_i I and
     M_e = sigma_e I, or ShapeMismatch is raised.
 
-    Evaluation methods take (n, dim) point arrays restricted to the natural
-    domain of each field (heart ball/disk for u_e, u_i, v, w; shell/annulus
-    for u_b).  ``fields_on`` samples everything on meshes.
+    Evaluation methods take (n, dim) point arrays: u_e, u_i, v and w in
+    the heart ball/disk; the bath potential is given only by its traces,
+    ``heart_trace``, ``torso_trace`` and ``heart_flux``, which read the
+    direction of each point.  ``fields_on`` samples everything on meshes.
     """
 
     def __init__(self, geometry, model, u_e_spec: HarmonicSpec, c0: float = 1.0):
@@ -332,10 +301,6 @@ class BidomainSteadyOracle:
         terms = []
         trace_mean = 0.0
         for t in u_e_spec.terms:
-            if t.b != 0.0:
-                raise ShapeMismatch(
-                    "u_e_spec must be regular at the origin (exterior coefficient 0)"
-                )
             if t.a == 0.0:
                 continue
             l = t.l
@@ -371,28 +336,10 @@ class BidomainSteadyOracle:
 
     # -- per-field evaluation -------------------------------------------
 
-    def _basis(self, l: int, m: int, pts: np.ndarray, exterior: bool = False):
-        if self.dim == 3:
-            if l == 0:
-                n = len(pts)
-                if exterior:
-                    return exterior_harmonic(0, 0, pts)[0]
-                return np.ones(n)
-            fn = exterior_harmonic if exterior else solid_harmonic
-            return fn(l, m, pts)[0]
+    def _basis(self, l: int, m: int, pts: np.ndarray):
         if l == 0:
             return np.ones(len(pts))
-        fn = exterior_harmonic_2d if exterior else harmonic_2d
-        return fn(l, m < 0, pts)[0]
-
-    def u_b(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts))
-        for t in self.terms:
-            out += t.alpha * self._basis(t.l, t.m, pts)
-            if t.beta != 0.0:
-                out += t.beta * self._basis(t.l, t.m, pts, exterior=True)
-        return out
+        return _interior(self.dim, l, m, pts)[0]
 
     def torso_trace(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -441,10 +388,7 @@ class BidomainSteadyOracle:
         s = np.einsum("ij,ij->i", pts, pts)
         out = np.zeros_like(pts)
         for t in self.terms:
-            if self.dim == 3:
-                base, grad = solid_harmonic(t.l, t.m, pts)
-            else:
-                base, grad = harmonic_2d(t.l, t.m < 0, pts)
+            base, grad = _interior(self.dim, t.l, t.m, pts)
             out += (t.A + t.B * s)[:, None] * grad
             out += (t.B * base)[:, None] * 2.0 * pts
         return out
@@ -520,11 +464,7 @@ def synth_bidomain_steady(geometry, model, u_e_spec: HarmonicSpec,
 
 
 def _values(v) -> np.ndarray:
-    if isinstance(v, NodalField):
-        return v.values
-    if hasattr(v, "values") and isinstance(getattr(v, "values"), np.ndarray):
-        return v.values
-    return np.asarray(v, dtype=float)
+    return v.values if isinstance(v, NodalField) else np.asarray(v, dtype=float)
 
 
 def rmse(v_rec, v_true) -> float:

@@ -57,7 +57,7 @@ from .assembly import _panel_quadrature
 from .direct import _solve_neumann_block
 from .errors import MissingInteriorData, ParseError, ShapeMismatch
 from .grid import InteriorGrid
-from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet, as_tensor
+from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet
 from .mesh import (_format_rows, _freeze, _memo, _parse_rows, _write_text,
                    require_off_surface)
 
@@ -537,20 +537,19 @@ def assemble_evolution_rhs(model: ConductivityModel, heart,
 
     lam = float(model.lam)
     n, k = hv.shape
-    tensor = as_tensor(model.M_i, heart.dim)
     w = np.zeros((n, k))
     frames = np.flatnonzero(psi.any(axis=0))
     if frames.size:
         # each distinct flux frame is solved once: a product with the
         # inverse may round equal columns differently by their position
         distinct, which = np.unique(psi[:, frames], axis=1, return_inverse=True)
-        w[:, frames] = _solve_neumann_block(tensor, heart, distinct,
+        w[:, frames] = _solve_neumann_block(model.M_i, heart, distinct,
                                             project=True)[0][:, which.reshape(-1)]
     corr = w + c
     drift_term = np.zeros((n, k))
     if np.any(spec.drift):
         for j in np.flatnonzero(w.any(axis=0)):
-            grad = _full_gradient(heart, tensor, w[:, j], psi[:, j])
+            grad = _full_gradient(heart, model.M_i, w[:, j], psi[:, j])
             drift_term[:, j] = grad @ spec.drift
 
     dt_corr = np.zeros((n, k))

@@ -12,7 +12,6 @@ import numpy as np
 from .mesh import CurveMesh, SurfaceMesh
 
 __all__ = [
-    "icosahedron",
     "icosphere",
     "unit_cube",
     "octahedron",
@@ -39,11 +38,6 @@ _ICO_FACES = np.array(
     ],
     dtype=np.int64,
 )
-
-
-def icosahedron(surface_id: str = "icosahedron") -> SurfaceMesh:
-    """Regular icosahedron with edge length 2 (vertices on (0, +-1, +-phi))."""
-    return SurfaceMesh(_ICO_VERTS.copy(), _ICO_FACES.copy(), surface_id)
 
 
 def icosphere(level: int = 2, radius: float = 1.0, center=(0.0, 0.0, 0.0),

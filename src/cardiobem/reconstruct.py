@@ -45,7 +45,7 @@ from .direct import (_solve_neumann_block, _values_on, _zaremba_transfer,
                      solve_neumann_normalized)
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
-from .kernels import ConductivityModel, as_tensor
+from .kernels import ConductivityModel
 from .mesh import (DomainConfig, NodalField, _total_weight, _write_text,
                    points_inside, save_mesh, save_nodal_field, surface_distance)
 
@@ -109,7 +109,7 @@ def _proportional_tail(heart, model: ConductivityModel, d: np.ndarray,
     rejected.
     """
     u0, _, defect, residual, normalization = _solve_neumann_block(
-        as_tensor(model.M_i, heart.dim), heart, psi, project=True)
+        model.M_i, heart, psi, project=True)
     c, mean = _calibration(heart, d, c0)
     ui = -float(model.lam) * (d - mean) + u0 + c
     diagnostics = {
@@ -120,17 +120,16 @@ def _proportional_tail(heart, model: ConductivityModel, d: np.ndarray,
     return ui, c, diagnostics
 
 
-def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
-                           M_i, M_e, c0: float, heart,
-                           interior=None) -> tuple:
+def reconstruct_ui_general(u_e: NodalField, M_i, M_e, c0: float, heart,
+                           interior) -> tuple:
     """General-tensor intracellular trace, u_i = -N_i(Delta_e u_e, 0) + c.
 
-    ``interior`` must supply (InteriorGrid, u_e samples on the grid box) so
-    the volume source Delta_e u_e is computable by finite differences;
-    without it the formula has no data to act on and MissingInteriorData is
-    raised.  heart_flux_of_ub enters only through the compatibility defect
-    (the flux of the Neumann problem is zero; the volume integral of the
-    source balances it by the divergence identity).
+    ``interior`` is (InteriorGrid, u_e samples on the grid box), so the
+    volume source Delta_e u_e is computable by finite differences; None
+    raises MissingInteriorData, since the formula then has no data to act
+    on.  The Neumann problem has zero flux, so its compatibility defect,
+    reported as ``source_defect``, is the volume integral of the source,
+    which the divergence identity balances against the bath flux.
     """
     if interior is None:
         raise MissingInteriorData(
@@ -140,11 +139,10 @@ def reconstruct_ui_general(u_e: NodalField, heart_flux_of_ub: NodalField,
     if not isinstance(grid, InteriorGrid):
         raise ShapeMismatch("interior must be (InteriorGrid, samples)")
     ue = u_e.check_on(heart)
-    tensor_e = as_tensor(M_e, 3)
-    g = grid.elliptic_apply(tensor_e, np.asarray(ue_grid, dtype=float))
+    g = grid.elliptic_apply(M_e, np.asarray(ue_grid, dtype=float))
     zero_flux = NodalField(heart.surface_id, np.zeros(heart.n_vertices),
                            units="mV*mS/cm^2")
-    rep = solve_neumann_normalized(as_tensor(M_i, 3), heart, zero_flux,
+    rep = solve_neumann_normalized(M_i, heart, zero_flux,
                                    g_volume=(grid, g), project=True)
     c, _ = _calibration(heart, ue, c0)
     ui = -rep.solution_trace.values + c
@@ -188,7 +186,7 @@ def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
     heart = domain.heart
     d = _values_on(u_e_measured, heart)
     _check_proportional(model)
-    x, build_residual = _zaremba_transfer(as_tensor(model.M_b, heart.dim), domain)
+    x, build_residual = _zaremba_transfer(model.M_b, domain)
     return _output(heart, model, u_e_measured, x[:heart.n_vertices] @ d, c0, {
         "zaremba_residual": build_residual * float(np.linalg.norm(d))})
 
@@ -207,7 +205,7 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
     _check_proportional(model)
     heart = domain.heart
     alpha, residual, u, flux, cauchy = _heart_trace(
-        as_tensor(model.M_b, heart.dim), domain, f, tikhonov)
+        model.M_b, domain, f, tikhonov)
     diagnostics = {"chosen_alpha": alpha, "cauchy_residual": residual}
     diagnostics.update({k: True for k, v in cauchy.items() if v is True})
     return _output(heart, model, NodalField(heart.surface_id, u), flux, c0,
@@ -296,9 +294,7 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
         ui_grid = -float(model.lam) * u_grid + c
     else:
         ui_field, c_gen, diag = reconstruct_ui_general(
-            u_e_trace, NodalField(heart.surface_id, np.zeros(heart.n_vertices)),
-            model.M_i, model.M_e, 1.0, heart, interior=(grid, u_grid),
-        )
+            u_e_trace, model.M_i, model.M_e, 1.0, heart, (grid, u_grid))
         diagnostics.update(diag)
         diagnostics["c"] = c_gen
     return NullSpaceElement(
@@ -348,7 +344,7 @@ def write_reconstruction(out: ReconstructionOutput, directory, heart,
     }
     if vtk:
         vtk_path = os.path.join(directory, "reconstruction.vtk")
-        save_mesh(heart, vtk_path, fmt="vtk", point_data={
+        save_mesh(heart, vtk_path, point_data={
             "u_e": out.u_e.values, "u_i": out.u_i.values, "v": out.v.values,
         })
         manifest["files"]["vtk"] = "reconstruction.vtk"

@@ -13,12 +13,12 @@ from cardiobem import (
     circle_curve,
     green_representation,
     icosphere,
+    solve_dirichlet,
     solve_neumann_normalized,
     solve_zaremba,
     volume_potential,
 )
 from cardiobem.assembly import (
-    LOG_KERNEL_SCALE,
     _DUF_U,
     _DUF_V,
     _DUF_W,
@@ -33,7 +33,7 @@ from cardiobem.assembly import (
     _panel_quadrature,
     _panel_rule,
 )
-from cardiobem.kernels import _KernelSet
+from cardiobem.kernels import LOG_KERNEL_SCALE, _KernelSet
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,28 @@ def test_volume_potential_ball(sphere):
     res = volume_potential(np.eye(3), grid, g, np.zeros((1, 3)))
     missing = (4 * np.pi / 3 - sphere.enclosed_volume) / (4 * np.pi)
     assert res.values[0] == pytest.approx(0.5 - missing, rel=1.5e-2)
+
+
+def test_volume_source_paths_converge():
+    # u = |x|^2 solves Delta_I u = -6 in the unit ball, with trace 1 and
+    # outward flux 2 on the sphere and u(0) = 0.  solve_dirichlet and
+    # green_representation take the source as a volume potential over the
+    # grid, whose skipped cells and faceted boundary are first order in h
+    errors = []
+    for level, h in ((2, 0.1), (3, 0.05)):
+        ball = icosphere(level, 1.0, surface_id="ball")
+        grid = InteriorGrid.for_mesh(ball, h=h)
+        source = (grid, np.full(grid.n_cells, -6.0))
+        r = np.linalg.norm(ball.vertices, axis=1)
+        trace = NodalField("ball", r ** 2)
+        flux = solve_dirichlet(1.0, ball, trace, source).flux_trace.values
+        at_origin = green_representation(1.0, ball, trace, NodalField("ball", 2.0 * r),
+                                          np.zeros(3), source)
+        flux_err = np.abs(flux - 2.0 * r)
+        errors.append((flux_err.max(), np.median(flux_err), abs(at_origin)))
+    for coarse, fine in zip(*errors):
+        assert fine <= 0.5 * coarse
+    assert errors[1][1] <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +302,7 @@ def _near(M, kind, targets, panel="triangle"):
                        else (_SEGMENT, _SEGMENT_NORMAL))
     p, dim = len(targets), corners.shape[1]
     return _near_integrals(
-        _KernelSet(M, dim, r0=LOG_KERNEL_SCALE), kind, _near_geometry(
+        _KernelSet(M, dim), kind, _near_geometry(
             np.asarray(targets, float), np.broadcast_to(corners, (p, *corners.shape)),
             np.broadcast_to(normal, (p, dim))))
 

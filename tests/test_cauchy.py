@@ -47,9 +47,12 @@ def test_config_validation():
     with pytest.raises(ShapeMismatch):
         TikhonovConfig(np.logspace(-8, 0, 4))  # too short for the L-curve
     with pytest.raises(ShapeMismatch):
-        FixedAlpha(-1.0)
-    with pytest.raises(ShapeMismatch):
-        DiscrepancyPrinciple(-2.0)
+        TikhonovConfig(np.array([1.0, np.inf]))  # not finite
+    for value in (-1.0, np.inf, np.nan):  # finite and > 0 only
+        with pytest.raises(ShapeMismatch):
+            FixedAlpha(value)
+        with pytest.raises(ShapeMismatch):
+            DiscrepancyPrinciple(value)
 
 
 def test_lcurve_corner_synthetic():

@@ -222,8 +222,9 @@ def test_invariant_suites(tmp_path):
 
 def test_validation_exit_codes(tmp_path, synth_dir):
     assert main(["synth", "--level", "0"]) == 2                    # no --out
-    assert main(["synth", "--geometry", "annulus",
-                 "--out", str(tmp_path / "a")]) == 2
+    with pytest.raises(SystemExit) as refused:  # synth takes no --geometry
+        main(["synth", "--geometry", "annulus", "--out", str(tmp_path / "a")])
+    assert refused.value.code == 2
     assert main(["synth", "--level", "9", "--out", str(tmp_path / "b")]) == 2
     assert main(["synth", "--terms", "1,0", "--level", "0",
                  "--out", str(tmp_path / "c")]) == 2
@@ -237,11 +238,24 @@ def test_validation_exit_codes(tmp_path, synth_dir):
                  "--center", "a,b,c", "--out", str(tmp_path / "e2")]) == 2
     assert main(["green-check", "--level", "7",
                  "--out", str(tmp_path / "f")]) == 2
-    # a selection's value is a positive number, checked before any solve
+    # a selection's value is a finite positive number, checked before any
+    # solve
     p2 = ["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
           "--torso", str(synth_dir / "torso.off"), "--f", str(synth_dir / "f.csv")]
-    for k, sel in enumerate(["fixed:abc", "discrepancy:x", "fixed:-1"]):
+    for k, sel in enumerate(["fixed:abc", "discrepancy:x", "fixed:-1", "fixed:inf"]):
         assert main(p2 + ["--selection", sel, "--out", str(tmp_path / f"g{k}")]) == 2
+
+
+@pytest.mark.parametrize("value, index", [("3e-4", 4), ("1e300", 7)])
+def test_fixed_selection_pins_the_nearest_alpha(tmp_path, synth_dir, value, index):
+    # the grid alpha nearest the value in log, the largest for a huge one
+    out = tmp_path / "p2"
+    assert main(["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
+                 "--torso", str(synth_dir / "torso.off"),
+                 "--f", str(synth_dir / "f.csv"), "--alpha-count", "8",
+                 "--selection", f"fixed:{value}", "--out", str(out)]) == 0
+    doc = json.loads((out / "reconstruction.json").read_text())
+    assert doc["diagnostics"]["chosen_alpha"] == np.logspace(-10, 2, 8)[index]
 
 
 def test_solver_exit_code(tmp_path, synth_dir):

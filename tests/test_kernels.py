@@ -110,11 +110,12 @@ def test_fundamental_3d():
 
 
 def test_fundamental_2d():
-    # -log(r_M) / (2 pi sqrt(det M)); vanishes at r = 1 for the identity
-    val = _fundamental(np.eye(2), np.array([[1.0, 0.0]]), np.zeros(2))
-    assert val[0] == pytest.approx(0.0, abs=1e-15)
+    # -log(r_M / r0) / (2 pi sqrt(det M)) with the shift r0 = 4; vanishes at
+    # r = r0 for the identity
     val = _fundamental(np.eye(2), np.array([[4.0, 0.0]]), np.zeros(2))
-    assert val[0] == pytest.approx(-np.log(4.0) / (2 * np.pi), rel=1e-12)
+    assert val[0] == pytest.approx(0.0, abs=1e-15)
+    val = _fundamental(np.eye(2), np.array([[1.0, 0.0]]), np.zeros(2))
+    assert val[0] == pytest.approx(np.log(4.0) / (2 * np.pi), rel=1e-12)
 
 
 @pytest.mark.parametrize("M", [np.eye(3), np.diag([1.0, 4.0, 9.0])])
@@ -157,7 +158,7 @@ def test_layer_kernels_overwrite_their_r2(M):
     assert ker.double(block, h_col) is block
     assert np.array_equal(block, h_col * (c / (flat * np.sqrt(flat))))
     # 2D: the shifted logarithm and h / r^2
-    ker2 = _KernelSet(M[:2, :2], 2, r0=4.0)
+    ker2 = _KernelSet(M[:2, :2], 2)
     c2 = ker2._c
     block = r2.copy()
     assert ker2.single(block) is block

@@ -20,6 +20,7 @@ from cardiobem import (
     ShapeMismatch,
     SpaceTimeField,
     SurfaceMesh,
+    TikhonovConfig,
     TimeGrid,
     circle_curve,
     icosphere,
@@ -116,6 +117,8 @@ def test_constructors_copy_the_callers_arrays():
         (lambda a: HeatOperatorSpec(M=a), np.diag([1.0, 2.0, 3.0]), lambda o: o.M),
         (lambda a: HeatOperatorSpec(drift=a), np.array([0.1, 0.2, 0.3]),
          lambda o: o.drift),
+        (lambda a: TikhonovConfig(a), np.logspace(-8, 1, 8),
+         lambda o: o.alpha_grid),
     ]
     for make, given, held in cases:
         before = given.copy()

@@ -8,6 +8,7 @@ from cardiobem import (
     ConductivityModel,
     HarmonicSpec,
     HarmonicTerm,
+    OutOfGeometry,
     ResolvabilityError,
     ShapeMismatch,
     Shell3D,
@@ -105,6 +106,55 @@ def test_eval_harmonic_degree_one():
     assert vals == pytest.approx(2.0 * pts[:, 2])
     assert grads[:, 2] == pytest.approx(2.0)
     assert grads[:, :2] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, -2])
+def test_eval_harmonic_on_the_annulus(m):
+    # r^l cos(l theta) for m >= 0, r^l sin(l theta) for m < 0, with their
+    # gradients in polar form
+    spec = HarmonicSpec(terms=(HarmonicTerm(2, m, a=3.0),),
+                        geometry=Annulus2D(1.0, 2.0))
+    r = np.array([1.0, 1.3, 1.7, 2.0])
+    theta = np.array([0.3, 2.0, -1.1, 4.0])
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    angle = np.cos if m >= 0 else np.sin
+    d_angle = (lambda t: -np.sin(t)) if m >= 0 else np.cos
+    vals, grads = eval_harmonic(spec, pts)
+    assert vals == pytest.approx(3.0 * r ** 2 * angle(2 * theta), rel=1e-12)
+    d_r = 3.0 * 2 * r * angle(2 * theta)           # d/dr
+    d_t = 3.0 * 2 * r * d_angle(2 * theta)         # (1/r) d/dtheta
+    want = np.column_stack([d_r * np.cos(theta) - d_t * np.sin(theta),
+                            d_r * np.sin(theta) + d_t * np.cos(theta)])
+    assert np.abs(grads - want).max() < 1e-12 * np.abs(want).max()
+    val, grad = eval_harmonic(spec, pts[1])   # a single point
+    assert val == pytest.approx(vals[1], rel=1e-15)
+    assert grad.shape == (2,) and np.array_equal(grad, grads[1])
+    with pytest.raises(OutOfGeometry):        # inside the inner circle
+        eval_harmonic(spec, np.array([[0.5, 0.0]]))
+
+
+def test_constant_and_zero_terms(model):
+    # a zero term adds nothing; a constant a shifts u_e, both traces and the
+    # surface mean by a, so c by -c0 a and u_i by -c0 a, and adds no flux
+    geometry = Shell3D(1.0, 2.0)
+    plain = synth_bidomain_steady(geometry, model, HarmonicSpec(
+        terms=(HarmonicTerm(1, 0, a=5.0),), geometry=geometry), c0=1.5)
+    shifted = synth_bidomain_steady(geometry, model, HarmonicSpec(
+        terms=(HarmonicTerm(0, 0, a=3.0), HarmonicTerm(2, 1, a=0.0),
+               HarmonicTerm(1, 0, a=5.0)), geometry=geometry), c0=1.5)
+    assert len(shifted.terms) == 2
+    assert max(shifted.transmission_residuals().values()) < 1e-10
+    assert shifted.c == -1.5 * 3.0
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(20, 3))
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    inside = 0.8 * unit
+    for name, pts, shift in (("heart_trace", unit, 3.0), ("torso_trace", unit, 3.0),
+                             ("heart_flux", unit, 0.0), ("u_e", inside, 3.0),
+                             ("u_i", inside, -1.5 * 3.0)):
+        got = getattr(shifted, name)(pts) - getattr(plain, name)(pts)
+        assert got == pytest.approx(np.full(len(pts), shift), abs=1e-12), name
+    assert np.array_equal(shifted.grad_u_e(inside), plain.grad_u_e(inside))
 
 
 def test_annulus_dataset(model):

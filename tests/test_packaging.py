@@ -1,7 +1,8 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and seven structural guards."""
+and every module uses what it imports; and eight structural guards."""
 
 import ast
+import fnmatch
 import re
 import sys
 from pathlib import Path
@@ -188,3 +189,34 @@ def test_every_export_has_a_reader():
     named = {name for name in exported
              if any(re.search(rf"\b{name}\b", text) for text in texts)}
     assert sorted(exported - read - named) == sorted(_READERLESS_EXPORTS)
+
+
+# parameters a shared signature names but one of its functions does not
+# read: every CLI handler takes (cfg, out), and both meshes' _check_closed
+# hooks take the vertex count n, which only the curve's reads
+_SHARED_PARAMETERS = {
+    ("cli.py", "_run_*"): {"cfg", "out"},
+    ("mesh.py", "_check_closed"): {"n"},
+}
+
+
+def test_every_parameter_is_read():
+    # a parameter of a package function is read in that function's body
+    # (nested functions included), so an input that changes nothing does
+    # not grow back
+    unread = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            allowed = {"self", "cls"}.union(*(
+                shared for (module, pattern), shared in _SHARED_PARAMETERS.items()
+                if path.name == module and fnmatch.fnmatch(node.name, pattern)))
+            unread += [f"{path.name}:{node.name}({name})"
+                       for name in sorted(names - read - allowed)]
+    assert unread == []

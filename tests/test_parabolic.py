@@ -9,6 +9,8 @@ import pytest
 
 from cardiobem import (
     ConductivityModel,
+    HarmonicSpec,
+    HarmonicTerm,
     HeatOperatorSpec,
     InteriorGrid,
     MissingInteriorData,
@@ -16,6 +18,7 @@ from cardiobem import (
     ParseError,
     PointOnBoundary,
     ShapeMismatch,
+    Shell3D,
     SpaceTimeField,
     TimeGrid,
     assemble_evolution_rhs,
@@ -28,6 +31,7 @@ from cardiobem import (
     parabolic_layer_potentials,
     poisson_integral,
     save_spacetime_field,
+    synth_bidomain_steady,
     volume_heat_potential,
 )
 from cardiobem import parabolic
@@ -481,6 +485,28 @@ def test_evolution_rhs_reaction(model, heart2, compatible_flux):
     want = model.lam * 0.8 * (rep.solution_trace.values + 0.5)
     err = np.abs(out.values - want[:, None]).max() / np.abs(want).max()
     assert err < 1e-12
+
+
+def test_evolution_rhs_drift(model):
+    # the degree-1 oracle term: w = N_i(0, psi) = gamma z, so with a static
+    # flux, c = 0 and no reaction the correction is lam a . grad w =
+    # lam a_z gamma at every node; the boundary gradient is first order
+    geometry = Shell3D(1.0, 2.0)
+    oracle = synth_bidomain_steady(geometry, model, HarmonicSpec(
+        terms=(HarmonicTerm(1, 0, a=5.0),), geometry=geometry))
+    spec = HeatOperatorSpec.from_model(model, drift=(0.3, -0.2, 0.5))
+    want = model.lam * 0.5 * oracle.terms[0].gamma
+    tg = TimeGrid(t_end=0.5, steps=4)
+    errors = []
+    for level in (1, 2, 3):
+        heart = icosphere(level, 1.0, surface_id="heart")
+        flux = SpaceTimeField.constant_in_time(
+            "heart", oracle.heart_flux(heart.vertices), tg, units="mV*mS/cm^2")
+        h = SpaceTimeField.constant_in_time("heart", np.zeros(heart.n_vertices), tg)
+        out = assemble_evolution_rhs(model, heart, h, flux, 0.0, spec=spec)
+        errors.append(np.abs(out.values - want).max() / abs(want))
+    assert errors[0] > errors[1] > errors[2]
+    assert errors[1] <= 0.05 and errors[2] <= 0.02
 
 
 def test_evolution_rhs_validation(model, heart2, compatible_flux):

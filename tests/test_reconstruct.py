@@ -24,6 +24,7 @@ from cardiobem import (
     eval_harmonic,
     generate_nullspace_element,
     icosphere,
+    load_mesh,
     reconstruct_ui_general,
     rmse,
     run_protocol_1,
@@ -75,8 +76,7 @@ def test_general_matches_proportional(model, heart2):
     grid = InteriorGrid.for_mesh(heart2, h=0.08)
     interior_vals, _ = eval_harmonic(spec, grid.centers())
     ui_g, c_g, _ = reconstruct_ui_general(
-        ue, psi, model.M_i, model.M_e, 1.0, heart2,
-        interior=(grid, interior_vals))
+        ue, model.M_i, model.M_e, 1.0, heart2, (grid, interior_vals))
 
     assert c_g == c_p  # same quadrature formula on both paths
     assert np.abs(ui_g.values - c_g).max() < 1e-12 * scale
@@ -93,8 +93,8 @@ def test_general_tracks_oracle(model, heart2, shell_oracle, fields2):
     grid = InteriorGrid.for_mesh(heart2, h=0.1)
     interior_vals = shell_oracle.u_e(grid.centers())
     ui_g, _, _ = reconstruct_ui_general(
-        fields2["u_e"], fields2["heart_flux"], model.M_i, model.M_e,
-        1.0, heart2, interior=(grid, interior_vals))
+        fields2["u_e"], model.M_i, model.M_e, 1.0, heart2,
+        (grid, interior_vals))
     span = np.ptp(fields2["u_i"].values)
     assert np.abs(ui_g.values - fields2["u_i"].values).max() / span < 0.15
 
@@ -112,8 +112,8 @@ def test_general_nullspace_matches_proportional(model, heart2):
 
 def test_general_requires_interior(model, heart2, fields2):
     with pytest.raises(MissingInteriorData):
-        reconstruct_ui_general(fields2["u_e"], fields2["heart_flux"],
-                               model.M_i, model.M_e, 1.0, heart2)
+        reconstruct_ui_general(fields2["u_e"], model.M_i, model.M_e, 1.0,
+                               heart2, None)
 
 
 def test_protocol_1(domain2, model, fields2):
@@ -333,7 +333,10 @@ def test_write_reconstruction(tmp_path, domain2, model, fields2):
         assert (tmp_path / name).exists()
     meta = json.loads((tmp_path / "reconstruction.json").read_text())
     assert "c" in meta
-    assert (tmp_path / "reconstruction.vtk").exists()
+    # the VTK holds the fields after the mesh; the reader stops at them
+    back = load_mesh(tmp_path / "reconstruction.vtk", surface_id="heart")
+    assert np.array_equal(back.vertices, domain2.heart.vertices)
+    assert np.array_equal(back.triangles, domain2.heart.triangles)
 
 
 def _reference_write(out, directory, heart):
