@@ -140,7 +140,7 @@ _NEAR_BATCH = 256
 _FAR_BLOCK = 4_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerOperators:
     """Assembled dense layer operator of one ``kind``, "single" or "double".
 
@@ -422,7 +422,7 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
 # volume potential
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolumePotentialResult:
     """Values of T(g) at the targets plus the skipped-cell error bound."""
 

@@ -80,7 +80,7 @@ class DiscrepancyPrinciple:
             raise ShapeMismatch("DiscrepancyPrinciple needs a finite noise_level > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TikhonovConfig:
     alpha_grid: np.ndarray
     selection: object = field(default_factory=LCurveMaxCurvature)
@@ -156,7 +156,7 @@ def _graph_laplacian(mesh) -> np.ndarray:
     return lap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ReducedForm:
     """min |T u - f|^2 + alpha |L u|^2 over heart traces u, in standard form.
 

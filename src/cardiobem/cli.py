@@ -22,9 +22,9 @@ single-field reconstruction's c, chosen alpha and diagnostics live in its
 its per-frame c and chosen alpha there.
 
 Exit codes: 0 success, 2 validation error (bad flags, missing or malformed
-files, non-positive parameters), 3 solver or invariant failure.  The env
-variable BIDOMAIN_THREADS caps the per-frame worker pool of
-``reconstruct-p2``.
+files, parameters that are not positive and finite), 3 solver or invariant
+failure.  The env variable BIDOMAIN_THREADS caps the per-frame worker pool
+of ``reconstruct-p2``.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ import numpy as np
 
 from .cauchy import (DiscrepancyPrinciple, FixedAlpha, LCurveMaxCurvature,
                      TikhonovConfig)
-from .errors import CardiobemError
+from .errors import CardiobemError, ParseError
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
-from .mesh import (DomainConfig, NodalField, _format_rows, _write_text,
-                   load_mesh, load_nodal_field, save_mesh, save_nodal_field)
+from .mesh import (DomainConfig, NodalField, _format_rows, _read_json_object,
+                   _read_text, _write_text, load_mesh, load_nodal_field,
+                   save_mesh, save_nodal_field)
 from .oracle import (HarmonicSpec, HarmonicTerm, Shell3D, rmse,
                      synth_bidomain_steady)
 from .parabolic import (SpaceTimeField, TimeGrid, heat_kernel,
@@ -144,7 +145,7 @@ def _parse_config_file(path: str) -> dict:
     if not p.is_file():
         raise ValidationFailure(f"config file not found: {p}")
     out = {}
-    for ln, raw in enumerate(p.read_text().splitlines(), 1):
+    for ln, raw in enumerate(_read_text(p).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -184,8 +185,9 @@ def _require_file(cfg: RunConfig, key: str) -> Path:
 
 def _require_positive(cfg: RunConfig, *keys) -> None:
     for key in keys:
-        if not cfg[key] > 0:
-            raise ValidationFailure(f"{key} must be positive, got {cfg[key]}")
+        if not 0 < cfg[key] < np.inf:
+            raise ValidationFailure(
+                f"{key} must be positive and finite, got {cfg[key]}")
 
 
 def _model(cfg: RunConfig) -> ConductivityModel:
@@ -574,7 +576,7 @@ def main(argv=None) -> int:
         results = handler(cfg, out)
         _write_manifest(out, args.subcommand, cfg, results)
         return _EXIT_OK
-    except ValidationFailure as exc:
+    except (ValidationFailure, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except CardiobemError as exc:
@@ -583,20 +585,10 @@ def main(argv=None) -> int:
 
 
 def _dispatch_rerun(args) -> int:
-    path = Path(args.manifest)
-    if not path.is_file():
-        raise ValidationFailure(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-        name = doc["subcommand"]
-        params = doc["parameters"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationFailure(f"malformed manifest {path}: {exc}") from exc
-    if not isinstance(params, dict):
-        raise ValidationFailure(f"malformed manifest {path}: parameters "
-                                "must be an object")
-    if not isinstance(name, str) or name not in _SUBCOMMANDS:
-        raise ValidationFailure(f"manifest names unknown subcommand {name!r}")
+    doc = _read_json_object(args.manifest, "run manifest", {
+        "subcommand": lambda v: isinstance(v, str) and v in _SUBCOMMANDS,
+        "parameters": lambda v: isinstance(v, dict)})
+    name, params = doc["subcommand"], doc["parameters"]
     handler, keys = _SUBCOMMANDS[name]
     cfg = RunConfig()
     for key in keys:

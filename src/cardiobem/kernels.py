@@ -78,7 +78,7 @@ def as_tensor(M, dim: int = 3) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConductivityModel:
     """Bidomain conductivity set.
 

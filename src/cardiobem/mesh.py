@@ -233,7 +233,7 @@ class _Mesh:
         """Per-instance counter; two loads of the same file get different
         tokens.  No library code reads it: perfbench's tracer tells meshes
         apart by it, and it goes once the tracer uses the mesh's identity
-        instead (ROADMAP item 2)."""
+        instead (ROADMAP item 1)."""
         return self._token
 
     @property
@@ -776,16 +776,16 @@ _NUMBER_BYTES = b"0123456789+-.eE,\n"
 
 def _parse_rows(path, shape) -> np.ndarray | None:
     """The comma-separated rows of ``path`` as a float64 ``shape`` array, or
-    None where only ``np.loadtxt`` can say what the file holds.
+    None where only a cell-by-cell read can say what the file holds.
 
     Blocks of about ``_BLOCK_CELLS`` cells (one row at least) are each read
     by one ``orjson.loads`` of ``[[row],[row],...]`` and written into the
     preallocated array, so the transient is about one block.  None, for the
-    caller's ``np.loadtxt`` to read the file or raise, when the file is not
+    caller to read the file as text or raise, when the file is not
     ``shape`` rows of ``shape[1]`` cells each or a block is not JSON numbers.
-    That covers spellings only ``np.loadtxt`` takes (``+1.5``, ``1.``,
+    That covers spellings only Python's ``float`` takes (``+1.5``, ``1.``,
     spaces, blank lines, ``nan``) and ``-0``, which JSON reads as the
-    integer 0 and ``np.loadtxt`` as -0.0.  ``shape`` comes from a sidecar,
+    integer 0 and ``float`` as -0.0.  ``shape`` comes from a sidecar,
     so one that is not two positive integers, or has more cells than the
     file has bytes, is declined before anything is allocated.
     """
@@ -817,16 +817,133 @@ def _parse_rows(path, shape) -> np.ndarray | None:
     return out if start == len(out) else None
 
 
-def _detect_format(path: Path) -> str:
-    """"off", "json" or "vtk", from the file suffix."""
+def _read_text(path) -> str:
+    """The text of ``path``, decoded as ``Path.read_text`` does; a file that
+    cannot be read or decoded is a :class:`ParseError`.  Every input file
+    the package reads as text comes through here."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _as_array(data, dtype, shape, what: str) -> np.ndarray:
+    """``np.array(data, dtype).reshape(shape)``, the one conversion of read
+    data to arrays: cells that do not convert (text that is no number, a
+    ragged table, an integer beyond int64) or a table that is not ``shape``
+    raise :class:`ParseError` naming ``what``."""
+    try:
+        return np.array(data, dtype=dtype).reshape(shape)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
+def _read_json_object(path, what: str, required: dict) -> dict:
+    """The JSON object in ``path``, a ``what``: each key of ``required``
+    is present and its value passes the key's predicate, or the file is a
+    :class:`ParseError` naming the keys that fail.  Other keys are the
+    caller's to read."""
+    try:
+        doc = json.loads(_read_text(path))
+    except ValueError as exc:
+        raise ParseError(f"{path}: a {what} is not JSON: {exc}") from exc
+    bad = [key for key, valid in required.items()
+           if not (isinstance(doc, dict) and key in doc and valid(doc[key]))]
+    if bad:
+        raise ParseError(f"{path}: a {what} is a JSON object with a valid "
+                         f"{' and '.join(required)}; missing or invalid: {bad}")
+    return doc
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 0 (not a bool, a float or a string)."""
+    return type(value) is int and value >= 0
+
+
+def _tokens(text: str) -> list:
+    """The whitespace-separated tokens of ``text``, each line cut at ``#``."""
+    return [tok for line in text.splitlines() for tok in line.partition("#")[0].split()]
+
+
+def _counts(toks: list, at: int, k: int, what: str) -> list:
+    """The ``k`` non-negative integers ``toks[at:at + k]``."""
+    counts = _as_array(toks[at:at + k], np.int64, k, what)
+    if (counts < 0).any():
+        raise ParseError(f"{what}: negative count in {counts.tolist()}")
+    return counts.tolist()
+
+
+def _triangles(faces: np.ndarray, path: Path) -> np.ndarray:
+    """The (m, 3) vertex indices of the (m, 4) face rows ``3 i j k``."""
+    if (faces[:, 0] != 3).any():
+        raise ParseError(f"{path}: only triangular faces are supported")
+    return faces[:, 1:]
+
+
+def _parse_off(path: Path):
+    toks = _tokens(_read_text(path))
+    if not toks or toks[0].upper() != "OFF":
+        raise ParseError(f"{path}: missing OFF header")
+    nv, nf, _ = _counts(toks, 1, 3, f"{path}: OFF counts")
+    start = 4 + 3 * nv
+    verts = _as_array(toks[4:start], float, (nv, 3), f"{path}: OFF vertices")
+    faces = _as_array(toks[start:start + 4 * nf], np.int64, (nf, 4),
+                      f"{path}: OFF faces")
+    return verts, _triangles(faces, path), None
+
+
+def _parse_vtk(path: Path):
+    lines = _read_text(path).splitlines()
+    if len(lines) < 4 or not lines[0].startswith("# vtk DataFile"):
+        raise ParseError(f"{path}: missing VTK DataFile header")
+    if lines[2].strip().upper() != "ASCII":
+        raise ParseError(f"{path}: only ASCII VTK is supported")
+    if lines[3].split() != ["DATASET", "POLYDATA"]:
+        raise ParseError(f"{path}: only DATASET POLYDATA is supported")
+    toks = _tokens("\n".join(lines[4:]))
+    # section by section up to the fields, which begin at POINT_DATA:
+    # "POINTS n dtype" and n rows of 3, "POLYGONS m size" and m rows of 4
+    sections, at = {}, 0
+    while at < len(toks) and (key := toks[at].upper()) != "POINT_DATA":
+        what = f"{path}: VTK {key}"
+        if key == "POINTS":
+            n, = _counts(toks, at + 1, 1, what)
+            stop = at + 3 + 3 * n
+            sections[key] = _as_array(toks[at + 3:stop], float, (n, 3), what)
+        elif key == "POLYGONS":
+            m, size = _counts(toks, at + 1, 2, what)
+            stop = at + 3 + size
+            sections[key] = _triangles(
+                _as_array(toks[at + 3:stop], np.int64, (m, 4), what), path)
+        else:
+            raise ParseError(f"{path}: unsupported VTK section {key!r}")
+        at = stop
+    if len(sections) < 2:
+        raise ParseError(f"{path}: VTK file lacks POINTS or POLYGONS")
+    return sections["POINTS"], sections["POLYGONS"], None
+
+
+def _parse_json(path: Path):
+    doc = _read_json_object(path, "JSON mesh", {
+        "vertices": lambda v: isinstance(v, list),
+        "triangles": lambda v: isinstance(v, list)})
+    verts, tris = doc["vertices"], doc["triangles"]
+    return (_as_array(verts, float, (len(verts), 3), f"{path}: vertices"),
+            _as_array(tris, np.int64, (len(tris), 3), f"{path}: triangles"),
+            doc.get("surface_id"))
+
+
+# file suffix -> parser of a mesh file: (vertices, triangles, the file's own
+# surface id or None)
+_MESH_PARSERS = {".off": _parse_off, ".json": _parse_json, ".vtk": _parse_vtk}
+
+
+def _mesh_suffix(path: Path) -> str:
+    """The lower-cased suffix of ``path``, a key of ``_MESH_PARSERS``."""
     suffix = path.suffix.lower()
-    if suffix == ".off":
-        return "off"
-    if suffix == ".json":
-        return "json"
-    if suffix == ".vtk":
-        return "vtk"
-    raise ParseError(f"cannot infer mesh format from suffix {suffix!r}")
+    if suffix not in _MESH_PARSERS:
+        raise ParseError(f"cannot infer mesh format from suffix {suffix!r}")
+    return suffix
 
 
 def load_mesh(path, surface_id: str | None = None) -> SurfaceMesh:
@@ -835,7 +952,10 @@ def load_mesh(path, surface_id: str | None = None) -> SurfaceMesh:
     Orientation and normals are recomputed on load; a globally inverted file
     is repaired by flipping every triangle.  A VTK file is read up to its
     POINT_DATA, so the fields ``save_mesh`` writes after the mesh are
-    skipped.
+    skipped.  A file that cannot be read or decoded, or whose tables are
+    not numbers of the shapes its counts give (every face a triangle), is a
+    :class:`ParseError`; one that parses but is no closed, outward-orientable
+    surface is a :class:`GeometryError`.
 
     Parameters
     ----------
@@ -847,103 +967,8 @@ def load_mesh(path, surface_id: str | None = None) -> SurfaceMesh:
         carry their own id, which wins unless this argument is given).
     """
     p = Path(path)
-    kind = _detect_format(p)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
-    if kind == "off":
-        verts, tris = _parse_off(text, p)
-        sid = surface_id or p.stem
-    elif kind == "vtk":
-        verts, tris = _parse_vtk(text, p)
-        sid = surface_id or p.stem
-    else:
-        verts, tris, file_id = _parse_json(text, p)
-        sid = surface_id or file_id or p.stem
-    return SurfaceMesh(verts, tris, sid)
-
-
-def _tokens(text: str):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            yield tok
-
-
-def _parse_off(text: str, path: Path):
-    toks = _tokens(text)
-    try:
-        magic = next(toks)
-    except StopIteration:
-        raise ParseError(f"{path}: empty OFF file") from None
-    if magic.upper() != "OFF":
-        raise ParseError(f"{path}: missing OFF header")
-    try:
-        nv, nf, _ne = (int(next(toks)) for _ in range(3))
-        verts = np.array([[float(next(toks)) for _ in range(3)] for _ in range(nv)])
-        tris = []
-        for _ in range(nf):
-            k = int(next(toks))
-            if k != 3:
-                raise ParseError(f"{path}: only triangular faces are supported")
-            tris.append([int(next(toks)) for _ in range(3)])
-    except (StopIteration, ValueError) as exc:
-        raise ParseError(f"{path}: truncated or malformed OFF data") from exc
-    return verts, np.array(tris, dtype=np.int64)
-
-
-def _parse_vtk(text: str, path: Path):
-    lines = text.splitlines()
-    if len(lines) < 4 or not lines[0].startswith("# vtk DataFile"):
-        raise ParseError(f"{path}: missing VTK DataFile header")
-    if lines[2].strip().upper() != "ASCII":
-        raise ParseError(f"{path}: only ASCII VTK is supported")
-    if lines[3].split() != ["DATASET", "POLYDATA"]:
-        raise ParseError(f"{path}: only DATASET POLYDATA is supported")
-    toks = _tokens("\n".join(lines[4:]))
-    verts = tris = None
-    try:
-        # the sections' own reads advance the same token stream
-        for key in map(str.upper, toks):
-            if key == "POINT_DATA":  # the mesh ends where the fields begin
-                break
-            if key == "POINTS":
-                n = int(next(toks))
-                next(toks)  # dtype label
-                flat = [float(next(toks)) for _ in range(3 * n)]
-                verts = np.array(flat).reshape(n, 3)
-            elif key == "POLYGONS":
-                m = int(next(toks))
-                size = int(next(toks))
-                flat = [int(next(toks)) for _ in range(size)]
-                tris, pos = [], 0
-                for _ in range(m):
-                    k = flat[pos]
-                    if k != 3:
-                        raise ParseError(f"{path}: non-triangular polygon")
-                    tris.append(flat[pos + 1 : pos + 4])
-                    pos += 4
-                tris = np.array(tris, dtype=np.int64)
-            else:
-                raise ParseError(f"{path}: unsupported VTK section {key!r}")
-    except (StopIteration, ValueError) as exc:
-        raise ParseError(f"{path}: truncated VTK data") from exc
-    if verts is None or tris is None:
-        raise ParseError(f"{path}: VTK file lacks POINTS or POLYGONS")
-    return verts, tris
-
-
-def _parse_json(text: str, path: Path):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "vertices" not in doc or "triangles" not in doc:
-        raise ParseError(f"{path}: JSON mesh needs 'vertices' and 'triangles'")
-    verts = np.asarray(doc["vertices"], dtype=float)
-    tris = np.asarray(doc["triangles"], dtype=np.int64)
-    return verts, tris, doc.get("surface_id")
+    verts, tris, file_id = _MESH_PARSERS[_mesh_suffix(p)](p)
+    return SurfaceMesh(verts, tris, surface_id or file_id or p.stem)
 
 
 def save_mesh(mesh: SurfaceMesh, path,
@@ -956,10 +981,10 @@ def save_mesh(mesh: SurfaceMesh, path,
     and rejected for the other formats.
     """
     p = Path(path)
-    kind = _detect_format(p)
-    if point_data and kind != "vtk":
+    kind = _mesh_suffix(p)
+    if point_data and kind != ".vtk":
         raise ParseError("point_data is only supported by the VTK writer")
-    if kind == "json":
+    if kind == ".json":
         doc = {
             "vertices": [[float(c) for c in row] for row in mesh.vertices],
             "triangles": [[int(i) for i in row] for row in mesh.triangles],
@@ -969,7 +994,7 @@ def save_mesh(mesh: SurfaceMesh, path,
         return
     points = "".join(_format_rows("%r %r %r\n", mesh.vertices))
     polygons = "".join(_format_rows("3 %d %d %d\n", mesh.triangles))
-    if kind == "off":
+    if kind == ".off":
         _write_text(p, f"OFF\n{mesh.n_vertices} {len(mesh.triangles)} 0\n"
                        f"{points}{polygons}")
         return
@@ -1035,38 +1060,34 @@ def _sidecar(surface_id: str, units: str, length: int) -> str:
 
 
 def load_nodal_field(path) -> NodalField:
-    """Read a nodal field written by :func:`save_nodal_field`."""
+    """Read a nodal field written by :func:`save_nodal_field`.
+
+    The sidecar is a JSON object with a ``surface_id`` string and a
+    ``length`` integer >= 0 (``units`` defaults to "mV").  The CSV is the
+    ``node_index,value`` header and one ``index,value`` row per node, in any
+    order, blank lines skipped; each index in 0..length-1 appears once.  A
+    file that breaks any of this, or cannot be read or decoded, is a
+    :class:`ParseError`.
+    """
     p = Path(path)
     side = p.with_suffix(p.suffix + ".json")
-    try:
-        manifest = json.loads(side.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read field manifest {side}: {exc}") from exc
-    n = manifest.get("length") if isinstance(manifest, dict) else None
-    if (type(n) is not int or n < 0
-            or not isinstance(manifest.get("surface_id"), str)):
-        raise ParseError(f"{side}: a field manifest is an object with a "
-                         "'surface_id' string and a non-negative integer 'length'")
-    lines = p.read_text().splitlines()
+    manifest = _read_json_object(side, "field manifest", {
+        "surface_id": lambda v: isinstance(v, str), "length": _is_count})
+    n = manifest["length"]
+    lines = _read_text(p).splitlines()
     if not lines or lines[0].strip() != "node_index,value":
         raise ParseError(f"{p}: missing 'node_index,value' header")
+    # (index, ",", value) per row; a value with a comma does not convert
+    rows = [line.partition(",") for line in lines[1:] if line.strip()]
+    index = _as_array([row[0] for row in rows], np.int64, -1, f"{p}: node indices")
+    outside = (index < 0) | (index >= n)
+    if outside.any():
+        raise ParseError(f"{p}: node index {index[outside][0]} outside 0..{n - 1}")
+    seen = np.bincount(index, minlength=n)
+    if seen.max(initial=0) > 1:
+        raise ParseError(f"{p}: node index {seen.argmax()} appears twice")
     values = np.full(n, np.nan)
-    seen = np.zeros(n, dtype=bool)
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        try:
-            idx_s, val_s = line.split(",")
-            idx = int(idx_s)
-            value = float(val_s)
-        except ValueError as exc:
-            raise ParseError(f"{p}: malformed row {line!r}") from exc
-        if not 0 <= idx < n:
-            raise ParseError(f"{p}: node index {idx} outside 0..{n - 1}")
-        if seen[idx]:
-            raise ParseError(f"{p}: node index {idx} appears twice")
-        seen[idx] = True
-        values[idx] = value
+    values[index] = _as_array([row[2] for row in rows], float, -1, f"{p}: values")
     if np.isnan(values).any():
         raise ParseError(f"{p}: missing node indices")
     return NodalField(manifest["surface_id"], values, manifest.get("units", "mV"))

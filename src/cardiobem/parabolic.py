@@ -58,7 +58,8 @@ from .direct import _solve_neumann_block
 from .errors import MissingInteriorData, ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet
-from .mesh import (_format_rows, _freeze, _memo, _parse_rows, _write_text,
+from .mesh import (_as_array, _format_rows, _freeze, _is_count, _memo,
+                   _parse_rows, _read_json_object, _read_text, _write_text,
                    require_off_surface)
 
 __all__ = [
@@ -610,29 +611,33 @@ def save_spacetime_field(fld: SpaceTimeField, path) -> None:
 def load_spacetime_field(path) -> SpaceTimeField:
     """Read a record written by :func:`save_spacetime_field`.
 
-    An empty CSV reads as (0, steps), the steps taken from the sidecar.  The
-    body is parsed natively in blocks of rows (``mesh._parse_rows``); a file
-    that parse declines, one that is not JSON numbers or not the sidecar's
-    shape, is read by ``np.loadtxt``, so it loads to the same array or fails
-    with the same error.
+    The sidecar is a JSON object with a ``location`` string, a ``shape`` of
+    two integers >= 0 and a ``time_grid`` of real ``t0`` and ``t_end`` and
+    an integer ``steps`` (``units`` defaults to "mV").  The body is parsed
+    natively in blocks of rows (``mesh._parse_rows``); a file that parse
+    declines (an empty record, or spellings only Python's ``float`` reads,
+    such as ``+1.5``, ``1.``, spaces and blank lines) is read as text
+    through ``mesh._as_array``.  A sidecar or CSV that breaks any of this,
+    a CSV not of the sidecar's shape, or a file that cannot be read or
+    decoded, is a :class:`ParseError`.
     """
     p = Path(path)
     side = p.with_suffix(p.suffix + ".json")
-    try:
-        manifest = json.loads(side.read_text())
-        shape, tg = manifest["shape"], manifest["time_grid"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ParseError(f"cannot read record manifest {side}: {exc}") from exc
-    if os.path.getsize(p) == 0:  # a zero-node record: its columns are frames
-        vals = np.empty((0, int(tg["steps"])))
-    elif (vals := _parse_rows(p, shape)) is None:
-        try:
-            vals = np.loadtxt(p, delimiter=",", ndmin=2)
-        except ValueError as exc:  # a malformed cell or a ragged row
-            raise ParseError(f"{p}: {exc}") from exc
+    manifest = _read_json_object(side, "record manifest", {
+        "location": lambda v: isinstance(v, str),
+        "shape": lambda v: (isinstance(v, list) and len(v) == 2
+                            and all(map(_is_count, v))),
+        "time_grid": lambda v: (isinstance(v, dict) and _is_count(v.get("steps"))
+                                and all(type(v.get(k)) in (int, float)
+                                        for k in ("t0", "t_end")))})
+    shape, tg = manifest["shape"], manifest["time_grid"]
+    vals = _parse_rows(p, shape) if os.path.isfile(p) else None
+    if vals is None:
+        rows = [line.split(",") for line in _read_text(p).splitlines() if line.strip()]
+        vals = _as_array(rows, float, (len(rows), shape[1]), f"{p}: CSV rows")
     if list(vals.shape) != shape:
         raise ParseError(f"{p}: CSV shape {vals.shape} differs from the "
                          f"sidecar's {shape}")
-    grid = TimeGrid(t_end=tg["t_end"], steps=int(tg["steps"]), t0=tg["t0"])
+    grid = TimeGrid(t_end=tg["t_end"], steps=tg["steps"], t0=tg["t0"])
     return SpaceTimeField(manifest["location"], vals, grid,
                           units=manifest.get("units", "mV"))

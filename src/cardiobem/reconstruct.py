@@ -242,7 +242,7 @@ class CubicRadial:
         return coef[:, None] * diff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullSpaceElement:
     """A triple (u_e, u_i, u_b = 0) invisible to the body surface.
 

@@ -244,6 +244,27 @@ def test_validation_exit_codes(tmp_path, synth_dir):
           "--torso", str(synth_dir / "torso.off"), "--f", str(synth_dir / "f.csv")]
     for k, sel in enumerate(["fixed:abc", "discrepancy:x", "fixed:-1", "fixed:inf"]):
         assert main(p2 + ["--selection", sel, "--out", str(tmp_path / f"g{k}")]) == 2
+    assert main(p2 + ["--alpha-max", "inf", "--out", str(tmp_path / "h")]) == 2
+    # a malformed input file: a nodal CSV, a record sidecar, a mesh, a
+    # config file
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "f.csv").write_text("node_index,value\n0,1.0\n0,2.0\n")
+    (bad / "f.csv.json").write_text('{"surface_id": "heart", "length": 2}')
+    assert main(["eval", "--truth", str(bad / "f.csv"),
+                 "--out", str(tmp_path / "i")]) == 2
+    save_spacetime_field(SpaceTimeField("heart", np.zeros((3, 2)),
+                                        TimeGrid(t_end=1.0, steps=2)), bad / "r.csv")
+    (bad / "r.csv.json").write_text('["heart", [3, 2]]')
+    assert main(["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
+                 "--torso", str(synth_dir / "torso.off"), "--f", str(bad / "r.csv"),
+                 "--out", str(tmp_path / "j")]) == 2
+    (bad / "heart.off").write_text("OFF\n12 20\n")
+    assert main(["nullspace", "--heart", str(bad / "heart.off"),
+                 "--out", str(tmp_path / "k")]) == 2
+    (bad / "run.cfg").write_bytes(b"level = 0\xff\n")
+    assert main(["synth", "--config", str(bad / "run.cfg"),
+                 "--out", str(tmp_path / "l")]) == 2
 
 
 @pytest.mark.parametrize("value, index", [("3e-4", 4), ("1e300", 7)])

@@ -26,9 +26,11 @@ from cardiobem import (
     icosphere,
     load_mesh,
     load_nodal_field,
+    load_spacetime_field,
     points_inside,
     save_mesh,
     save_nodal_field,
+    save_spacetime_field,
     surface_distance,
 )
 import cardiobem.mesh as mesh_module
@@ -175,6 +177,60 @@ def test_nodal_field_sidecar_checks(tmp_path, sidecar):
     (tmp_path / "f.csv.json").write_text(sidecar)
     with pytest.raises(ParseError, match="field manifest"):
         load_nodal_field(path)
+
+
+_TETRA = b"0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+_TETRA_VTK = (b"# vtk DataFile Version 3.0\nm\nASCII\nDATASET POLYDATA\n"
+              b"POINTS 4 double\n" + _TETRA)
+_TETRA_JSON = b'{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+
+
+# case -> (file written by a writer, its edit, loader); each edit leaves a
+# file the loader refuses, every one of them with a ParseError
+_MALFORMED = {
+    "off-truncated-header": ("m.off", lambda b: b"OFF\n12 20\n", load_mesh),
+    "off-quad-face": ("m.off", lambda b: b.replace(b"\n3 ", b"\n4 0 ", 1), load_mesh),
+    "off-not-utf8": ("m.off", lambda b: b.replace(b"OFF", b"OFF\xff"), load_mesh),
+    "vtk-short-polygons": ("m.vtk", lambda b: _TETRA_VTK + b"POLYGONS 4 4\n3 0 1 2\n",
+                           load_mesh),
+    "json-ragged-vertices": ("m.json", lambda b: b'{"vertices": [[0, 0, 0], [1, 0]], '
+                             b'"triangles": [[0, 1, 2]]}', load_mesh),
+    "json-string-vertices": ("m.json", lambda b: b'{"vertices": [["a", "b", "c"]], '
+                             b'"triangles": [[0, 1, 2]]}', load_mesh),
+    "json-index-beyond-int64": ("m.json", lambda b: _TETRA_JSON + b'"triangles": '
+                                b"[[0, 2, 1], [0, 1, %d], [0, 3, 2], [1, 2, 3]]}" % 2 ** 70,
+                                load_mesh),
+    "csv-not-utf8": ("f.csv", lambda b: b.replace(b"0,", b"0,\xff", 1), load_nodal_field),
+    "csv-fractional-index": ("f.csv", lambda b: b.replace(b"\n1,", b"\n1.5,"),
+                             load_nodal_field),
+    "record-sidecar-list": ("r.csv.json", lambda b: b'["heart", [3, 4]]',
+                            load_spacetime_field),
+    "record-sidecar-no-location": ("r.csv.json", lambda b: b.replace(
+        b'"location"', b'"place"'), load_spacetime_field),
+    "record-string-t-end": ("r.csv.json", lambda b: b.replace(
+        b'"t_end": 0.5', b'"t_end": "0.5"'), load_spacetime_field),
+    "record-string-steps": ("r.csv.json", lambda b: b.replace(
+        b'"steps": 4', b'"steps": "4"'), load_spacetime_field),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_loaders_reject_malformed_files(tmp_path, case):
+    name, edit, load = _MALFORMED[case]
+    mesh = icosphere(0, 1.0, surface_id="heart")
+    for suffix in (".off", ".vtk", ".json"):
+        save_mesh(mesh, tmp_path / f"m{suffix}")
+    save_nodal_field(NodalField("heart", np.arange(3.0)), tmp_path / "f.csv")
+    save_spacetime_field(SpaceTimeField("heart", np.arange(12.0).reshape(3, 4),
+                                        TimeGrid(t_end=0.5, steps=4)),
+                         tmp_path / "r.csv")
+    target = tmp_path / ("r.csv" if name == "r.csv.json" else name)
+    load(target)  # as written, it loads
+    before = (tmp_path / name).read_bytes()
+    (tmp_path / name).write_bytes(edit(before))
+    assert (tmp_path / name).read_bytes() != before
+    with pytest.raises(ParseError):
+        load(target)
 
 
 def test_memo_builds_on_other_owners_while_one_builds():

@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and eight structural guards."""
+and every module uses what it imports; and ten structural guards."""
 
 import ast
 import fnmatch
@@ -160,6 +160,42 @@ def test_one_float_writer():
              and node.func.attr == "dumps"
              and getattr(node.func.value, "id", None) == "orjson"]
     assert sites == ["mesh.py:_spell_floats"]
+
+
+def test_one_checked_read():
+    # every input file is read through mesh._read_text, which turns a file
+    # that cannot be read or decoded into a ParseError, and every JSON
+    # document through mesh._read_json_object, which checks its keys, so a
+    # new loader cannot skip them and leak a bare OSError, UnicodeDecodeError
+    # or KeyError
+    sites = sorted(f"{path.name}:{getattr(top, 'name', top.lineno)}:{node.func.attr}"
+                   for path in _modules()
+                   for top in ast.parse(path.read_text()).body for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and (node.func.attr == "read_text"
+                        or (node.func.attr == "loads"
+                            and getattr(node.func.value, "id", None) == "json")))
+    assert sites == ["mesh.py:_read_json_object:loads", "mesh.py:_read_text:read_text"]
+
+
+def test_array_dataclasses_compare_by_identity():
+    # the generated __eq__ of a dataclass compares its fields as a tuple,
+    # which raises on an array field ("truth value of an array ... is
+    # ambiguous"), so each dataclass holding an array compares by identity
+    generated = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                if "dataclass" not in ast.unparse(dec):
+                    continue
+                eq = [kw.value for kw in getattr(dec, "keywords", []) if kw.arg == "eq"]
+                arrays = any("np.ndarray" in ast.unparse(stmt.annotation)
+                             for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+                if arrays and not (eq and getattr(eq[0], "value", True) is False):
+                    generated.append(f"{path.name}:{node.name}")
+    assert generated == []
 
 
 # exported for readers outside the package and its scripts: the analytic
