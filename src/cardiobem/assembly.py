@@ -76,7 +76,7 @@ from .errors import QuadratureFailure, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import _KernelSet
 from .mesh import (CurveMesh, NodalField, SurfaceMesh, _closest_points, _freeze,
-                   _memo, _near_pairs, require_off_surface)
+                   _memo, _near_pairs, _points, _values_on, require_off_surface)
 
 __all__ = [
     "LayerOperators",
@@ -403,10 +403,8 @@ def assemble_layer(kind: str, M, source, target=None) -> LayerOperators:
     if target is None:
         target = source
     same = target is source
-    targets = (target.vertices if isinstance(target, (SurfaceMesh, CurveMesh))
-               else np.atleast_2d(np.asarray(target, float)))
-    if targets.shape[1] != source.dim:
-        raise ShapeMismatch(f"targets must be (n, {source.dim})")
+    targets = _points(target.vertices if isinstance(target, (SurfaceMesh, CurveMesh))
+                      else target, source.dim)
 
     ker = _KernelSet(M, source.dim)
     matrix = _assemble_dense(kind, ker, source, targets, same)
@@ -446,7 +444,7 @@ def volume_potential(M, grid: InteriorGrid, g: np.ndarray,
         raise ShapeMismatch("g must be sampled on the full grid box")
     centers = grid.interior_centers()
     vals_in = g_flat[grid.inside]
-    x = np.atleast_2d(np.asarray(targets, dtype=float))
+    x = _points(targets, 3)
     out = np.zeros(len(x))
     h = grid.h
     skip_r2 = 3.0 * h * h  # one cell diameter, squared
@@ -483,15 +481,18 @@ def green_representation(M, mesh, dirichlet: NodalField, conormal: NodalField,
 
     Raises
     ------
+    ShapeMismatch
+        If a trace is not a NodalField on ``mesh``, or the points are not
+        finite ``mesh.dim``-vectors (``mesh._points``).
     PointOnBoundary
         If any evaluation point is within 1e-9 x the bounding-box diagonal
         of the surface (``require_off_surface``).
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    u0 = _values_on(dirichlet, mesh)
+    u1 = _values_on(conormal, mesh)
+    pts = _points(x, mesh.dim)
     scalar_in = np.asarray(x).ndim == 1
     require_off_surface(mesh, pts)
-    u0 = dirichlet.check_on(mesh)
-    u1 = conormal.check_on(mesh)
     sl = assemble_layer("single", M, mesh, pts)
     dl = assemble_layer("double", M, mesh, pts)
     vals = sl.apply(u1) - dl.apply(u0)

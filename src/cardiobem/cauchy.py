@@ -36,7 +36,7 @@ import numpy as np
 from .direct import _zaremba_transfer
 from .errors import DegenerateLCurve, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
-from .mesh import NodalField, _format_rows, _memo, _write_text
+from .mesh import NodalField, _format_rows, _memo, _values_on, _write_text
 
 __all__ = [
     "LCurveMaxCurvature",
@@ -273,7 +273,7 @@ def _heart_trace(tensor, domain, f: NodalField,
     diagnostics) of one Cauchy solve."""
     if config is None:
         config = TikhonovConfig.log_grid()
-    fv = f.check_on(domain.torso)
+    fv = _values_on(f, domain.torso)
     if not np.any(fv):
         # exactly zero data: the regularized minimizer and its flux are
         # exactly zero, and no transfer is built

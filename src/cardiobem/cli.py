@@ -9,22 +9,30 @@ report table), ``green-check`` / ``heat-check`` (invariant suites), and
 
 Every run resolves its parameters from defaults, then a flat ``key = value``
 config file (``--config``), then explicit flags (flags win), and writes the
-resolved set to ``run_manifest.json`` in the output directory.  Re-running
-that manifest on the same machine, with the same BLAS build and thread
-count, reproduces every output byte for byte: no timestamps are written,
-floats are shortest-repr, and noise is drawn from a recorded seed.
-Rounding-level diagnostics such as ``flux_defect`` move with the BLAS
-blocking, so another BLAS build or thread count changes their last digits.
-Noise exists only here; the library solvers are deterministic.  The
-manifest's ``results`` hold only what no other file of the run holds: a
-single-field reconstruction's c, chosen alpha and diagnostics live in its
-``reconstruction.json``, and only a time record, which writes none, lists
-its per-frame c and chosen alpha there.
+resolved set to ``run_manifest.json`` in the output directory; ``rerun``
+resolves the same way, with the manifest's parameters in the config file's
+place.  Re-running that manifest on the same machine, with the same BLAS
+build and thread count, reproduces every output byte for byte: no
+timestamps are written, floats are shortest-repr, and noise is drawn from a
+recorded seed.  Rounding-level diagnostics such as ``flux_defect`` move
+with the BLAS blocking, so another BLAS build or thread count changes their
+last digits.  Noise exists only here; the library solvers are
+deterministic.  The manifest's ``results`` hold only what no other file of
+the run holds: a single-field reconstruction's c, chosen alpha and
+diagnostics live in its ``reconstruction.json``, and only a time record,
+which writes none, lists its per-frame c and chosen alpha there.
+
+Every value but a default is cast once from its text, and every float a run
+reads is finite, the numbers inside ``--terms``, ``--center`` and
+``--selection`` included.  Each parameter's range is its check in
+``_PARAM_TYPES``, which every final value must pass; rules that span
+parameters (r1 < r2, |m| <= l) stay with the code that needs them.  A
+non-finite float or a value outside its range exits 2.
 
 Exit codes: 0 success, 2 validation error (bad flags, missing or malformed
-files, parameters that are not positive and finite), 3 solver or invariant
-failure.  The env variable BIDOMAIN_THREADS caps the per-frame worker pool
-of ``reconstruct-p2``.
+files, a non-finite float, a parameter outside its range), 3 solver or
+invariant failure.  The env variable BIDOMAIN_THREADS caps the per-frame
+worker pool of ``reconstruct-p2``.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -45,8 +54,8 @@ from .errors import CardiobemError, ParseError
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec
 from .mesh import (DomainConfig, NodalField, _format_rows, _read_json_object,
-                   _read_text, _write_text, load_mesh, load_nodal_field,
-                   save_mesh, save_nodal_field)
+                   _read_sidecar, _read_text, _write_text, load_mesh,
+                   load_nodal_field, save_mesh, save_nodal_field)
 from .oracle import (HarmonicSpec, HarmonicTerm, Shell3D, rmse,
                      synth_bidomain_steady)
 from .parabolic import (SpaceTimeField, TimeGrid, heat_kernel,
@@ -59,7 +68,7 @@ from .reconstruct import (CubicRadial, generate_nullspace_element,
 from .assembly import green_representation
 from .direct import solve_zaremba
 
-__all__ = ["main", "report_table", "RunConfig"]
+__all__ = ["main", "report_table"]
 
 logger = logging.getLogger(__name__)
 
@@ -76,68 +85,77 @@ class ValidationFailure(Exception):
 # configuration
 
 
-# name -> (cast, default); None default means required by the subcommand
+# a parameter's check: what its value must be, and the predicate on the
+# cast value that says so
+_POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)
+_FINITE = ("finite", math.isfinite)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+
+
+def _integers(low, high) -> tuple:
+    """The check of an integer in [low, high]."""
+    return (f"an integer in [{low}, {high}]", lambda v: low <= v <= high)
+
+
+# name -> (cast, default, check); None default means required by the
+# subcommand, and a str or bool parameter has no check
 _PARAM_TYPES = {
-    "heart": (str, None),
-    "torso": (str, None),
-    "u_e": (str, None),
-    "f": (str, None),
-    "truth": (str, None),
-    "p1": (str, None),
-    "p2": (str, None),
-    "label": (str, "all"),
-    "r1": (float, 1.0),
-    "r2": (float, 2.0),
-    "level": (int, 3),
-    "l": (int, 1),
-    "m": (int, 0),
-    "amp": (float, 30.0),
-    "terms": (str, ""),
-    "sigma_i": (float, 12.0),
-    "sigma_e": (float, 45.0),
-    "m_b": (float, 7.0),
-    "c0": (float, 1.0),
-    "noise": (float, 0.0),
-    "seed": (int, 0),
-    "alpha_min": (float, 1e-10),
-    "alpha_max": (float, 1e2),
-    "alpha_count": (int, 16),
-    "selection": (str, "lcurve"),
-    "alpha_global": (bool, False),
-    "center": (str, "0,0,0.2"),
-    "radius": (float, 0.3),
-    "amplitude": (float, 1.0),
-    "grid_h": (float, 0.1),
-    "steps": (int, 24),
-    "t_end": (float, 0.5),
-    "vtk": (bool, False),
+    "heart": (str, None, None),
+    "torso": (str, None, None),
+    "u_e": (str, None, None),
+    "f": (str, None, None),
+    "truth": (str, None, None),
+    "p1": (str, None, None),
+    "p2": (str, None, None),
+    "label": (str, "all", None),
+    "r1": (float, 1.0, _POSITIVE),
+    "r2": (float, 2.0, _POSITIVE),
+    "level": (int, 3, _integers(0, 5)),
+    # |m| <= l spans the two: HarmonicTerm checks it
+    "l": (int, 1, _integers(0, math.inf)),
+    "m": (int, 0, _integers(-math.inf, math.inf)),
+    "amp": (float, 30.0, _FINITE),
+    "terms": (str, "", None),
+    "sigma_i": (float, 12.0, _POSITIVE),
+    "sigma_e": (float, 45.0, _POSITIVE),
+    "m_b": (float, 7.0, _POSITIVE),
+    "c0": (float, 1.0, _FINITE),
+    "noise": (float, 0.0, _NON_NEGATIVE),
+    "seed": (int, 0, _integers(0, math.inf)),
+    "alpha_min": (float, 1e-10, _POSITIVE),
+    "alpha_max": (float, 1e2, _POSITIVE),
+    "alpha_count": (int, 16, _integers(8, math.inf)),
+    "selection": (str, "lcurve", None),
+    "alpha_global": (bool, False, None),
+    "center": (str, "0,0,0.2", None),
+    "radius": (float, 0.3, _POSITIVE),
+    "amplitude": (float, 1.0, _POSITIVE),
+    "grid_h": (float, 0.1, _POSITIVE),
+    "steps": (int, 24, _integers(2, math.inf)),
+    "t_end": (float, 0.5, _POSITIVE),
+    "vtk": (bool, False, None),
 }
 
 
-class RunConfig(dict):
-    """Resolved run parameters: defaults, then config file, then flags."""
-
-    @staticmethod
-    def resolve(args: argparse.Namespace, keys) -> "RunConfig":
-        cfg_file = {}
-        if getattr(args, "config", None):
-            cfg_file = _parse_config_file(args.config)
-        out = RunConfig()
-        for key in keys:
-            cast, default = _PARAM_TYPES[key]
-            value = default
-            if key in cfg_file:
-                value = _cast(key, cast, cfg_file[key])
-            flag = getattr(args, key, None)
-            if flag is not None and flag is not False:
-                value = flag
-            out[key] = value
-        unknown = set(cfg_file) - set(keys)
-        if unknown:
-            raise ValidationFailure(
-                f"config keys not used by this subcommand: {sorted(unknown)}"
-            )
-        return out
+def _resolve(keys, layer: dict, flags: dict) -> dict:
+    """The value of each of ``keys``: its default, else the text ``layer``
+    gives (a config file's, or a manifest's parameters), else a flag's.
+    Each value but a default is cast once from its text (``_cast``), and
+    every final value must pass its parameter's check."""
+    unknown = set(layer) - set(keys)
+    if unknown:
+        raise ValidationFailure(
+            f"config keys not used by this subcommand: {sorted(unknown)}")
+    given = {**layer, **flags}
+    cfg = {}
+    for key in keys:
+        cast, value, check = _PARAM_TYPES[key]
+        if key in given:
+            value = _cast(key, cast, given[key])
+        if check and not check[1](value):
+            raise ValidationFailure(f"{key} must be {check[0]}, got {value!r}")
+        cfg[key] = value
+    return cfg
 
 
 def _parse_config_file(path: str) -> dict:
@@ -159,21 +177,27 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _cast(key: str, cast, text: str):
+def _cast(key: str, cast, text):
+    """``text``, or a JSON value read as its text, as a ``cast`` value; a
+    float must be finite."""
+    text = str(text)
     if cast is bool:
-        low = str(text).strip().lower()
+        low = text.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValidationFailure(f"{key}: expected a boolean, got {text!r}")
     try:
-        return cast(text)
-    except (TypeError, ValueError) as exc:
+        value = cast(text)
+    except ValueError as exc:
         raise ValidationFailure(f"{key}: {exc}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ValidationFailure(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
-def _require_file(cfg: RunConfig, key: str) -> Path:
+def _require_file(cfg: dict, key: str) -> Path:
     value = cfg.get(key)
     if not value:
         raise ValidationFailure(f"missing required input: --{key.replace('_', '-')}")
@@ -183,15 +207,16 @@ def _require_file(cfg: RunConfig, key: str) -> Path:
     return p
 
 
-def _require_positive(cfg: RunConfig, *keys) -> None:
-    for key in keys:
-        if not 0 < cfg[key] < np.inf:
-            raise ValidationFailure(
-                f"{key} must be positive and finite, got {cfg[key]}")
+def _surface(cfg: dict, key: str):
+    """The mesh file named by ``key``, ``heart`` or ``torso``, with that id."""
+    return load_mesh(_require_file(cfg, key), surface_id=key)
 
 
-def _model(cfg: RunConfig) -> ConductivityModel:
-    _require_positive(cfg, "sigma_i", "sigma_e", "m_b")
+def _domain(cfg: dict) -> DomainConfig:
+    return DomainConfig(heart=_surface(cfg, "heart"), torso=_surface(cfg, "torso"))
+
+
+def _model(cfg: dict) -> ConductivityModel:
     return ConductivityModel(M_i=cfg["sigma_i"], M_e=cfg["sigma_e"],
                              m_b=cfg["m_b"])
 
@@ -204,7 +229,7 @@ def _out_dir(args) -> Path:
     return p
 
 
-def _write_manifest(out: Path, subcommand: str, cfg: RunConfig,
+def _write_manifest(out: Path, subcommand: str, cfg: dict,
                     results: dict) -> None:
     doc = {
         "subcommand": subcommand,
@@ -254,7 +279,7 @@ def report_table(rows) -> str:
 # subcommand bodies (take resolved parameters so `rerun` can replay them)
 
 
-def _spec_terms(cfg: RunConfig) -> HarmonicSpec:
+def _spec_terms(cfg: dict) -> HarmonicSpec:
     geometry = Shell3D(cfg["r1"], cfg["r2"])
     if cfg["terms"]:
         terms = []
@@ -272,11 +297,9 @@ def _spec_terms(cfg: RunConfig) -> HarmonicSpec:
     return HarmonicSpec(terms=tuple(terms), geometry=geometry)
 
 
-def _run_synth(cfg: RunConfig, out: Path) -> dict:
-    if not 0 < cfg["r1"] < cfg["r2"]:
-        raise ValidationFailure("need 0 < r1 < r2")
-    if not 0 <= cfg["level"] <= 5:
-        raise ValidationFailure("level must be between 0 and 5")
+def _run_synth(cfg: dict, out: Path) -> dict:
+    if not cfg["r1"] < cfg["r2"]:
+        raise ValidationFailure("need r1 < r2")
     model = _model(cfg)
     spec = _spec_terms(cfg)
     oracle = synth_bidomain_steady(spec.geometry, model, spec, c0=cfg["c0"])
@@ -296,18 +319,16 @@ def _run_synth(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-def _run_reconstruct_p1(cfg: RunConfig, out: Path) -> dict:
-    heart = load_mesh(_require_file(cfg, "heart"), surface_id="heart")
-    torso = load_mesh(_require_file(cfg, "torso"), surface_id="torso")
+def _run_reconstruct_p1(cfg: dict, out: Path) -> dict:
+    domain = _domain(cfg)
     u_e = load_nodal_field(_require_file(cfg, "u_e"))
     model = _model(cfg)
-    domain = DomainConfig(heart=heart, torso=torso)
     result = run_protocol_1(domain, model, u_e, c0=cfg["c0"])
-    write_reconstruction(result, out, heart, vtk=cfg["vtk"])
+    write_reconstruction(result, out, domain.heart, vtk=cfg["vtk"])
     return {"lambda": model.lam}
 
 
-def _selection(cfg: RunConfig):
+def _selection(cfg: dict):
     sel = cfg["selection"]
     if sel == "lcurve":
         return LCurveMaxCurvature()
@@ -315,50 +336,41 @@ def _selection(cfg: RunConfig):
     rules = {"fixed": FixedAlpha, "discrepancy": DiscrepancyPrinciple}
     if colon and rule in rules:
         value = _cast("selection", float, text)
-        if not 0 < value < np.inf:
-            raise ValidationFailure(
-                f"selection {rule} needs a finite value > 0, got {text!r}")
+        if not value > 0:
+            raise ValidationFailure(f"selection {rule} needs a value > 0, got {text!r}")
         return rules[rule](value)
     raise ValidationFailure(
         f"selection must be 'lcurve', 'fixed:ALPHA' or 'discrepancy:LEVEL', got {sel!r}"
     )
 
 
-def _tikhonov(cfg: RunConfig) -> TikhonovConfig:
-    _require_positive(cfg, "alpha_min", "alpha_max")
-    if cfg["alpha_count"] < 8:
-        raise ValidationFailure("alpha_count must be at least 8")
+def _tikhonov(cfg: dict) -> TikhonovConfig:
     return TikhonovConfig.log_grid(count=cfg["alpha_count"],
                                    alpha_min=cfg["alpha_min"],
                                    alpha_max=cfg["alpha_max"],
                                    selection=_selection(cfg))
 
 
-def _noisy(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
+def _noisy(values: np.ndarray, cfg: dict) -> np.ndarray:
     if cfg["noise"] == 0.0:
         return values
-    if cfg["noise"] < 0:
-        raise ValidationFailure("noise level must be non-negative")
     rng = np.random.default_rng(cfg["seed"])
     scale = cfg["noise"] * float(np.max(np.abs(values), initial=0.0))
     return values + rng.normal(size=values.shape) * scale
 
 
-def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
-    heart = load_mesh(_require_file(cfg, "heart"), surface_id="heart")
-    torso = load_mesh(_require_file(cfg, "torso"), surface_id="torso")
+def _run_reconstruct_p2(cfg: dict, out: Path) -> dict:
+    domain = _domain(cfg)
     fpath = _require_file(cfg, "f")
     model = _model(cfg)
     tikhonov = _tikhonov(cfg)
-    domain = DomainConfig(heart=heart, torso=torso)
 
-    with open(fpath, errors="replace") as fh:
-        head = fh.readline()
-    if head.strip() == "node_index,value":
+    # a record's sidecar holds its time grid, a nodal field's none
+    if "time_grid" not in _read_sidecar(fpath, "sidecar", {}):
         f = load_nodal_field(fpath)
         f = NodalField(f.surface_id, _noisy(f.values, cfg), f.units)
         result = run_protocol_2(domain, model, f, tikhonov, c0=cfg["c0"])
-        write_reconstruction(result, out, heart, vtk=cfg["vtk"])
+        write_reconstruction(result, out, domain.heart, vtk=cfg["vtk"])
         return {}
 
     record = load_spacetime_field(fpath)
@@ -386,7 +398,7 @@ def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
     with ThreadPoolExecutor(max_workers=_threads(frames)) as pool:
         outputs = list(pool.map(solve, range(frames)))
 
-    nh = heart.n_vertices
+    nh = domain.heart.n_vertices
     arrays = {name: np.empty((nh, frames)) for name in ("u_e", "u_i", "v")}
     alphas = []
     for j, res in enumerate(outputs):
@@ -401,10 +413,10 @@ def _run_reconstruct_p2(cfg: RunConfig, out: Path) -> dict:
             "c": [float(r.c) for r in outputs]}
 
 
-def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
-    heart = load_mesh(_require_file(cfg, "heart"), surface_id="heart")
+def _run_nullspace(cfg: dict, out: Path) -> dict:
+    domain = _domain(cfg) if cfg["torso"] else None
+    heart = _surface(cfg, "heart") if domain is None else domain.heart
     model = _model(cfg)
-    _require_positive(cfg, "radius", "amplitude", "grid_h")
     center = tuple(_cast("center", float, x) for x in cfg["center"].split(","))
     if len(center) != 3:
         raise ValidationFailure("center must be 'x,y,z'")
@@ -426,21 +438,19 @@ def _run_nullspace(cfg: RunConfig, out: Path) -> dict:
             elem.u_i_interior + model.lam * elem.u_interior
             - elem.diagnostics["c"]).max()),
     }
-    if cfg.get("torso"):
-        torso = load_mesh(_require_file(cfg, "torso"), surface_id="torso")
-        domain = DomainConfig(heart=heart, torso=torso)
+    if domain is not None:
         rep = solve_zaremba(model.M_b, domain, elem.u_e_trace)
         results["torso_signal_sup"] = float(
             np.abs(rep.solution_trace_outer.values).max())
     return results
 
 
-def _run_eval(cfg: RunConfig, out: Path) -> dict:
+def _run_eval(cfg: dict, out: Path) -> dict:
     truth = load_nodal_field(_require_file(cfg, "truth"))
     row = [cfg["label"], None, None]
     values = {}
     for slot, key in ((1, "p1"), (2, "p2")):
-        if cfg.get(key):
+        if cfg[key]:
             rec = load_nodal_field(_require_file(cfg, key))
             delta = rmse(rec, truth)
             row[slot] = delta
@@ -452,7 +462,7 @@ def _run_eval(cfg: RunConfig, out: Path) -> dict:
             "v_range_mV": float(truth.values.max() - truth.values.min())}
 
 
-def _run_green_check(cfg: RunConfig, out: Path) -> dict:
+def _run_green_check(cfg: dict, out: Path) -> dict:
     if not 1 <= cfg["level"] <= 4:
         raise ValidationFailure("level must be between 1 and 4")
     mesh = icosphere(cfg["level"], 1.0, surface_id="sphere")
@@ -474,7 +484,7 @@ def _run_green_check(cfg: RunConfig, out: Path) -> dict:
     return results
 
 
-def _run_heat_check(cfg: RunConfig, out: Path) -> dict:
+def _run_heat_check(cfg: dict, out: Path) -> dict:
     spec = HeatOperatorSpec(M=1.0, scale=1.0, dim=3)
     mass_err = abs(heat_kernel_mass(spec, 0.1) - 1.0)
     causal = float(np.abs(heat_kernel(
@@ -547,13 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--verbose", action="store_true")
-        for key in keys:
-            cast, _ = _PARAM_TYPES[key]
-            flag = "--" + key.replace("_", "-")
-            if cast is bool:
-                p.add_argument(flag, action="store_true", default=None)
-            else:
-                p.add_argument(flag, type=cast, default=None)
+        for key in keys:  # a flag gives text, which _resolve casts
+            action = "store_true" if _PARAM_TYPES[key][0] is bool else "store"
+            p.add_argument("--" + key.replace("_", "-"), action=action, default=None)
     rerun = sub.add_parser("rerun")
     rerun.add_argument("manifest", help="run_manifest.json of a previous run")
     rerun.add_argument("--out", help="output directory", required=False)
@@ -568,13 +574,13 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.subcommand == "rerun":
-            return _dispatch_rerun(args)
-        handler, keys = _SUBCOMMANDS[args.subcommand]
-        cfg = RunConfig.resolve(args, keys)
+        name, layer = _layer(args)
+        handler, keys = _SUBCOMMANDS[name]
+        flags = {key: getattr(args, key) for key in keys
+                 if getattr(args, key, None) is not None}
+        cfg = _resolve(keys, layer, flags)
         out = _out_dir(args)
-        results = handler(cfg, out)
-        _write_manifest(out, args.subcommand, cfg, results)
+        _write_manifest(out, name, cfg, handler(cfg, out))
         return _EXIT_OK
     except (ValidationFailure, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -584,18 +590,17 @@ def main(argv=None) -> int:
         return _EXIT_SOLVER
 
 
-def _dispatch_rerun(args) -> int:
+def _layer(args) -> tuple:
+    """The subcommand to run and the values between its defaults and its
+    flags: a run's ``--config`` file, or the parameters of a ``rerun``'s
+    manifest.  A manifest's keys that its subcommand does not take (an
+    older synth's ``geometry``) and its nulls are left out."""
+    if args.subcommand != "rerun":
+        return args.subcommand, (_parse_config_file(args.config)
+                                 if args.config else {})
     doc = _read_json_object(args.manifest, "run manifest", {
         "subcommand": lambda v: isinstance(v, str) and v in _SUBCOMMANDS,
         "parameters": lambda v: isinstance(v, dict)})
-    name, params = doc["subcommand"], doc["parameters"]
-    handler, keys = _SUBCOMMANDS[name]
-    cfg = RunConfig()
-    for key in keys:
-        cast, default = _PARAM_TYPES[key]
-        value = params.get(key)
-        cfg[key] = default if value is None else _cast(key, cast, value)
-    out = _out_dir(args)
-    results = handler(cfg, out)
-    _write_manifest(out, name, cfg, results)
-    return _EXIT_OK
+    keys = _SUBCOMMANDS[doc["subcommand"]][1]
+    return doc["subcommand"], {key: value for key, value in doc["parameters"].items()
+                               if key in keys and value is not None}

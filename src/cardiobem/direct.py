@@ -61,7 +61,7 @@ import numpy as np
 from .assembly import assemble_layer, volume_potential
 from .errors import IncompatibleData, ShapeMismatch, SolveFailure
 from .kernels import as_tensor
-from .mesh import DomainConfig, NodalField, _memo, _total_weight
+from .mesh import DomainConfig, NodalField, _memo, _total_weight, _values_on
 
 __all__ = [
     "DirectSolveReport",
@@ -118,14 +118,6 @@ def _solution_operator(matrix: np.ndarray, rhs: np.ndarray = None) -> tuple:
         misfit -= rhs
     out.flags.writeable = False
     return out, float(np.linalg.norm(misfit))
-
-
-def _values_on(field, mesh) -> np.ndarray:
-    """The values of ``field`` after checking it is a NodalField on ``mesh``."""
-    if not isinstance(field, NodalField):
-        raise ShapeMismatch(f"expected a NodalField on {mesh.surface_id!r}, "
-                            f"got {type(field).__name__}")
-    return field.check_on(mesh)
 
 
 def boundary_operators(M, owner):

@@ -391,6 +391,29 @@ class NodalField:
         return self.values
 
 
+def _values_on(field, mesh) -> np.ndarray:
+    """The values of ``field`` after checking it is a NodalField on ``mesh``:
+    every public entry point that takes a nodal field reads it through here."""
+    if not isinstance(field, NodalField):
+        raise ShapeMismatch(f"expected a NodalField on {mesh.surface_id!r}, "
+                            f"got {type(field).__name__}")
+    return field.check_on(mesh)
+
+
+def _points(points, dim: int) -> np.ndarray:
+    """``points``, one point or an (n, ``dim``) table, as an (n, ``dim``)
+    float array of finite coordinates, or a :class:`ShapeMismatch`: every
+    public entry point that takes points reads them through here."""
+    try:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"points are not numbers: {exc}") from exc
+    if pts.ndim != 2 or pts.shape[1] != dim or not np.isfinite(pts).all():
+        raise ShapeMismatch(f"points must be (n, {dim}) finite coordinates, "
+                            f"got shape {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class DomainConfig:
     """Heart surface strictly inside a torso surface.
@@ -534,9 +557,7 @@ def points_inside(mesh, points: np.ndarray) -> np.ndarray:
     its ray is on the surface and not inside.  A point whose ray grazes an
     edge along every direction raises GeometryError.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != mesh.dim:
-        raise ShapeMismatch(f"points must be (n, {mesh.dim})")
+    pts = _points(points, mesh.dim)
     verts = mesh.vertices
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     tol = _GRAZE * float(np.linalg.norm(hi - lo))
@@ -661,9 +682,7 @@ def _distances_within(mesh, points: np.ndarray, tol: float) -> np.ndarray:
     distance to the nearest points of its pairs (``_closest_points``), in
     batches of ``_CLOSEST_BATCH`` pairs.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != mesh.dim:
-        raise ShapeMismatch(f"points must be (n, {mesh.dim})")
+    pts = _points(points, mesh.dim)
     loc, el = _near_pairs(mesh, pts, _panel_balls(mesh)[1] + tol)
     out = np.full(len(pts), np.inf)
     for lo in range(0, len(loc), _CLOSEST_BATCH):
@@ -787,33 +806,38 @@ def _parse_rows(path, shape) -> np.ndarray | None:
     spaces, blank lines, ``nan``) and ``-0``, which JSON reads as the
     integer 0 and ``float`` as -0.0.  ``shape`` comes from a sidecar,
     so one that is not two positive integers, or has more cells than the
-    file has bytes, is declined before anything is allocated.
+    file has bytes, is declined before anything is allocated.  A file that
+    cannot be read is declined too, and the caller's text read reports it.
     """
     if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(n) is int and n > 0 for n in shape)
-            and shape[0] * shape[1] <= os.path.getsize(path)):
+            and all(type(n) is int and n > 0 for n in shape)):
         return None
-    out = np.empty(shape)
     step = max(1, _BLOCK_CELLS // shape[1])
     start = 0
-    # a buffer that holds whole rows: a row longer than the default 8 KB
-    # one is read piecewise, which costs a tenth of the parse
-    with open(path, "rb", buffering=1 << 16) as f:
-        while lines := list(itertools.islice(f, step)):
-            stop = start + len(lines)
-            body = b"".join(lines)
-            if stop > len(out) or body.translate(None, _NUMBER_BYTES):
-                return None
-            text = b"[[" + body.removesuffix(b"\n").replace(b"\n", b"],[") + b"]]"
-            try:
-                block = np.array(orjson.loads(text), dtype=float)
-            except ValueError:  # not JSON, or a ragged row
-                return None
-            if block.shape != (len(lines), shape[1]) or (
-                    (block == 0.0).any() and (b"-0," in text or b"-0]" in text)):
-                return None
-            out[start:stop] = block
-            start = stop
+    try:
+        if shape[0] * shape[1] > os.path.getsize(path):
+            return None
+        out = np.empty(shape)
+        # a buffer that holds whole rows: a row longer than the default 8 KB
+        # one is read piecewise, which costs a tenth of the parse
+        with open(path, "rb", buffering=1 << 16) as f:
+            while lines := list(itertools.islice(f, step)):
+                stop = start + len(lines)
+                body = b"".join(lines)
+                if stop > len(out) or body.translate(None, _NUMBER_BYTES):
+                    return None
+                text = b"[[" + body.removesuffix(b"\n").replace(b"\n", b"],[") + b"]]"
+                try:
+                    block = np.array(orjson.loads(text), dtype=float)
+                except ValueError:  # not JSON, or a ragged row
+                    return None
+                if block.shape != (len(lines), shape[1]) or (
+                        (block == 0.0).any() and (b"-0," in text or b"-0]" in text)):
+                    return None
+                out[start:stop] = block
+                start = stop
+    except OSError:  # _read_text reports a file it cannot read
+        return None
     return out if start == len(out) else None
 
 
@@ -847,11 +871,25 @@ def _read_json_object(path, what: str, required: dict) -> dict:
         doc = json.loads(_read_text(path))
     except ValueError as exc:
         raise ParseError(f"{path}: a {what} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: a {what} is a JSON object, not {type(doc).__name__}")
     bad = [key for key, valid in required.items()
-           if not (isinstance(doc, dict) and key in doc and valid(doc[key]))]
+           if not (key in doc and valid(doc[key]))]
     if bad:
         raise ParseError(f"{path}: a {what} is a JSON object with a valid "
                          f"{' and '.join(required)}; missing or invalid: {bad}")
+    return doc
+
+
+def _read_sidecar(path, what: str, required: dict) -> dict:
+    """The JSON sidecar of the table at ``path``, ``path`` + ".json", read
+    as :func:`_read_json_object` reads a ``what``.  Its ``units`` are a
+    string, "mV" when it names none, or the sidecar is a
+    :class:`ParseError`."""
+    doc = _read_json_object(os.fspath(path) + ".json", what, required)
+    if not isinstance(doc.setdefault("units", "mV"), str):
+        raise ParseError(f"{path}.json: a {what}'s units must be a string, "
+                         f"got {doc['units']!r}")
     return doc
 
 
@@ -1063,15 +1101,14 @@ def load_nodal_field(path) -> NodalField:
     """Read a nodal field written by :func:`save_nodal_field`.
 
     The sidecar is a JSON object with a ``surface_id`` string and a
-    ``length`` integer >= 0 (``units`` defaults to "mV").  The CSV is the
-    ``node_index,value`` header and one ``index,value`` row per node, in any
-    order, blank lines skipped; each index in 0..length-1 appears once.  A
-    file that breaks any of this, or cannot be read or decoded, is a
-    :class:`ParseError`.
+    ``length`` integer >= 0 (``units``, a string, defaults to "mV").  The
+    CSV is the ``node_index,value`` header and one ``index,value`` row per
+    node, in any order, blank lines skipped; each index in 0..length-1
+    appears once.  A file that breaks any of this, or cannot be read or
+    decoded, is a :class:`ParseError`.
     """
     p = Path(path)
-    side = p.with_suffix(p.suffix + ".json")
-    manifest = _read_json_object(side, "field manifest", {
+    manifest = _read_sidecar(p, "field manifest", {
         "surface_id": lambda v: isinstance(v, str), "length": _is_count})
     n = manifest["length"]
     lines = _read_text(p).splitlines()
@@ -1090,7 +1127,7 @@ def load_nodal_field(path) -> NodalField:
     values[index] = _as_array([row[2] for row in rows], float, -1, f"{p}: values")
     if np.isnan(values).any():
         raise ParseError(f"{p}: missing node indices")
-    return NodalField(manifest["surface_id"], values, manifest.get("units", "mV"))
+    return NodalField(manifest["surface_id"], values, manifest["units"])
 
 
 def require_off_surface(mesh, points: np.ndarray) -> None:

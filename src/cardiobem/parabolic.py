@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import logging
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,8 +58,8 @@ from .errors import MissingInteriorData, ParseError, ShapeMismatch
 from .grid import InteriorGrid
 from .kernels import ConductivityModel, HeatOperatorSpec, _KernelSet
 from .mesh import (_as_array, _format_rows, _freeze, _is_count, _memo,
-                   _parse_rows, _read_json_object, _read_text, _write_text,
-                   require_off_surface)
+                   _parse_rows, _points, _read_sidecar, _read_text,
+                   _write_text, require_off_surface)
 
 __all__ = [
     "TimeGrid",
@@ -247,7 +246,7 @@ def poisson_integral(spec: HeatOperatorSpec, grid: InteriorGrid, h,
     hv = np.asarray(h, dtype=float).reshape(-1)
     if hv.size != grid.n_cells:
         raise ShapeMismatch(f"expected {grid.n_cells} cell samples, got {hv.size}")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _point(x, spec.dim)
     centers = grid.interior_centers()
     vals = heat_kernel(spec, x[None, :] - centers, t)
     return float((vals @ hv[grid.inside]) * grid.cell_volume)
@@ -273,17 +272,29 @@ def _time_weights(times: np.ndarray, t: float):
     return np.arange(k), w
 
 
+def _point(x, dim: int) -> np.ndarray:
+    """The one evaluation point of a heat potential as a (dim,) array
+    (``mesh._points``); more than one is a ShapeMismatch."""
+    pts = _points(x, dim)
+    if len(pts) != 1:
+        raise ShapeMismatch(f"a heat potential takes one point, got {len(pts)}")
+    return pts[0]
+
+
 def _check_density(mesh, density: SpaceTimeField, t: float) -> None:
+    _check_time(density, t)
     if density.location != mesh.surface_id:
         raise ShapeMismatch(
             f"density on {density.location!r} vs mesh {mesh.surface_id!r}"
         )
     if density.values.shape[0] != mesh.n_vertices:
         raise ShapeMismatch("density rows must match mesh vertices")
-    _check_time(density, t)
 
 
 def _check_time(field: SpaceTimeField, t: float) -> None:
+    """Every record argument passes through here before it is read."""
+    if not isinstance(field, SpaceTimeField):
+        raise ShapeMismatch(f"expected a SpaceTimeField, got {type(field).__name__}")
     if t > field.grid.times[-1] + 1e-12 * max(1.0, abs(t)):
         raise ShapeMismatch(f"evaluation time beyond the time grid of {field.location!r}")
 
@@ -362,7 +373,7 @@ def parabolic_layer_potentials(spec: HeatOperatorSpec, mesh,
     if kind not in ("single", "double"):
         raise ShapeMismatch("kind must be 'single' or 'double'")
     _check_density(mesh, density, t)
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _point(x, spec.dim)
     require_off_surface(mesh, x[None, :])
     times = density.grid.times
     if kind == "single":
@@ -378,12 +389,12 @@ def volume_heat_potential(spec: HeatOperatorSpec, grid: InteriorGrid,
     so the last step is a trapezoid against that limit, read off the nearest
     interior cell.  A ``t`` beyond the source's time grid is rejected.
     """
+    _check_time(source, t)
     g = source.values
     if g.shape[0] != grid.n_cells:
         raise ShapeMismatch("volume source rows must match grid cells")
-    _check_time(source, t)
     times = source.grid.times
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _point(x, spec.dim)
     below = np.nonzero(times < t - 1e-14 * max(1.0, abs(t)))[0]
     if below.size == 0:
         return 0.0
@@ -427,8 +438,12 @@ def parabolic_green_reconstruct(spec: HeatOperatorSpec, mesh,
     SpaceTimeField source (None for a caloric u).  Points on the surface
     are rejected.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _point(x, spec.dim)
     require_off_surface(mesh, x[None, :])
+    _check_density(mesh, flux_trace, t)
+    _check_density(mesh, u_trace, t)
+    if Lu is not None:
+        _check_time(Lu, t)
     t0 = u_trace.grid.t0
     if any(f.grid.t0 != t0 for f in (flux_trace, Lu) if f is not None):
         raise ShapeMismatch("trace, flux and source must start at one t0")
@@ -437,8 +452,6 @@ def parabolic_green_reconstruct(spec: HeatOperatorSpec, mesh,
         total += poisson_integral(spec, grid, u_initial, x, t - t0)
     if Lu is not None:
         total += volume_heat_potential(spec, grid, Lu, x, t)
-    _check_density(mesh, flux_trace, t)
-    _check_density(mesh, u_trace, t)
     if flux_trace.grid == u_trace.grid:
         v, w = _layer_pair(spec, mesh, x, t, u_trace.grid.times,
                            flux_trace.values, u_trace.values)
@@ -613,17 +626,16 @@ def load_spacetime_field(path) -> SpaceTimeField:
 
     The sidecar is a JSON object with a ``location`` string, a ``shape`` of
     two integers >= 0 and a ``time_grid`` of real ``t0`` and ``t_end`` and
-    an integer ``steps`` (``units`` defaults to "mV").  The body is parsed
-    natively in blocks of rows (``mesh._parse_rows``); a file that parse
-    declines (an empty record, or spellings only Python's ``float`` reads,
-    such as ``+1.5``, ``1.``, spaces and blank lines) is read as text
-    through ``mesh._as_array``.  A sidecar or CSV that breaks any of this,
+    an integer ``steps`` (``units``, a string, defaults to "mV").  The body
+    is parsed natively in blocks of rows (``mesh._parse_rows``); a file
+    that parse declines (an unreadable or empty record, or spellings only
+    Python's ``float`` reads, such as ``+1.5``, ``1.``, spaces and blank
+    lines) is read as text through ``mesh._as_array``.  A sidecar or CSV that breaks any of this,
     a CSV not of the sidecar's shape, or a file that cannot be read or
     decoded, is a :class:`ParseError`.
     """
     p = Path(path)
-    side = p.with_suffix(p.suffix + ".json")
-    manifest = _read_json_object(side, "record manifest", {
+    manifest = _read_sidecar(p, "record manifest", {
         "location": lambda v: isinstance(v, str),
         "shape": lambda v: (isinstance(v, list) and len(v) == 2
                             and all(map(_is_count, v))),
@@ -631,7 +643,7 @@ def load_spacetime_field(path) -> SpaceTimeField:
                                 and all(type(v.get(k)) in (int, float)
                                         for k in ("t0", "t_end")))})
     shape, tg = manifest["shape"], manifest["time_grid"]
-    vals = _parse_rows(p, shape) if os.path.isfile(p) else None
+    vals = _parse_rows(p, shape)
     if vals is None:
         rows = [line.split(",") for line in _read_text(p).splitlines() if line.strip()]
         vals = _as_array(rows, float, (len(rows), shape[1]), f"{p}: CSV rows")
@@ -640,4 +652,4 @@ def load_spacetime_field(path) -> SpaceTimeField:
                          f"sidecar's {shape}")
     grid = TimeGrid(t_end=tg["t_end"], steps=tg["steps"], t0=tg["t0"])
     return SpaceTimeField(manifest["location"], vals, grid,
-                          units=manifest.get("units", "mV"))
+                          units=manifest["units"])

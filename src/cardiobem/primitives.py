@@ -51,19 +51,14 @@ def icosphere(level: int = 2, radius: float = 1.0, center=(0.0, 0.0, 0.0),
         raise ValueError("level must be >= 0")
     verts = [tuple(v) for v in _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])]
     faces = [tuple(f) for f in _ICO_FACES]
-    index = {v: i for i, v in enumerate(verts)}
 
     def midpoint(i: int, j: int, cache: dict) -> int:
         key = (min(i, j), max(i, j))
-        if key in cache:
-            return cache[key]
-        m = np.asarray(verts[i]) + np.asarray(verts[j])
-        m = tuple(m / np.linalg.norm(m))
-        idx = index.setdefault(m, len(verts))
-        if idx == len(verts):
-            verts.append(m)
-        cache[key] = idx
-        return idx
+        if key not in cache:
+            m = np.asarray(verts[i]) + np.asarray(verts[j])
+            verts.append(tuple(m / np.linalg.norm(m)))
+            cache[key] = len(verts) - 1
+        return cache[key]
 
     for _ in range(level):
         cache: dict = {}

@@ -41,13 +41,14 @@ from typing import Optional
 import numpy as np
 
 from .cauchy import TikhonovConfig, _heart_trace
-from .direct import (_solve_neumann_block, _values_on, _zaremba_transfer,
+from .direct import (_solve_neumann_block, _zaremba_transfer,
                      solve_neumann_normalized)
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
 from .kernels import ConductivityModel
-from .mesh import (DomainConfig, NodalField, _total_weight, _write_text,
-                   points_inside, save_mesh, save_nodal_field, surface_distance)
+from .mesh import (DomainConfig, NodalField, _total_weight, _values_on,
+                   _write_text, points_inside, save_mesh, save_nodal_field,
+                   surface_distance)
 
 __all__ = [
     "ReconstructionOutput",
@@ -138,7 +139,7 @@ def reconstruct_ui_general(u_e: NodalField, M_i, M_e, c0: float, heart,
     grid, ue_grid = interior
     if not isinstance(grid, InteriorGrid):
         raise ShapeMismatch("interior must be (InteriorGrid, samples)")
-    ue = u_e.check_on(heart)
+    ue = _values_on(u_e, heart)
     g = grid.elliptic_apply(M_e, np.asarray(ue_grid, dtype=float))
     zero_flux = NodalField(heart.surface_id, np.zeros(heart.n_vertices),
                            units="mV*mS/cm^2")
@@ -271,9 +272,8 @@ def generate_nullspace_element(heart, grid: InteriorGrid,
     The support must lie strictly inside the heart surface; the calibrated
     constant of the triple is zero because the trace is identically zero.
     """
-    center = np.asarray(bump.center, dtype=float)
-    gap = float(surface_distance(heart, center[None, :])[0])
-    if not points_inside(heart, center[None, :])[0]:
+    gap = float(surface_distance(heart, bump.center)[0])
+    if not points_inside(heart, bump.center)[0]:
         raise SupportTouchesBoundary("bump center is outside the heart surface")
     if gap <= bump.radius:
         raise SupportTouchesBoundary(

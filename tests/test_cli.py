@@ -245,6 +245,24 @@ def test_validation_exit_codes(tmp_path, synth_dir):
     for k, sel in enumerate(["fixed:abc", "discrepancy:x", "fixed:-1", "fixed:inf"]):
         assert main(p2 + ["--selection", sel, "--out", str(tmp_path / f"g{k}")]) == 2
     assert main(p2 + ["--alpha-max", "inf", "--out", str(tmp_path / "h")]) == 2
+    # every float a run reads is finite, and each parameter's range is its
+    # check in the parameter table, whether the value is a flag's or inside
+    # one
+    p1 = ["reconstruct-p1", "--heart", str(synth_dir / "heart.off"),
+          "--torso", str(synth_dir / "torso.off"), "--u-e", str(synth_dir / "u_e.csv")]
+    for k, argv in enumerate([
+            p2 + ["--noise", "0.01", "--seed", "-1"],
+            p2 + ["--noise", "nan"],
+            p2 + ["--noise", "inf"],
+            ["synth", "--level", "0", "--amp", "nan"],
+            ["synth", "--level", "0", "--c0", "nan"],
+            ["synth", "--level", "0", "--terms", "1,0,inf"],
+            p1 + ["--c0", "inf"],
+            ["heat-check", "--steps", "1"],
+            ["heat-check", "--t-end", "-1"],
+            ["nullspace", "--heart", str(synth_dir / "heart.off"),
+             "--center", "nan,0,0"]]):
+        assert main(argv + ["--out", str(tmp_path / f"n{k}")]) == 2, argv
     # a malformed input file: a nodal CSV, a record sidecar, a mesh, a
     # config file
     bad = tmp_path / "bad"
@@ -312,10 +330,16 @@ def test_rerun_error_paths(tmp_path, synth_dir):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"subcommand": "teleport", "parameters": {}}))
     assert main(["rerun", str(wrong), "--out", str(tmp_path / "o2")]) == 2
-    # a list, parameters that are not an object, a level that is no integer
+    # a list, parameters that are not an object, a level that is no integer,
+    # a seed that is a JSON fraction (cast from its text as a config line is)
     for i, doc in enumerate([["synth", {}],
                              {"subcommand": "synth", "parameters": [3]},
-                             {"subcommand": "synth", "parameters": {"level": "abc"}}]):
+                             {"subcommand": "synth", "parameters": {"level": "abc"}},
+                             {"subcommand": "reconstruct-p2", "parameters": {
+                                 "heart": str(synth_dir / "heart.off"),
+                                 "torso": str(synth_dir / "torso.off"),
+                                 "f": str(synth_dir / "f.csv"),
+                                 "noise": 0.01, "seed": 3.7}}]):
         path = tmp_path / f"malformed{i}.json"
         path.write_text(json.dumps(doc))
         assert main(["rerun", str(path), "--out", str(tmp_path / f"m{i}")]) == 2

@@ -211,6 +211,10 @@ _MALFORMED = {
         b'"t_end": 0.5', b'"t_end": "0.5"'), load_spacetime_field),
     "record-string-steps": ("r.csv.json", lambda b: b.replace(
         b'"steps": 4', b'"steps": "4"'), load_spacetime_field),
+    "csv-units-list": ("f.csv.json", lambda b: b.replace(
+        b'"units": "mV"', b'"units": [1, 2]'), load_nodal_field),
+    "record-units-number": ("r.csv.json", lambda b: b.replace(
+        b'"units": "mV"', b'"units": 3'), load_spacetime_field),
 }
 
 
@@ -224,7 +228,8 @@ def test_loaders_reject_malformed_files(tmp_path, case):
     save_spacetime_field(SpaceTimeField("heart", np.arange(12.0).reshape(3, 4),
                                         TimeGrid(t_end=0.5, steps=4)),
                          tmp_path / "r.csv")
-    target = tmp_path / ("r.csv" if name == "r.csv.json" else name)
+    target = tmp_path / (name.removesuffix(".json") if name.endswith(".csv.json")
+                         else name)
     load(target)  # as written, it loads
     before = (tmp_path / name).read_bytes()
     (tmp_path / name).write_bytes(edit(before))

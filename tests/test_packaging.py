@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and ten structural guards."""
+and every module uses what it imports; and eleven structural guards."""
 
 import ast
 import fnmatch
@@ -167,15 +167,35 @@ def test_one_checked_read():
     # that cannot be read or decoded into a ParseError, and every JSON
     # document through mesh._read_json_object, which checks its keys, so a
     # new loader cannot skip them and leak a bare OSError, UnicodeDecodeError
-    # or KeyError
-    sites = sorted(f"{path.name}:{getattr(top, 'name', top.lineno)}:{node.func.attr}"
+    # or KeyError; the one bare open() is _parse_rows', whose OSError
+    # declines to the _read_text of its caller
+    def reads(func):
+        if isinstance(func, ast.Name):
+            return func.id == "open"
+        return isinstance(func, ast.Attribute) and (
+            func.attr == "read_text"
+            or (func.attr == "loads" and getattr(func.value, "id", None) == "json"))
+
+    sites = sorted(f"{path.name}:{getattr(top, 'name', top.lineno)}:"
+                   f"{getattr(node.func, 'attr', None) or node.func.id}"
                    for path in _modules()
                    for top in ast.parse(path.read_text()).body for node in ast.walk(top)
-                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and (node.func.attr == "read_text"
-                        or (node.func.attr == "loads"
-                            and getattr(node.func.value, "id", None) == "json")))
-    assert sites == ["mesh.py:_read_json_object:loads", "mesh.py:_read_text:read_text"]
+                   if isinstance(node, ast.Call) and reads(node.func))
+    assert sites == ["mesh.py:_parse_rows:open", "mesh.py:_read_json_object:loads",
+                     "mesh.py:_read_text:read_text"]
+
+
+def test_every_numeric_parameter_names_a_check():
+    # each float or int CLI parameter's range lives in its _PARAM_TYPES
+    # entry, (what it must be, predicate), so the resolver checks every
+    # value whether it came from a flag, a config file or a manifest, and
+    # no handler keeps a range check of its own
+    from cardiobem.cli import _PARAM_TYPES
+    unchecked = [name for name, (cast, default, check) in _PARAM_TYPES.items()
+                 if cast in (float, int)
+                 and not (isinstance(check, tuple) and isinstance(check[0], str)
+                          and callable(check[1]) and check[1](default))]
+    assert unchecked == []
 
 
 def test_array_dataclasses_compare_by_identity():
