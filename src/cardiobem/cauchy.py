@@ -219,76 +219,86 @@ def _reduced_form(tensor, domain) -> _ReducedForm:
 
 
 def _sweep(form: _ReducedForm, f: np.ndarray, grid: np.ndarray):
-    """Residual and seminorm norms over the grid, and the solution maker.
-
-    Returns rho, eta (one per alpha) and a function of the grid index that
-    forms that alpha's u; only the chosen alpha's u is ever formed.
-    """
+    """Residual and seminorm norms over the grid for data f (nt, F), and the
+    solution maker: rho, eta (alphas x F) and a function of one grid index
+    a column that forms those alphas' u (nh, F), the only u ever formed.
+    Each column's norms are summed as a lone column's are; perp2 is the
+    part of b outside the column space of U."""
     c = form.tz_pinv @ f
     b = f - form.tz @ c
     beta = form.u.T @ b
-    perp2 = float(b @ b - beta @ beta)  # component outside the column space
+    perp2 = np.maximum(np.vecdot(b, b, axis=0) - np.vecdot(beta, beta, axis=0), 0.0)
     s = form.s
     denom = s * s + grid[:, None]  # >= alpha > 0
     filt = s / denom
-    r2 = np.sum((grid[:, None] / denom) ** 2 * beta ** 2, axis=1) + max(perp2, 0.0)
-    rho = np.sqrt(np.maximum(r2, 0.0))
-    eta = np.linalg.norm(filt * beta, axis=1)
+    weight = (grid[:, None] / denom) ** 2
+    rho = np.sqrt(np.column_stack([np.sum(weight * col ** 2, axis=1)
+                                   for col in beta.T]) + perp2)
+    eta = np.column_stack([np.linalg.norm(filt * col, axis=1) for col in beta.T])
 
-    def solution(idx: int) -> np.ndarray:
-        return form.lift @ (filt[idx] * beta) + form.null @ c
+    def solution(idx: np.ndarray) -> np.ndarray:
+        return form.lift @ (filt[idx].T * beta) + form.null @ c
 
     return rho, eta, solution
 
 
 def _select_alpha(config: TikhonovConfig, grid: np.ndarray, rho: np.ndarray,
-                  eta: np.ndarray, diagnostics: dict) -> int:
+                  eta: np.ndarray) -> tuple:
+    """Each column's grid index by the rule, and each flag with its columns."""
     sel = config.selection
+    columns = rho.shape[1]
     if isinstance(sel, FixedAlpha):
-        return int(np.argmin(np.abs(np.log(grid) - np.log(sel.alpha))))
+        return np.full(columns, np.argmin(np.abs(np.log(grid) - np.log(sel.alpha)))), {}
     if isinstance(sel, DiscrepancyPrinciple):
-        ok = np.flatnonzero(rho <= sel.noise_level)
-        if len(ok):
-            return int(ok[-1])  # grid ascending: largest feasible alpha
-        diagnostics["discrepancy_unreachable"] = True
-        return int(np.argmin(rho))
+        ok = rho <= sel.noise_level
+        reached = ok.any(axis=0)
+        # grid ascending: the largest feasible alpha, else the least misfit
+        idx = np.where(reached, len(grid) - 1 - np.argmax(ok[::-1], axis=0),
+                       np.argmin(rho, axis=0))
+        return idx, {"discrepancy_unreachable": np.flatnonzero(~reached)}
     # L-curve with degenerate fallback
     floor = 1e-300
-    pts = np.column_stack([np.log(np.maximum(rho, floor)),
-                           np.log(np.maximum(eta, floor))])
-    try:
-        return lcurve_corner(pts)
-    except DegenerateLCurve:
-        rmin = rho.min()
-        idx = int(np.flatnonzero(rho <= 1.1 * max(rmin, floor))[0])
-        diagnostics["degenerate_lcurve_fallback"] = True
-        logger.info("degenerate L-curve; falling back to smallest alpha with "
-                    "residual <= 1.1 x min (alpha=%.3e)", grid[idx])
-        return idx
+    logs = np.log(np.maximum(np.stack([rho, eta], axis=-1), floor))
+    idx = np.empty(columns, dtype=int)
+    fallback = []
+    for j in range(columns):
+        try:
+            idx[j] = lcurve_corner(logs[:, j])
+        except DegenerateLCurve:
+            idx[j] = np.flatnonzero(rho[:, j] <= 1.1 * max(rho[:, j].min(), floor))[0]
+            fallback.append(j)
+            logger.info("degenerate L-curve; falling back to smallest alpha with "
+                        "residual <= 1.1 x min (alpha=%.3e)", grid[idx[j]])
+    return idx, {"degenerate_lcurve_fallback": np.array(fallback, dtype=int)}
 
 
-def _heart_trace(tensor, domain, f: NodalField,
+def _heart_trace(tensor, domain, f: np.ndarray,
                  config: Optional[TikhonovConfig]) -> tuple:
-    """(chosen alpha, torso misfit, heart trace u, heart flux Lambda u,
-    diagnostics) of one Cauchy solve."""
+    """Cauchy solves of torso data f (nt, F), one a column: (chosen alpha,
+    torso misfit) per column, heart trace u and flux Lambda u (nh, F), each
+    flag that fired with its columns, and (grid, rho, eta).  An all-zero
+    column gets exact zeros, the first alpha and ``zero_data``; with no
+    other column no transfer is built."""
     if config is None:
         config = TikhonovConfig.log_grid()
-    fv = _values_on(f, domain.torso)
-    if not np.any(fv):
-        # exactly zero data: the regularized minimizer and its flux are
-        # exactly zero, and no transfer is built
-        zero = np.zeros(domain.heart.n_vertices)
-        return float(config.alpha_grid[0]), 0.0, zero, zero, {"zero_data": True}
     grid = config.alpha_grid
-    rho, eta, solution = _sweep(_reduced_form(tensor, domain), fv, grid)
-    diagnostics = {}
-    idx = _select_alpha(config, grid, rho, eta, diagnostics)
-    diagnostics["alpha_grid"] = grid
-    diagnostics["residuals"] = rho
-    diagnostics["seminorms"] = eta
-    u = solution(idx)
-    flux = _zaremba_transfer(tensor, domain)[0][:domain.heart.n_vertices] @ u
-    return float(grid[idx]), float(rho[idx]), u, flux, diagnostics
+    nh, frames = domain.heart.n_vertices, f.shape[1]
+    zero = ~np.any(f, axis=0)
+    flags = {"zero_data": np.flatnonzero(zero)} if zero.any() else {}
+    live = np.flatnonzero(~zero) if flags else np.arange(frames)
+    idx = np.zeros(frames, dtype=int)
+    rho, eta = np.zeros((2, len(grid), frames))
+    u, flux = np.zeros((2, nh, frames))
+    if len(live):
+        on = live if flags else slice(None)  # a view when all are live
+        rho[:, on], eta[:, on], solution = _sweep(
+            _reduced_form(tensor, domain), f[:, on], grid)
+        idx[on], fired = _select_alpha(config, grid, rho[:, on], eta[:, on])
+        flags.update((name, live[cols]) for name, cols in fired.items())
+        u[:, on] = u_live = solution(idx[on])
+        flux[:, on] = _zaremba_transfer(tensor, domain)[0][:nh] @ u_live
+    flags = {name: cols for name, cols in flags.items() if len(cols)}
+    return grid[idx], rho[idx, np.arange(frames)], u, flux, flags, (grid, rho, eta)
 
 
 def solve_cauchy_elliptic(M_b, domain, f: NodalField,
@@ -302,13 +312,17 @@ def solve_cauchy_elliptic(M_b, domain, f: NodalField,
     (``save_lcurve``).
     """
     heart = domain.heart
-    alpha, residual, u, flux, diagnostics = _heart_trace(
-        as_tensor(M_b, heart.dim), domain, f, config)
+    alpha, residual, u, flux, flags, (grid, rho, eta) = _heart_trace(
+        as_tensor(M_b, heart.dim), domain, _values_on(f, domain.torso)[:, None],
+        config)
+    diagnostics = dict.fromkeys(flags, True)
+    if "zero_data" not in flags:
+        diagnostics.update(alpha_grid=grid, residuals=rho[:, 0], seminorms=eta[:, 0])
     return CauchySolveReport(
-        chosen_alpha=alpha,
-        residual_norm=residual,
-        heart_dirichlet=NodalField(heart.surface_id, u),
-        heart_flux=NodalField(heart.surface_id, flux, units="mV*mS/cm^2"),
+        chosen_alpha=float(alpha[0]),
+        residual_norm=float(residual[0]),
+        heart_dirichlet=NodalField(heart.surface_id, u[:, 0]),
+        heart_flux=NodalField(heart.surface_id, flux[:, 0], units="mV*mS/cm^2"),
         diagnostics=diagnostics,
     )
 

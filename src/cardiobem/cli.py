@@ -2,8 +2,8 @@
 
 Subcommands: ``synth`` (emit an analytic oracle dataset), ``reconstruct-p1``
 (measured extracellular trace to v), ``reconstruct-p2`` (torso potential to
-v through the regularized Cauchy solver, per-frame for time records),
-``nullspace`` (emit and certify a null-space element), ``eval`` (RMSE
+v through the regularized Cauchy solver, a time record in one pass of
+matrix products), ``nullspace`` (emit and certify a null-space element), ``eval`` (RMSE
 report table), ``green-check`` / ``heat-check`` (invariant suites), and
 ``rerun`` (re-execute a run from its manifest).
 
@@ -20,19 +20,19 @@ last digits.  Noise exists only here; the library solvers are
 deterministic.  The manifest's ``results`` hold only what no other file of
 the run holds: a single-field reconstruction's c, chosen alpha and
 diagnostics live in its ``reconstruction.json``, and only a time record,
-which writes none, lists its per-frame c and chosen alpha there.
+which writes none, lists there its c and chosen alpha for each frame and,
+for each flag that fired, the frames it fired in.
 
 Every value but a default is cast once from its text, and every float a run
 reads is finite, the numbers inside ``--terms``, ``--center`` and
 ``--selection`` included.  Each parameter's range is its check in
 ``_PARAM_TYPES``, which every final value must pass; rules that span
-parameters (r1 < r2, |m| <= l) stay with the code that needs them.  A
-non-finite float or a value outside its range exits 2.
+parameters (r1 < r2, alpha_min < alpha_max, |m| <= l) stay with their
+code.  A non-finite float or a value outside its range exits 2.
 
 Exit codes: 0 success, 2 validation error (bad flags, missing or malformed
 files, a non-finite float, a parameter outside its range), 3 solver or
-invariant failure.  The env variable BIDOMAIN_THREADS caps the per-frame
-worker pool of ``reconstruct-p2``.
+invariant failure.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +60,9 @@ from .parabolic import (SpaceTimeField, TimeGrid, heat_kernel,
                         heat_kernel_mass, load_spacetime_field,
                         parabolic_green_reconstruct, save_spacetime_field)
 from .primitives import icosphere
-from .reconstruct import (CubicRadial, generate_nullspace_element,
-                          run_protocol_1, run_protocol_2,
-                          write_reconstruction)
+from .reconstruct import (CubicRadial, _protocol_2_block,
+                          generate_nullspace_element, run_protocol_1,
+                          run_protocol_2, write_reconstruction)
 from .assembly import green_representation
 from .direct import solve_zaremba
 
@@ -240,18 +238,9 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict,
                 json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _threads(n_jobs: int) -> int:
-    cap = os.environ.get("BIDOMAIN_THREADS", "").strip()
-    if cap:
-        try:
-            limit = max(1, int(cap))
-        except ValueError:
-            raise ValidationFailure(
-                f"BIDOMAIN_THREADS must be an integer, got {cap!r}"
-            ) from None
-    else:
-        limit = min(4, os.cpu_count() or 1)
-    return max(1, min(limit, n_jobs))
+def _threads(frames: int) -> int:
+    """Passes per record: one.  Only perfbench reads it (ROADMAP item 1b)."""
+    return min(frames, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +334,8 @@ def _selection(cfg: dict):
 
 
 def _tikhonov(cfg: dict) -> TikhonovConfig:
+    if not cfg["alpha_min"] < cfg["alpha_max"]:
+        raise ValidationFailure("need alpha_min < alpha_max")
     return TikhonovConfig.log_grid(count=cfg["alpha_count"],
                                    alpha_min=cfg["alpha_min"],
                                    alpha_max=cfg["alpha_max"],
@@ -374,43 +365,29 @@ def _run_reconstruct_p2(cfg: dict, out: Path) -> dict:
         return {}
 
     record = load_spacetime_field(fpath)
-    frames = record.values.shape[1]
     noisy = _noisy(record.values, cfg)
-
-    def frame_field(j):
-        return NodalField(record.location, noisy[:, j], record.units)
-
-    config = tikhonov
+    flags = {}
     if cfg["alpha_global"]:
-        norms = np.linalg.norm(noisy, axis=0)
-        lead = int(np.argmax(norms))
-        first = run_protocol_2(domain, model, frame_field(lead), tikhonov,
-                               c0=cfg["c0"])
-        config = TikhonovConfig(
-            alpha_grid=tikhonov.alpha_grid,
-            selection=FixedAlpha(first.diagnostics["chosen_alpha"]),
-        )
-
-    def solve(j):
-        return run_protocol_2(domain, model, frame_field(j), config,
-                              c0=cfg["c0"])
-
-    with ThreadPoolExecutor(max_workers=_threads(frames)) as pool:
-        outputs = list(pool.map(solve, range(frames)))
-
-    nh = domain.heart.n_vertices
-    arrays = {name: np.empty((nh, frames)) for name in ("u_e", "u_i", "v")}
-    alphas = []
-    for j, res in enumerate(outputs):
-        for name in arrays:
-            arrays[name][:, j] = getattr(res, name).values
-        alphas.append(res.diagnostics["chosen_alpha"])
-    for name, mat in arrays.items():
+        # one alpha, picked on the loudest frame, frozen across the record;
+        # a flag the pick raises is the loudest frame's
+        lead = int(np.argmax(np.linalg.norm(noisy, axis=0)))
+        _, _, _, picked, pick_flags = _protocol_2_block(
+            domain, model, record.location, noisy[:, [lead]], tikhonov, cfg["c0"])
+        flags = dict.fromkeys(pick_flags, [lead])
+        tikhonov = TikhonovConfig(
+            tikhonov.alpha_grid,
+            selection=FixedAlpha(float(picked["chosen_alpha"][0])))
+    u_e, u_i, c, diagnostics, fired = _protocol_2_block(
+        domain, model, record.location, noisy, tikhonov, cfg["c0"])
+    for name, mat in (("u_e", u_e), ("u_i", u_i), ("v", u_i - u_e)):
         save_spacetime_field(SpaceTimeField("heart", mat, record.grid),
                              out / f"{name}.csv")
-    return {"frames": frames, "chosen_alpha": alphas,
+    for name, frames in fired.items():
+        flags[name] = sorted({*flags.get(name, []), *frames.tolist()})
+    return {"frames": noisy.shape[1],
+            "chosen_alpha": diagnostics["chosen_alpha"].tolist(),
             "alpha_global": bool(cfg["alpha_global"]),
-            "c": [float(r.c) for r in outputs]}
+            "c": c.tolist(), "flags": flags}
 
 
 def _run_nullspace(cfg: dict, out: Path) -> dict:

@@ -380,15 +380,17 @@ class NodalField:
 
     def check_on(self, mesh) -> np.ndarray:
         """Return values after verifying the field belongs on ``mesh``."""
-        if self.surface_id != mesh.surface_id:
-            raise ShapeMismatch(
-                f"field on {self.surface_id!r} applied to mesh {mesh.surface_id!r}"
-            )
-        if len(self.values) != mesh.n_vertices:
-            raise ShapeMismatch(
-                f"field length {len(self.values)} != {mesh.n_vertices} vertices"
-            )
-        return self.values
+        return _rows_on(self.surface_id, self.values, mesh)
+
+
+def _rows_on(surface_id: str, values: np.ndarray, mesh) -> np.ndarray:
+    """``values``, a field (n,) or a block (n, F), after checking they lie
+    on ``mesh``: its id is ``surface_id`` and it has one vertex a row."""
+    if surface_id != mesh.surface_id:
+        raise ShapeMismatch(f"field on {surface_id!r} applied to mesh {mesh.surface_id!r}")
+    if len(values) != mesh.n_vertices:
+        raise ShapeMismatch(f"field length {len(values)} != {mesh.n_vertices} vertices")
+    return values
 
 
 def _values_on(field, mesh) -> np.ndarray:

@@ -46,9 +46,9 @@ from .direct import (_solve_neumann_block, _zaremba_transfer,
 from .errors import MissingInteriorData, ShapeMismatch, SupportTouchesBoundary
 from .grid import InteriorGrid
 from .kernels import ConductivityModel
-from .mesh import (DomainConfig, NodalField, _total_weight, _values_on,
-                   _write_text, points_inside, save_mesh, save_nodal_field,
-                   surface_distance)
+from .mesh import (DomainConfig, NodalField, _rows_on, _total_weight,
+                   _values_on, _write_text, points_inside, save_mesh,
+                   save_nodal_field, surface_distance)
 
 __all__ = [
     "ReconstructionOutput",
@@ -84,9 +84,9 @@ def _calibration(mesh, u_e: np.ndarray, c0: float) -> tuple:
     oint(u_i + c0 u_e) dsigma = 0, and the surface mean it is made from.
 
     u_e is the extracellular trace on the heart surface, equal to the bath
-    trace by transmission; the mean is lumped quadrature.
+    trace by transmission, (n,) or (n, F); the mean is lumped quadrature.
     """
-    mean = float(mesh.vertex_weights @ u_e) / _total_weight(mesh)
+    mean = mesh.vertex_weights @ u_e / _total_weight(mesh)
     return -c0 * mean, mean
 
 
@@ -100,8 +100,9 @@ def _check_proportional(model: ConductivityModel) -> None:
 def _proportional_tail(heart, model: ConductivityModel, d: np.ndarray,
                        psi: np.ndarray, c0: float) -> tuple:
     """Proportional-case intracellular trace from the heart data d and the
-    bath flux psi: (u_i, c, diagnostics), with no report and no NodalField
-    built.  Both protocols end in it.
+    bath flux psi, (nh,) or blocks (nh, F) with one c and one number per
+    diagnostic a column: (u_i, c, diagnostics), with no report and no
+    NodalField built.  Both protocols end in it.
 
     u_i = -lambda (d - <d>) + N_i(0, psi) + c.  The Neumann step runs with
     tensor M_i (lambda N_{M_e} = N_{M_i} for proportional tensors) and
@@ -114,9 +115,9 @@ def _proportional_tail(heart, model: ConductivityModel, d: np.ndarray,
     c, mean = _calibration(heart, d, c0)
     ui = -float(model.lam) * (d - mean) + u0 + c
     diagnostics = {
-        "neumann_residual": float(residual),
-        "flux_defect": abs(float(defect)),
-        "normalization": float(normalization),
+        "neumann_residual": residual,
+        "flux_defect": np.abs(defect),
+        "normalization": normalization,
     }
     return ui, c, diagnostics
 
@@ -155,22 +156,6 @@ def reconstruct_ui_general(u_e: NodalField, M_i, M_e, c0: float, heart,
     return NodalField(heart.surface_id, ui), c, diagnostics
 
 
-def _output(heart, model: ConductivityModel, u_e: NodalField, psi: np.ndarray,
-            c0: float, diagnostics: dict) -> ReconstructionOutput:
-    """The tail both protocols end with on the heart trace u_e and its bath
-    flux psi: u_i, v = u_i - u_e, and the Neumann step's diagnostics before
-    ``diagnostics``; the output holds ``u_e`` itself."""
-    ui, c, diag = _proportional_tail(heart, model, u_e.values, psi, c0)
-    diag.update(diagnostics)
-    return ReconstructionOutput(
-        u_e=u_e,
-        u_i=NodalField(heart.surface_id, ui),
-        v=NodalField(heart.surface_id, ui - u_e.values),
-        c=c,
-        diagnostics=diag,
-    )
-
-
 def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
                    u_e_measured: NodalField, c0: float = 1.0) -> ReconstructionOutput:
     """Measured extracellular trace to transmembrane potential.
@@ -188,8 +173,26 @@ def run_protocol_1(domain: DomainConfig, model: ConductivityModel,
     d = _values_on(u_e_measured, heart)
     _check_proportional(model)
     x, build_residual = _zaremba_transfer(model.M_b, domain)
-    return _output(heart, model, u_e_measured, x[:heart.n_vertices] @ d, c0, {
-        "zaremba_residual": build_residual * float(np.linalg.norm(d))})
+    ui, c, diag = _proportional_tail(heart, model, d, x[:heart.n_vertices] @ d, c0)
+    diag = {k: float(v) for k, v in diag.items()}
+    diag["zaremba_residual"] = build_residual * float(np.linalg.norm(d))
+    return ReconstructionOutput(u_e_measured, NodalField(heart.surface_id, ui),
+                                NodalField(heart.surface_id, ui - d), float(c), diag)
+
+
+def _protocol_2_block(domain: DomainConfig, model: ConductivityModel,
+                      surface_id: str, f: np.ndarray,
+                      tikhonov: Optional[TikhonovConfig], c0: float) -> tuple:
+    """Protocol 2 on torso frames f (nt, F) on ``surface_id`` in one pass of
+    matrix products: (u_e, u_i, c, diagnostics, flags), c and each
+    diagnostic one number a frame, each Cauchy flag with the frames it
+    fired in; a frame's results are ``run_protocol_2``'s, to rounding."""
+    _check_proportional(model)
+    f = _rows_on(surface_id, f, domain.torso)
+    alpha, residual, u, flux, flags, _ = _heart_trace(model.M_b, domain, f, tikhonov)
+    ui, c, diagnostics = _proportional_tail(domain.heart, model, u, flux, c0)
+    diagnostics.update(chosen_alpha=alpha, cauchy_residual=residual)
+    return u, ui, c, diagnostics, flags
 
 
 def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
@@ -199,18 +202,19 @@ def run_protocol_2(domain: DomainConfig, model: ConductivityModel,
 
     Recovers the heart trace and flux from the torso potential (insulated
     body surface) as ``solve_cauchy_elliptic`` does, then runs the
-    protocol-1 tail on them.  cauchy_residual is the torso misfit
-    |T u_h - f| at the chosen alpha; every flag the Cauchy solve sets (a
-    fallback, zero data) is set in the diagnostics.
+    protocol-1 tail on them: the one-frame block of ``_protocol_2_block``.
+    cauchy_residual is the torso misfit |T u_h - f| at the chosen alpha;
+    every flag the Cauchy solve sets (a fallback, zero data) is set in the
+    diagnostics.
     """
-    _check_proportional(model)
     heart = domain.heart
-    alpha, residual, u, flux, cauchy = _heart_trace(
-        model.M_b, domain, f, tikhonov)
-    diagnostics = {"chosen_alpha": alpha, "cauchy_residual": residual}
-    diagnostics.update({k: True for k, v in cauchy.items() if v is True})
-    return _output(heart, model, NodalField(heart.surface_id, u), flux, c0,
-                   diagnostics)
+    fv = _values_on(f, domain.torso)[:, None]
+    u_e, u_i, c, numbers, flags = _protocol_2_block(
+        domain, model, f.surface_id, fv, tikhonov, c0)
+    u_e, u_i = (NodalField(heart.surface_id, x[:, 0]) for x in (u_e, u_i))
+    return ReconstructionOutput(
+        u_e, u_i, NodalField(heart.surface_id, u_i.values - u_e.values), float(c[0]),
+        {k: float(v[0]) for k, v in numbers.items()} | dict.fromkeys(flags, True))
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,26 @@ import numpy as np
 import pytest
 
 from cardiobem import (
+    ConductivityModel,
+    DiscrepancyPrinciple,
+    DomainConfig,
+    FixedAlpha,
+    LCurveMaxCurvature,
     NodalField,
     SpaceTimeField,
+    TikhonovConfig,
     TimeGrid,
+    load_mesh,
     load_nodal_field,
+    load_spacetime_field,
     rmse,
+    run_protocol_2,
     save_nodal_field,
     save_spacetime_field,
 )
 from cardiobem.cli import (
     ValidationFailure,
     _parse_config_file,
-    _threads,
     main,
     report_table,
 )
@@ -133,8 +141,7 @@ def test_run_directory_writes_each_number_once(tmp_path, synth_dir, protocol):
     assert "diagnostics" not in docs[1]["results"]
 
 
-def test_reconstruct_p2_time_record(tmp_path, synth_dir, monkeypatch):
-    monkeypatch.setenv("BIDOMAIN_THREADS", "2")
+def test_reconstruct_p2_time_record(tmp_path, synth_dir):
     f = load_nodal_field(synth_dir / "f.csv")
     tg = TimeGrid(t_end=0.2, steps=3)
     record = SpaceTimeField("torso", np.outer(f.values, [1.0, 0.5, 0.25]), tg)
@@ -156,12 +163,93 @@ def test_reconstruct_p2_time_record(tmp_path, synth_dir, monkeypatch):
     assert main(args[:-1] + [str(out2), "--alpha-global"]) == 0
     doc2 = json.loads((out2 / "run_manifest.json").read_text())
     assert len(set(doc2["results"]["chosen_alpha"])) == 1
+    # the level-0 L-curve has no corner: each frame's fallback is listed,
+    # and under --alpha-global the pick's, on the loudest frame
+    assert doc["results"]["flags"] == {"degenerate_lcurve_fallback": [0, 1, 2]}
+    assert doc2["results"]["flags"] == {"degenerate_lcurve_fallback": [0]}
 
 
-def test_reconstruct_p2_builds_each_operator_once(tmp_path, monkeypatch,
-                                                  assembly_builds):
-    # workers that start cold together would each assemble the operators
-    monkeypatch.setenv("BIDOMAIN_THREADS", "4")
+def test_reconstruct_p2_record_flags_each_frame(tmp_path, synth_dir):
+    # a zero frame inside a record keeps its flag: the manifest lists the
+    # frames each flag fired in (the level-0 L-curve has no corner), and
+    # the zero frame gets the first grid alpha and exact zeros
+    f = load_nodal_field(synth_dir / "f.csv")
+    record = SpaceTimeField("torso", np.outer(f.values, [1.0, 0.0, 0.5]),
+                            TimeGrid(t_end=0.2, steps=3))
+    save_spacetime_field(record, tmp_path / "f.csv")
+    out = tmp_path / "p2"
+    assert main(["reconstruct-p2", "--heart", str(synth_dir / "heart.off"),
+                 "--torso", str(synth_dir / "torso.off"),
+                 "--f", str(tmp_path / "f.csv"), "--alpha-count", "8",
+                 "--out", str(out)]) == 0
+    results = json.loads((out / "run_manifest.json").read_text())["results"]
+    assert results["flags"] == {"degenerate_lcurve_fallback": [0, 2],
+                                "zero_data": [1]}
+    assert results["chosen_alpha"][1] == 1e-10
+    v = load_spacetime_field(out / "v.csv").values
+    assert np.all(v[:, 1] == 0.0) and np.all(v[:, [0, 2]] != 0.0)
+
+
+@pytest.fixture(scope="module")
+def noisy_record(tmp_path_factory):
+    """A level-2 data set and a 51-frame torso record of it at 1 % noise,
+    whose frame 20 is zero: (directory, record values)."""
+    out = tmp_path_factory.mktemp("record")
+    assert main(["synth", "--level", "2", "--terms", "1,0,30;2,1,10",
+                 "--out", str(out)]) == 0
+    f = load_nodal_field(out / "f.csv").values
+    rng = np.random.default_rng(5)
+    frames = (np.outer(f, np.cos(np.linspace(0.0, 3.0, 51)))
+              + 0.01 * np.abs(f).max() * rng.standard_normal((f.size, 51)))
+    frames[:, 20] = 0.0
+    save_spacetime_field(SpaceTimeField("torso", frames, TimeGrid(t_end=0.5, steps=51)),
+                         out / "record.csv")
+    return out, frames
+
+
+@pytest.mark.parametrize("selection", ["lcurve", "fixed:1e-3", "discrepancy:2.0",
+                                       "global"])
+def test_record_block_matches_a_frame_loop(tmp_path, noisy_record, selection):
+    # a record is one pass of matrix products; each of its frames is what
+    # run_protocol_2 gives that frame alone: v to rounding, the same alpha
+    # and the same flags
+    data, frames = noisy_record
+    out = tmp_path / "p2"
+    argv = ["reconstruct-p2", "--heart", str(data / "heart.off"),
+            "--torso", str(data / "torso.off"), "--f", str(data / "record.csv"),
+            "--out", str(out)]
+    argv += ["--alpha-global"] if selection == "global" else ["--selection", selection]
+    assert main(argv) == 0
+    results = json.loads((out / "run_manifest.json").read_text())["results"]
+    v = load_spacetime_field(out / "v.csv").values
+
+    domain = DomainConfig(heart=load_mesh(data / "heart.off", surface_id="heart"),
+                          torso=load_mesh(data / "torso.off", surface_id="torso"))
+    rule, _, value = selection.partition(":")
+    rules = {"fixed": FixedAlpha, "discrepancy": DiscrepancyPrinciple}
+    config = TikhonovConfig.log_grid(selection=rules[rule](float(value))
+                                     if rule in rules else LCurveMaxCurvature())
+    model = ConductivityModel(M_i=12.0, M_e=45.0, m_b=7.0)
+    if selection == "global":
+        lead = int(np.argmax(np.linalg.norm(frames, axis=0)))
+        pick = run_protocol_2(domain, model, NodalField("torso", frames[:, lead]), config)
+        config = TikhonovConfig(config.alpha_grid,
+                                selection=FixedAlpha(pick.diagnostics["chosen_alpha"]))
+    loop = [run_protocol_2(domain, model, NodalField("torso", col), config)
+            for col in frames.T]
+    want = np.column_stack([o.v.values for o in loop])
+    assert np.abs(v - want).max() <= 1e-13 * np.abs(want).max()
+    assert results["chosen_alpha"] == [o.diagnostics["chosen_alpha"] for o in loop]
+    flags = {}
+    for j, o in enumerate(loop):
+        for name in (k for k, x in o.diagnostics.items() if x is True):
+            flags.setdefault(name, []).append(j)
+    assert results["flags"] == flags
+    assert flags["zero_data"] == [20]
+
+
+def test_reconstruct_p2_builds_each_operator_once(tmp_path, assembly_builds):
+    # the record is one pass over the operators of one domain
     data = tmp_path / "data"
     assert main(["synth", "--level", "1", "--out", str(data)]) == 0
     f = load_nodal_field(data / "f.csv")
@@ -245,6 +333,10 @@ def test_validation_exit_codes(tmp_path, synth_dir):
     for k, sel in enumerate(["fixed:abc", "discrepancy:x", "fixed:-1", "fixed:inf"]):
         assert main(p2 + ["--selection", sel, "--out", str(tmp_path / f"g{k}")]) == 2
     assert main(p2 + ["--alpha-max", "inf", "--out", str(tmp_path / "h")]) == 2
+    # the alpha range spans two parameters: alpha_min < alpha_max
+    for k, (low, high) in enumerate([("10", "1"), ("1", "1")]):
+        assert main(p2 + ["--alpha-min", low, "--alpha-max", high,
+                          "--out", str(tmp_path / f"h{k}")]) == 2
     # every float a run reads is finite, and each parameter's range is its
     # check in the parameter table, whether the value is a flag's or inside
     # one
@@ -307,19 +399,6 @@ def test_solver_exit_code(tmp_path, synth_dir):
                  "--u-e", str(tmp_path / "short.csv"),
                  "--out", str(tmp_path / "p1")])
     assert code == 3
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("BIDOMAIN_THREADS", "3")
-    assert _threads(10) == 3
-    assert _threads(2) == 2
-    monkeypatch.setenv("BIDOMAIN_THREADS", "0")
-    assert _threads(10) == 1
-    monkeypatch.setenv("BIDOMAIN_THREADS", "four")
-    with pytest.raises(ValidationFailure):
-        _threads(10)
-    monkeypatch.delenv("BIDOMAIN_THREADS")
-    assert 1 <= _threads(10) <= 4
 
 
 def test_rerun_error_paths(tmp_path, synth_dir):

@@ -1,5 +1,5 @@
 """The package's imports: third-party ones are declared in pyproject.toml,
-and every module uses what it imports; and eleven structural guards."""
+and every module uses what it imports; and twelve structural guards."""
 
 import ast
 import fnmatch
@@ -71,6 +71,26 @@ def test_no_module_reads_the_cache_token():
                if (isinstance(node, ast.Attribute) and node.attr == "cache_token")
                or (isinstance(node, ast.Constant) and node.value == "cache_token")]
     assert readers == []
+
+
+def test_no_thread_pools():
+    # a record is one pass of matrix products, so no module imports
+    # concurrent.futures or starts a thread; mesh._memo's claim lock and
+    # its events are the one synchronisation left
+    pools, threading = [], set()
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                pools += [f"{path.name}:{a.name}" for a in node.names
+                          if a.name.startswith("concurrent")]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] in ("concurrent", "threading"):
+                    pools.append(f"{path.name}:{node.module}")
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == "threading"):
+                threading.add(f"{path.name}:{node.attr}")
+    assert pools == []
+    assert threading == {"mesh.py:Lock", "mesh.py:Event"}
 
 
 def test_direct_has_one_operator_builder():
